@@ -15,9 +15,9 @@ run is judged on three things:
    (retry-afters from admission control are reported, not hidden).
 
 Run standalone (``python benchmarks/bench_gateway.py [--smoke]``) or
-through pytest (``pytest benchmarks/bench_gateway.py``).  The committed
-trajectory entry comes from ``python -m repro.perf --area gateway --out
-BENCH_gateway.json``, which reuses this workload at a fixed size.
+through pytest (``pytest benchmarks/bench_gateway.py``).  Numbers quoted
+for a speed claim come from the wall-clock benchmark instead
+(``python3 -m bench --workload kv_steady``; see ``bench/README.md``).
 """
 
 from __future__ import annotations

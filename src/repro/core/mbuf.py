@@ -6,7 +6,7 @@ exactly one message plus the metadata the stack needs to route and
 account for it.  Layers communicate by passing mbuf references.
 
 On the demux fast path the payload is *lazy*: the stack validates the
-encoded-payload region (:func:`repro.core.wire.decode_frame_tail_lazy`)
+encoded-payload region (:func:`repro.core.wire.frame_fastpath`)
 and builds the mbuf with :meth:`Mbuf.lazy`, deferring object
 construction until somebody actually reads ``.payload``.  Reliable
 broadcast's ECHO/READY amplification relays the raw region verbatim, so

@@ -159,21 +159,3 @@ class BoundedSendQueue:
             bucket.clear()
         self._bytes = 0
         return out
-
-    def clear(self) -> tuple[int, int]:
-        """Drop everything; returns ``(frames, bytes)`` released.
-
-        Used by the TCP dead-peer shed path: counts the drop into the
-        shed statistics (unlike :meth:`drain`, which hands frames on).
-        """
-        frames = len(self._entries)
-        nbytes = self._bytes
-        for prio, data in self._entries.values():
-            self.shed_by_priority[prio] += 1
-        self.frames_shed += frames
-        self.bytes_shed += nbytes
-        self._entries.clear()
-        for bucket in self._by_priority:
-            bucket.clear()
-        self._bytes = 0
-        return frames, nbytes

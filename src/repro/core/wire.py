@@ -466,15 +466,6 @@ def _validate_from(data, offset: int, depth: int) -> int:
     raise WireFormatError(f"unknown value tag 0x{tag:02x}")
 
 
-def _read_length(data, offset: int) -> tuple[int, int]:
-    if offset + 4 > len(data):
-        raise WireFormatError("truncated length field")
-    (length,) = _unpack_u32_from(data, offset)
-    if length > _MAX_LEN:
-        raise WireFormatError(f"field length {length} exceeds cap")
-    return length, offset + 4
-
-
 # -- frames ------------------------------------------------------------------
 
 PathComponent = int | str
@@ -579,48 +570,6 @@ def decode_frame_ex(data) -> tuple[Path, int, Any, Any]:
     except WireFormatError as exc:  # pragma: no cover - decoded above
         raise WireFormatError("malformed frame header") from exc
     return tuple(path), mtype, payload, data[payload_start:end]
-
-
-def decode_frame_tail(data, offset: int) -> tuple[int, Any, Any]:
-    """Decode ``(mtype, payload, raw_payload)`` of a plain frame whose
-    encoded path ends at *offset* (i.e. ``6 + len(frame_path_key())``).
-
-    The demux fast path pairs this with :func:`frame_path_key`: the
-    interned key already identified the instance, so only the remainder
-    of the frame is decoded.
-
-    Raises:
-        WireFormatError: malformed tail, non-int mtype, trailing bytes.
-    """
-    mtype, payload_start = _decode_from(data, offset, 1)
-    if not isinstance(mtype, int) or not 0 <= mtype <= 0xFF:
-        raise WireFormatError("malformed frame mtype")
-    payload, end = _decode_from(data, payload_start, 1)
-    if end != len(data):
-        raise WireFormatError("trailing bytes after encoded value")
-    return mtype, payload, data[payload_start:end]
-
-
-def decode_frame_tail_lazy(data, offset: int) -> tuple[int, Any]:
-    """Validating variant of :func:`decode_frame_tail` that leaves the
-    payload encoded.
-
-    Returns ``(mtype, raw_payload)``.  The payload region is fully
-    validated (:func:`_validate_value`) but not materialized into Python
-    objects -- decoding it later is guaranteed to succeed, so an
-    :class:`~repro.core.mbuf.Mbuf` built from it can defer the decode
-    until (unless) somebody reads ``.payload``.
-
-    Raises:
-        WireFormatError: exactly when :func:`decode_frame_tail` would.
-    """
-    mtype, payload_start = _decode_from(data, offset, 1)
-    if not isinstance(mtype, int) or not 0 <= mtype <= 0xFF:
-        raise WireFormatError("malformed frame mtype")
-    end = _validate_value(data, payload_start)
-    if end != len(data):
-        raise WireFormatError("trailing bytes after encoded value")
-    return mtype, data[payload_start:end]
 
 
 # Content-addressed parse memo for the demux fast path.  A broadcast

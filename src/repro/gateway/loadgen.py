@@ -173,7 +173,7 @@ class _LoadSession:
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         self.reader = reader
         self.writer = writer
-        #: request_id -> (op kind, send instant)
+        #: request_id -> (op kind, due instant)
         self.inflight: dict[int, tuple[str, float]] = {}
         self.task: asyncio.Task | None = None
 
@@ -189,11 +189,13 @@ async def run_load(
     """Run *profile* against the gateway at ``host:port``.
 
     Open loop: every scheduled op is written at its arrival instant
-    (never delayed by earlier ops' completion); responses are collected
-    by per-session reader tasks.  After the last arrival, in-flight ops
-    get *drain_timeout_s* to complete; stragglers count as timeouts.
+    (never delayed by earlier ops' completion) and its latency runs from
+    that instant, however late the write happened; responses are
+    collected by per-session reader tasks.  After the last arrival,
+    in-flight ops get *drain_timeout_s* to complete; stragglers count
+    as timeouts.
     """
-    loop = asyncio.get_event_loop()
+    loop = asyncio.get_running_loop()
     registry = registry if registry is not None else MetricsRegistry()
     latency = registry.histogram(METRIC_CLIENT_LATENCY)
     report = LoadReport(profile=profile)
@@ -211,9 +213,9 @@ async def run_load(
         entry = session.inflight.pop(request_id, None)
         if entry is None:
             return
-        op, sent_at = entry
+        op, due_at = entry
         outstanding -= 1
-        elapsed = loop.time() - sent_at
+        elapsed = loop.time() - due_at
         if status == STATUS_OK:
             report.ok += 1
             latency.observe(elapsed)
@@ -260,7 +262,10 @@ async def run_load(
                 frame = encode_request(request_id, "get", [scheduled.key])
             else:
                 frame = encode_request(request_id, "put", [scheduled.key, scheduled.value])
-            session.inflight[request_id] = (scheduled.op, loop.time())
+            # Timed from the instant the op was due, not the instant the
+            # loop got round to writing it: a stall is charged to every
+            # op it delays.
+            session.inflight[request_id] = (scheduled.op, start + scheduled.at)
             outstanding += 1
             report.sent += 1
             session.writer.write(frame)

@@ -115,13 +115,13 @@ def attach_router(
     """Attach gateway services to every hosted shard of *node* and wrap
     them in a :class:`~repro.shard.router.ShardRouter`.
 
-    *node* is usually a :class:`~repro.shard.ShardedNode` whose shard
-    order matches *shard_map*'s name order; a plain node hosts shard 0
-    only.  *hosted* restricts which shards this gateway fronts (default:
-    every stack the node runs) -- operations owned by unhosted shards
-    are answered ``wrong-shard`` with the owner hint.
+    *node*'s stacks (see :meth:`RitasNode.add_shard`) must be in
+    *shard_map*'s name order; a plain node hosts shard 0 only.  *hosted*
+    restricts which shards this gateway fronts (default: every stack the
+    node runs) -- operations owned by unhosted shards are answered
+    ``wrong-shard`` with the owner hint.
     """
-    stacks: list[Stack] = getattr(node, "shard_stacks", None) or [node.stack]
+    stacks = node.stacks
     if len(stacks) > len(shard_map):
         raise ValueError(
             f"node hosts {len(stacks)} shards but the map names {len(shard_map)}"
@@ -185,8 +185,7 @@ class ClientGateway:
 
     Args:
         node: the replica this gateway rides on (must be started by the
-            caller; the gateway shares its event loop and stack).  A
-            :class:`~repro.shard.ShardedNode` hosts one stack per shard.
+            caller; the gateway shares its event loop and stacks).
         services: the replicated services to front -- either one
             :class:`GatewayServices` (unsharded; attach the same
             services on every replica) or a
@@ -242,9 +241,8 @@ class ClientGateway:
         self.services: GatewayServices = self.router.services[self.router.hosted[0]]
         # The stacks whose coalescing windows bracket request handling;
         # on a sharded node each hosted shard contributes its own.
-        node_stacks: list[Stack] = getattr(node, "shard_stacks", None) or [node.stack]
         self._hosted_stacks: list[Stack] = [
-            node_stacks[index] if index < len(node_stacks) else node.stack
+            node.stacks[index] if index < len(node.stacks) else node.stack
             for index in self.router.hosted
         ]
         self.local_reads = local_reads

@@ -10,9 +10,9 @@ infrastructure and routes each KV key to exactly one owning group:
 - :mod:`repro.shard.sim` -- :class:`ShardedLanSimulation`: S LAN
   simulations on one shared event loop (scale-out or colocated hosts),
   with per-shard fault plans and per-shard invariant checkers;
-- :mod:`repro.shard.node` -- :class:`ShardedNode`: one process hosting
-  S stacks over shared TCP links, one listener/sender/metrics-registry,
-  shard-tagged channel units multiplexed through shared batches;
+- the TCP runtime needs no class of its own here: a
+  :class:`~repro.transport.tcp.RitasNode` hosts S stacks over its one
+  socket mesh via :meth:`~repro.transport.tcp.RitasNode.add_shard`;
 - :mod:`repro.shard.router` -- :class:`ShardRouter`: key -> owning
   shard's services, with structured :class:`WrongShardError` /
   :class:`CrossShardError` redirect hints (cross-shard commits are
@@ -25,7 +25,6 @@ shared-coin secrets, and RNG streams away from its co-hosted siblings.
 See docs/SHARDING.md for usage and DESIGN.md §14 for the architecture.
 """
 
-from repro.shard.node import ShardedNode, default_keystores, tag_unit
 from repro.shard.ring import DEFAULT_VNODES, ShardMap
 from repro.shard.router import (
     SINGLE_SHARD_NAME,
@@ -42,10 +41,7 @@ __all__ = [
     "ShardMap",
     "ShardRouter",
     "ShardedLanSimulation",
-    "ShardedNode",
     "WrongShardError",
-    "default_keystores",
     "shard_names",
     "sharded_configs",
-    "tag_unit",
 ]

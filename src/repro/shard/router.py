@@ -1,7 +1,8 @@
 """The routing tier: client operations onto the owning shard.
 
 A gateway process hosts the replicated services of one or more shards
-(usually all of them, via :class:`~repro.shard.node.ShardedNode`) and
+(usually all of them, via :meth:`RitasNode.add_shard
+<repro.transport.tcp.RitasNode.add_shard>`) and
 routes every client operation by its key through the
 :class:`~repro.shard.ring.ShardMap`.  Two failure shapes surface as
 structured errors instead of silent misrouting:
@@ -75,7 +76,7 @@ class ShardRouter:
     Args:
         shard_map: the group's consistent-hash ring.  Index order must
             match the hosting transport's shard order
-            (:attr:`ShardedNode.shard_stacks`).
+            (:attr:`RitasNode.stacks <repro.transport.tcp.RitasNode.stacks>`).
         services: per-shard service objects, keyed by shard index.  A
             routing-only front (hosting nothing) passes ``{}``; a full
             host passes one entry per shard.

@@ -1,9 +1,25 @@
-"""The asyncio TCP node hosting one RITAS stack.
+"""The asyncio TCP node hosting one or more RITAS stacks.
 
 Topology: every node listens on its own address and opens one outbound
 connection to every peer (used for sending only); inbound connections
 are receive-only.  The first frame on an inbound connection identifies
 -- and cryptographically authenticates -- the sending peer.
+
+A node hosts S >= 1 stacks (one per group / shard) over that one mesh:
+one listener, one connection, sender task and bounded queue per peer,
+one metrics registry.  Shard 0's channel units flow untagged -- a
+one-stack node is the paper's process, and its bytes are what a peer
+hosting more shards expects for shard 0 -- and shard i>0 units ride
+behind a 3-byte channel tag::
+
+    0x53 ('S')  |  u16 shard index (big-endian)  |  stack channel unit
+
+0x53 collides with neither ``FRAME_VERSION`` (0x01) nor the batch tag
+(0x42), so the demultiplexer needs no length heuristics.  The sender's
+batch merge packs different shards' units into the same container, so
+S groups pay the per-write fixed costs once.  Isolation between the
+hosted groups is cryptographic: each stack has its own keystore, coin
+sequence and RNG stream (all scoped by ``GroupConfig.group_tag``).
 
 All stack processing happens on the event loop thread; the sans-IO core
 needs no locks.
@@ -16,17 +32,18 @@ import logging
 import random
 import struct
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.config import GroupConfig
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, WireFormatError
 from repro.core.sendq import BoundedSendQueue
 from repro.core.stack import ProtocolFactory, Stack
 from repro.core.trace import KIND_SHED
-from repro.core.wire import encode_batch
+from repro.core.wire import decode_batch_views, encode_batch, frame_priority, is_batch
 from repro.crypto.coin import CoinSource, SharedCoinDealer
-from repro.crypto.keys import KeyStore
+from repro.crypto.keys import KeyStore, TrustedDealer
 from repro.obs.metrics import MetricsRegistry
 from repro.transport.framing import MAC_LEN, FrameCodec, FramingError, peek_src
 
@@ -34,6 +51,23 @@ logger = logging.getLogger(__name__)
 
 _LEN = struct.Struct(">I")
 _MAX_BODY = 64 * 1024 * 1024
+
+#: First byte of a shard-tagged channel unit ('S'); must stay disjoint
+#: from FRAME_VERSION (0x01) and the batch tag (0x42).
+SHARD_TAG = 0x53
+_TAG = struct.Struct(">BH")
+
+
+def tag_unit(shard_index: int, unit: bytes) -> bytes:
+    """Wrap shard *shard_index*'s channel unit for the peer's demux."""
+    return _TAG.pack(SHARD_TAG, shard_index) + unit
+
+
+def _shard_of(unit: bytes) -> int:
+    """The shard index a channel unit is tagged with (untagged: 0)."""
+    if len(unit) >= _TAG.size and unit[0] == SHARD_TAG:
+        return _TAG.unpack_from(unit)[1]
+    return 0
 
 
 class _SendChannel:
@@ -59,9 +93,9 @@ class _SendChannel:
     def empty(self) -> bool:
         return not self.queue
 
-    def put(self, data: bytes) -> list[bytes]:
+    def put(self, data: bytes, priority: int | None = None) -> list[bytes]:
         """Enqueue; returns whatever the bound forced out."""
-        shed = self.queue.push(data)
+        shed = self.queue.push(data, priority)
         if self.queue:
             self._event.set()
         return shed
@@ -79,11 +113,11 @@ class _SendChannel:
                 return data
             await self._event.wait()
 
-    def clear(self) -> tuple[int, int]:
-        """Drop everything queued; returns ``(frames, bytes)`` released."""
-        released = self.queue.clear()
+    def drain(self) -> list[bytes]:
+        """Take everything queued, in FIFO order."""
+        units = self.queue.drain()
         self._event.clear()
-        return released
+        return units
 
 
 @dataclass(frozen=True)
@@ -95,14 +129,24 @@ class PeerAddress:
 
 
 class RitasNode:
-    """One process of the group, on a real network.
+    """One process on a real network, hosting one stack per group.
+
+    The constructor builds the paper's process -- one group, one stack
+    (:attr:`stack`).  :meth:`add_shard` hosts further groups over the
+    same links; ``stacks[0] is stack`` and every consumer of a single
+    stack (gateway attachment, recovery, link gates) keeps working
+    against shard 0.
 
     Args:
-        config: the group description.
+        config: the group description (shard 0's; its transport knobs --
+            send-queue bound, batching, reconnect schedule -- govern the
+            shared links).
         process_id: this process's id.
         addresses: listen address of every process, indexed by pid.
         keystore: pairwise keys (from a :class:`TrustedDealer` or an
-            out-of-band provisioning step, as in the paper).
+            out-of-band provisioning step, as in the paper).  The link
+            codecs authenticate with these; further shards' protocol
+            MACs are inside the payload.
         factory: protocol registry; override for fault-injection tests.
         connect_retry_s: base delay between outbound connection attempts
             while peers are still coming up; defaults to the group's
@@ -146,38 +190,16 @@ class RitasNode:
         self.connect_retry_s = (
             config.reconnect_base_s if connect_retry_s is None else connect_retry_s
         )
-        # Seed derivations are scoped by config.group_tag so same-seed
-        # groups (shards) draw disjoint RNG streams and coin sequences;
-        # untagged groups keep the exact pre-sharding strings.
-        self.rng = (
-            random.Random(
-                config.scoped_seed(f"ritas/{seed}/{config.num_processes}/{process_id}")
-            )
-            if seed is not None
-            else random.Random()
-        )
-        if coin is None and config.bc_coin == "shared":
-            if seed is None:
-                raise ConfigurationError(
-                    "config.bc_coin='shared' needs either an explicit coin "
-                    "or a seed to derive the group's dealer secret from"
-                )
-            dealer = SharedCoinDealer(
-                secret=config.scoped_seed(
-                    f"ritas-coin/{seed}/{config.num_processes}"
-                ).encode()
-            )
-            coin = dealer.coin_for(process_id)
-        self.stack = Stack(
-            config,
-            process_id,
-            outbox=self._outbox,
-            keystore=keystore,
-            clock=time.monotonic,
-            factory=factory,
-            rng=self.rng,
-            coin=coin,
-        )
+        self._seed = seed
+        #: One stack per hosted group, in shard-index order.
+        self.stacks: list[Stack] = []
+        #: Shard 0's stack -- the only one on a plain node.
+        self.stack = self._host_stack(config, keystore, factory, coin)
+        #: Reconnect-jitter draws share shard 0's stream.
+        self.rng = self.stack.rng
+        self._registry: MetricsRegistry | None = None
+        #: Inbound units dropped for carrying an unhosted shard index.
+        self.frames_unknown_shard = 0
         self._server: asyncio.base_events.Server | None = None
         self._writers: dict[int, asyncio.StreamWriter] = {}
         self._send_codecs: dict[int, FrameCodec] = {}
@@ -206,6 +228,95 @@ class RitasNode:
         self.connect_attempts = 0
         self.frames_dropped_reconnect = 0
         self.reconnect_delays: list[float] = []
+
+    # -- hosted stacks ------------------------------------------------------------
+
+    def _host_stack(
+        self,
+        config: GroupConfig,
+        keystore: KeyStore,
+        factory: ProtocolFactory | None,
+        coin: CoinSource | None,
+    ) -> Stack:
+        """Build the next shard's stack and append it to :attr:`stacks`.
+
+        Seed derivations are scoped by ``config.group_tag`` so same-seed
+        groups (shards) draw disjoint RNG streams and coin sequences;
+        untagged groups keep the exact pre-sharding strings.
+        """
+        seed, n, pid = self._seed, config.num_processes, self.process_id
+        rng = (
+            random.Random(config.scoped_seed(f"ritas/{seed}/{n}/{pid}"))
+            if seed is not None
+            else random.Random()
+        )
+        if coin is None and config.bc_coin == "shared":
+            if seed is None:
+                raise ConfigurationError(
+                    "config.bc_coin='shared' needs either an explicit coin "
+                    "or a seed to derive the group's dealer secret from"
+                )
+            dealer = SharedCoinDealer(
+                secret=config.scoped_seed(f"ritas-coin/{seed}/{n}").encode()
+            )
+            coin = dealer.coin_for(pid)
+        stack = Stack(
+            config,
+            pid,
+            outbox=self._outbox_for(len(self.stacks)),
+            keystore=keystore,
+            clock=time.monotonic,
+            factory=factory,
+            rng=rng,
+            coin=coin,
+        )
+        self.stacks.append(stack)
+        return stack
+
+    def add_shard(
+        self,
+        config: GroupConfig,
+        keystore: KeyStore | None = None,
+        *,
+        factory: ProtocolFactory | None = None,
+        coin: CoinSource | None = None,
+    ) -> Stack:
+        """Host one more group on this node's links; returns its stack.
+
+        The new shard takes the next index (``len(stacks)`` before the
+        call); every process of the deployment must add its shards in
+        the same order.  Call before :meth:`connect` and
+        :meth:`enable_metrics`.
+
+        Args:
+            config: the shard's group -- same size as shard 0, with a
+                ``group_tag`` no hosted shard uses yet (see
+                :func:`repro.shard.sharded_configs`).
+            keystore: the shard's protocol keys; default derives them
+                from the node seed through a trusted dealer scoped by
+                ``config.group_tag`` (mirrors the simulator's dealer).
+            factory, coin: as in the constructor, for this shard only.
+        """
+        if self._send_queues or self._registry is not None:
+            raise RuntimeError("add_shard() must precede connect() and enable_metrics()")
+        if config.num_processes != self.config.num_processes:
+            raise ConfigurationError("every hosted shard must have the same group size")
+        tags = [stack.config.group_tag for stack in self.stacks]
+        if config.group_tag in tags:
+            raise ConfigurationError(
+                f"shard group_tags must be distinct: {[*tags, config.group_tag]!r}"
+            )
+        if keystore is None:
+            if self._seed is None:
+                raise ConfigurationError(
+                    "pass the shard's keystore or build the node with a seed "
+                    "to derive it from"
+                )
+            keystore = TrustedDealer(
+                config.num_processes,
+                seed=config.scoped_seed_bytes(str(self._seed).encode()),
+            ).keystore_for(self.process_id)
+        return self._host_stack(config, keystore, factory, coin)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -320,61 +431,84 @@ class RitasNode:
     def enable_metrics(
         self, sample_interval_s: float | None = None
     ) -> MetricsRegistry:
-        """Attach a :class:`~repro.obs.metrics.MetricsRegistry` to this
-        node's stack (idempotent) and return it.
+        """Attach one :class:`~repro.obs.metrics.MetricsRegistry` to this
+        node's stacks (idempotent) and return it.
 
-        Metrics are timed on the same monotonic clock as the stack.
-        With *sample_interval_s* set, queue-depth gauges are sampled on
-        an :meth:`add_ticker` timer (requires a running event loop, so
-        call it after :meth:`start` in that case); the default samples
-        only on explicit :meth:`sample_metrics` calls.
+        A one-stack node records straight into the registry; with more
+        shards each stack records through a ``shard=<group_tag>``-labeled
+        view of it.  Metrics are timed on the same monotonic clock as
+        the stacks.  With *sample_interval_s* set, queue-depth gauges
+        are sampled on an :meth:`add_ticker` timer (requires a running
+        event loop, so call it after :meth:`start` in that case); the
+        default samples only on explicit :meth:`sample_metrics` calls.
         """
-        if not self.stack.metrics.enabled:
+        if self._registry is None:
             const_labels = {"process": self.process_id, "runtime": "tcp"}
-            if self.config.group_tag:
+            sharded = len(self.stacks) > 1
+            if not sharded and self.config.group_tag:
                 const_labels["group"] = self.config.group_tag
-            self.stack.metrics = MetricsRegistry(
-                clock=time.monotonic, const_labels=const_labels
-            )
+            registry = MetricsRegistry(clock=time.monotonic, const_labels=const_labels)
+            self._registry = registry
+            for index, stack in enumerate(self.stacks):
+                stack.metrics = (
+                    registry.labeled(shard=stack.config.group_tag or f"s{index}")
+                    if sharded
+                    else registry
+                )
         if sample_interval_s is not None:
             self.add_ticker(sample_interval_s, self.sample_metrics)
-        return self.stack.metrics
+        return self._registry
 
     def sample_metrics(self) -> None:
-        """Sample send-queue depth gauges and the stack's gauges, now."""
-        registry = self.stack.metrics
-        if not registry.enabled:
+        """Sample send-queue depth gauges and every stack's gauges, now."""
+        registry = self._registry
+        if registry is None:
             return
-        self.stack.sample_gauges()
+        for stack in self.stacks:
+            stack.sample_gauges()
         for pid, channel in self._send_queues.items():
             registry.gauge("ritas_send_queue_frames", peer=pid).set(len(channel))
             registry.gauge("ritas_send_queue_bytes", peer=pid).set(channel.bytes)
 
     # -- outbound -------------------------------------------------------------------
 
-    def _outbox(self, dest: int, data: bytes) -> None:
-        if self._closed:
-            return
-        if dest == self.process_id:
-            # Local loopback: schedule rather than recurse, keeping the
-            # send call non-reentrant like a socket write.
-            asyncio.get_event_loop().call_soon(
-                self.stack.receive, self.process_id, data
-            )
-            return
-        self._enqueue_unit(self.stack, dest, data)
+    def _outbox_for(self, index: int) -> Callable[[int, bytes], None]:
+        """The outbox of shard *index*'s stack: loopback stays in-process,
+        everything else joins the peer's queue (tagged when index > 0)."""
+        tag = tag_unit(index, b"") if index else b""
 
-    def _enqueue_unit(self, stack: Stack, dest: int, data: bytes) -> None:
-        """Queue one channel unit toward *dest*, charging any shed frames
-        to *stack* (a sharded host queues several stacks' units into the
-        same per-peer channel)."""
-        shed = self._send_queues[dest].put(data)
-        if shed:
-            self.frames_shed += len(shed)
-            stack.stats.sends_shed += len(shed)
+        def outbox(dest: int, data: bytes) -> None:
+            if self._closed:
+                return
+            if dest == self.process_id:
+                # Local loopback: schedule rather than recurse, keeping
+                # the send call non-reentrant like a socket write.
+                asyncio.get_running_loop().call_soon(
+                    self.stacks[index].receive, dest, data
+                )
+                return
+            channel = self._send_queues[dest]
+            # Shedding order is decided on the stack's own frame: behind
+            # the shard tag every unit would look like bulk.  Unbounded
+            # queues never shed, so they skip the header peek.
+            priority = frame_priority(data) if channel.queue.max_frames else None
+            shed = channel.put(tag + data if tag else data, priority)
+            if shed:
+                self._charge_shed(dest, shed)
+
+        return outbox
+
+    def _charge_shed(self, dest: int, shed: list[bytes]) -> None:
+        """Account units the queue toward *dest* dropped, each to the
+        stack that queued it (the per-peer queue is shared by every
+        shard, so the victim need not be the enqueuer's)."""
+        self.frames_shed += len(shed)
+        for index, frames in Counter(map(_shard_of, shed)).items():
+            stack = self.stacks[index]
+            stack.stats.sends_shed += frames
             if stack.tracer.enabled:
                 stack.tracer.emit(
-                    self.process_id, KIND_SHED, (), dest=dest, frames=len(shed)
+                    self.process_id, KIND_SHED, (), dest=dest, frames=frames
                 )
 
     def _link_gate(self, pid: int) -> asyncio.Event:
@@ -465,11 +599,10 @@ class RitasNode:
                             # down: shed its queue so memory stays
                             # bounded while probing continues at the
                             # capped rate.
-                            dropped, _ = channel.clear()
+                            dropped = channel.drain()
                             if dropped:
-                                self.frames_dropped_reconnect += dropped
-                                self.frames_shed += dropped
-                                self.stack.stats.sends_shed += dropped
+                                self.frames_dropped_reconnect += len(dropped)
+                                self._charge_shed(pid, dropped)
                         await asyncio.sleep(self._reconnect_delay(failures))
                         continue
                 data = await channel.get()
@@ -508,17 +641,40 @@ class RitasNode:
 
     # -- inbound --------------------------------------------------------------------
 
-    def _dispatch_inbound(self, src: int, payload: bytes) -> None:
-        """Hand one link-authenticated channel unit to the hosted stack.
+    def _demux(self, src: int, payload: bytes) -> None:
+        """Route one link-authenticated unit on a node hosting several
+        stacks.  Node-level batch containers may interleave units from
+        different shards (the sender merges across stacks), so they are
+        unpacked here; untagged members are shard 0's, whose stack
+        handles any *stack-level* batch nesting itself."""
+        if is_batch(payload):
+            try:
+                units = [bytes(view) for view in decode_batch_views(payload)]
+            except WireFormatError:
+                self.frames_rejected += 1
+                self._charge_link(src)
+                return
+        else:
+            units = [payload]
+        for unit in units:
+            index = _shard_of(unit)
+            if index >= len(self.stacks):
+                # An authenticated peer sent a shard we do not host:
+                # misconfiguration or misbehavior either way.
+                self.frames_unknown_shard += 1
+                self.frames_rejected += 1
+                self._charge_link(src)
+            elif index:
+                self.stacks[index].receive(src, unit[_TAG.size :])
+            else:
+                self.stack.receive(src, unit)
 
-        A sharded host (:class:`repro.shard.ShardedNode`) overrides this
-        to demultiplex several stacks' traffic off the shared link.
-        """
-        self.stack.receive(src, payload)
-
-    def _report_link_misbehavior(self, pid: int) -> None:
-        """Charge an authenticated link-level framing/MAC failure."""
-        self.stack.report_misbehavior(pid, "mac-failure")
+    def _charge_link(self, pid: int) -> None:
+        """Charge an authenticated link-level framing/MAC failure.  The
+        link is shared infrastructure: a corrupted or hijacked session
+        threatens every hosted group equally, so each ledger records it."""
+        for stack in self.stacks:
+            stack.report_misbehavior(pid, "mac-failure")
 
     async def _on_inbound(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -548,7 +704,10 @@ class RitasNode:
                 # body, and scoring on that claim would let an outsider
                 # slander group members.
                 peer_pid = src
-                self._dispatch_inbound(src, payload)
+                if len(self.stacks) == 1:
+                    self.stack.receive(src, payload)
+                else:
+                    self._demux(src, payload)
         except asyncio.CancelledError:
             pass
         except (asyncio.IncompleteReadError, ConnectionError):
@@ -560,7 +719,7 @@ class RitasNode:
                 # first valid MAC, so a later framing/MAC failure is
                 # chargeable -- either that peer corrupted the stream or
                 # it let someone else hijack its session.
-                self._report_link_misbehavior(peer_pid)
+                self._charge_link(peer_pid)
             logger.warning(
                 "p%d: rejecting inbound link from %s: %s", self.process_id, peer, exc
             )

@@ -304,15 +304,6 @@ class TestBoundedSendQueue:
         queue.push(b"v2", priority=PRIORITY_AGREEMENT)  # sheds p1
         assert [queue.pop(), queue.pop(), queue.pop()] == [b"v1", b"p2", b"v2"]
 
-    def test_clear_counts_as_shed(self):
-        queue = BoundedSendQueue(max_frames=10)
-        queue.push(b"abc", priority=PRIORITY_PAYLOAD)
-        queue.push(b"defg", priority=PRIORITY_AGREEMENT)
-        frames, size = queue.clear()
-        assert (frames, size) == (2, 7)
-        assert queue.frames_shed == 2 and queue.bytes_shed == 7
-        assert len(queue) == 0 and queue.bytes == 0
-
     def test_peaks_and_drain(self):
         queue = BoundedSendQueue(max_frames=10)
         for index in range(5):

@@ -3,6 +3,7 @@
 import asyncio
 import json
 import struct
+import time
 
 import pytest
 
@@ -593,5 +594,45 @@ class TestLoadgen:
                 assert len(set(report.acked_ids)) == len(report.acked_ids)
             finally:
                 await close_all(gateway, nodes)
+
+        asyncio.run(scenario())
+
+    def test_latency_is_timed_from_the_due_instant(self):
+        """A stalled loop must not hide its own stall: the server here
+        blocks the (shared) event loop on the first request it sees, so
+        the ops due during the block are written late -- and their
+        latencies still count from when they were due."""
+        stall_s = 0.4
+
+        async def scenario():
+            stalled = False
+
+            async def serve(reader, writer):
+                nonlocal stalled
+                try:
+                    while True:
+                        request_id, _, _ = decode_request(await read_frame(reader))
+                        if not stalled:
+                            stalled = True
+                            time.sleep(stall_s)  # blocks loadgen and server alike
+                        writer.write(encode_response(request_id, STATUS_OK, None))
+                except (asyncio.IncompleteReadError, ConnectionError):
+                    pass
+                finally:
+                    writer.close()
+
+            server = await asyncio.start_server(serve, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                # 40 ops due within ~0.1 s: nearly all fall inside the stall.
+                profile = LoadProfile(sessions=2, rate=400.0, ops=40, seed=9)
+                report = await asyncio.wait_for(
+                    run_load("127.0.0.1", port, profile), timeout=60
+                )
+            finally:
+                server.close()
+                await server.wait_closed()
+            assert report.ok == 40
+            assert report.latency_p50_s >= stall_s / 2
 
         asyncio.run(scenario())

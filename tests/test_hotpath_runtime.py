@@ -1,15 +1,12 @@
 """Runtime-side hot-path tests: the leaned event loop must be
-observationally identical to the straightforward one, and the perf
-runner must produce a well-formed trajectory entry.
+observationally identical to the straightforward one.
 """
 
 from __future__ import annotations
 
-import json
 from random import Random
 
 from repro.net.simulator import EventLoop
-from repro.perf.__main__ import main as perf_main
 
 
 class TestLeanEventLoop:
@@ -67,37 +64,3 @@ class TestLeanEventLoop:
             loop.schedule(0.1 * i, order.append, i)
         assert loop.run(until=lambda: len(order) >= 4) == "until"
         assert order == [0, 1, 2, 3]
-
-
-class TestPerfRunnerSmoke:
-    def test_quick_wire_run_writes_schema_entry(self, tmp_path):
-        out = tmp_path / "bench.json"
-        assert perf_main(["--quick", "--area", "wire", "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert report["schema"] == "repro.perf/v1"
-        assert report["quick"] is True
-        wire = report["areas"]["wire"]
-        assert wire["encode_ops_per_sec"] > 0
-        assert wire["decode_ops_per_sec"] > 0
-
-    def test_baseline_comparison_embeds_speedups(self, tmp_path):
-        first = tmp_path / "first.json"
-        second = tmp_path / "second.json"
-        assert perf_main(["--quick", "--area", "wire", "--out", str(first)]) == 0
-        assert (
-            perf_main(
-                [
-                    "--quick",
-                    "--area",
-                    "wire",
-                    "--out",
-                    str(second),
-                    "--baseline",
-                    str(first),
-                ]
-            )
-            == 0
-        )
-        report = json.loads(second.read_text())
-        assert report["baseline"]["areas"]["wire"]["encode_ops_per_sec"] > 0
-        assert any(m.startswith("wire.") for m in report["speedup"])

@@ -26,8 +26,6 @@ from repro.core.wire import (
     decode_batch_views,
     decode_frame,
     decode_frame_ex,
-    decode_frame_tail,
-    decode_frame_tail_lazy,
     decode_value,
     encode_batch,
     encode_frame,
@@ -100,23 +98,30 @@ class TestBytesLikeInputs:
 
 
 class TestValidatorParity:
-    """_validate_value accepts exactly what the eager decoder accepts."""
+    """The validating fast path (:func:`frame_fastpath`, which leaves
+    the payload encoded) accepts exactly the frames the eager decoder
+    (:func:`decode_frame_ex`) accepts."""
+
+    def setup_method(self):
+        fastpath_memo_clear()
+
+    def teardown_method(self):
+        fastpath_memo_clear()
+
+    @staticmethod
+    def _frame_around(data) -> bytes:
+        # *data* in the payload position of an otherwise valid frame.
+        return encode_frame_from_prefix_raw(encode_frame_prefix(()), 0, data)
 
     def _decode_ok(self, data) -> bool:
-        # The payload context: _decode_from at depth 1, full region.
-        frame = encode_frame_from_prefix_raw(encode_frame_prefix(()), 0, data)
         try:
-            decode_frame_tail(frame, 6 + len(encode_value([])))
+            decode_frame_ex(self._frame_around(data))
         except WireFormatError:
             return False
         return True
 
     def _validate_ok(self, data) -> bool:
-        try:
-            end = _validate_value(data, 0)
-        except WireFormatError:
-            return False
-        return end == len(data)
+        return frame_fastpath(self._frame_around(data)) is not None
 
     def test_parity_on_valid_encodings(self):
         rng = random.Random(11)
@@ -155,16 +160,16 @@ class TestValidatorParity:
         assert self._validate_ok(ok) and self._decode_ok(ok)
         assert self._validate_ok(too_deep) == self._decode_ok(too_deep)
 
-    def test_lazy_tail_matches_eager_tail(self):
+    def test_lazy_payload_matches_eager_payload(self):
         rng = random.Random(17)
         for _ in range(100):
             payload = _random_value(rng)
             frame = encode_frame(PATH, 2, payload)
-            offset = 6 + len(frame_path_key(frame))
-            mtype, value, raw = decode_frame_tail(frame, offset)
-            lazy_mtype, lazy_raw = decode_frame_tail_lazy(frame, offset)
+            _path, mtype, value, raw = decode_frame_ex(frame)
+            key, lazy_mtype, lazy_raw = frame_fastpath(frame)
+            assert key == frame_path_key(frame)
             assert (lazy_mtype, bytes(lazy_raw)) == (mtype, bytes(raw))
-            assert decode_value(lazy_raw) == value
+            assert decode_value(lazy_raw) == value == payload
 
 
 # -- malformed batch fuzz ------------------------------------------------------

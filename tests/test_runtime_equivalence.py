@@ -1,9 +1,10 @@
 """The sans-IO guarantee, across runtimes.
 
 The same workload runs on the discrete-event simulator and on real
-asyncio TCP.  Atomic broadcast fixes a total order *per run* -- batching
-may differ between runs, so the orders themselves may differ -- but in
-every run, on every runtime:
+asyncio TCP -- there both on a plain host and on shard 1 of a two-stack
+host whose shard 0 is busy ordering its own traffic.  Atomic broadcast
+fixes a total order *per run* -- batching may differ between runs, so
+the orders themselves may differ -- but in every run, on every runtime:
 
 - all replicas agree on the log and the state (digests equal);
 - the log contains exactly the submitted commands, no more, no less;
@@ -12,11 +13,14 @@ every run, on every runtime:
 
 import asyncio
 
+import pytest
+
 from repro import GroupConfig, LanSimulation, TrustedDealer
 from repro.apps import ReplicatedKvStore
 from repro.apps.kv_store import _apply_kv
 from repro.apps.state_machine import Command
 from repro.transport import PeerAddress, RitasNode
+from tests.util import make_sharded_node, start_tcp_group
 
 WORKLOAD = [
     (0, "put", "alpha", b"1"),
@@ -46,30 +50,46 @@ def run_simulated():
     return stores
 
 
-def run_tcp():
+def plain_nodes():
+    config = GroupConfig(4)
+    dealer = TrustedDealer(4, seed=b"equivalence")
+    addresses = [PeerAddress("127.0.0.1", 0) for _ in range(4)]
+    return [
+        RitasNode(config, pid, addresses, dealer.keystore_for(pid))
+        for pid in range(4)
+    ]
+
+
+def run_tcp(shard=0):
+    """Run the workload on stack *shard* of every host.  With
+    ``shard=1`` the hosts carry two groups, and shard 0 orders a
+    background stream of its own over the same links meanwhile."""
+
     async def scenario():
-        config = GroupConfig(4)
-        dealer = TrustedDealer(4, seed=b"equivalence")
-        addresses = [PeerAddress("127.0.0.1", 0) for _ in range(4)]
-        nodes = [
-            RitasNode(config, pid, addresses, dealer.keystore_for(pid))
-            for pid in range(4)
-        ]
-        for node in nodes:
-            await node.listen()
-        bound = [PeerAddress("127.0.0.1", node.bound_port) for node in nodes]
-        for node in nodes:
-            node.set_peer_addresses(bound)
-        for node in nodes:
-            await node.connect()
+        nodes = (
+            [make_sharded_node(pid, seed=41) for pid in range(4)]
+            if shard
+            else plain_nodes()
+        )
+        await start_tcp_group(nodes)
         try:
             stores = [
-                ReplicatedKvStore(node.stack.create("ab", ("kv",)))
+                ReplicatedKvStore(node.stacks[shard].create("ab", ("kv",)))
                 for node in nodes
             ]
+            background = []
+            if shard:
+                noise = [node.stack.create("ab", ("noise",)) for node in nodes]
+                noise[0].on_deliver = lambda _i, d: background.append(bytes(d.payload))
+                for pid, ab in enumerate(noise):
+                    for j in range(len(WORKLOAD)):
+                        ab.broadcast(f"noise-{pid}-{j}".encode())
             apply_workload(stores)
-            for _ in range(500):
-                if all(len(s.rsm.applied) == len(WORKLOAD) for s in stores):
+            expected_noise = 4 * len(WORKLOAD) if shard else 0
+            for _ in range(1500):
+                if len(background) == expected_noise and all(
+                    len(s.rsm.applied) == len(WORKLOAD) for s in stores
+                ):
                     break
                 await asyncio.sleep(0.02)
             else:
@@ -114,13 +134,15 @@ def test_simulated_run_invariants():
     check_run_invariants(run_simulated())
 
 
-def test_tcp_run_invariants():
-    check_run_invariants(run_tcp())
+@pytest.mark.parametrize("shard", [0, 1], ids=["plain-host", "shard-1-of-2"])
+def test_tcp_run_invariants(shard):
+    check_run_invariants(run_tcp(shard))
 
 
-def test_runs_deliver_identical_command_sets():
+@pytest.mark.parametrize("shard", [0, 1], ids=["plain-host", "shard-1-of-2"])
+def test_runs_deliver_identical_command_sets(shard):
     """Across runtimes the *set* of ordered commands is identical; the
     order itself is whatever that run agreed (batching may differ)."""
     sim_log = check_run_invariants(run_simulated())
-    tcp_log = check_run_invariants(run_tcp())
+    tcp_log = check_run_invariants(run_tcp(shard))
     assert sorted(m for m, _ in sim_log) == sorted(m for m, _ in tcp_log)

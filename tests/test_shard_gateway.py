@@ -13,11 +13,10 @@ from repro.gateway.protocol import (
     read_frame,
 )
 from repro.gateway.server import ClientGateway, attach_router
-from repro.shard.node import ShardedNode
 from repro.shard.ring import ShardMap
 from repro.shard.router import CrossShardError, ShardRouter, WrongShardError
-from repro.shard.sim import sharded_configs
 from repro.transport.tcp import PeerAddress, RitasNode
+from tests.util import make_sharded_node, start_tcp_group
 
 NAMES = ["s0", "s1"]
 
@@ -96,20 +95,12 @@ class TestRouter:
 
 
 async def start_sharded_gateway_group(hosted=None):
-    """4 ShardedNodes hosting two shard groups; services attached on
+    """4 nodes hosting two shard groups each; services attached on
     every node (the RSMs apply group-wide), one gateway on node 0
     fronting *hosted* shards (default: both)."""
-    configs = sharded_configs(GroupConfig(4), NAMES)
     shard_map = ShardMap(NAMES)
-    blank = [PeerAddress("127.0.0.1", 0) for _ in range(4)]
-    nodes = [ShardedNode(configs, pid, blank, seed=37) for pid in range(4)]
-    for node in nodes:
-        await node.listen()
-    addresses = [PeerAddress("127.0.0.1", node.bound_port) for node in nodes]
-    for node in nodes:
-        node.set_peer_addresses(addresses)
-    for node in nodes:
-        await node.connect()
+    nodes = [make_sharded_node(pid, names=NAMES, seed=37) for pid in range(4)]
+    await start_tcp_group(nodes)
     routers = [
         attach_router(node, shard_map, hosted=None if pid else hosted)
         for pid, node in enumerate(nodes)
@@ -295,15 +286,7 @@ class TestUnshardedBackCompat:
                 RitasNode(config, pid, blank, dealer.keystore_for(pid), seed=5)
                 for pid in range(4)
             ]
-            for node in nodes:
-                await node.listen()
-            addresses = [
-                PeerAddress("127.0.0.1", node.bound_port) for node in nodes
-            ]
-            for node in nodes:
-                node.set_peer_addresses(addresses)
-            for node in nodes:
-                await node.connect()
+            await start_tcp_group(nodes)
             services = [GatewayServices.attach(node) for node in nodes]
             gateway = ClientGateway(nodes[0], services[0])
             port = await gateway.listen()

@@ -1,4 +1,4 @@
-"""ShardedNode: S stacks per process over shared authenticated links."""
+"""RitasNode hosting S stacks per process over shared authenticated links."""
 
 import asyncio
 
@@ -6,27 +6,21 @@ import pytest
 
 from repro.core.config import GroupConfig
 from repro.crypto.keys import TrustedDealer
-from repro.shard.node import ShardedNode, tag_unit
-from repro.shard.sim import sharded_configs
-from repro.transport.tcp import PeerAddress, RitasNode
+from repro.core.errors import ConfigurationError
+from repro.core.wire import (
+    PRIORITY_AGREEMENT,
+    PRIORITY_PAYLOAD,
+    encode_frame,
+    frame_priority,
+)
+from repro.transport.tcp import PeerAddress, RitasNode, tag_unit
+from tests.util import make_sharded_node, reserve_port, start_tcp_group
 
 NAMES = ["s0", "s1"]
 
 
 def make_sharded_group(n=4, names=NAMES, seed=23):
-    configs = sharded_configs(GroupConfig(n), names)
-    blank = [PeerAddress("127.0.0.1", 0) for _ in range(n)]
-    return [ShardedNode(configs, pid, blank, seed=seed) for pid in range(n)]
-
-
-async def start_group(nodes):
-    for node in nodes:
-        await node.listen()
-    addresses = [PeerAddress("127.0.0.1", node.bound_port) for node in nodes]
-    for node in nodes:
-        node.set_peer_addresses(addresses)
-    for node in nodes:
-        await node.connect()
+    return [make_sharded_node(pid, n, names, seed) for pid in range(n)]
 
 
 async def close_all(nodes):
@@ -42,14 +36,14 @@ class TestShardedGroup:
         async def scenario():
             nodes = make_sharded_group()
             try:
-                await start_group(nodes)
+                await start_tcp_group(nodes)
                 logs = {
                     (pid, s): []
                     for pid in range(4)
                     for s in range(2)
                 }
                 for node in nodes:
-                    for index, stack in enumerate(node.shard_stacks):
+                    for index, stack in enumerate(node.stacks):
                         ab = stack.create("ab", ("t",))
                         ab.on_deliver = (
                             lambda _i, d, log=logs[(node.process_id, index)]:
@@ -57,7 +51,7 @@ class TestShardedGroup:
                         )
                 k = 3
                 for node in nodes:
-                    for index, stack in enumerate(node.shard_stacks):
+                    for index, stack in enumerate(node.stacks):
                         with stack.coalesce():
                             for j in range(k):
                                 stack.instance_at(("t",)).broadcast(
@@ -91,13 +85,13 @@ class TestShardedGroup:
         async def scenario():
             nodes = make_sharded_group()
             try:
-                await start_group(nodes)
+                await start_tcp_group(nodes)
                 registry = nodes[0].enable_metrics()
-                for index, stack in enumerate(nodes[0].shard_stacks):
+                for index, stack in enumerate(nodes[0].stacks):
                     assert stack.metrics.enabled
                 delivered = [0, 0]
                 for node in nodes:
-                    for index, stack in enumerate(node.shard_stacks):
+                    for index, stack in enumerate(node.stacks):
                         ab = stack.create("ab", ("t",))
                         if node.process_id == 0:
                             ab.on_deliver = (
@@ -106,7 +100,7 @@ class TestShardedGroup:
                                 )
                             )
                 for node in nodes:
-                    for stack in node.shard_stacks:
+                    for stack in node.stacks:
                         stack.instance_at(("t",)).broadcast(b"m")
 
                 async def done():
@@ -130,69 +124,140 @@ class TestDemux:
     def test_unknown_shard_index_is_rejected_and_charged(self):
         """A tagged unit for an unhosted shard is dropped, counted, and
         written to every hosted shard's misbehavior ledger."""
-        configs = sharded_configs(GroupConfig(4), NAMES)
-        blank = [PeerAddress("127.0.0.1", 0) for _ in range(4)]
-        node = ShardedNode(configs, 0, blank, seed=1)
+        node = make_sharded_node(0, seed=1)
         before = node.frames_rejected
-        node._dispatch_unit(2, tag_unit(7, b"junk"))
+        node._demux(2, tag_unit(7, b"junk"))
         assert node.frames_unknown_shard == 1
         assert node.frames_rejected == before + 1
+        assert all(stack.ledger.score(2) > 0 for stack in node.stacks)
 
-    def test_untagged_units_route_to_shard_zero(self):
-        configs = sharded_configs(GroupConfig(4), NAMES)
-        blank = [PeerAddress("127.0.0.1", 0) for _ in range(4)]
-        node = ShardedNode(configs, 0, blank, seed=1)
-        seen = []
-        node.stack.receive = lambda src, data: seen.append((src, data))
-        node._dispatch_unit(1, b"\x01rest-of-frame")
-        assert seen == [(1, b"\x01rest-of-frame")]
+    def test_units_route_by_tag(self):
+        node = make_sharded_node(0, seed=1)
+        seen = [[], []]
+        for index, stack in enumerate(node.stacks):
+            stack.receive = lambda src, data, log=seen[index]: log.append((src, data))
+        node._demux(1, b"\x01rest-of-frame")
+        node._demux(1, tag_unit(1, b"\x01other-frame"))
+        assert seen == [[(1, b"\x01rest-of-frame")], [(1, b"\x01other-frame")]]
 
     def test_rejects_duplicate_tags_and_mixed_sizes(self):
-        blank = [PeerAddress("127.0.0.1", 0) for _ in range(4)]
-        from repro.core.errors import ConfigurationError
-
+        node = make_sharded_node(0, names=["a"], seed=1)
         with pytest.raises(ConfigurationError, match="distinct"):
-            ShardedNode(
-                sharded_configs(GroupConfig(4), ["a"]) * 2, 0, blank, seed=1
-            )
+            node.add_shard(GroupConfig(4, group_tag="a"))
+        with pytest.raises(ConfigurationError, match="same group size"):
+            node.add_shard(GroupConfig(7, group_tag="b"))
+
+    def test_keystore_needs_a_seed_or_an_argument(self):
+        config = GroupConfig(4)
+        blank = [PeerAddress("127.0.0.1", 0) for _ in range(4)]
+        node = RitasNode(config, 0, blank, TrustedDealer(4, seed=b"k").keystore_for(0))
+        with pytest.raises(ConfigurationError, match="keystore"):
+            node.add_shard(GroupConfig(4, group_tag="b"))
+        assert len(node.stacks) == 1
+
+    def test_shards_are_added_before_connect(self):
+        async def scenario():
+            node = make_sharded_node(0, seed=1)
+            await node.start()
+            try:
+                with pytest.raises(RuntimeError, match="precede"):
+                    node.add_shard(GroupConfig(4, group_tag="late"))
+            finally:
+                await node.close()
+
+        asyncio.run(scenario())
 
 
-class TestInterop:
-    def test_single_shard_node_is_wire_compatible_with_plain_nodes(self):
-        """A one-shard ShardedNode with an empty group tag speaks the
-        exact legacy wire format: it joins a group of plain RitasNodes
-        and the mixed group orders together."""
+AGREEMENT_PATH = ("bc", 0)
+PAYLOAD_PATH = ("rb", 0)
+
+
+class TestSharedSendQueue:
+    """The per-peer queue is shared by every hosted stack; the bound
+    must treat their units alike.  The peers here never come up, so
+    everything sent stays queued."""
+
+    def test_frame_classes(self):
+        assert frame_priority(encode_frame(AGREEMENT_PATH, 0, b"")) == PRIORITY_AGREEMENT
+        assert frame_priority(encode_frame(PAYLOAD_PATH, 0, b"")) == PRIORITY_PAYLOAD
+
+    def test_tagged_agreement_frames_outlive_payload(self):
+        """Shard 1's consensus votes are shed after payload, exactly like
+        shard 0's -- the shard tag must not hide the frame's class."""
 
         async def scenario():
-            config = GroupConfig(4)
-            dealer = TrustedDealer(4, seed=b"interop-tests")
-            blank = [PeerAddress("127.0.0.1", 0) for _ in range(4)]
-            nodes = [
-                RitasNode(config, pid, blank, dealer.keystore_for(pid), seed=3)
-                for pid in range(2)
-            ] + [
-                ShardedNode(
-                    [config], pid, blank, [dealer.keystore_for(pid)], seed=3
-                )
-                for pid in range(2, 4)
-            ]
+            node = make_sharded_node(0, seed=1, send_queue_max_frames=4)
+            await node.connect()
             try:
-                await start_group(nodes)
-                delivered = [0] * 4
-                for pid, node in enumerate(nodes):
-                    ab = node.stack.create("ab", ("t",))
-                    ab.on_deliver = lambda _i, _d, pid=pid: delivered.__setitem__(
-                        pid, delivered[pid] + 1
-                    )
-                for node in nodes:
-                    node.stack.instance_at(("t",)).broadcast(b"mixed")
+                shard0, shard1 = node.stacks
+                for index in range(4):
+                    shard1.send_frame(1, AGREEMENT_PATH, 0, index)
+                for index in range(4):
+                    shard0.send_frame(1, PAYLOAD_PATH, 0, index)
+                assert node._send_queues[1].queue.drain() == [
+                    tag_unit(1, encode_frame(AGREEMENT_PATH, 0, index))
+                    for index in range(4)
+                ]
+                assert [s.stats.sends_shed for s in node.stacks] == [4, 0]
+            finally:
+                await node.close()
 
-                async def done():
-                    while min(delivered) < 4:
+        asyncio.run(scenario())
+
+    def test_evictions_are_charged_to_the_owning_stack(self):
+        """A push by one shard may evict another shard's unit; the shed
+        lands on the victim's stats, a shard that queued nothing is
+        charged nothing, and the books balance."""
+
+        async def scenario():
+            node = make_sharded_node(
+                0, names=["s0", "s1", "s2"], seed=1, send_queue_max_frames=3
+            )
+            await node.connect()
+            try:
+                shard0, shard1, _idle = node.stacks
+                for index in range(3):
+                    shard0.send_frame(1, PAYLOAD_PATH, 0, index)
+                for index in range(2):
+                    shard1.send_frame(1, AGREEMENT_PATH, 0, index)
+                assert [s.stats.sends_shed for s in node.stacks] == [2, 0, 0]
+                assert node.frames_shed == 2
+            finally:
+                await node.close()
+
+        asyncio.run(scenario())
+
+    def test_retry_budget_shed_is_charged_by_tag(self):
+        """Past the reconnect budget the dead peer's queue is dropped;
+        each dropped unit is charged to the shard that queued it."""
+
+        async def scenario():
+            node = make_sharded_node(
+                0,
+                names=["s0", "s1", "s2"],
+                seed=1,
+                reconnect_retry_budget=2,
+                reconnect_base_s=0.01,
+                reconnect_max_s=0.02,
+            )
+            node.set_peer_addresses(
+                [PeerAddress("127.0.0.1", reserve_port()) for _ in range(4)]
+            )
+            await node.connect()
+            try:
+                shard0, shard1, _idle = node.stacks
+                shard0.send_frame(1, PAYLOAD_PATH, 0, 0)
+                for index in range(3):
+                    shard1.send_frame(1, PAYLOAD_PATH, 0, index)
+
+                async def dropped():
+                    while node.frames_dropped_reconnect < 4:
                         await asyncio.sleep(0.01)
 
-                await asyncio.wait_for(done(), timeout=60.0)
+                await asyncio.wait_for(dropped(), timeout=30.0)
+                assert [s.stats.sends_shed for s in node.stacks] == [1, 3, 0]
+                assert node.frames_shed == 4
             finally:
-                await close_all(nodes)
+                await node.close()
 
         asyncio.run(scenario())

@@ -1,7 +1,7 @@
 """Two stacks in one process must not share any protocol state.
 
-The sharded host (:class:`repro.shard.node.ShardedNode`, the sharded
-simulation) runs several stacks per OS process.  Everything that used to
+A sharded host (:meth:`repro.transport.tcp.RitasNode.add_shard`, the
+sharded simulation) runs several stacks per OS process.  Everything that used to
 be effectively process-global -- dealer key derivation, shared-coin
 secrets, RNG streams, metrics registries, the wire encode memo -- must
 be scoped per stack, or co-hosted groups could forge each other's MACs,
@@ -16,8 +16,22 @@ from repro.crypto.keys import TrustedDealer
 from repro.net.network import LanSimulation
 from repro.net.simulator import EventLoop
 from repro.obs.metrics import MetricsRegistry
-from repro.shard.node import default_keystores
 from repro.shard.sim import sharded_configs
+from repro.transport.tcp import PeerAddress, RitasNode
+
+
+def default_keystores(configs, seed, process_id):
+    """The keystores a seeded host derives for *configs* added as
+    shards (behind an unrelated shard 0 that brings its own keys)."""
+    n = configs[0].num_processes
+    node = RitasNode(
+        GroupConfig(n, group_tag="host"),
+        process_id,
+        [PeerAddress("127.0.0.1", 0)] * n,
+        TrustedDealer(n, seed=b"host").keystore_for(process_id),
+        seed=seed,
+    )
+    return [node.add_shard(config).keystore for config in configs]
 
 
 class TestKeyScoping:

@@ -1,13 +1,13 @@
 """Transport resilience: late starters, reconnection, slow peers."""
 
 import asyncio
-import socket
 
 import pytest
 
 from repro.core.config import GroupConfig
 from repro.crypto.keys import TrustedDealer
 from repro.transport.tcp import PeerAddress, RitasNode
+from tests.util import reserve_port
 
 
 @pytest.fixture
@@ -23,14 +23,6 @@ def make_node(config, dealer, addresses, pid):
         dealer.keystore_for(pid),
         connect_retry_s=0.05,
     )
-
-
-def reserve_port() -> int:
-    """An ephemeral port for a process that must be addressable before
-    it binds (the kernel rarely reassigns it in the window)."""
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
 
 
 async def start_staged(nodes, extra_addresses=()):

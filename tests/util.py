@@ -14,6 +14,7 @@ Two runtimes besides the full LAN simulation:
 from __future__ import annotations
 
 import random
+import socket
 from collections import deque
 
 from repro.core.config import GroupConfig
@@ -144,3 +145,41 @@ def decisions_of(net: _BaseNet, path: tuple, attr: str = "decision") -> list:
         instance = net.stacks[pid].instance_at(path)
         values.append(None if instance is None else getattr(instance, attr))
     return values
+
+
+def make_sharded_node(pid: int, n: int = 4, names=("s0", "s1"), seed: int = 23, **knobs):
+    """One TCP host of the groups *names* (unbound, on loopback), every
+    shard's keystore derived from *seed* the way the simulator's dealer
+    does; *knobs* are extra :class:`GroupConfig` fields."""
+    from repro.shard.sim import sharded_configs
+    from repro.transport.tcp import PeerAddress, RitasNode
+
+    first, *rest = sharded_configs(GroupConfig(n, **knobs), names)
+    dealer = TrustedDealer(n, seed=first.scoped_seed_bytes(str(seed).encode()))
+    blank = [PeerAddress("127.0.0.1", 0) for _ in range(n)]
+    node = RitasNode(first, pid, blank, dealer.keystore_for(pid), seed=seed)
+    for config in rest:
+        node.add_shard(config)
+    return node
+
+
+def reserve_port() -> int:
+    """An ephemeral port for a process that must be addressable before
+    it binds -- or never binds, so connects to it fail fast (the kernel
+    rarely reassigns it in the window)."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+async def start_tcp_group(nodes) -> None:
+    """Bind every node on an ephemeral port, share the ports, connect."""
+    from repro.transport.tcp import PeerAddress
+
+    for node in nodes:
+        await node.listen()
+    addresses = [PeerAddress("127.0.0.1", node.bound_port) for node in nodes]
+    for node in nodes:
+        node.set_peer_addresses(addresses)
+    for node in nodes:
+        await node.connect()
