@@ -28,7 +28,7 @@ the Section 4.2 Byzantine process), every registered flooding strategy,
 ``byz-bc-split`` (the n=6 (n-f)/2 regression), and the hostile-network
 catalog: ``wan-asym``, ``wan-lossy``, ``wan-dup``, ``wan-reorder``,
 ``gray-slow-replica``, ``gray-flaky-mac``, ``gray-degrading``,
-``heal-mid-agreement`` and ``churn-rejoin``.
+``heal-mid-agreement``, ``laggard-gc`` and ``churn-rejoin``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.check.invariants import InvariantViolation
+from repro.core.atomic_broadcast import RETAINED_ROUNDS
 from repro.core.config import GroupConfig
 from repro.net.faults import FaultPlan, Partition
 from repro.net.links import (
@@ -194,6 +196,60 @@ def _gray_flaky_mac_link() -> LinkModel:
 
 def _gray_degrading_link() -> LinkModel:
     return LinkModel(default=Degrading(start_s=0.02, ramp_s=0.5, max_extra_s=0.01))
+
+
+#: laggard-gc: replica 3 is cut off for this long while the other three
+#: keep ordering, load stops at ``_LAGGARD_LOAD_END`` and the group must
+#: have settled by ``_LAGGARD_SETTLED``.
+_LAGGARD_SPLIT = (0.02, 0.6, ((0, 1, 2), (3,)))
+_LAGGARD_LOAD_END = 0.8
+_LAGGARD_SETTLED = 2.5
+
+
+def _laggard_driver(sim: LanSimulation) -> None:
+    """Keep every replica A-broadcasting while the partition holds
+    replica 3 tens of agreement rounds behind, then check the liveness
+    envelope of always-on reclamation: with no recovery layer attached
+    the laggard finishes every round from frames its peers had already
+    sent (they have long destroyed those rounds), and the whole group
+    returns to the flat footprint.  Order agreement is the checker's;
+    catching up and flatness are asserted here, as violations, so the
+    explorer shrinks and replays them like any other.
+    """
+    path = ("ab", "a")
+    sessions = [stack.instance_at(path) for stack in sim.stacks]
+    sent = {"count": len(sessions)}  # the ops' one broadcast apiece
+
+    def write(pid: int) -> None:
+        if sim.now < _LAGGARD_LOAD_END:
+            sent["count"] += 1
+            sessions[pid].broadcast(b"%d/%d" % (pid, sent["count"]))
+
+    for pid in range(len(sessions)):
+        sim.add_ticker(pid, 0.02, lambda pid=pid: write(pid))
+
+    def settled() -> None:
+        def fail(detail: str) -> None:
+            raise InvariantViolation(
+                "ab-laggard-liveness", path, detail, sim.loop.events_processed
+            )
+
+        if sessions[0].round < 10 * RETAINED_ROUNDS:
+            fail(f"only {sessions[0].round} rounds ran: the laggard never lagged")
+        for pid, (stack, ab) in enumerate(zip(sim.stacks, sessions)):
+            if ab.delivered_count != sent["count"]:
+                fail(f"p{pid} delivered {ab.delivered_count} of {sent['count']}")
+            if stack.ooc_pending:
+                fail(f"p{pid} still parks {stack.ooc_pending} frames out of context")
+            if ab.round - ab.gc_floor != RETAINED_ROUNDS:
+                fail(f"p{pid} retains rounds {ab.gc_floor}..{ab.round}")
+            if stack.live_instances != sim.stacks[0].live_instances:
+                fail(
+                    f"p{pid} holds {stack.live_instances} instances, "
+                    f"p0 {sim.stacks[0].live_instances}"
+                )
+
+    sim.loop.schedule_at(_LAGGARD_SETTLED, settled)
 
 
 def _churn_driver(sim: LanSimulation) -> None:
@@ -377,6 +433,19 @@ SCENARIOS: dict[str, Scenario] = {
             "delivery must land identically after the heal",
             ops=_ab_burst("a", [0, 1, 2, 3], 3),
             partitions=((0.003, 0.4, ((0, 1), (2, 3))),),
+        ),
+        Scenario(
+            name="laggard-gc",
+            n=4,
+            description="replica 3 is partitioned away for tens of "
+            "agreement rounds under load with no recovery layer; after "
+            "the heal it must catch up from frames already sent although "
+            "its peers reclaimed those rounds, and every footprint must "
+            "return to flat",
+            ops=_ab_burst("a", [0, 1, 2, 3], 1),
+            partitions=(_LAGGARD_SPLIT,),
+            driver=_laggard_driver,
+            max_time=_LAGGARD_SETTLED + 0.1,
         ),
         Scenario(
             name="churn-rejoin",

@@ -35,6 +35,7 @@ from typing import Any, Callable
 
 from repro.apps.kv_store import ReplicatedKvStore
 from repro.check.invariants import InvariantChecker
+from repro.core.atomic_broadcast import RETAINED_ROUNDS
 from repro.core.config import GroupConfig
 from repro.net.faults import FaultPlan, Partition
 from repro.net.links import (
@@ -262,7 +263,6 @@ class SoakRunner:
     ):
         self.fault_s = fault_s
         self.settle_s = settle_s
-        self.checkpoint_interval = checkpoint_interval
         self.default_load_period = load_period
         self.model = LinkModel()
         self.sim = LanSimulation(
@@ -349,15 +349,14 @@ class SoakRunner:
             failures.append(
                 f"{gauges['link_frames']} frames still queued on the fabric"
             )
-        # Structural ceilings: GC may lag the round counter by up to two
-        # checkpoint windows (the collector clamps to round-2 and waits
-        # for the next *stable* checkpoint), and the live-instance count
-        # is bounded by the uncollected rounds.  Cadence-independent, so
-        # they hold at any window boundary -- while a leak (instances or
-        # rounds that never collect) grows past them within a few
-        # windows.
-        max_lag = 2 * self.checkpoint_interval + 4
-        per_round = _instances_per_round(self.sim.config.num_processes)
+        # Structural ceilings: atomic broadcast keeps the current round
+        # and RETAINED_ROUNDS decided ones behind it, whatever the load
+        # or checkpoint cadence, and every delivered message's instance
+        # is gone -- so at a quiescent boundary the live-instance count
+        # is those rounds' subtrees.  A leak (instances or rounds that
+        # never collect) grows past this within a window.
+        max_lag = RETAINED_ROUNDS + 1
+        ceiling = (max_lag + 1) * _instances_per_round(self.sim.config.num_processes)
         for pid, sample in gauges["process"].items():
             if sample["ooc_pending"]:
                 failures.append(f"p{pid}: ooc_pending={sample['ooc_pending']:.0f}")
@@ -371,11 +370,10 @@ class SoakRunner:
                 failures.append(
                     f"p{pid}: gc lag {sample['gc_lag']} rounds (cap {max_lag})"
                 )
-            ceiling = (min(sample["gc_lag"], max_lag) + 4) * per_round
             if sample["instances_live"] > ceiling:
                 failures.append(
                     f"p{pid}: instances_live={sample['instances_live']:.0f} "
-                    f"(ceiling {ceiling} for gc lag {sample['gc_lag']})"
+                    f"(ceiling {ceiling})"
                 )
         if failures:
             raise SoakError(window, self.sim.now, failures)

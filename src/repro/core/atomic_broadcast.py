@@ -48,6 +48,12 @@ MsgId = tuple[int, int]
 #: process must not be able to blow up memory with one giant vector.
 MAX_VECT_IDS = 65536
 
+#: Decided rounds kept behind the current one: round r's ``vect``/``mvc``
+#: subtree is destroyed when round r + 2 decides.  That took n - f
+#: round-(r + 2) vectors, each sent after its sender decided r + 1, so
+#: f + 1 correct processes are past r (DESIGN section 3).
+RETAINED_ROUNDS = 2
+
 
 @dataclass(frozen=True, slots=True)
 class AbDelivery:
@@ -76,30 +82,17 @@ class AtomicBroadcast(ControlBlock):
         purpose: str | None = None,
         *,
         msg_window: int | None = None,
-        gc_rounds: int | None = None,
     ):
-        """*msg_window*: per-sender cap on receiver-side AB message
-        instances; defaults to ``config.ab_msg_window``.
-
-        *gc_rounds*: when set, protocol instances belonging to
-        agreement rounds more than this many rounds in the past are
-        destroyed, bounding memory on long-running sessions.  Keep it
-        >= 2 so that stragglers still inside an old round's broadcasts
-        can finish; ``None`` (the default) never collects."""
+        """*msg_window*: per-sender cap on *open* receiver-side AB
+        message instances (created, not yet reclaimed at delivery);
+        defaults to ``config.ab_msg_window``."""
         super().__init__(stack, path, parent, purpose)
-        if gc_rounds is not None and gc_rounds < 2:
-            raise ValueError("gc_rounds must be >= 2 (or None)")
         self._next_rbid = 0
         self._msg_window = (
             msg_window if msg_window is not None else stack.config.ab_msg_window
         )
-        self._gc_rounds = gc_rounds
-        #: Set by an external collector (the checkpoint manager in
-        #: :mod:`repro.recovery`) before any delivery: payload bookkeeping
-        #: then behaves as under ``gc_rounds``, but instances are only
-        #: destroyed when :meth:`collect_through` is called.
-        self.external_gc = False
         self._open_msg_instances: dict[int, int] = {}
+        # Both forget a message the moment it AB-delivers.
         self._received: dict[MsgId, Any] = {}
         self._scheduled: set[MsgId] = set()
         # Delivered identifiers, kept compact: per-sender contiguous
@@ -115,6 +108,8 @@ class AtomicBroadcast(ControlBlock):
         self._round_vects: dict[int, dict[int, list[MsgId]]] = {}
         self._vect_sent: set[int] = set()
         self._mvc_proposed: set[int] = set()
+        # (round, id) of messages delivered from an injected payload:
+        # their RB instances wait for the round rule.
         self._collectable: deque[tuple[int, MsgId]] = deque()
         self._gc_floor = 0  # lowest round whose instances still exist
         # Cumulative count of identifiers scheduled through the end of
@@ -183,10 +178,7 @@ class AtomicBroadcast(ControlBlock):
         self._next_rbid += 1
         if self.stack.metrics.enabled:
             self._submit_times[(self.me, rbid)] = self.stack.clock()
-        rb = self.make_child(
-            "rb", ("msg", self.me, rbid), sender=self.me, purpose=PURPOSE_PAYLOAD
-        )
-        rb.broadcast(payload)  # type: ignore[attr-defined]
+        self._open_msg_instance(self.me, rbid).broadcast(payload)  # type: ignore[attr-defined]
         return (self.me, rbid)
 
     @property
@@ -221,10 +213,6 @@ class AtomicBroadcast(ControlBlock):
         return self._gc_floor
 
     # -- delivered-id frontier ------------------------------------------------------
-
-    @property
-    def _gc_enabled(self) -> bool:
-        return self._gc_rounds is not None or self.external_gc
 
     def _is_delivered(self, msg_id: MsgId) -> bool:
         sender, rbid = msg_id
@@ -321,32 +309,14 @@ class AtomicBroadcast(ControlBlock):
             )
         if round_number <= self._round:
             raise ValueError(f"cannot fast-forward backwards to round {round_number}")
-        for stale in range(self._gc_floor, self._round + 1):
-            mvc = self.children.get(self.path + ("mvc", stale))
-            if mvc is not None:
-                mvc.destroy()
-            for j in self.config.process_ids:
-                vect = self.children.get(self.path + ("vect", stale, j))
-                if vect is not None:
-                    vect.destroy()
+        self._collect(self._round)
         self._round = round_number
         self._gc_floor = round_number
-        self._round_vects.clear()
-        self._vect_sent.clear()
-        self._mvc_proposed.clear()
         self._sched_cum.clear()
         self._sched_total = 0
         self._position_base = None
         if frontier:
-            self._install_frontier(frontier)
-            # Payloads picked up while bootstrapping may belong to
-            # messages the group already delivered; drop them so they
-            # can never be vouched for or delivered again here.
-            self._received = {
-                msg_id: payload
-                for msg_id, payload in self._received.items()
-                if not self._is_delivered(msg_id)
-            }
+            self.absorb_frontier(frontier)
         self.fast_forwards += 1
         self._ensure_vect_instances(round_number)
         self._maybe_start_round()
@@ -357,24 +327,17 @@ class AtomicBroadcast(ControlBlock):
         Used when a catching-up replica absorbs a checkpoint newer than
         its bootstrap one: identifiers the group delivered meanwhile must
         never be vouched for or re-delivered here.  Watermarks only move
-        forward, so absorbing is always safe.
+        forward, so absorbing is always safe.  Payloads and RB instances
+        picked up for those identifiers while catching up are reclaimed
+        exactly as if the messages had delivered here.
         """
         self._install_frontier(frontier)
-        self._received = {
-            msg_id: payload
-            for msg_id, payload in self._received.items()
-            if not self._is_delivered(msg_id)
-        }
-
-    def collect_through(self, horizon: int) -> int:
-        """Destroy protocol instances for rounds up to *horizon* (clamped
-        so the current and previous rounds always survive for stragglers).
-
-        Called by the checkpoint layer once a stable checkpoint covers
-        every message those rounds ordered; returns the new GC floor.
-        """
-        self._collect(min(horizon, self._round - 2))
-        return self._gc_floor
+        held = set(self._received)
+        depth = len(self.path)
+        held.update(path[-2:] for path in self.children if path[depth] == "msg")
+        for msg_id in held:
+            if self._is_delivered(msg_id):
+                self._reclaim_msg(msg_id)
 
     def inject_payload(self, msg_id: MsgId, payload: Any) -> bool:
         """Hand this instance a payload fetched out-of-band.
@@ -436,18 +399,53 @@ class AtomicBroadcast(ControlBlock):
         if msg_id in self._scheduled:
             return False
         self._mark_delivered(msg_id)
-        self._received.pop(msg_id, None)
+        self._reclaim_msg(msg_id)
         return True
 
     # -- instance management -------------------------------------------------------------
 
+    def _open_msg_instance(self, sender: int, rbid: int) -> ControlBlock:
+        self._open_msg_instances[sender] = self._open_msg_instances.get(sender, 0) + 1
+        return self.make_child(
+            "rb", ("msg", sender, rbid), sender=sender, purpose=PURPOSE_PAYLOAD
+        )
+
+    def _close_msg_instance(self, rb: ControlBlock) -> None:
+        rb.destroy()
+        self._open_msg_instances[rb.path[-2]] -= 1
+
+    def _reclaim_msg(self, msg_id: MsgId) -> None:
+        """Forget a delivered message: its payload and its RB instance.
+
+        An RB instance that has delivered has sent its READY (f + 1
+        READYs trigger it, delivery takes 2f + 1) and owes peers nothing
+        more; votes still in flight resolve to ``ORPHAN_STALE``.  One
+        that has not (the payload was injected) may still owe a READY
+        and stays until its round is collected.
+        """
+        self._received.pop(msg_id, None)
+        rb = self.children.get(self.path + ("msg",) + msg_id)
+        if rb is None:
+            return
+        if rb.delivered:  # type: ignore[attr-defined]
+            self._close_msg_instance(rb)
+        else:
+            self._collectable.append((self._round, msg_id))
+
     def _ensure_vect_instances(self, round_number: int) -> None:
-        for j in self.config.process_ids:
-            path = self.path + ("vect", round_number, j)
-            if path not in self.children:
-                self.make_child(
-                    "rb", ("vect", round_number, j), sender=j, purpose=PURPOSE_AGREEMENT
-                )
+        # One construction window: a laggard's replay of parked frames
+        # can carry it through many rounds -- past collecting this one --
+        # so it must not run between two of these creations.
+        self.stack._begin_construction()
+        try:
+            for j in self.config.process_ids:
+                path = self.path + ("vect", round_number, j)
+                if path not in self.children:
+                    self.make_child(
+                        "rb", ("vect", round_number, j), sender=j, purpose=PURPOSE_AGREEMENT
+                    )
+        finally:
+            self.stack._end_construction()
 
     def accept_orphan(self, mbuf: Mbuf) -> "bool | object":
         """Create receiver-side instances on demand (dynamic demux).
@@ -482,12 +480,7 @@ class AtomicBroadcast(ControlBlock):
                     if mbuf.src == sender:
                         self.stack.report_misbehavior(sender, "msg-window")
                     return False
-                self._open_msg_instances[sender] = (
-                    self._open_msg_instances.get(sender, 0) + 1
-                )
-                self.make_child(
-                    "rb", ("msg", sender, rbid), sender=sender, purpose=PURPOSE_PAYLOAD
-                )
+                self._open_msg_instance(sender, rbid)
                 return True
             return False
         if len(suffix) >= 2 and suffix[0] in ("vect", "mvc") and isinstance(suffix[1], int):
@@ -607,7 +600,9 @@ class AtomicBroadcast(ControlBlock):
         chosen = sorted(
             msg_id
             for msg_id, votes in support.items()
-            if votes >= threshold and msg_id not in self._scheduled
+            if votes >= threshold
+            and msg_id not in self._scheduled
+            and not self._is_delivered(msg_id)
         )
         self.agreements_started += 1
         if self.stack.metrics.enabled:
@@ -621,12 +616,10 @@ class AtomicBroadcast(ControlBlock):
         ids = self._parse_id_list(decision) if decision is not None else None
         if ids:
             for msg_id in sorted(ids):
-                # Skip identifiers already scheduled *or* already known
-                # delivered: on a never-recovered instance delivered is a
-                # subset of scheduled, but a fast-forwarded instance knows
-                # deliveries (from its transferred frontier) it never
-                # scheduled itself -- re-delivering those would diverge
-                # from peers, which skip them via their scheduled sets.
+                # Skip identifiers awaiting delivery *or* already
+                # delivered (here, or -- on a fast-forwarded instance --
+                # group-wide per the transferred frontier): peers skip
+                # them the same way, so re-delivering would diverge.
                 if msg_id not in self._scheduled and not self._is_delivered(msg_id):
                     self._scheduled.add(msg_id)
                     self._delivery_queue.append(msg_id)
@@ -643,8 +636,7 @@ class AtomicBroadcast(ControlBlock):
         self._round += 1
         self._ensure_vect_instances(self._round)
         self._drain_delivery_queue()
-        if self._gc_rounds is not None:
-            self._collect(self._round - 1 - self._gc_rounds)
+        self._collect(self._round - 1 - RETAINED_ROUNDS)
         self._maybe_start_round()
 
     def _drain_delivery_queue(self) -> None:
@@ -655,6 +647,7 @@ class AtomicBroadcast(ControlBlock):
             if msg_id not in self._received:
                 return
             self._delivery_queue.popleft()
+            self._scheduled.discard(msg_id)
             payload = self._received[msg_id]
             submitted = self._submit_times.pop(msg_id, None)
             if submitted is not None and self.stack.metrics.enabled:
@@ -662,9 +655,7 @@ class AtomicBroadcast(ControlBlock):
                     "ritas_ab_delivery_latency_seconds"
                 ).observe(self.stack.clock() - submitted)
             self._mark_delivered(msg_id)
-            if self._gc_enabled:
-                del self._received[msg_id]
-                self._collectable.append((self._round, msg_id))
+            self._reclaim_msg(msg_id)
             delivery = AbDelivery(
                 sender=msg_id[0],
                 rbid=msg_id[1],
@@ -704,7 +695,4 @@ class AtomicBroadcast(ControlBlock):
             _, msg_id = self._collectable.popleft()
             rb = self.children.get(self.path + ("msg",) + msg_id)
             if rb is not None:
-                rb.destroy()
-                sender = msg_id[0]
-                if self._open_msg_instances.get(sender, 0) > 0:
-                    self._open_msg_instances[sender] -= 1
+                self._close_msg_instance(rb)

@@ -155,6 +155,12 @@ class BinaryConsensus(BCEngine):
             self.stack.tracer.emit(self.me, KIND_ROUND, self.path, round=round_number)
         state = self._round_state(round_number)
         self._broadcast_step(round_number, 1, value, state)
+        # Values replayed from the out-of-context table while the
+        # round's broadcasts were being created were accepted before
+        # step 1 was sent, so their triggers held back; fire them now.
+        # Nothing later would: a laggard's own broadcasts are never
+        # echoed by peers that already reclaimed this instance.
+        self._drain_pending()
 
     def _broadcast_step(
         self, round_number: int, step: int, value: int | None, state: _RoundState

@@ -99,6 +99,11 @@ class MultiValuedConsensus(ControlBlock):
         self.proposal = value
         rb = self.children[self.path + ("init", self.me)]
         rb.broadcast(self._init_value(value))  # type: ignore[attr-defined]
+        # INITs (and VECTs) replayed from the out-of-context table while
+        # this instance was being built arrived before the proposal; a
+        # laggard whose peers already reclaimed the instance gets no
+        # further delivery -- not even its own -- to act on them.
+        self._maybe_send_vect()
 
     # -- introspection -------------------------------------------------------------
 
@@ -167,6 +172,7 @@ class MultiValuedConsensus(ControlBlock):
         ]
         eb = self.children[self.path + ("vect", self.me)]
         eb.broadcast(self._vect_payload(value, justification))  # type: ignore[attr-defined]
+        self._maybe_propose_bit()
 
     def _on_vect(self, sender: int, payload: Any) -> None:
         if sender in self._valid_vects or sender in self._pending_vects:

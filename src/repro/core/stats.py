@@ -153,7 +153,6 @@ class RecoveryStats:
     attestations_rejected: int = 0
     digest_divergence: int = 0
     log_truncations: int = 0
-    gc_advances: int = 0
 
     # -- serving peers ---------------------------------------------------------
     state_requests_served: int = 0

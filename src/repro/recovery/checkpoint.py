@@ -54,17 +54,12 @@ class Checkpoint:
             (:meth:`~repro.apps.state_machine.ReplicatedStateMachine.snapshot_bytes`).
         frontier: delivered-id summary
             (:meth:`~repro.core.atomic_broadcast.AtomicBroadcast.delivered_frontier`).
-        round_mark: highest agreement round fully covered by *seq*
-            (every identifier it scheduled is within the checkpoint), or
-            ``None`` when the position anchors are unknown; this is the
-            horizon handed to the atomic broadcast's GC.
     """
 
     seq: int
     digest: bytes
     snapshot: bytes
     frontier: list
-    round_mark: int | None = None
 
 
 def build_certificate(attestations: dict[int, list[bytes]]) -> list:

@@ -12,9 +12,10 @@ Three phases:
 
 - ``live`` -- normal duty: log each delivery, checkpoint every
   ``checkpoint_interval`` positions, broadcast an attestation, truncate
-  the log and advance the broadcast's GC floor once ``f + 1`` matching
-  attestations make a checkpoint *stable*, and serve peers' state and
-  payload requests.
+  the log once ``f + 1`` matching attestations make a checkpoint
+  *stable*, and serve peers' state and payload requests.  (Protocol
+  instances are not this layer's business: atomic broadcast reclaims
+  them itself, at delivery and two rounds behind the agreement.)
 - ``bootstrap`` -- a restarted replica requests state from all peers,
   installs the best certified checkpoint, replays the ``f + 1``-matched
   log suffix, and fast-forwards its atomic broadcast past every round
@@ -110,7 +111,6 @@ class RecoveryManager:
         self.protocol = stack.create("ckpt", tuple(path), manager=self)
         self._inner_deliver = self._ab.on_deliver
         self._ab.on_deliver = self._on_ab_deliver
-        self._ab.external_gc = True
 
         #: Next absolute delivery position (== deliveries applied so far).
         self._next_pos = 0
@@ -211,8 +211,7 @@ class RecoveryManager:
         snapshot = self._rsm.snapshot_bytes()
         frontier = self._ab.delivered_frontier()
         digest = checkpoint_digest(snapshot, frontier)
-        marks = [r for r, p in self._ab.positions_by_round().items() if p <= seq]
-        record = Checkpoint(seq, digest, snapshot, frontier, max(marks, default=None))
+        record = Checkpoint(seq, digest, snapshot, frontier)
         self._records[seq] = record
         while len(self._records) > MAX_RECORDS:
             del self._records[min(self._records)]
@@ -284,10 +283,6 @@ class RecoveryManager:
         for seq in [s for s in self._attest if s <= record.seq]:
             del self._attest[seq]
         self._diverged = {s for s in self._diverged if s > record.seq}
-        if record.round_mark is not None:
-            floor_before = self._ab.gc_floor
-            if self._ab.collect_through(record.round_mark) > floor_before:
-                self.stats.gc_advances += 1
 
     # -- serving peers -------------------------------------------------------------
 
@@ -456,7 +451,7 @@ class RecoveryManager:
         if best is not None:
             self._rsm.install_snapshot(best[2])
             self.stats.snapshots_installed += 1
-            record = Checkpoint(best[0], best[1], best[2], best[3], None)
+            record = Checkpoint(best[0], best[1], best[2], best[3])
             self._stable = (record, best[4])
             self._records = {best[0]: record}
             frontier = best[3]
@@ -493,7 +488,7 @@ class RecoveryManager:
         seq, digest, snapshot, frontier, cert_raw = verified
         self._rsm.install_snapshot(snapshot)
         self.stats.snapshots_installed += 1
-        record = Checkpoint(seq, digest, snapshot, frontier, None)
+        record = Checkpoint(seq, digest, snapshot, frontier)
         self._stable = (record, cert_raw)
         self._records = {seq: record}
         self._log.clear()

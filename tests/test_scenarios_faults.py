@@ -2,7 +2,8 @@
 
 Every hostile environment PR 8 added -- asymmetric WAN matrices, lossy/
 duplicating/reordering links, the three gray failures, mid-agreement
-partition healing, crash/rejoin churn -- must hold all protocol
+partition healing, a laggard catching up past reclaimed rounds,
+crash/rejoin churn -- must hold all protocol
 invariants across an explorer sweep (five seeds each, cycling jitter),
 not just one lucky schedule.  Alongside, unit coverage for the
 order-log window alignment that makes "same total order" checkable
@@ -24,6 +25,7 @@ FAULT_SCENARIOS = (
     "gray-flaky-mac",
     "gray-degrading",
     "heal-mid-agreement",
+    "laggard-gc",
     "churn-rejoin",
 )
 

@@ -103,6 +103,9 @@ class ShuffleNet(_BaseNet):
     def __init__(self, n: int = 4, *, seed: int = 0, **kwargs):
         self.pairs: dict[tuple[int, int], deque[bytes]] = {}
         self.rng = random.Random(f"schedule/{seed}")
+        #: Processes whose inbound frames stay queued (nothing is lost):
+        #: a partition seen as delay.  Empty the set to heal.
+        self.held: set[int] = set()
         super().__init__(n, seed=seed, **kwargs)
 
     def enqueue(self, src: int, dest: int, data: bytes) -> None:
@@ -115,12 +118,14 @@ class ShuffleNet(_BaseNet):
 
     def step(self) -> bool:
         """Deliver one frame from a randomly chosen nonempty pair."""
-        live = [pair for pair, q in self.pairs.items() if q and pair[1] not in self.crashed]
+        blocked = self.crashed | self.held
+        live = [pair for pair, q in self.pairs.items() if q and pair[1] not in blocked]
         if not live:
             # Drain frames addressed to crashed processes so quiescence
             # is detectable.
-            for q in self.pairs.values():
-                q.clear()
+            for (_, dest), q in self.pairs.items():
+                if dest in self.crashed:
+                    q.clear()
             return False
         src, dest = self.rng.choice(live)
         data = self.pairs[(src, dest)].popleft()
