@@ -54,6 +54,11 @@ MAX_VECT_IDS = 65536
 #: f + 1 correct processes are past r (DESIGN section 3).
 RETAINED_ROUNDS = 2
 
+#: Per-sender cap on *open* receiver-side AB message instances (created,
+#: not yet reclaimed at delivery): the dynamic-demultiplexing window that
+#: stops a corrupt process from minting unbounded RB instances.
+MSG_WINDOW = 65536
+
 
 @dataclass(frozen=True, slots=True)
 class AbDelivery:
@@ -80,17 +85,9 @@ class AtomicBroadcast(ControlBlock):
         path: Path,
         parent: ControlBlock | None = None,
         purpose: str | None = None,
-        *,
-        msg_window: int | None = None,
     ):
-        """*msg_window*: per-sender cap on *open* receiver-side AB
-        message instances (created, not yet reclaimed at delivery);
-        defaults to ``config.ab_msg_window``."""
         super().__init__(stack, path, parent, purpose)
         self._next_rbid = 0
-        self._msg_window = (
-            msg_window if msg_window is not None else stack.config.ab_msg_window
-        )
         self._open_msg_instances: dict[int, int] = {}
         # Both forget a message the moment it AB-delivers.
         self._received: dict[MsgId, Any] = {}
@@ -174,6 +171,9 @@ class AtomicBroadcast(ControlBlock):
                 pending=self.pending_local,
                 cap=cap,
             )
+        return self._send_msg(payload)
+
+    def _send_msg(self, payload: Any) -> MsgId:
         rbid = self._next_rbid
         self._next_rbid += 1
         if self.stack.metrics.enabled:
@@ -392,6 +392,20 @@ class AtomicBroadcast(ControlBlock):
                     best = r
         return best
 
+    def nudge(self, payload: Any) -> MsgId:
+        """Broadcast *payload* outside the ``config.ab_pending_cap``
+        admission bound.
+
+        For the recovery layer's join nudges only.  A fast-forwarded
+        replica's own messages ordered below its join round reach it
+        through the state transfer the join is waiting for, not through
+        this instance, so they count as pending until the join completes.
+        Under the cap they would refuse the very nudges that carry the
+        group to the join round.  The caller sends at most one per
+        request wave.
+        """
+        return self._send_msg(payload)
+
     def note_delivered_external(self, msg_id: MsgId) -> bool:
         """Mark *msg_id* delivered outside this instance (applied from a
         transferred log suffix).  Refused for identifiers this instance
@@ -473,7 +487,7 @@ class AtomicBroadcast(ControlBlock):
             ):
                 if self._is_delivered((sender, rbid)):
                     return ORPHAN_STALE
-                if self._open_msg_instances.get(sender, 0) >= self._msg_window:
+                if self._open_msg_instances.get(sender, 0) >= MSG_WINDOW:
                     # Attribution rule: score only when the flooder is
                     # speaking for itself -- an honest process echoing a
                     # corrupt sender's broadcast must never be blamed.

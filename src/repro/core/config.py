@@ -29,34 +29,17 @@ class GroupConfig:
             configured (a *larger* one violates ``n >= 3f+1`` and is
             rejected).
         batching: coalesce frames destined for the same peer within a
-            flush window into one batch channel unit, so the transport
-            pays its fixed per-message costs once per batch.  Off, the
-            stack's outbox traffic is byte-identical to the unbatched
-            (seed) behaviour.
-        batch_max_frames: most frames one batch container may carry;
-            longer windows are split into consecutive batches.
-        batch_window_s: extra time the real transport's sender may wait
-            for more same-peer frames before flushing a batch.  0 keeps
-            coalescing purely opportunistic (no added latency): only
-            frames already queued are merged.
+            flush window into batch channel units of at most
+            :data:`~repro.core.wire.SEND_BATCH_FRAMES` frames, so the
+            transport pays its fixed per-message costs once per batch.
+            Only frames already queued are merged (no added latency).
+            Off, the stack's outbox traffic is byte-identical to the
+            unbatched (seed) behaviour.
         checkpoint_interval: delivered commands between authenticated
             checkpoints of a replicated state machine (see
             :mod:`repro.recovery`).  Every replica checkpoints at the
             same global delivery positions, so the interval must be
             identical group-wide.
-        recovery_join_margin: agreement rounds a recovering replica
-            fast-forwards *past* the most advanced peer it heard from,
-            so the join round is still in every peer's future when its
-            first AB_VECT goes out.
-        recovery_request_base_s: initial delay between state-transfer /
-            payload-fetch request waves; doubles per unanswered wave.
-        recovery_request_max_s: cap on that request backoff.
-        reconnect_base_s: first delay after a failed outbound TCP
-            connection attempt; doubles per consecutive failure.
-        reconnect_max_s: cap on the reconnect backoff.
-        reconnect_jitter: random factor added on top of the reconnect
-            delay (delay * uniform(0, jitter)), de-synchronising the
-            group's retries after a common-mode outage.
         reconnect_retry_budget: consecutive failed connection attempts
             after which the sender drops the frames queued toward the
             dead peer (bounding memory) and keeps probing at the capped
@@ -71,16 +54,11 @@ class GroupConfig:
             quarantined (its frames dropped at demultiplex).  0 -- the
             default -- disables quarantine; scores are still recorded
             in the stack's :class:`~repro.core.ledger.MisbehaviorLedger`.
-        quarantine_probation_s: seconds a quarantined peer stays muted
-            before probational release (score halved; a persistent
-            offender is re-quarantined almost immediately).
         ab_pending_cap: most locally submitted atomic-broadcast
             messages that may be undelivered at once; past it,
             ``broadcast`` raises
             :class:`~repro.core.errors.BackpressureError` instead of
             admitting more.  0 never refuses.
-        ab_msg_window: per-sender cap on open receiver-side AB message
-            instances (dynamic demultiplexing window).
         send_queue_max_frames: per-peer outbound queue bound in the
             runtimes (TCP sender queues, simulator link buffers).  Past
             it the lowest-priority, oldest queued frame is shed --
@@ -111,22 +89,12 @@ class GroupConfig:
     num_processes: int
     num_faulty: int = field(default=-1)
     batching: bool = True
-    batch_max_frames: int = 64
-    batch_window_s: float = 0.0
     checkpoint_interval: int = 64
-    recovery_join_margin: int = 2
-    recovery_request_base_s: float = 0.05
-    recovery_request_max_s: float = 1.0
-    reconnect_base_s: float = 0.2
-    reconnect_max_s: float = 5.0
-    reconnect_jitter: float = 0.1
     reconnect_retry_budget: int = 0
     ooc_capacity: int = 65536
     ooc_peer_quota: int = 0
     quarantine_threshold: float = 0.0
-    quarantine_probation_s: float = 5.0
     ab_pending_cap: int = 0
-    ab_msg_window: int = 65536
     send_queue_max_frames: int = 0
     bc_engine: str = "bracha"
     bc_coin: str = "local"
@@ -144,26 +112,8 @@ class GroupConfig:
                 f"n={self.num_processes} cannot tolerate f={self.num_faulty}: "
                 "Byzantine resilience requires n >= 3f + 1"
             )
-        if self.batch_max_frames < 1:
-            raise ConfigurationError("batch_max_frames must be >= 1")
-        if self.batch_window_s < 0.0:
-            raise ConfigurationError("batch_window_s must be >= 0")
         if self.checkpoint_interval < 1:
             raise ConfigurationError("checkpoint_interval must be >= 1")
-        if self.recovery_join_margin < 1:
-            raise ConfigurationError("recovery_join_margin must be >= 1")
-        if self.recovery_request_base_s <= 0.0:
-            raise ConfigurationError("recovery_request_base_s must be > 0")
-        if self.recovery_request_max_s < self.recovery_request_base_s:
-            raise ConfigurationError(
-                "recovery_request_max_s must be >= recovery_request_base_s"
-            )
-        if self.reconnect_base_s <= 0.0:
-            raise ConfigurationError("reconnect_base_s must be > 0")
-        if self.reconnect_max_s < self.reconnect_base_s:
-            raise ConfigurationError("reconnect_max_s must be >= reconnect_base_s")
-        if self.reconnect_jitter < 0.0:
-            raise ConfigurationError("reconnect_jitter must be >= 0")
         if self.reconnect_retry_budget < 0:
             raise ConfigurationError("reconnect_retry_budget must be >= 0")
         if self.ooc_capacity < 1:
@@ -172,12 +122,8 @@ class GroupConfig:
             raise ConfigurationError("ooc_peer_quota must be >= 0")
         if self.quarantine_threshold < 0.0:
             raise ConfigurationError("quarantine_threshold must be >= 0")
-        if self.quarantine_probation_s <= 0.0:
-            raise ConfigurationError("quarantine_probation_s must be > 0")
         if self.ab_pending_cap < 0:
             raise ConfigurationError("ab_pending_cap must be >= 0")
-        if self.ab_msg_window < 1:
-            raise ConfigurationError("ab_msg_window must be >= 1")
         if self.send_queue_max_frames < 0:
             raise ConfigurationError("send_queue_max_frames must be >= 0")
         if not isinstance(self.bc_engine, str) or not self.bc_engine:

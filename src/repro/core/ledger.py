@@ -14,7 +14,7 @@ one score per peer, fed by the stack's validation paths:
 Crossing ``GroupConfig.quarantine_threshold`` moves the peer into
 **quarantine**: its channel units are dropped at demultiplex, before any
 decode or protocol work.  Quarantine is probational -- after
-``quarantine_probation_s`` the peer is released with its score halved,
+:data:`PROBATION_S` the peer is released with its score halved,
 so a correct peer accused under transient corruption (a flaky link
 flipping bits, a partially-written restart) recovers; a true flooder
 re-offends and is re-quarantined immediately.
@@ -54,6 +54,9 @@ OFFENSE_WEIGHTS: dict[str, float] = {
 
 DEFAULT_WEIGHT = 1.0
 
+#: Seconds a quarantined peer stays muted before probational release.
+PROBATION_S = 5.0
+
 
 @dataclass
 class PeerRecord:
@@ -74,14 +77,12 @@ class MisbehaviorLedger:
 
     Args:
         config: group description; supplies ``quarantine_threshold``
-            (0 disables quarantine -- scores are still kept) and
-            ``quarantine_probation_s``.
+            (0 disables quarantine -- scores are still kept).
         clock: time source for probation; the stack injects its own.
     """
 
     def __init__(self, config: GroupConfig, clock: Callable[[], float] | None = None):
         self.threshold = config.quarantine_threshold
-        self.probation_s = config.quarantine_probation_s
         self.clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
         self._records: dict[int, PeerRecord] = {}
         self.reports = 0
@@ -121,7 +122,7 @@ class MisbehaviorLedger:
             and rec.quarantined_until <= self.clock()
             and rec.score >= self.threshold
         ):
-            rec.quarantined_until = self.clock() + self.probation_s
+            rec.quarantined_until = self.clock() + PROBATION_S
             rec.quarantines += 1
             self.quarantines_entered += 1
             return True

@@ -49,6 +49,7 @@ from repro.core.trace import (
 )
 from repro.core.wire import (
     MAX_BATCH_DEPTH,
+    SEND_BATCH_FRAMES,
     Path,
     decode_batch_views,
     decode_frame_ex,
@@ -358,8 +359,6 @@ class Stack:
             when ``config.bc_coin == "shared"`` (the runtime deals it).
         clock: monotonic time source used only for statistics.
         factory: protocol class registry (default: honest stack).
-        ooc_capacity: bound on parked out-of-context messages; defaults
-            to ``config.ooc_capacity``.
     """
 
     def __init__(
@@ -373,7 +372,6 @@ class Stack:
         clock: Clock | None = None,
         factory: ProtocolFactory | None = None,
         rng: random.Random | None = None,
-        ooc_capacity: int | None = None,
     ):
         if not 0 <= process_id < config.num_processes:
             raise ConfigurationError(
@@ -449,10 +447,7 @@ class Stack:
         # the number of live instances.
         self._demux: dict[bytes, ControlBlock] = {}
         self._path_prefix: dict[Path, bytes] = {}
-        self._ooc = OocTable(
-            ooc_capacity if ooc_capacity is not None else config.ooc_capacity,
-            peer_quota=config.ooc_peer_quota,
-        )
+        self._ooc = OocTable(config.ooc_capacity, peer_quota=config.ooc_peer_quota)
         self._ooc.on_evict = self._on_ooc_evict
         # Out-of-context frames drained by a registration are replayed
         # only once the instance tree being built is fully constructed
@@ -722,10 +717,10 @@ class Stack:
             pending = self._pending_frames.setdefault(dest, [])
             pending.append(data)
             # A full window flushes eagerly: the pending path holds at
-            # most batch_max_frames frames per destination, so a long
+            # most SEND_BATCH_FRAMES frames per destination, so a long
             # receive cascade cannot balloon it.  The chunking matches
             # what window close would produce, so the wire is identical.
-            if len(pending) >= self.config.batch_max_frames:
+            if len(pending) >= SEND_BATCH_FRAMES:
                 del self._pending_frames[dest]
                 self.stats.record_batch_sent(
                     len(pending), (len(pending) - 1) * CHANNEL_HEADER_BYTES
@@ -736,10 +731,9 @@ class Stack:
 
     def _flush_pending_frames(self) -> None:
         pending, self._pending_frames = self._pending_frames, {}
-        cap = self.config.batch_max_frames
         for dest, frames in pending.items():
-            for start in range(0, len(frames), cap):
-                chunk = frames[start : start + cap]
+            for start in range(0, len(frames), SEND_BATCH_FRAMES):
+                chunk = frames[start : start + SEND_BATCH_FRAMES]
                 if len(chunk) == 1:
                     # A lone frame travels bare: zero container overhead
                     # and byte-identical to the unbatched send.

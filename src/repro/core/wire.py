@@ -68,6 +68,11 @@ _MAX_LEN = 64 * 1024 * 1024  # defensive cap on any single field
 #: Frames allowed in one batch container -- a corrupt peer must not be
 #: able to make a receiver allocate unbounded frame lists.
 MAX_BATCH_FRAMES = 4096
+#: Frames a sender packs into one batch container; a longer run of
+#: same-peer frames leaves as consecutive batches.  Read by every
+#: coalescing point: the stack's flush window, the TCP sender's queue
+#: drain and the simulator's link buffer.
+SEND_BATCH_FRAMES = 64
 #: Batches nested inside batches beyond this depth are rejected.
 MAX_BATCH_DEPTH = 4
 

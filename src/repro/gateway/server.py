@@ -79,6 +79,21 @@ METRIC_INTERNAL_ERRORS = "gateway_internal_errors_total"
 SERVICE_PATH_KV = ("gw", "kv")
 SERVICE_PATH_LOCK = ("gw", "lock")
 
+#: Per-session cap on queued response frames; a client that stops
+#: reading past it is disconnected (the same memory-bounding posture as
+#: the replica send queues).
+SESSION_SEND_QUEUE = 1024
+#: Ordered operations not applied within this many seconds are answered
+#: ``error "timeout"`` and dropped from the pending table (they may still
+#: apply later -- the id was admitted; this bounds gateway memory, not
+#: the protocol).
+OP_TIMEOUT_S = 30.0
+#: Client backoff hint attached to every ``retry-after`` response.
+RETRY_AFTER_MS = 50
+#: Period of the upkeep task that expires timed-out ops and samples the
+#: gateway gauges.
+SWEEP_INTERVAL_S = 1.0
+
 
 @dataclass
 class GatewayServices:
@@ -202,16 +217,6 @@ class ClientGateway:
             replica's delivery lag; see docs/GATEWAY.md for the caveats.
         max_sessions: admission bound on concurrent client sessions;
             connections past it are refused at accept.
-        session_send_queue: per-session cap on queued response frames; a
-            client that stops reading past it is disconnected (same
-            memory-bounding posture as the replica send queues).
-        op_timeout_s: ordered operations not applied within this window
-            are answered ``error`` and dropped from the pending table
-            (they may still apply later -- the id was admitted; this
-            bounds gateway memory, not the protocol).
-        retry_after_ms: base client backoff hint attached to
-            ``retry-after`` responses, scaled by how overloaded the
-            admission bound is.
     """
 
     def __init__(
@@ -221,10 +226,6 @@ class ClientGateway:
         *,
         local_reads: bool = False,
         max_sessions: int = 10_000,
-        session_send_queue: int = 1024,
-        op_timeout_s: float = 30.0,
-        retry_after_ms: int = 50,
-        sweep_interval_s: float = 1.0,
     ):
         self.node = node
         #: The routing tier; a plain service pair is wrapped as a
@@ -247,10 +248,6 @@ class ClientGateway:
         ]
         self.local_reads = local_reads
         self.max_sessions = max_sessions
-        self.session_send_queue = session_send_queue
-        self.op_timeout_s = op_timeout_s
-        self.retry_after_ms = retry_after_ms
-        self.sweep_interval_s = sweep_interval_s
         self._server: asyncio.base_events.Server | None = None
         self._http_server: asyncio.base_events.Server | None = None
         self._sessions: dict[int, _Session] = {}
@@ -389,8 +386,7 @@ class ClientGateway:
             pass
         finally:
             for task in self._teardown_session(session):
-                if task is not asyncio.current_task():
-                    task.cancel()
+                task.cancel()
 
     def _internal_error(self, context: str, exc: BaseException) -> None:
         """Account a failure inside gateway plumbing instead of
@@ -423,7 +419,12 @@ class ClientGateway:
             )
 
     def _teardown_session(self, session: _Session) -> list[asyncio.Task]:
-        """Mark *session* closed and return its tasks for cancellation."""
+        """Mark *session* closed and return its tasks for cancellation.
+
+        The calling task is never among them: a reader dropping its own
+        session exits on ``session.closed``, and cancelling it from
+        inside would end the server's handler task cancelled.
+        """
         session.closed = True
         session.send_event.set()  # wake the writer so it can exit
         self._sessions.pop(session.sid, None)
@@ -433,11 +434,12 @@ class ClientGateway:
             # A transport refusing to close is survivable -- the session
             # is gone either way -- but never silently: attribute it.
             self._internal_error("session-teardown", exc)
-        tasks = []
-        for task in (session.reader_task, session.writer_task):
-            if task is not None and not task.done():
-                tasks.append(task)
-        return tasks
+        current = asyncio.current_task()
+        return [
+            task
+            for task in (session.reader_task, session.writer_task)
+            if task is not None and task is not current and not task.done()
+        ]
 
     async def _session_writer(self, session: _Session) -> None:
         """Drain one session's response queue to its socket.
@@ -477,6 +479,8 @@ class ClientGateway:
             for stack in self._hosted_stacks:
                 windows.enter_context(stack.coalesce())
             for body in frames:
+                if session.closed:
+                    break  # dropped as a slow reader: nobody to answer
                 self._handle_request(session, body)
 
     def _handle_request(self, session: _Session, body: bytes) -> None:
@@ -511,13 +515,10 @@ class ClientGateway:
             return
         msg_id = rsm.try_submit(command)
         if msg_id is None:
-            pending, cap = rsm.admission()
-            # Scale the backoff hint by how far past the bound the
-            # replica is: a deeply backed-up replica asks for more air.
             # Admission is per shard -- one backed-up shard sheds its
             # own load while its siblings keep accepting.
-            factor = 1 + (pending // cap if cap else 0)
-            detail = [pending, cap, self.retry_after_ms * factor]
+            pending, cap = rsm.admission()
+            detail = [pending, cap, RETRY_AFTER_MS]
             self._respond(session, request_id, STATUS_RETRY, detail, op=op, started=now)
             return
         session.inflight += 1
@@ -682,7 +683,7 @@ class ClientGateway:
             metrics.counter(METRIC_OPS, op=op, status=status).inc()
             metrics.histogram(METRIC_OP_LATENCY, op=op).observe(self._clock() - started)
         session.send(encode_response(request_id, status, detail))
-        if len(session.sendq) > self.session_send_queue:
+        if len(session.sendq) > SESSION_SEND_QUEUE:
             # A client that stopped reading is shedding its own session,
             # not this process's memory.
             self.sessions_dropped += 1
@@ -697,7 +698,7 @@ class ClientGateway:
         """Periodic upkeep: expire stuck ordered ops, refresh gauges."""
         try:
             while not self._closed:
-                await asyncio.sleep(self.sweep_interval_s)
+                await asyncio.sleep(SWEEP_INTERVAL_S)
                 self._expire_pending()
                 self.sample_gauges()
         except asyncio.CancelledError:
@@ -706,7 +707,7 @@ class ClientGateway:
     def _expire_pending(self) -> None:
         if not self._pending:
             return
-        deadline = self._clock() - self.op_timeout_s
+        deadline = self._clock() - OP_TIMEOUT_S
         expired = [
             (key, op) for key, op in self._pending.items()
             if op.submitted_at <= deadline

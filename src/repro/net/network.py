@@ -41,7 +41,7 @@ from repro.core.config import GroupConfig
 from repro.core.sendq import BoundedSendQueue
 from repro.core.stack import ProtocolFactory, Stack
 from repro.core.trace import KIND_SHED
-from repro.core.wire import encode_batch, is_batch
+from repro.core.wire import SEND_BATCH_FRAMES, encode_batch, is_batch
 from repro.crypto.coin import SharedCoinDealer
 from repro.crypto.keys import TrustedDealer
 from repro.net.faults import FaultPlan
@@ -162,7 +162,6 @@ class LanSimulation:
         jitter_s: float = 0.0,
         tie_break_seed: int | None = None,
         base_factory: ProtocolFactory | None = None,
-        shared_coin: bool | None = None,
         link_model: LinkModel | None = None,
         loop: EventLoop | None = None,
         hosts: "list[_Host] | None" = None,
@@ -226,15 +225,9 @@ class LanSimulation:
         self._dealer = TrustedDealer(
             config.num_processes, seed=config.scoped_seed_bytes(str(seed).encode())
         )
-        # shared_coin=None (the default) follows config.bc_coin; the
-        # explicit bool keeps the older call sites working and lets tests
-        # force a shared coin under a local-coin config.
-        use_shared = (
-            shared_coin if shared_coin is not None else config.bc_coin == "shared"
-        )
         self._coin_dealer = (
             SharedCoinDealer(secret=config.scoped_seed(f"coin/{seed}").encode())
-            if use_shared
+            if config.bc_coin == "shared"
             else None
         )
         self._honest_factory = (
@@ -497,12 +490,8 @@ class LanSimulation:
             queue = BoundedSendQueue(self.config.send_queue_max_frames)
             self._link_pending[key] = queue
             self._push_link(src, dest, queue, data)
-            # The flush waits for the sender CPU to drain its queued
-            # work, plus any configured linger (Nagle-style: trade a
-            # bounded delay for fuller batches).
-            flush_at = (
-                max(now, self.hosts[src].cpu.free_at) + self.config.batch_window_s
-            )
+            # The flush waits for the sender CPU to drain its queued work.
+            flush_at = max(now, self.hosts[src].cpu.free_at)
             self.loop.schedule_at(flush_at, self._flush_link, src, dest)
             return
         self._transmit_unit(src, dest, data)
@@ -530,9 +519,8 @@ class LanSimulation:
             return
         if self.fault_plan.is_crashed(src, self.loop.now):
             return
-        cap = self.config.batch_max_frames
-        for start in range(0, len(frames), cap):
-            chunk = frames[start : start + cap]
+        for start in range(0, len(frames), SEND_BATCH_FRAMES):
+            chunk = frames[start : start + SEND_BATCH_FRAMES]
             if len(chunk) == 1:
                 self._transmit_unit(src, dest, chunk[0])
             else:

@@ -28,8 +28,8 @@ Three phases:
 
 Timers are poke-driven (the stack is sans-IO): the runtime calls
 :meth:`RecoveryManager.poke` periodically; request waves carry their
-own exponential backoff between ``recovery_request_base_s`` and
-``recovery_request_max_s``.
+own exponential backoff between :data:`REQUEST_BASE_S` and
+:data:`REQUEST_MAX_S`.
 """
 
 from __future__ import annotations
@@ -75,6 +75,16 @@ ATTEST_WINDOWS = 256
 
 #: Local checkpoint records retained while awaiting stability.
 MAX_RECORDS = 8
+
+#: Agreement rounds a recovering replica fast-forwards *past* the most
+#: advanced peer it heard from, so the join round is still in every
+#: peer's future when its first AB_VECT goes out.
+JOIN_MARGIN = 2
+
+#: Backoff between state-transfer / payload-fetch request waves: it
+#: starts at REQUEST_BASE_S and doubles per wave, capped at REQUEST_MAX_S.
+REQUEST_BASE_S = 0.05
+REQUEST_MAX_S = 1.0
 
 
 class RecoveryManager:
@@ -143,7 +153,7 @@ class RecoveryManager:
         self._tail_info: dict[int, tuple[int | None, int, int]] = {}
         self._tail_entries: dict[int, dict[int, tuple[int, int, bytes, Any]]] = {}
         self._payload_votes: dict[MsgId, dict[int, tuple[bytes, Any]]] = {}
-        self._wave_delay = self._cfg.recovery_request_base_s
+        self._wave_delay = REQUEST_BASE_S
         self._next_wave_at = 0.0
         self._bootstrap_waves = 0
         self._recovery_started_at: float | None = None
@@ -443,10 +453,7 @@ class RecoveryManager:
         # every round any correct process can have started -- and frames
         # for rounds reached since we began listening sit in the OOC
         # table, replayed the instant fast_forward creates the round.
-        join_round = (
-            max(r["round"] for r in self._boot_resp.values())
-            + self._cfg.recovery_join_margin
-        )
+        join_round = max(r["round"] for r in self._boot_resp.values()) + JOIN_MARGIN
         frontier = None
         if best is not None:
             self._rsm.install_snapshot(best[2])
@@ -632,9 +639,9 @@ class RecoveryManager:
             # Agreement rounds only advance when messages are broadcast;
             # a quiet group would never reach our join round.  A noop
             # command (ignored by the state machine at every replica)
-            # pushes one round forward per wave.
-            self._rsm.submit(Command("noop", []))
-        self._wave_delay = min(self._wave_delay * 2.0, self._cfg.recovery_request_max_s)
+            # pushes one round forward per wave, past admission control.
+            self._ab.nudge(Command("noop", []).encode())
+        self._wave_delay = min(self._wave_delay * 2.0, REQUEST_MAX_S)
         self._next_wave_at = now + self._wave_delay
 
     def _send_payload_wave(self, stalled: list[MsgId]) -> None:
@@ -644,7 +651,7 @@ class RecoveryManager:
         self.stats.payload_requests_sent += 1
 
     def _reset_wave(self) -> None:
-        self._wave_delay = self._cfg.recovery_request_base_s
+        self._wave_delay = REQUEST_BASE_S
         self._next_wave_at = 0.0
 
 

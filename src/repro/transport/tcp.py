@@ -41,7 +41,13 @@ from repro.core.errors import ConfigurationError, WireFormatError
 from repro.core.sendq import BoundedSendQueue
 from repro.core.stack import ProtocolFactory, Stack
 from repro.core.trace import KIND_SHED
-from repro.core.wire import decode_batch_views, encode_batch, frame_priority, is_batch
+from repro.core.wire import (
+    SEND_BATCH_FRAMES,
+    decode_batch_views,
+    encode_batch,
+    frame_priority,
+    is_batch,
+)
 from repro.crypto.coin import CoinSource, SharedCoinDealer
 from repro.crypto.keys import KeyStore, TrustedDealer
 from repro.obs.metrics import MetricsRegistry
@@ -56,6 +62,15 @@ _MAX_BODY = 64 * 1024 * 1024
 #: from FRAME_VERSION (0x01) and the batch tag (0x42).
 SHARD_TAG = 0x53
 _TAG = struct.Struct(">BH")
+
+#: Outbound reconnect schedule: the first retry after a failed
+#: connection attempt waits RECONNECT_BASE_S, doubling per consecutive
+#: failure up to RECONNECT_MAX_S, each delay stretched by a random factor
+#: in [1, 1 + RECONNECT_JITTER] so a group restarted together does not
+#: reconnect in lockstep.
+RECONNECT_BASE_S = 0.2
+RECONNECT_MAX_S = 5.0
+RECONNECT_JITTER = 0.1
 
 
 def tag_unit(shard_index: int, unit: bytes) -> bytes:
@@ -89,9 +104,6 @@ class _SendChannel:
     @property
     def bytes(self) -> int:
         return self.queue.bytes
-
-    def empty(self) -> bool:
-        return not self.queue
 
     def put(self, data: bytes, priority: int | None = None) -> list[bytes]:
         """Enqueue; returns whatever the bound forced out."""
@@ -139,8 +151,8 @@ class RitasNode:
 
     Args:
         config: the group description (shard 0's; its transport knobs --
-            send-queue bound, batching, reconnect schedule -- govern the
-            shared links).
+            send-queue bound, batching, reconnect retry budget -- govern
+            the shared links).
         process_id: this process's id.
         addresses: listen address of every process, indexed by pid.
         keystore: pairwise keys (from a :class:`TrustedDealer` or an
@@ -148,12 +160,6 @@ class RitasNode:
             codecs authenticate with these; further shards' protocol
             MACs are inside the payload.
         factory: protocol registry; override for fault-injection tests.
-        connect_retry_s: base delay between outbound connection attempts
-            while peers are still coming up; defaults to the group's
-            ``reconnect_base_s``.  The delay doubles per consecutive
-            failure up to ``reconnect_max_s``, with multiplicative
-            jitter ``reconnect_jitter`` so a restarted group does not
-            reconnect in lockstep.
         seed: when given, every random draw this node makes (reconnect
             jitter, local consensus coins) comes from a ``random.Random``
             seeded on ``(seed, n, process_id)``, making runs replayable;
@@ -177,7 +183,6 @@ class RitasNode:
         keystore: KeyStore,
         *,
         factory: ProtocolFactory | None = None,
-        connect_retry_s: float | None = None,
         seed: int | None = None,
         coin: CoinSource | None = None,
     ):
@@ -187,9 +192,6 @@ class RitasNode:
         self.process_id = process_id
         self.addresses = list(addresses)
         self.keystore = keystore
-        self.connect_retry_s = (
-            config.reconnect_base_s if connect_retry_s is None else connect_retry_s
-        )
         self._seed = seed
         #: One stack per hosted group, in shard-index order.
         self.stacks: list[Stack] = []
@@ -547,9 +549,8 @@ class RitasNode:
         """Opportunistically merge queued same-peer frames into one batch
         container, so the link pays one length header and one HMAC for
         the lot.  Only what is already queued is taken -- no waiting."""
-        config = self.config
         chunk = [first]
-        while len(chunk) < config.batch_max_frames:
+        while len(chunk) < SEND_BATCH_FRAMES:
             data = channel.get_nowait()
             if data is None:
                 break
@@ -563,13 +564,10 @@ class RitasNode:
     def _reconnect_delay(self, failures: int) -> float:
         """Backoff before reconnect attempt number *failures* + 1: the
         base delay doubled per consecutive failure, capped at
-        ``reconnect_max_s``, stretched by up to ``reconnect_jitter``."""
-        config = self.config
-        delay = min(
-            self.connect_retry_s * (2.0 ** (failures - 1)), config.reconnect_max_s
-        )
-        if config.reconnect_jitter > 0:
-            delay *= 1.0 + self.rng.uniform(0.0, config.reconnect_jitter)
+        :data:`RECONNECT_MAX_S`, stretched by up to
+        :data:`RECONNECT_JITTER`."""
+        delay = min(RECONNECT_BASE_S * (2.0 ** (failures - 1)), RECONNECT_MAX_S)
+        delay *= 1.0 + self.rng.uniform(0.0, RECONNECT_JITTER)
         if len(self.reconnect_delays) < 4096:
             self.reconnect_delays.append(delay)
         return delay
@@ -610,10 +608,6 @@ class RitasNode:
                     await gate.wait()
                 batching = self.config.batching
                 if batching:
-                    if self.config.batch_window_s > 0 and channel.empty():
-                        # Flush window: linger briefly so a burst midway
-                        # through generation can still join this batch.
-                        await asyncio.sleep(self.config.batch_window_s)
                     data = self._drain_batch(data, channel)
                 try:
                     writer.write(codec.encode(data))

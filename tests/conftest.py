@@ -28,3 +28,12 @@ def dealer4() -> TrustedDealer:
 @pytest.fixture
 def keystores4(dealer4: TrustedDealer):
     return [dealer4.keystore_for(pid) for pid in range(4)]
+
+
+@pytest.fixture
+def fast_reconnect(monkeypatch):
+    """Loopback groups that restart or start late retry after 50 ms
+    instead of the deployment schedule's 200 ms."""
+    from repro.transport import tcp
+
+    monkeypatch.setattr(tcp, "RECONNECT_BASE_S", 0.05)

@@ -9,6 +9,8 @@ peers had already sent -- they reclaimed those rounds long before.
 
 import asyncio
 
+import pytest
+
 from repro.core.atomic_broadcast import RETAINED_ROUNDS
 from repro.core.config import GroupConfig
 from repro.crypto.keys import TrustedDealer
@@ -20,6 +22,8 @@ from util import start_tcp_group
 N = 4
 PHASE_PUTS = 300
 
+pytestmark = pytest.mark.usefixtures("fast_reconnect")
+
 
 class Group:
     def __init__(self):
@@ -27,7 +31,7 @@ class Group:
         dealer = TrustedDealer(N, seed=b"tcp-flat")
         blank = [PeerAddress("127.0.0.1", 0)] * N
         self.nodes = [
-            RitasNode(config, pid, blank, dealer.keystore_for(pid), connect_retry_s=0.05)
+            RitasNode(config, pid, blank, dealer.keystore_for(pid))
             for pid in range(N)
         ]
         self.puts = 0

@@ -7,6 +7,7 @@ decides.  A long session therefore costs what is in flight, not what
 has ever been ordered.
 """
 
+from repro.core import atomic_broadcast
 from repro.core.atomic_broadcast import RETAINED_ROUNDS
 from repro.core.config import GroupConfig
 from repro.core.reliable_broadcast import MSG_INIT, MSG_READY
@@ -17,10 +18,10 @@ from util import InstantNet, ShuffleNet
 MSG_0_0 = ("g", "msg", 0, 0)
 
 
-def setup(net, **kwargs):
+def setup(net):
     orders = {}
     for pid, stack in enumerate(net.stacks):
-        ab = stack.create("ab", ("g",), **kwargs)
+        ab = stack.create("ab", ("g",))
         orders[pid] = []
         ab.on_deliver = lambda _i, d, pid=pid: orders[pid].append(d.msg_id)
     return orders
@@ -165,12 +166,13 @@ def test_injected_payload_instance_waits_for_the_round_rule():
     assert orders[3] == orders[0]
 
 
-def test_msg_window_counts_open_instances_not_history():
+def test_msg_window_counts_open_instances_not_history(monkeypatch):
     """Regression: the per-sender window was only ever decremented by
-    the opt-in collector, so after ``msg_window`` *delivered* messages an
+    the opt-in collector, so after ``MSG_WINDOW`` *delivered* messages an
     honest sender was refused and scored."""
+    monkeypatch.setattr(atomic_broadcast, "MSG_WINDOW", 8)
     net = InstantNet(4)
-    orders = setup(net, msg_window=8)
+    orders = setup(net)
     run_rounds(net, 200)
     for pid, stack in enumerate(net.stacks):
         assert len(orders[pid]) == 200, pid

@@ -159,12 +159,14 @@ class TestHostileInputs:
         delivered_ids = {(s, r) for s, r, _ in orders[0]}
         assert (2, 999) not in delivered_ids
 
-    def test_msg_window_bounds_instance_creation(self):
+    def test_msg_window_bounds_instance_creation(self, monkeypatch):
+        from repro.core import atomic_broadcast
         from repro.core.reliable_broadcast import MSG_INIT
 
+        monkeypatch.setattr(atomic_broadcast, "MSG_WINDOW", 4)
         net = InstantNet(4)
         for pid, stack in enumerate(net.stacks):
-            stack.create("ab", ("ab",), msg_window=4)
+            stack.create("ab", ("ab",))
         before = net.stacks[0].live_instances
         for rbid in range(50):
             net.stacks[3].send_frame(0, ("ab", "msg", 3, rbid), MSG_INIT, b"spam")

@@ -1,12 +1,10 @@
 """Frame coalescing: flush windows, batch receive, byte-identity off."""
 
-import pytest
-
 from repro.core.config import GroupConfig
-from repro.core.errors import ConfigurationError
 from repro.core.stack import CHANNEL_HEADER_BYTES, ControlBlock, Stack
 from repro.core.wire import (
     MAX_BATCH_DEPTH,
+    SEND_BATCH_FRAMES,
     decode_batch,
     encode_batch,
     encode_frame,
@@ -27,18 +25,8 @@ def make_stack(config=None, pid=0):
 
 class TestConfigKnobs:
     def test_defaults(self):
-        config = GroupConfig(4)
-        assert config.batching is True
-        assert config.batch_max_frames == 64
-        assert config.batch_window_s == 0.0
-
-    def test_batch_max_frames_validated(self):
-        with pytest.raises(ConfigurationError):
-            GroupConfig(4, batch_max_frames=0)
-
-    def test_batch_window_validated(self):
-        with pytest.raises(ConfigurationError):
-            GroupConfig(4, batch_window_s=-0.1)
+        assert GroupConfig(4).batching is True
+        assert SEND_BATCH_FRAMES == 64
 
 
 class TestFlushWindow:
@@ -82,14 +70,14 @@ class TestFlushWindow:
         assert len(decode_batch(sent[0][1])) == 2
 
     def test_cap_splits_long_windows(self):
-        stack, sent = make_stack(GroupConfig(4, batch_max_frames=2))
+        stack, sent = make_stack()
         with stack.coalesce():
-            for k in range(5):
+            for k in range(2 * SEND_BATCH_FRAMES + 1):
                 stack.send_frame(1, ("t",), 0, b"m%d" % k)
         sizes = [
             len(decode_batch(data)) if is_batch(data) else 1 for _, data in sent
         ]
-        assert sizes == [2, 2, 1]
+        assert sizes == [SEND_BATCH_FRAMES, SEND_BATCH_FRAMES, 1]
 
     def test_batching_off_window_is_noop(self):
         stack, sent = make_stack(GroupConfig(4, batching=False))

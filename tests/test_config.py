@@ -1,5 +1,9 @@
 """Group configuration and quorum arithmetic (Section 2 of the paper)."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import GroupConfig, max_faulty
@@ -60,6 +64,35 @@ class TestGroupConfig:
         config = GroupConfig(4)
         with pytest.raises(AttributeError):
             config.num_processes = 7  # type: ignore[misc]
+
+
+def _documented_fields() -> dict[str, str]:
+    """``field -> default cell`` from the docs/API.md fields table."""
+    lines = (Path(__file__).parent.parent / "docs" / "API.md").read_text().splitlines()
+    start = lines.index("### `GroupConfig` fields")
+    rows: dict[str, str] = {}
+    for line in lines[start:]:
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            rows[cells[0].strip("`")] = cells[1].strip("`")
+        elif rows and not line.startswith("|"):
+            break
+    return rows
+
+
+def test_api_doc_lists_every_field_with_its_default():
+    """docs/API.md's table is the list of knobs: adding, removing or
+    re-defaulting a field without editing it fails here."""
+    documented = _documented_fields()
+    fields = dataclasses.fields(GroupConfig)
+    assert list(documented) == [f.name for f in fields]
+    for f in fields:
+        cell = documented[f.name]
+        if f.default is dataclasses.MISSING:
+            assert cell == "required", f.name
+        else:
+            assert ast.literal_eval(cell) == f.default, f.name
+            assert type(ast.literal_eval(cell)) is type(f.default), f.name
 
 
 class TestQuorums:

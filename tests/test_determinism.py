@@ -15,7 +15,7 @@ from repro.core.trace import Tracer
 from repro.crypto.keys import TrustedDealer
 from repro.net.faults import FaultPlan
 from repro.net.network import LanSimulation
-from repro.transport.tcp import PeerAddress, RitasNode
+from repro.transport.tcp import RECONNECT_JITTER, RECONNECT_MAX_S, PeerAddress, RitasNode
 
 
 class TestSimulationDeterminism:
@@ -58,7 +58,7 @@ class TestTcpDeterminism:
         assert delays(1, 42) != delays(2, 42)  # per-node, not per-group
         assert delays(1, 42) != delays(1, 43)
         for delay in delays(3, 7):
-            assert 0.0 < delay <= config.reconnect_max_s * (1 + config.reconnect_jitter)
+            assert 0.0 < delay <= RECONNECT_MAX_S * (1 + RECONNECT_JITTER)
 
     @staticmethod
     async def _tcp_delivery_stream(seed: int) -> str:

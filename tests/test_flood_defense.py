@@ -18,7 +18,7 @@ from repro.apps.lock_service import DistributedLockService
 from repro.apps.state_machine import Command, ReplicatedStateMachine
 from repro.core.config import GroupConfig
 from repro.core.errors import BackpressureError
-from repro.core.ledger import OFFENSE_WEIGHTS, MisbehaviorLedger
+from repro.core.ledger import OFFENSE_WEIGHTS, PROBATION_S, MisbehaviorLedger
 from repro.core.mbuf import Mbuf
 from repro.core.ooc import OocTable
 from repro.core.sendq import BoundedSendQueue
@@ -156,12 +156,12 @@ class TestLedger:
 
     def test_probational_release_halves_score(self):
         now = [0.0]
-        config = GroupConfig(4, quarantine_threshold=3.0, quarantine_probation_s=5.0)
+        config = GroupConfig(4, quarantine_threshold=3.0)
         ledger = MisbehaviorLedger(config, clock=lambda: now[0])
         ledger.report(1, "mac-failure")
         ledger.report(1, "mac-failure")
         assert ledger.quarantined(1)
-        now[0] = 5.1
+        now[0] = PROBATION_S + 0.1
         assert not ledger.quarantined(1)  # probation expired
         assert ledger.score(1) == 2.0  # halved on release
         # One more offense crosses the (still-lowered) threshold again.

@@ -26,7 +26,13 @@ from repro.gateway.protocol import (
     encode_response,
     read_frame,
 )
-from repro.gateway.server import SERVICE_PATH_KV, ClientGateway, GatewayServices
+from repro.gateway import server
+from repro.gateway.server import (
+    RETRY_AFTER_MS,
+    SERVICE_PATH_KV,
+    ClientGateway,
+    GatewayServices,
+)
 from repro.transport.tcp import PeerAddress, RitasNode
 
 
@@ -283,8 +289,80 @@ class TestGatewayE2E:
                 for pending, cap, retry_ms in retry_details:
                     assert cap == 2
                     assert pending >= cap
-                    assert retry_ms > 0
+                    assert retry_ms == RETRY_AFTER_MS
                 assert gateway.ops_retry_after == len(retry_details)
+                writer.close()
+            finally:
+                await close_all(gateway, nodes)
+
+        asyncio.run(scenario())
+
+    def test_stuck_op_times_out_and_late_apply_stays_silent(self, monkeypatch):
+        """An ordered op that cannot be applied within OP_TIMEOUT_S is
+        answered ``error "timeout"`` by the sweep and leaves the pending
+        table; when the partition heals and it applies after all, the
+        session gets no second response for it."""
+        monkeypatch.setattr(server, "OP_TIMEOUT_S", 0.2)
+        monkeypatch.setattr(server, "SWEEP_INTERVAL_S", 0.05)
+
+        async def scenario():
+            nodes, services, gateway, port = await start_gateway_group()
+            try:
+                for pid in (1, 2, 3):
+                    nodes[0].set_link_blocked(pid, True)
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(encode_request(0, "put", ["stuck", b"late"]))
+                await writer.drain()
+                body = await asyncio.wait_for(read_frame(reader), 10.0)
+                assert decode_response(body) == (0, STATUS_ERROR, "timeout")
+                assert gateway.ops_timeout == 1
+                assert gateway.inflight_ops == 0
+
+                for pid in (1, 2, 3):
+                    nodes[0].set_link_blocked(pid, False)
+                for _ in range(500):
+                    if all(s.kv.get("stuck") == b"late" for s in services):
+                        break
+                    await asyncio.sleep(0.02)
+                assert all(s.kv.get("stuck") == b"late" for s in services)
+                # Responses leave a session in order: had the late apply
+                # answered request 0 again, it would precede this pong.
+                writer.write(encode_request(1, "ping", []))
+                await writer.drain()
+                body = await asyncio.wait_for(read_frame(reader), 10.0)
+                assert decode_response(body) == (1, STATUS_OK, [None, None, "pong"])
+                assert gateway.ops_timeout == 1
+                writer.close()
+            finally:
+                await close_all(gateway, nodes)
+
+        asyncio.run(scenario())
+
+    def test_slow_reader_is_dropped_others_keep_going(self, monkeypatch):
+        """A client that pipelines past SESSION_SEND_QUEUE responses
+        without reading is disconnected; another session is unaffected."""
+        monkeypatch.setattr(server, "SESSION_SEND_QUEUE", 4)
+
+        async def scenario():
+            nodes, _services, gateway, port = await start_gateway_group()
+            try:
+                steady = await Client.connect(port)
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                # One write, one read wakeup at the gateway: every pong is
+                # queued before the session writer can drain any.
+                writer.write(b"".join(encode_request(i, "ping", []) for i in range(32)))
+                await writer.drain()
+                for _ in range(500):
+                    if gateway.sessions_dropped:
+                        break
+                    await asyncio.sleep(0.01)
+                assert gateway.sessions_dropped == 1
+                assert gateway.sessions_open == 1
+                with pytest.raises((asyncio.IncompleteReadError, ConnectionError)):
+                    await asyncio.wait_for(read_frame(reader), 10.0)
+                for _ in range(3):
+                    assert (await steady.request("ping", []))[0] == STATUS_OK
+                await steady.close()
                 writer.close()
             finally:
                 await close_all(gateway, nodes)

@@ -12,6 +12,8 @@ applied window -- reading state at the end would miss early commands.
 
 import asyncio
 
+import pytest
+
 from repro.core.config import GroupConfig
 from repro.crypto.keys import TrustedDealer
 from repro.gateway.loadgen import ChurnPlan, chaos_profile, run_load_with_churn
@@ -23,6 +25,8 @@ N = 4
 INTERVAL = 16
 TICK_S = 0.02
 CHURN_REPLICA = 3
+
+pytestmark = pytest.mark.usefixtures("fast_reconnect")
 
 
 async def _wait(predicate, timeout_s, what):
@@ -40,10 +44,7 @@ def test_no_acked_write_lost_or_duplicated_under_churn():
     async def scenario():
         blank = [PeerAddress("127.0.0.1", 0)] * N
         nodes = [
-            RitasNode(
-                config, pid, blank, dealer.keystore_for(pid), connect_retry_s=0.05
-            )
-            for pid in range(N)
+            RitasNode(config, pid, blank, dealer.keystore_for(pid)) for pid in range(N)
         ]
         for node in nodes:
             await node.listen()
@@ -77,13 +78,7 @@ def test_no_acked_write_lost_or_duplicated_under_churn():
             await nodes[replica].close()
 
         async def restart(replica: int) -> None:
-            node = RitasNode(
-                config,
-                replica,
-                addresses,
-                dealer.keystore_for(replica),
-                connect_retry_s=0.05,
-            )
+            node = RitasNode(config, replica, addresses, dealer.keystore_for(replica))
             await node.listen()
             assert node.bound_port == addresses[replica].port
             await node.connect()

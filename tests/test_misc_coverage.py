@@ -3,7 +3,7 @@ CLI figure paths, node shell cas, OOC eviction accounting."""
 
 import pytest
 
-from repro import LanSimulation
+from repro import GroupConfig, LanSimulation
 from repro.eval.cli import main as cli_main
 
 from util import InstantNet
@@ -11,7 +11,7 @@ from util import InstantNet
 
 class TestSharedCoinSimulation:
     def test_all_processes_toss_identically(self):
-        sim = LanSimulation(n=4, seed=5, shared_coin=True)
+        sim = LanSimulation(GroupConfig(4, bc_coin="shared"), seed=5)
         for round_number in range(16):
             tosses = {
                 stack.toss_coin(("bc", "x"), round_number) for stack in sim.stacks
@@ -19,7 +19,7 @@ class TestSharedCoinSimulation:
             assert len(tosses) == 1
 
     def test_local_coins_diverge(self):
-        sim = LanSimulation(n=4, seed=5, shared_coin=False)
+        sim = LanSimulation(n=4, seed=5)
         sequences = [
             tuple(stack.toss_coin(("bc", "x"), r) for r in range(32))
             for stack in sim.stacks
@@ -27,7 +27,7 @@ class TestSharedCoinSimulation:
         assert len(set(sequences)) > 1
 
     def test_shared_coin_consensus_end_to_end(self):
-        sim = LanSimulation(n=4, seed=5, shared_coin=True)
+        sim = LanSimulation(GroupConfig(4, bc_coin="shared"), seed=5)
         done = [None] * 4
         for pid, stack in enumerate(sim.stacks):
             bc = stack.create("bc", ("b",))
@@ -85,13 +85,10 @@ class TestNodeShellCas:
 
 class TestOocAccounting:
     def test_eviction_counted_in_stats(self):
-        from repro.core.config import GroupConfig
         from repro.core.stack import Stack
         from repro.core.wire import encode_frame
 
-        stack = Stack(
-            GroupConfig(4), 0, outbox=lambda d, b: None, ooc_capacity=5
-        )
+        stack = Stack(GroupConfig(4, ooc_capacity=5), 0, outbox=lambda d, b: None)
         for i in range(12):
             stack.receive(1, encode_frame(("ghost", i), 0, None))
         assert stack.ooc_pending == 5

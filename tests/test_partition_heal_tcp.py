@@ -9,6 +9,8 @@ identical total order on every replica.
 
 import asyncio
 
+import pytest
+
 from repro.core.config import GroupConfig
 from repro.crypto.keys import TrustedDealer
 from repro.transport.tcp import PeerAddress, RitasNode
@@ -17,6 +19,8 @@ N = 4
 ISLANDS = ((0, 1), (2, 3))
 PER_NODE = 5
 TOTAL = N * PER_NODE
+
+pytestmark = pytest.mark.usefixtures("fast_reconnect")
 
 
 async def _wait(predicate, timeout_s, what):
@@ -41,10 +45,7 @@ def test_tcp_heal_mid_agreement_delivers_identically():
     async def scenario():
         blank = [PeerAddress("127.0.0.1", 0)] * N
         nodes = [
-            RitasNode(
-                config, pid, blank, dealer.keystore_for(pid), connect_retry_s=0.05
-            )
-            for pid in range(N)
+            RitasNode(config, pid, blank, dealer.keystore_for(pid)) for pid in range(N)
         ]
         for node in nodes:
             await node.listen()

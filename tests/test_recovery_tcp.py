@@ -8,6 +8,8 @@ its peers and converges on the same state digest.
 
 import asyncio
 
+import pytest
+
 from repro.apps.kv_store import ReplicatedKvStore
 from repro.core.config import GroupConfig
 from repro.crypto.keys import TrustedDealer
@@ -18,11 +20,11 @@ N = 4
 INTERVAL = 16
 TICK_S = 0.02
 
+pytestmark = pytest.mark.usefixtures("fast_reconnect")
+
 
 def _make_node(config, dealer, addresses, pid):
-    return RitasNode(
-        config, pid, addresses, dealer.keystore_for(pid), connect_retry_s=0.05
-    )
+    return RitasNode(config, pid, addresses, dealer.keystore_for(pid))
 
 
 def _attach(node, recovering=False):

@@ -8,6 +8,8 @@ paper's: after rejoining, the replica's state digest equals every other
 correct replica's, and new commands it submits are ordered group-wide.
 """
 
+import pytest
+
 from repro.apps.kv_store import ReplicatedKvStore
 from repro.core.atomic_broadcast import RETAINED_ROUNDS
 from repro.core.config import GroupConfig
@@ -88,6 +90,43 @@ def test_restarted_replica_rejoins_and_converges():
 
     # The recovered replica is a full citizen again: its own submissions
     # get ordered and applied everywhere.
+    stores[3].put("after-rejoin", b"!")
+    sim.run(
+        until=lambda: all(s.get("after-rejoin") == b"!" for s in stores),
+        max_time=sim.now + 120,
+    )
+    assert all(s.get("after-rejoin") == b"!" for s in stores)
+    ticker.cancel()
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_rejoin_completes_under_admission_cap(cap):
+    """Regression: the join wave's noop nudges went through admission
+    control.  The joiner's nudges are ordered below its join round, so
+    they stay pending until the join completes; at cap 1 or 2 the next
+    nudge raised ``BackpressureError`` out of ``poke`` and the group
+    never reached the join round."""
+    config = GroupConfig(4, checkpoint_interval=8, ab_pending_cap=cap)
+    sim = LanSimulation(config=config, seed=42)
+    stores, managers = _build_group(sim)
+    _drive(sim, stores, managers, live=[0, 1, 2, 3], bursts=3, per_burst=1, tag="a")
+    sim.fault_plan.crashed[3] = sim.now
+    _drive(sim, stores, managers, live=[0, 1, 2], bursts=6, per_burst=1, tag="b")
+
+    store3, manager3, ticker = _restart_with_recovery(sim, 3)
+    stores[3], managers[3] = store3, manager3
+    sim.run(until=lambda: manager3.phase == PHASE_LIVE, max_time=sim.now + 300)
+    assert manager3.phase == PHASE_LIVE
+
+    ab3 = store3.rsm.ab
+    sim.run(
+        until=lambda: len({s.state_digest() for s in stores}) == 1
+        and ab3.pending_local == 0,
+        max_time=sim.now + 120,
+    )
+    assert len({s.state_digest() for s in stores}) == 1
+    assert ab3.pending_local == 0
+
     stores[3].put("after-rejoin", b"!")
     sim.run(
         until=lambda: all(s.get("after-rejoin") == b"!" for s in stores),

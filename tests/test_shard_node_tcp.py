@@ -13,6 +13,7 @@ from repro.core.wire import (
     encode_frame,
     frame_priority,
 )
+from repro.transport import tcp
 from repro.transport.tcp import PeerAddress, RitasNode, tag_unit
 from tests.util import make_sharded_node, reserve_port, start_tcp_group
 
@@ -227,18 +228,15 @@ class TestSharedSendQueue:
 
         asyncio.run(scenario())
 
-    def test_retry_budget_shed_is_charged_by_tag(self):
+    def test_retry_budget_shed_is_charged_by_tag(self, monkeypatch):
         """Past the reconnect budget the dead peer's queue is dropped;
         each dropped unit is charged to the shard that queued it."""
+        monkeypatch.setattr(tcp, "RECONNECT_BASE_S", 0.01)
+        monkeypatch.setattr(tcp, "RECONNECT_MAX_S", 0.02)
 
         async def scenario():
             node = make_sharded_node(
-                0,
-                names=["s0", "s1", "s2"],
-                seed=1,
-                reconnect_retry_budget=2,
-                reconnect_base_s=0.01,
-                reconnect_max_s=0.02,
+                0, names=["s0", "s1", "s2"], seed=1, reconnect_retry_budget=2
             )
             node.set_peer_addresses(
                 [PeerAddress("127.0.0.1", reserve_port()) for _ in range(4)]

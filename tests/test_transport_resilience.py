@@ -6,8 +6,11 @@ import pytest
 
 from repro.core.config import GroupConfig
 from repro.crypto.keys import TrustedDealer
+from repro.transport import tcp
 from repro.transport.tcp import PeerAddress, RitasNode
 from tests.util import reserve_port
+
+pytestmark = pytest.mark.usefixtures("fast_reconnect")
 
 
 @pytest.fixture
@@ -16,13 +19,13 @@ def group4():
 
 
 def make_node(config, dealer, addresses, pid):
-    return RitasNode(
-        config,
-        pid,
-        addresses,
-        dealer.keystore_for(pid),
-        connect_retry_s=0.05,
-    )
+    return RitasNode(config, pid, addresses, dealer.keystore_for(pid))
+
+
+def set_schedule(monkeypatch, base_s, max_s, jitter):
+    monkeypatch.setattr(tcp, "RECONNECT_BASE_S", base_s)
+    monkeypatch.setattr(tcp, "RECONNECT_MAX_S", max_s)
+    monkeypatch.setattr(tcp, "RECONNECT_JITTER", jitter)
 
 
 async def start_staged(nodes, extra_addresses=()):
@@ -141,43 +144,25 @@ class TestReconnectBackoff:
         addresses = [PeerAddress("127.0.0.1", 0)] * 4
         return RitasNode(config, pid, addresses, dealer.keystore_for(pid))
 
-    def test_delay_doubles_up_to_cap(self):
-        config = GroupConfig(
-            4, reconnect_base_s=0.05, reconnect_max_s=0.4, reconnect_jitter=0.0
-        )
-        node = self._node(config)
+    def test_delay_doubles_up_to_cap(self, monkeypatch):
+        set_schedule(monkeypatch, 0.05, 0.4, 0.0)
+        node = self._node(GroupConfig(4))
         delays = [node._reconnect_delay(k) for k in range(1, 7)]
         assert delays == [0.05, 0.1, 0.2, 0.4, 0.4, 0.4]
         assert node.reconnect_delays == delays
 
-    def test_jitter_stays_within_factor(self):
-        config = GroupConfig(
-            4, reconnect_base_s=0.1, reconnect_max_s=5.0, reconnect_jitter=0.5
-        )
-        node = self._node(config)
+    def test_jitter_stays_within_factor(self, monkeypatch):
+        set_schedule(monkeypatch, 0.1, 5.0, 0.5)
+        node = self._node(GroupConfig(4))
         for _ in range(50):
             delay = node._reconnect_delay(1)
             assert 0.1 <= delay <= 0.1 * 1.5
 
-    def test_explicit_retry_overrides_config_base(self):
-        config = GroupConfig(4, reconnect_base_s=0.9, reconnect_jitter=0.0)
-        dealer = TrustedDealer(4, seed=b"backoff")
-        addresses = [PeerAddress("127.0.0.1", 0)] * 4
-        node = RitasNode(
-            config, 0, addresses, dealer.keystore_for(0), connect_retry_s=0.05
-        )
-        assert node._reconnect_delay(1) == 0.05
-
-    def test_retry_budget_sheds_queued_frames(self):
+    def test_retry_budget_sheds_queued_frames(self, monkeypatch):
         """Past the budget, frames toward a presumed-dead peer are
         dropped (bounded memory) while probing continues."""
-        config = GroupConfig(
-            4,
-            reconnect_base_s=0.01,
-            reconnect_max_s=0.02,
-            reconnect_jitter=0.0,
-            reconnect_retry_budget=2,
-        )
+        set_schedule(monkeypatch, 0.01, 0.02, 0.0)
+        config = GroupConfig(4, reconnect_retry_budget=2)
         dealer = TrustedDealer(4, seed=b"budget")
 
         async def scenario():
@@ -211,17 +196,12 @@ class TestReconnectBackoff:
 
         asyncio.run(scenario())
 
-    def test_dead_peer_shed_releases_queue_memory(self):
+    def test_dead_peer_shed_releases_queue_memory(self, monkeypatch):
         """The budget shed must actually release the queued frames: the
         per-peer send queue reads empty (0 frames, 0 bytes) afterwards
         and the shed is visible in the node and stack counters."""
-        config = GroupConfig(
-            4,
-            reconnect_base_s=0.01,
-            reconnect_max_s=0.02,
-            reconnect_jitter=0.0,
-            reconnect_retry_budget=1,
-        )
+        set_schedule(monkeypatch, 0.01, 0.02, 0.0)
+        config = GroupConfig(4, reconnect_retry_budget=1)
         dealer = TrustedDealer(4, seed=b"shed")
 
         async def scenario():
