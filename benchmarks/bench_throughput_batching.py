@@ -14,7 +14,6 @@ latency-bound and the speedup is modest; those points are reported as
 
 import pytest
 
-from repro.core.wire import encode_memo_clear
 from repro.eval.atomic_burst import run_burst
 
 #: Grid points asserted to clear the 1.5x bar: high-load settings where
@@ -34,7 +33,6 @@ INFO_POINTS = (
 
 def measure(n: int, burst: int, message_bytes: int, *, batching: bool) -> float:
     """Simulated atomic-broadcast throughput (msgs/s) for one setting."""
-    encode_memo_clear()  # identical cache state for both arms
     result = run_burst(
         burst, message_bytes, "failure-free", n=n, seed=7, batching=batching
     )
@@ -86,39 +84,3 @@ def test_batching_speedup_info(benchmark, n, burst, message_bytes):
     benchmark.extra_info["speedup"] = round(speedup, 2)
     assert speedup >= 0.95
 
-
-def test_encode_memo_hot_path(benchmark):
-    """The bounded structural memo on the INIT/ECHO/READY digest path:
-    repeated encodes of one payload must be much cheaper than cold
-    encodes of distinct payloads."""
-    import time
-
-    from repro.core.wire import encode_value, encode_value_cached
-
-    payload = [b"x" * 1000, 3, ["burst", 17]]
-
-    def hot(loops=20000):
-        encode_memo_clear()
-        start = time.perf_counter()
-        for _ in range(loops):
-            encode_value_cached(payload)
-        return time.perf_counter() - start
-
-    def cold(loops=20000):
-        start = time.perf_counter()
-        for _ in range(loops):
-            encode_value(payload)
-        return time.perf_counter() - start
-
-    def both():
-        return cold(), hot()
-
-    cold_s, hot_s = benchmark.pedantic(both, rounds=1, iterations=1)
-    benchmark.extra_info.update(
-        {
-            "cold_us_per_encode": round(cold_s * 1e6 / 20000, 3),
-            "hot_us_per_encode": round(hot_s * 1e6 / 20000, 3),
-            "memo_speedup": round(cold_s / hot_s, 1),
-        }
-    )
-    assert hot_s < cold_s

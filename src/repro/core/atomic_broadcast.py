@@ -38,7 +38,7 @@ from repro.core.mbuf import Mbuf
 from repro.core.stack import ORPHAN_STALE, ControlBlock, Stack
 from repro.core.stats import PURPOSE_AGREEMENT, PURPOSE_PAYLOAD
 from repro.core.trace import KIND_BACKPRESSURE
-from repro.core.wire import Path, encode_value_cached
+from repro.core.wire import Path, encode_value
 from repro.crypto.hashing import hash_bytes
 
 #: (sender pid, sender-local broadcast id)
@@ -679,7 +679,7 @@ class AtomicBroadcast(ControlBlock):
             self._delivered_count += 1
             if self.order_log is not None:
                 self.order_log.append(
-                    (msg_id[0], msg_id[1], hash_bytes(encode_value_cached(payload)))
+                    (msg_id[0], msg_id[1], hash_bytes(encode_value(payload)))
                 )
             self.deliver(delivery)
 

@@ -29,7 +29,7 @@ from repro.core.errors import ProtocolViolationError
 from repro.core.mbuf import Mbuf
 from repro.core.stack import ControlBlock, Stack
 from repro.core.trace import KIND_BROADCAST
-from repro.core.wire import Path, encode_value_cached
+from repro.core.wire import Path, encode_value
 from repro.crypto.hashing import HASH_LEN, hash_bytes
 from repro.crypto.mac import mac_vector, verify_mac_batch
 from repro.obs.metrics import COUNT_BUCKETS
@@ -90,7 +90,7 @@ class EchoBroadcast(ControlBlock):
                 buckets=COUNT_BUCKETS,
                 protocol=self.protocol,
                 purpose=self.purpose,
-            ).observe(len(encode_value_cached(payload)))
+            ).observe(len(encode_value(payload)))
         self.send_all(MSG_INIT, payload)
 
     # -- introspection ---------------------------------------------------------
@@ -100,7 +100,7 @@ class EchoBroadcast(ControlBlock):
         state["sender"] = self.sender
         state["delivered"] = self.delivered
         if self.delivered:
-            state["value_digest"] = hash_bytes(encode_value_cached(self.delivered_value))
+            state["value_digest"] = hash_bytes(encode_value(self.delivered_value))
         return state
 
     # -- receiving -------------------------------------------------------------
@@ -127,11 +127,9 @@ class EchoBroadcast(ControlBlock):
         self._init_seen = True
         self._init_payload = mbuf.payload
         # The frame already carries the canonical payload encoding; keep
-        # a materialized copy so VECT and MAT verification never
-        # re-encode the payload (identical bytes, the codec is
-        # canonical).
-        raw = mbuf.raw_payload
-        self._init_encoded = bytes(raw) if raw is not None else None
+        # it so VECT and MAT verification never re-encode the payload
+        # (identical bytes, the codec is canonical).
+        self._init_encoded = mbuf.raw_payload
         if not self._vect_sent:
             self._vect_sent = True
             vector = mac_vector(self._encoded_init(), self.stack.keystore)
@@ -197,7 +195,7 @@ class EchoBroadcast(ControlBlock):
 
     def _encoded_init(self) -> bytes:
         if self._init_encoded is None:
-            self._init_encoded = encode_value_cached(self._init_payload)
+            self._init_encoded = encode_value(self._init_payload)
         return self._init_encoded
 
     def _verify_column(self, column: list[list[Any]]) -> None:

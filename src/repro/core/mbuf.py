@@ -5,13 +5,15 @@ implementation (itself inspired by the Net/3 kernel): one mbuf holds
 exactly one message plus the metadata the stack needs to route and
 account for it.  Layers communicate by passing mbuf references.
 
-On the demux fast path the payload is *lazy*: the stack validates the
-encoded-payload region (:func:`repro.core.wire.frame_fastpath`)
-and builds the mbuf with :meth:`Mbuf.lazy`, deferring object
-construction until somebody actually reads ``.payload``.  Reliable
-broadcast's ECHO/READY amplification relays the raw region verbatim, so
-most hot-path mbufs are never decoded at all.  Validation up front makes
-the deferred decode infallible -- reading ``.payload`` cannot raise.
+Every received mbuf is *lazy*: the stack's one frame parse
+(:func:`repro.core.wire.frame_fastpath`) validates the encoded-payload
+region and the stack builds the mbuf with :meth:`Mbuf.lazy`, deferring
+object construction until somebody actually reads ``.payload``.
+Reliable broadcast's ECHO/READY amplification relays the raw region
+verbatim, so most received mbufs are never decoded at all.  Validation
+up front makes the deferred decode infallible -- reading ``.payload``
+cannot raise.  Locally originated mbufs are built eagerly with
+:class:`Mbuf` and carry no raw payload.
 """
 
 from __future__ import annotations
@@ -39,12 +41,12 @@ class Mbuf:
             transport headers; used by the network model and statistics.
         recv_time: local clock value when the frame was received, or
             ``None`` for locally originated mbufs.
-        raw_payload: the encoded-payload slice of the received frame
-            (canonically equal to ``encode_value(payload)``), letting
-            receivers digest, MAC, or relay the payload without
-            re-encoding it.  ``None`` for locally originated mbufs; may
-            alias the inbound channel buffer, so the stack nulls it
-            before parking an mbuf out-of-context.
+        raw_payload: the encoded payload of the received frame as owned
+            ``bytes`` (canonically equal to ``encode_value(payload)``),
+            letting receivers digest, MAC, or relay the payload without
+            re-encoding it.  Never a view of a channel buffer, so an
+            mbuf parked out-of-context keeps it.  ``None`` for locally
+            originated mbufs.
     """
 
     __slots__ = (
@@ -65,7 +67,7 @@ class Mbuf:
         payload: Any,
         wire_size: int = 0,
         recv_time: float | None = None,
-        raw_payload: Any = None,
+        raw_payload: bytes | None = None,
     ) -> None:
         self.src = src
         self.path = path
@@ -81,14 +83,14 @@ class Mbuf:
         src: int,
         path: Path,
         mtype: int,
-        raw_payload: Any,
+        raw_payload: bytes,
         wire_size: int = 0,
         recv_time: float | None = None,
     ) -> "Mbuf":
         """An mbuf whose payload decodes on first access.
 
-        *raw_payload* must be a validated encoded-value region (the
-        fast-path contract); it may alias the channel buffer.
+        *raw_payload* must be a validated encoded value (the
+        :func:`~repro.core.wire.frame_fastpath` contract).
         """
         mbuf = cls.__new__(cls)
         mbuf.src = src

@@ -21,43 +21,19 @@ support per message digest and per source process.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any
 
 from repro.core.errors import ProtocolViolationError
 from repro.core.mbuf import Mbuf
 from repro.core.stack import ControlBlock, Stack
 from repro.core.trace import KIND_BROADCAST
-from repro.core.wire import Path, decode_value, encode_value_cached
+from repro.core.wire import Path, decode_value, encode_value
 from repro.crypto.hashing import hash_bytes
 from repro.obs.metrics import COUNT_BUCKETS
 
 MSG_INIT = 0
 MSG_ECHO = 1
 MSG_READY = 2
-
-# Content-addressed payload-digest memo, shared across instances: the
-# same encoded payload is digested once per arriving ECHO/READY vote on
-# every process (n-1 times per phase per broadcast), and the receive
-# fast path hands repeat frames the *same* raw bytes object, so the
-# dict lookup amortizes to a cached-hash probe.  Sound because the key
-# is the exact bytes being digested.
-_DIGEST_MEMO_MAX = 512
-_digest_memo: "OrderedDict[bytes, bytes]" = OrderedDict()
-
-
-def _digest_of_raw(raw) -> tuple[bytes, bytes]:
-    """``(digest, canonical_bytes)`` of a raw encoded payload, memoized."""
-    key = raw if type(raw) is bytes else bytes(raw)
-    memo = _digest_memo
-    digest = memo.get(key)
-    if digest is None:
-        digest = hash_bytes(key)
-        memo[key] = digest
-        if len(memo) > _DIGEST_MEMO_MAX:
-            memo.popitem(last=False)
-    return digest, key
-
 
 class ReliableBroadcast(ControlBlock):
     """One Bracha broadcast instance (one sender, one message)."""
@@ -91,6 +67,12 @@ class ReliableBroadcast(ControlBlock):
         # ECHO/READY amplification splices these back into outgoing
         # frames (send_all_raw) without ever building the Python value.
         self._raws: dict[bytes, bytes] = {}
+        # raw payload -> digest: each counted vote would otherwise hash
+        # its payload again (up to 2n times per instance).  The receive
+        # path hands repeat frames the same raw bytes object, so a hit
+        # is a cached-hash probe; one entry per distinct payload, freed
+        # with the instance.
+        self._digests: dict[bytes, bytes] = {}
         # digest -> set of source pids, one vote per source per phase.
         self._echoes: dict[bytes, set[int]] = {}
         self._readies: dict[bytes, set[int]] = {}
@@ -117,7 +99,7 @@ class ReliableBroadcast(ControlBlock):
                 buckets=COUNT_BUCKETS,
                 protocol=self.protocol,
                 purpose=self.purpose,
-            ).observe(len(encode_value_cached(payload)))
+            ).observe(len(encode_value(payload)))
         self.send_all(MSG_INIT, payload)
 
     # -- introspection -----------------------------------------------------------
@@ -189,16 +171,16 @@ class ReliableBroadcast(ControlBlock):
         # avoid; _value_of materializes it at most once per digest.
         raw = mbuf.raw_payload
         if raw is not None:
-            digest, canonical = _digest_of_raw(raw)
-            if digest not in self._raws and digest not in self._payloads:
-                self._raws[digest] = canonical
+            digest = self._digests.get(raw)
+            if digest is None:
+                digest = self._digests[raw] = hash_bytes(raw)
+                if digest not in self._payloads:
+                    self._raws.setdefault(digest, raw)
             return digest
         return self._digest_of(mbuf.payload)
 
     def _digest_of(self, payload: Any) -> bytes:
-        # Cached: the same payload is re-encoded once per arriving
-        # ECHO/READY vote, n-1 times per well-behaved broadcast.
-        digest = hash_bytes(encode_value_cached(payload))
+        digest = hash_bytes(encode_value(payload))
         self._payloads.setdefault(digest, payload)
         return digest
 

@@ -52,13 +52,13 @@ from repro.core.wire import (
     SEND_BATCH_FRAMES,
     Path,
     decode_batch_views,
-    decode_frame_ex,
     encode_batch,
     encode_frame,
     encode_frame_from_prefix,
     encode_frame_from_prefix_raw,
     encode_frame_prefix,
     frame_fastpath,
+    frame_path,
     is_batch,
 )
 from repro.crypto.coin import CoinSource, LocalCoin
@@ -795,57 +795,41 @@ class Stack:
             return
         size = len(data)
         self.stats.record_receive(size)
-        # Fast path: a fully validated plain frame whose raw encoded
-        # path matches a live instance dispatches on the interned path
-        # bytes -- no path decode, no tuple allocation, no registry
-        # walk, and the payload stays encoded (lazy) because the region
-        # was validated.  The parse itself is memoized by frame bytes
-        # (frame_fastpath), so the n-1 repeat copies of a broadcast skip
-        # the walk entirely.  Anything else (unknown path, malformed
-        # frame) takes the validating slow path below, which behaves
-        # exactly like the original decoder.
+        # One memoized parse (frame_fastpath): the n-1 repeat copies of a
+        # broadcast skip the walk entirely.  The payload region comes
+        # back validated, so every mbuf is lazy -- decoding it later
+        # cannot fail -- and its raw payload is owned bytes.
         parsed = frame_fastpath(data)
-        if parsed is not None:
-            block = self._demux.get(parsed[0])
-            if block is not None:
-                mtype = parsed[1]
-                path = block.path
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        self.process_id, KIND_RECEIVE, path, src=src, mtype=mtype, size=size
-                    )
-                mbuf = Mbuf.lazy(
-                    src,
-                    path,
-                    mtype,
-                    parsed[2],
-                    wire_size=size,
-                    recv_time=self.clock(),
-                )
-                self._input_guarded(block, mbuf)
-                return
-        try:
-            path, mtype, payload, raw = decode_frame_ex(data)
-        except WireFormatError:
-            self.stats.record_drop("malformed-frame")
-            self.report_misbehavior(src, "malformed-frame")
-            if self.tracer.enabled:
-                self.tracer.emit(self.process_id, KIND_DROP, (), src=src, reason="malformed")
+        if parsed is None:
+            self._drop_malformed(src)
             return
+        path_key, mtype, raw = parsed
+        # A frame for a live instance dispatches on the interned path
+        # bytes: no path decode, no tuple allocation, no registry walk.
+        block = self._demux.get(path_key)
+        if block is not None:
+            path = block.path
+        else:
+            try:
+                path = frame_path(path_key)
+            except WireFormatError:
+                self._drop_malformed(src)
+                return
         if self.tracer.enabled:
             self.tracer.emit(
                 self.process_id, KIND_RECEIVE, path, src=src, mtype=mtype, size=size
             )
-        mbuf = Mbuf(
-            src=src,
-            path=path,
-            mtype=mtype,
-            payload=payload,
-            wire_size=size,
-            recv_time=self.clock(),
-            raw_payload=raw,
-        )
-        self.route(mbuf)
+        mbuf = Mbuf.lazy(src, path, mtype, raw, wire_size=size, recv_time=self.clock())
+        if block is not None:
+            self._input_guarded(block, mbuf)
+        else:
+            self.route(mbuf)
+
+    def _drop_malformed(self, src: int) -> None:
+        self.stats.record_drop("malformed-frame")
+        self.report_misbehavior(src, "malformed-frame")
+        if self.tracer.enabled:
+            self.tracer.emit(self.process_id, KIND_DROP, (), src=src, reason="malformed")
 
     def route(self, mbuf: Mbuf) -> None:
         """Demultiplex *mbuf* to its instance, or park it out-of-context."""
@@ -875,11 +859,6 @@ class Stack:
                     self._input_guarded(instance, mbuf)
                     return
             break
-        # Parked mbufs may outlive the inbound channel buffer their raw
-        # payload slice aliases; materialize the payload (a no-op unless
-        # the mbuf is lazy) and drop the cache rather than pin it.
-        mbuf.payload
-        mbuf.raw_payload = None
         self._ooc.store(mbuf)
         self.stats.ooc_stored += 1
         self.stats.ooc_evicted = self._ooc.evictions

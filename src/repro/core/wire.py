@@ -24,17 +24,23 @@ Decoding is defensive: any malformed input raises
 :class:`~repro.core.errors.WireFormatError`, never an arbitrary Python
 exception, so corrupt peers cannot crash the stack.
 
+There is one frame parser, :func:`_parse_frame`: it keeps the path as
+its encoded bytes (the demux key), decodes the mtype, and validates the
+payload region without decoding it.  :func:`frame_path` turns a path key
+into a tuple.  :func:`frame_fastpath` (the memoized parse the stack
+runs), :func:`decode_frame_ex` and :func:`frame_priority` are
+compositions of those two.
+
 Hot-path notes (the per-frame CPU cost here is the fixed cost the
 paper's Table 1 decomposition says dominates LAN latency):
 
 - decoders accept any bytes-like object (``bytes``, ``bytearray``,
   ``memoryview``), and :func:`decode_batch_views` splits a batch into
-  zero-copy :class:`memoryview` members so nested frames are decoded in
-  place, never re-materialized;
-- :func:`decode_frame_ex` also returns the *raw encoded payload* slice;
-  since the codec is canonical, those bytes are exactly what
-  ``encode_value(payload)`` would produce, so receivers can digest or
-  MAC a payload without re-encoding it;
+  zero-copy :class:`memoryview` members;
+- the parse returns the *raw encoded payload* as owned ``bytes``; since
+  the codec is canonical, those bytes are exactly what
+  ``encode_value(payload)`` would produce, so receivers can digest, MAC
+  or relay a payload without decoding or re-encoding it;
 - the u32 length codec is a pre-compiled :class:`struct.Struct`, small
   non-negative ints encode through a precomputed table, and
   :func:`encode_frame_from_prefix` lets the stack reuse one encoded
@@ -155,83 +161,6 @@ def _encode_into(out: bytearray, value: Any, depth: int) -> None:
         raise TypeError(f"cannot encode value of type {type(value).__name__}")
 
 
-# Bounded memo for canonical encodings.  The INIT/ECHO/READY hot path
-# re-encodes the same payload once per arriving vote (to digest it);
-# memoizing by *structure* (not identity) makes those lookups cheap and
-# stays correct even if the caller mutates its list afterwards.
-_ENCODE_MEMO_MAX = 256
-_encode_memo: "OrderedDict[Any, bytes]" = OrderedDict()
-
-#: Structural-key budget: a memo *miss* must never cost more than the
-#: encode it failed to avoid, so keys stop at this many nodes / this
-#: much copied buffer and the value is simply encoded uncached.
-_MEMO_KEY_MAX_NODES = 64
-_MEMO_KEY_MAX_COPY = 4096
-
-_UNCACHEABLE = object()
-
-
-def _memo_key(value: Any, _budget: list[int] | None = None) -> Any:
-    """A hashable structural key that never conflates distinct encodings.
-
-    The class is part of the key because ``True == 1`` and
-    ``hash(True) == hash(1)`` while their encodings differ.  Returns
-    :data:`_UNCACHEABLE` when building the key would exceed the size
-    budget (huge nested lists, big non-``bytes`` buffers): the caller
-    then skips the memo instead of paying more than an encode.
-    """
-    if _budget is None:
-        _budget = [_MEMO_KEY_MAX_NODES]
-    _budget[0] -= 1
-    if _budget[0] < 0:
-        return _UNCACHEABLE
-    if isinstance(value, (list, tuple)):
-        if len(value) > _budget[0]:
-            return _UNCACHEABLE
-        items = []
-        for item in value:
-            key = _memo_key(item, _budget)
-            if key is _UNCACHEABLE:
-                return _UNCACHEABLE
-            items.append(key)
-        return (tuple, tuple(items))
-    if isinstance(value, (bytearray, memoryview)):
-        if len(value) > _MEMO_KEY_MAX_COPY:
-            return _UNCACHEABLE
-        return (bytes, bytes(value))
-    return (value.__class__, value)
-
-
-def encode_value_cached(value: Any) -> bytes:
-    """:func:`encode_value` with a small bounded structural memo.
-
-    Use on hot paths that repeatedly encode the same payload (digesting
-    ECHO/READY votes, MAC verification).  Falls back to a plain encode
-    whenever the value cannot be keyed (unhashable, or over the
-    structural-key budget).
-    """
-    try:
-        key = _memo_key(value)
-        if key is _UNCACHEABLE:
-            return encode_value(value)
-        cached = _encode_memo.get(key)
-    except TypeError:
-        return encode_value(value)
-    if cached is not None:
-        _encode_memo.move_to_end(key)
-        return cached
-    encoded = encode_value(value)
-    _encode_memo[key] = encoded
-    if len(_encode_memo) > _ENCODE_MEMO_MAX:
-        _encode_memo.popitem(last=False)
-    return encoded
-
-
-def encode_memo_clear() -> None:
-    """Drop all memoized encodings (test isolation hook)."""
-    _encode_memo.clear()
-
-
 def decode_value(data: bytes) -> Any:
     """Decode a value produced by :func:`encode_value`.
 
@@ -345,7 +274,7 @@ def _skip_value(data, offset: int) -> int:
 
     Iterative (a pending-node counter instead of recursion), touching
     only tags and length fields -- the skeleton walk behind the interned
-    demux key and :func:`peek_path`.
+    demux key.
     """
     size = len(data)
     remaining = 1
@@ -377,19 +306,20 @@ def _skip_value(data, offset: int) -> int:
 def _validate_value(data, offset: int) -> int:
     """Validate the encoded value at *offset* without building objects.
 
-    Enforces exactly the checks :func:`_decode_from` applies at the
-    frame-payload depth (the payload is element 3 of the outer frame
-    list, i.e. depth 1): tags, length caps, truncation, nesting depth,
-    utf-8 in strings, non-empty ints.  Returns the end offset.
+    Enforces exactly the checks :func:`decode_value` applies: tags,
+    length caps, truncation, nesting depth, utf-8 in strings, non-empty
+    ints.  Returns the end offset.
 
     The point of the exact match is the contract the lazy
     :class:`~repro.core.mbuf.Mbuf` payload relies on: once a region
-    validates, decoding it cannot fail.  Weaker validation here would
-    let a Byzantine sender craft a payload that relays cleanly but
-    blows up when some later hop finally decodes it -- and that hop
-    would charge the *relay* with misbehavior.
+    validates, ``decode_value`` on it cannot fail.  Weaker validation
+    here would let a Byzantine sender craft a payload that relays
+    cleanly but blows up when some later hop finally decodes it -- and
+    that hop would charge the *relay* with misbehavior.  Validating
+    costs about half of decoding, which is why the two walks stay
+    separate.
     """
-    return _validate_from(data, offset, 1)
+    return _validate_from(data, offset, 0)
 
 
 def _validate_from(data, offset: int, depth: int) -> int:
@@ -508,120 +438,124 @@ def encode_frame_from_prefix(prefix: bytes, mtype: int, payload: Any) -> bytes:
     return bytes(out)
 
 
+def _path_end(data) -> int:
+    """End offset of a plain frame's encoded path (which starts at 6).
+
+    Checks only the frame head and the path's skeleton (tags and
+    lengths); :func:`frame_path` judges the components.
+    """
+    if len(data) < 7 or data[0] != FRAME_VERSION or data[1] != _T_LIST:
+        raise WireFormatError("not a plain frame")
+    (count,) = _unpack_u32_from(data, 2)
+    if count != 3 or data[6] != _T_LIST:
+        raise WireFormatError("frame body is not a [path, mtype, payload] list")
+    return _skip_value(data, 6)
+
+
 def frame_path_key(data) -> bytes | None:
     """The raw encoded-path bytes of a plain frame, or ``None``.
 
     Equal to ``encode_value(list(path))`` by canonicality, so it is a
     ready-made demux key: the stack interns one per live instance and
     dispatches frames without decoding the path into Python objects.
-    ``None`` means "not a plain frame with a well-formed path skeleton"
-    -- callers fall back to the full (validating) decode.
+    ``None`` means "not a plain frame with a well-formed path skeleton".
     """
-    if len(data) < 7 or data[0] != FRAME_VERSION or data[1] != _T_LIST:
-        return None
-    (count,) = _unpack_u32_from(data, 2)
-    if count != 3 or data[6] != _T_LIST:
-        return None
     try:
-        end = _skip_value(data, 6)
+        return bytes(data[6:_path_end(data)])
     except WireFormatError:
         return None
-    return bytes(data[6:end])
 
 
-def decode_frame(data) -> tuple[Path, int, Any]:
-    """Decode a frame into ``(path, mtype, payload)``.
+def frame_path(path_key: bytes) -> Path:
+    """Decode a :func:`frame_path_key` into a path tuple.
+
+    Raises:
+        WireFormatError: the key is malformed or a component is not an
+            int or a string (bools and nested lists are rejected).
+    """
+    components = decode_value(path_key)
+    if not isinstance(components, list):
+        raise WireFormatError("frame path is not a list")
+    for component in components:
+        if not isinstance(component, (int, str)) or isinstance(component, bool):
+            raise WireFormatError("path components must be ints or strings")
+    return tuple(components)
+
+
+def _parse_frame(frame: bytes) -> tuple[bytes, int, bytes]:
+    """Parse and validate a plain frame into ``(path_key, mtype, raw_payload)``.
+
+    The one frame parser.  The path stays encoded (the interned demux
+    key), the mtype is decoded, and the payload region is validated but
+    not decoded (see :func:`_validate_value`), so decoding it later
+    cannot fail.
+
+    Raises:
+        WireFormatError: *frame* is not a well-formed plain frame.
+    """
+    path_end = _path_end(frame)
+    mtype, payload_start = _decode_from(frame, path_end, 1)
+    if not isinstance(mtype, int):
+        raise WireFormatError("malformed frame header")
+    if not 0 <= mtype <= 0xFF:
+        raise WireFormatError(f"mtype {mtype} out of range")
+    # Depth 1: the payload is an element of the frame list, the depth
+    # encode_frame counts it at, so every accepted payload re-encodes
+    # into a frame (and is one level inside decode_value's budget).
+    if _validate_from(frame, payload_start, 1) != len(frame):
+        raise WireFormatError("trailing bytes after encoded value")
+    return frame[6:path_end], mtype, frame[payload_start:]
+
+
+def decode_frame_ex(data) -> tuple[Path, int, Any, bytes]:
+    """Decode a frame into ``(path, mtype, payload, raw_payload)``.
+
+    ``raw_payload`` is the encoded payload as owned ``bytes`` -- by
+    canonicality, exactly ``encode_value(payload)``.
 
     Raises:
         WireFormatError: malformed frame or unsupported version.
     """
-    path, mtype, payload, _raw = decode_frame_ex(data)
-    return path, mtype, payload
+    path_key, mtype, raw = _parse_frame(bytes(data))
+    return frame_path(path_key), mtype, decode_value(raw), raw
 
 
-def decode_frame_ex(data) -> tuple[Path, int, Any, Any]:
-    """:func:`decode_frame` plus the raw encoded-payload slice.
-
-    Returns ``(path, mtype, payload, raw_payload)`` where
-    ``raw_payload`` is the bytes-like region of *data* holding the
-    encoded payload -- by canonicality, exactly
-    ``encode_value(payload)``.  Receivers digest / MAC payloads from it
-    without re-encoding (a :class:`memoryview` input yields a zero-copy
-    slice that stays valid only while the backing buffer does).
-    """
-    if not len(data):
-        raise WireFormatError("empty frame")
-    if data[0] != FRAME_VERSION:
-        raise WireFormatError(f"unsupported frame version {data[0]}")
-    decoded, end = _decode_from(data, 1, 0)
-    if end != len(data):
-        raise WireFormatError("trailing bytes after encoded value")
-    if not isinstance(decoded, list) or len(decoded) != 3:
-        raise WireFormatError("frame body is not a 3-element list")
-    raw_path, mtype, payload = decoded
-    if not isinstance(raw_path, list) or not isinstance(mtype, int):
-        raise WireFormatError("malformed frame header")
-    if not 0 <= mtype <= 0xFF:
-        raise WireFormatError(f"mtype {mtype} out of range")
-    path: list[PathComponent] = []
-    for component in raw_path:
-        if not isinstance(component, (int, str)) or isinstance(component, bool):
-            raise WireFormatError("path components must be ints or strings")
-        path.append(component)
-    # The payload is the third element of the outer list: it ends where
-    # the frame ends, and starts right after the path and mtype fields.
-    try:
-        payload_start = _skip_value(data, _skip_value(data, 6))
-    except WireFormatError as exc:  # pragma: no cover - decoded above
-        raise WireFormatError("malformed frame header") from exc
-    return tuple(path), mtype, payload, data[payload_start:end]
-
-
-# Content-addressed parse memo for the demux fast path.  A broadcast
-# hands the *identical* frame bytes to every destination, and in-process
-# runs (the simulator, tests) deliver them to n stacks -- so the same
-# frame is parsed and validated n times.  Keying by the full frame bytes
-# makes the memo trivially sound (equal bytes parse identically) and
-# unpoisonable (the key IS the attacker-controlled input).  Entries are
-# ``(path_key, mtype, raw_payload)`` for a fully validated plain frame,
-# or ``None`` for anything else -- callers fall back to the validating
-# slow path, which reproduces the unmemoized behavior exactly.
+# Content-addressed parse memo for the receive path.  A broadcast hands
+# the *identical* frame bytes to every destination, and in-process runs
+# (the simulator, tests, the benchmark's one-process cluster) deliver
+# them to n stacks -- so the same frame is parsed and validated n times.
+# Keying by the full frame bytes makes the memo trivially sound (equal
+# bytes parse identically) and unpoisonable (the key IS the
+# attacker-controlled input).  Entries are ``_parse_frame`` results, or
+# ``None`` for a frame it rejected.
 _FASTPATH_MEMO_MAX = 1024
 _fastpath_memo: "OrderedDict[bytes, tuple[bytes, int, bytes] | None]" = OrderedDict()
 _MEMO_MISS = object()
 
 
 def frame_fastpath(data) -> tuple[bytes, int, bytes] | None:
-    """Parse-and-validate a plain frame, memoized by its bytes.
+    """:func:`_parse_frame`, memoized by the frame bytes.
 
     Returns ``(path_key, mtype, raw_payload)`` -- the interned demux key
     (:func:`frame_path_key`), the message type, and the *validated*
-    canonical payload encoding (decoding it cannot fail, see
-    :func:`_validate_value`) -- or ``None`` when *data* is not a fully
-    well-formed plain frame (batches, malformed input, frames the
-    validating slow path must judge).
+    canonical payload encoding (decoding it cannot fail) -- or ``None``
+    when *data* is not a well-formed plain frame (batches, malformed
+    input).
 
     Repeat frames (the other n-1 copies of a broadcast, re-deliveries
     in multi-stack processes) hit the memo and skip the whole walk; the
     returned ``raw_payload`` is then the *same* bytes object every time,
-    so downstream digest caches keyed on it amortize too.
+    so a downstream digest cache keyed on it is a cached-hash probe.
     """
     frame = data if type(data) is bytes else bytes(data)
     memo = _fastpath_memo
     hit = memo.get(frame, _MEMO_MISS)
     if hit is not _MEMO_MISS:
         return hit
-    result = None
-    key = frame_path_key(frame)
-    if key is not None:
-        try:
-            mtype, payload_start = _decode_from(frame, 6 + len(key), 1)
-            if isinstance(mtype, int) and 0 <= mtype <= 0xFF:
-                end = _validate_value(frame, payload_start)
-                if end == len(frame):
-                    result = (key, mtype, frame[payload_start:])
-        except WireFormatError:
-            result = None
+    try:
+        result = _parse_frame(frame)
+    except WireFormatError:
+        result = None
     memo[frame] = result
     if len(memo) > _FASTPATH_MEMO_MAX:
         memo.popitem(last=False)
@@ -689,24 +623,17 @@ def encode_batch(frames: Sequence[bytes]) -> bytes:
     return bytes(out)
 
 
-def decode_batch(data) -> list[bytes]:
-    """Split a batch container back into its channel units (as copies).
-
-    Raises:
-        WireFormatError: not a batch, malformed lengths, an empty or
-            over-cap member, a count over :data:`MAX_BATCH_FRAMES`, or
-            trailing bytes.
-    """
-    return [bytes(member) for member in decode_batch_views(data)]
-
-
 def decode_batch_views(data) -> list[memoryview]:
     """Split a batch container into zero-copy :class:`memoryview` members.
 
     The views alias *data*: no member is re-materialized, so receivers
     decode nested frames straight out of the container buffer.  Each
-    view stays valid only while *data* does.  Validation is identical
-    to :func:`decode_batch`.
+    view stays valid only while *data* does.
+
+    Raises:
+        WireFormatError: not a batch, malformed lengths, an empty or
+            over-cap member, a count over :data:`MAX_BATCH_FRAMES`, or
+            trailing bytes.
     """
     if not is_batch(data):
         raise WireFormatError("not a batch container")
@@ -768,32 +695,6 @@ _AGREEMENT_COMPONENTS = frozenset({"vect", "mvc", "bc", "vc"})
 _BULK_HEADS = frozenset({"rec", "ckpt"})
 
 
-def peek_path(data) -> Path | None:
-    """Extract a plain frame's path without decoding its payload.
-
-    Returns ``None`` for batches, malformed frames, or anything else
-    that is not a well-formed single frame header -- callers use this
-    for best-effort classification, never for protocol decisions.
-    """
-    if len(data) < 6 or data[0] != FRAME_VERSION or data[1] != _T_LIST:
-        return None
-    (count,) = _unpack_u32_from(data, 2)
-    if count != 3:
-        return None
-    try:
-        raw_path, _ = _decode_from(data, 6, 1)
-    except WireFormatError:
-        return None
-    if not isinstance(raw_path, list):
-        return None
-    path: list[PathComponent] = []
-    for component in raw_path:
-        if not isinstance(component, (int, str)) or isinstance(component, bool):
-            return None
-        path.append(component)
-    return tuple(path)
-
-
 def frame_priority(data, _depth: int = 0) -> int:
     """Shedding priority of one channel unit (higher survives longer).
 
@@ -817,8 +718,12 @@ def frame_priority(data, _depth: int = 0) -> int:
             if priority > best:
                 best = priority
         return best
-    path = peek_path(data)
-    if path is None:
+    path_key = frame_path_key(data)
+    if path_key is None:
+        return PRIORITY_BULK
+    try:
+        path = frame_path(path_key)
+    except WireFormatError:
         return PRIORITY_BULK
     if path and path[0] in _BULK_HEADS:
         return PRIORITY_BULK

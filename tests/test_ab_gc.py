@@ -11,7 +11,7 @@ from repro.core import atomic_broadcast
 from repro.core.atomic_broadcast import RETAINED_ROUNDS
 from repro.core.config import GroupConfig
 from repro.core.reliable_broadcast import MSG_INIT, MSG_READY
-from repro.core.wire import decode_frame
+from repro.core.wire import decode_frame_ex
 
 from util import InstantNet, ShuffleNet
 
@@ -133,7 +133,7 @@ class _WithholdingNet(InstantNet):
 
     def enqueue(self, src, dest, data):
         if dest == self.victim:
-            path, mtype, _ = decode_frame(data)
+            path, mtype, _ = decode_frame_ex(data)[:3]
             if path == self.path and mtype != MSG_INIT:
                 return
         super().enqueue(src, dest, data)

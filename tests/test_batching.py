@@ -5,7 +5,7 @@ from repro.core.stack import CHANNEL_HEADER_BYTES, ControlBlock, Stack
 from repro.core.wire import (
     MAX_BATCH_DEPTH,
     SEND_BATCH_FRAMES,
-    decode_batch,
+    decode_batch_views,
     encode_batch,
     encode_frame,
     is_batch,
@@ -44,7 +44,7 @@ class TestFlushWindow:
             assert sent == []  # parked until the window closes
         assert len(sent) == 4
         for dest, data in sent:
-            frames = decode_batch(data)
+            frames = [bytes(m) for m in decode_batch_views(data)]
             assert len(frames) == 2
             assert b"one" in frames[0] and b"two" in frames[1]
         assert stack.stats.batches_sent == 4
@@ -67,7 +67,7 @@ class TestFlushWindow:
                 stack.send_frame(1, ("t",), 0, b"b")
             assert sent == []  # inner exit does not flush
         assert len(sent) == 1
-        assert len(decode_batch(sent[0][1])) == 2
+        assert len(decode_batch_views(sent[0][1])) == 2
 
     def test_cap_splits_long_windows(self):
         stack, sent = make_stack()
@@ -75,7 +75,7 @@ class TestFlushWindow:
             for k in range(2 * SEND_BATCH_FRAMES + 1):
                 stack.send_frame(1, ("t",), 0, b"m%d" % k)
         sizes = [
-            len(decode_batch(data)) if is_batch(data) else 1 for _, data in sent
+            len(decode_batch_views(data)) if is_batch(data) else 1 for _, data in sent
         ]
         assert sizes == [SEND_BATCH_FRAMES, SEND_BATCH_FRAMES, 1]
 
@@ -150,7 +150,7 @@ class TestReceiveBatches:
         receiver.receive(1, encode_batch(init_frames))
         echo_units = [data for dest, data in sent if dest == 2]
         assert len(echo_units) == 1
-        assert len(decode_batch(echo_units[0])) == 2
+        assert len(decode_batch_views(echo_units[0])) == 2
         assert receiver.stats.batches_sent == 4  # one per peer incl. self
 
 

@@ -6,7 +6,7 @@ from repro.core.config import GroupConfig
 from repro.core.echo_broadcast import MSG_INIT, MSG_MAT, MSG_VECT
 from repro.core.errors import ProtocolViolationError
 from repro.core.stack import Stack
-from repro.core.wire import decode_frame, encode_frame, encode_value
+from repro.core.wire import decode_frame_ex, encode_frame, encode_value
 from repro.crypto.hashing import HASH_LEN
 from repro.crypto.keys import TrustedDealer
 from repro.crypto.mac import mac
@@ -38,7 +38,7 @@ class TestReceiverSide:
         assert len(sent) == 1
         dest, data = sent[0]
         assert dest == 0
-        _, mtype, vector = decode_frame(data)
+        _, mtype, vector = decode_frame_ex(data)[:3]
         assert mtype == MSG_VECT
         assert len(vector) == 4
         # Entry j is H(m, s_1j).
@@ -153,7 +153,7 @@ class TestSenderSide:
         # Column j goes to process j and contains rows (0, 1, 2).
         for j, (dest, data) in enumerate(mats):
             assert dest == j
-            _, mtype, column = decode_frame(data)
+            _, mtype, column = decode_frame_ex(data)[:3]
             assert mtype == MSG_MAT
             assert [row for row, _tag in column] == [0, 1, 2]
             for row, tag in column:

@@ -17,7 +17,7 @@ from repro.apps.kv_store import ReplicatedKvStore
 from repro.apps.lock_service import DistributedLockService
 from repro.apps.state_machine import Command, ReplicatedStateMachine
 from repro.core.config import GroupConfig
-from repro.core.errors import BackpressureError
+from repro.core.errors import BackpressureError, WireFormatError
 from repro.core.ledger import OFFENSE_WEIGHTS, PROBATION_S, MisbehaviorLedger
 from repro.core.mbuf import Mbuf
 from repro.core.ooc import OocTable
@@ -28,8 +28,10 @@ from repro.core.wire import (
     PRIORITY_PAYLOAD,
     encode_batch,
     encode_frame,
+    encode_value,
+    frame_path,
+    frame_path_key,
     frame_priority,
-    peek_path,
 )
 from repro.net.faults import FaultPlan
 from repro.net.network import LanSimulation
@@ -328,12 +330,17 @@ class TestFramePriority:
         assert frame_priority(encode_batch([payload, payload])) == PRIORITY_PAYLOAD
         assert frame_priority(encode_batch([payload, vote])) == PRIORITY_AGREEMENT
 
-    def test_peek_path(self):
+    def test_frame_path_of_plain_frames(self):
         frame = encode_frame(("ab", 7, "msg"), 3, [b"payload", None])
-        assert peek_path(frame) == ("ab", 7, "msg")
-        assert peek_path(frame[:8]) is None
-        assert peek_path(b"") is None
-        assert peek_path(encode_batch([frame])) is None  # batches have no single path
+        assert frame_path(frame_path_key(frame)) == ("ab", 7, "msg")
+        assert frame_path_key(frame[:8]) is None
+        assert frame_path_key(b"") is None
+        assert frame_path_key(encode_batch([frame])) is None  # batches have no single path
+        # A bool component passes the skeleton walk but not frame_path.
+        bad = b"\x01" + encode_value([[True], 0, None])
+        with pytest.raises(WireFormatError):
+            frame_path(frame_path_key(bad))
+        assert frame_priority(bad) == PRIORITY_BULK
 
 
 # -- adversary strategies end to end -------------------------------------------

@@ -2,12 +2,11 @@
 validate-don't-decode lazy payload contract, the content-addressed
 frame-parse memo, and the raw-payload relay path.
 
-The load-bearing property throughout is *parity*: every fast path must
-accept exactly the inputs the eager decoder accepts and reject exactly
-what it rejects.  A validator laxer than the decoder would let a
-Byzantine payload relay cleanly and blow up at a later hop (which would
-then misbehavior-charge the innocent relay); a stricter one would drop
-frames the seed accepted.
+The load-bearing property is *parity*: the payload validator must
+accept exactly the encodings the value decoder accepts.  A validator
+laxer than the decoder would let a Byzantine payload relay cleanly and
+blow up at a later hop (which would then misbehavior-charge the
+innocent relay); a stricter one would drop valid frames.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ from repro.core.mbuf import Mbuf
 from repro.core.stack import ControlBlock, Stack
 from repro.core.wire import (
     _validate_value,
-    decode_batch,
     decode_batch_views,
-    decode_frame,
     decode_frame_ex,
     decode_value,
     encode_batch,
@@ -91,47 +88,41 @@ class TestBytesLikeInputs:
         for view in views:
             assert isinstance(view, memoryview)
             assert view.obj is batch  # zero-copy: same backing buffer
-        assert decode_batch(bytearray(batch)) == frames
+        assert decode_batch_views(bytearray(batch)) == frames
 
 
 # -- validator parity ----------------------------------------------------------
 
 
 class TestValidatorParity:
-    """The validating fast path (:func:`frame_fastpath`, which leaves
-    the payload encoded) accepts exactly the frames the eager decoder
-    (:func:`decode_frame_ex`) accepts."""
-
-    def setup_method(self):
-        fastpath_memo_clear()
-
-    def teardown_method(self):
-        fastpath_memo_clear()
+    """:func:`_validate_value` accepts exactly the encodings
+    :func:`decode_value` decodes -- the contract that makes a lazy
+    payload's deferred decode infallible."""
 
     @staticmethod
-    def _frame_around(data) -> bytes:
-        # *data* in the payload position of an otherwise valid frame.
-        return encode_frame_from_prefix_raw(encode_frame_prefix(()), 0, data)
-
-    def _decode_ok(self, data) -> bool:
+    def _validate_ok(data) -> bool:
         try:
-            decode_frame_ex(self._frame_around(data))
+            return _validate_value(data, 0) == len(data)
+        except WireFormatError:
+            return False
+
+    @staticmethod
+    def _decode_ok(data) -> bool:
+        try:
+            decode_value(data)
         except WireFormatError:
             return False
         return True
-
-    def _validate_ok(self, data) -> bool:
-        return frame_fastpath(self._frame_around(data)) is not None
 
     def test_parity_on_valid_encodings(self):
         rng = random.Random(11)
         for _ in range(200):
             encoded = encode_value(_random_value(rng))
-            assert _validate_value(encoded, 0) == len(encoded)
+            assert self._validate_ok(encoded) and self._decode_ok(encoded)
 
     def test_parity_on_mutations(self):
         # Truncations, bit flips, extensions: the validator and the
-        # eager decoder must agree on every single corruption.
+        # decoder must agree on every single corruption.
         rng = random.Random(13)
         for _ in range(150):
             encoded = encode_value(_random_value(rng))
@@ -147,18 +138,31 @@ class TestValidatorParity:
                 )
 
     def test_depth_budget_matches_decoder(self):
-        # 15 nested lists decode from payload position; 16 do not.  The
-        # validator must flip at exactly the same depth.
+        # 16 nested lists decode; 17 do not.  The validator must flip at
+        # exactly the same depth.
         def nested(depth):
             value = []
             for _ in range(depth - 1):
                 value = [value]
             return value
 
-        ok = encode_value(nested(15))
-        too_deep = encode_value([nested(15)][0:1])  # one deeper via wrapper
-        assert self._validate_ok(ok) and self._decode_ok(ok)
-        assert self._validate_ok(too_deep) == self._decode_ok(too_deep)
+        verdicts = {}
+        for depth in range(14, 19):
+            encoded = b"\x06\x00\x00\x00\x01" * (depth - 1) + encode_value([])
+            if depth <= 16:
+                assert encoded == encode_value(nested(depth))
+            verdicts[depth] = self._decode_ok(encoded)
+            assert self._validate_ok(encoded) == verdicts[depth]
+        assert verdicts == {14: True, 15: True, 16: True, 17: False, 18: False}
+        # In payload position the frame list is one level up: 15 nested
+        # lists parse, 16 do not, so every accepted payload re-encodes
+        # into a frame.
+        prefix = encode_frame_prefix(PATH)
+        for depth, ok in ((15, True), (16, False)):
+            frame = encode_frame_from_prefix_raw(prefix, 0, encode_value(nested(depth)))
+            assert (frame_fastpath(frame) is not None) == ok
+            if ok:
+                assert encode_frame(PATH, 0, decode_frame_ex(frame)[2]) == frame
 
     def test_lazy_payload_matches_eager_payload(self):
         rng = random.Random(17)
@@ -168,7 +172,8 @@ class TestValidatorParity:
             _path, mtype, value, raw = decode_frame_ex(frame)
             key, lazy_mtype, lazy_raw = frame_fastpath(frame)
             assert key == frame_path_key(frame)
-            assert (lazy_mtype, bytes(lazy_raw)) == (mtype, bytes(raw))
+            assert (lazy_mtype, lazy_raw) == (mtype, raw)
+            assert type(raw) is bytes
             assert decode_value(lazy_raw) == value == payload
 
 
@@ -180,7 +185,7 @@ class TestMalformedBatchFuzz:
         batch = encode_batch([encode_frame(PATH, 0, [1, 2]), encode_frame(PATH, 1, None)])
         for cut in range(len(batch)):
             with pytest.raises(WireFormatError):
-                decode_batch(batch[:cut]) if cut else decode_batch(b"")
+                decode_batch_views(batch[:cut]) if cut else decode_batch_views(b"")
 
     def test_member_length_overruns_container(self):
         frame = encode_frame(PATH, 0, None)
@@ -201,12 +206,11 @@ class TestMalformedBatchFuzz:
                 mutated[rng.randrange(len(mutated))] ^= 1 << rng.randrange(8)
             data = bytes(mutated)
             try:
-                copies = decode_batch(data)
+                views = decode_batch_views(data)
             except WireFormatError:
-                with pytest.raises(WireFormatError):
-                    decode_batch_views(data)
-                continue
-            assert [bytes(v) for v in decode_batch_views(data)] == copies
+                continue  # rejected cleanly, never an arbitrary exception
+            # Accepted: the members tile the container exactly.
+            assert 5 + sum(4 + len(v) for v in views) == len(data)
 
 
 # -- the frame-parse memo ------------------------------------------------------
@@ -308,7 +312,7 @@ class TestRawSplice:
         stack, sent = self._stack_and_outbox()
         stack.broadcast_frame_raw(("nowhere",), 1, encode_value([5]))
         assert len(sent) == 4
-        assert decode_frame(sent[0][1]) == (("nowhere",), 1, [5])
+        assert decode_frame_ex(sent[0][1])[:3] == (("nowhere",), 1, [5])
 
 
 # -- end-to-end: lazy receive + malformed payload defense ---------------------
@@ -344,3 +348,46 @@ class TestReceiveFastPathBehavior:
         batch = encode_batch([encode_frame(PATH, i, [i]) for i in range(3)])
         stack.receive(2, batch)
         assert block.inputs == [(2, 0, [0]), (2, 1, [1]), (2, 2, [2])]
+
+    @pytest.mark.parametrize("component", [True, [1]])
+    def test_bad_path_component_dropped_as_malformed(self, component):
+        stack = Stack(GroupConfig(4), 0, outbox=lambda d, b: None)
+        _Recorder(stack, ("t",))
+        frame = b"\x01" + encode_value([["t", component], 0, None])
+        assert frame_fastpath(frame) is not None  # the skeleton parses
+        before = stack.stats.misbehavior_reports
+        stack.receive(1, frame)
+        assert stack.stats.dropped["malformed-frame"] == 1
+        assert stack.stats.misbehavior_reports == before + 1
+        assert stack.ooc_pending == 0
+
+    def test_parked_frame_keeps_owned_raw_and_delivers_like_eager(self):
+        payload = [b"v" * 40, 7, None]
+        delivered = {}
+        for parked in (True, False):
+            fastpath_memo_clear()
+            stack = Stack(GroupConfig(4), 0, outbox=lambda d, b: None)
+            path = ("rb-test",)
+            frames = [
+                (src, encode_frame(path, mtype, payload))
+                for mtype in (0, 1, 2)
+                for src in (1, 2, 3)
+                if mtype or src == 1
+            ]
+            if parked:
+                stored: list[Mbuf] = []
+                store = stack.ooc.store
+                stack.ooc.store = lambda mbuf: (stored.append(mbuf), store(mbuf))
+                for src, frame in frames:
+                    stack.receive(src, memoryview(bytearray(frame)))
+                assert stack.ooc_pending == len(stored) == len(frames)
+                assert all(type(mbuf.raw_payload) is bytes for mbuf in stored)
+                block = stack.create("rb", path, sender=1)
+            else:
+                block = stack.create("rb", path, sender=1)
+                for src, frame in frames:
+                    _, mtype, value, _raw = decode_frame_ex(frame)
+                    stack.route(Mbuf(src=src, path=path, mtype=mtype, payload=value))
+            assert block.delivered
+            delivered[parked] = block.delivered_value
+        assert delivered[True] == delivered[False] == payload

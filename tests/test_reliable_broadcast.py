@@ -25,9 +25,9 @@ def feed(stack, path, mtype, payload, src):
 
 
 def sent_mtypes(sent):
-    from repro.core.wire import decode_frame
+    from repro.core.wire import decode_frame_ex
 
-    return [decode_frame(data)[1] for _, data in sent]
+    return [decode_frame_ex(data)[1] for _, data in sent]
 
 
 class TestUnitBehaviour:

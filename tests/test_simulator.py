@@ -161,7 +161,7 @@ class TestTimingModel:
 
         With batching on, back-to-back frames may share a batch
         container; order must hold across and within batches."""
-        from repro.core.wire import decode_batch, is_batch
+        from repro.core.wire import decode_batch_views, is_batch
 
         sim = LanSimulation(n=4, seed=0)
         arrived = []
@@ -172,7 +172,9 @@ class TestTimingModel:
         sim.run()
         decoded = []
         for unit in arrived:
-            decoded.extend(decode_batch(unit) if is_batch(unit) else [unit])
+            decoded.extend(
+                [bytes(m) for m in decode_batch_views(unit)] if is_batch(unit) else [unit]
+            )
         assert len(decoded) == 3
         assert b"first" in decoded[0]
         assert b"third" in decoded[2]

@@ -3,14 +3,13 @@
 A sharded host (:meth:`repro.transport.tcp.RitasNode.add_shard`, the
 sharded simulation) runs several stacks per OS process.  Everything that used to
 be effectively process-global -- dealer key derivation, shared-coin
-secrets, RNG streams, metrics registries, the wire encode memo -- must
-be scoped per stack, or co-hosted groups could forge each other's MACs,
-bias each other's coins, or cross-pollinate metrics.  These are the
-regression tests for that audit.
+secrets, RNG streams, metrics registries -- must be scoped per stack,
+or co-hosted groups could forge each other's MACs, bias each other's
+coins, or cross-pollinate metrics.  These are the regression tests for
+that audit.
 """
 
 from repro.core.config import GroupConfig
-from repro.core.wire import encode_memo_clear, encode_value, encode_value_cached
 from repro.crypto.coin import SharedCoinDealer
 from repro.crypto.keys import TrustedDealer
 from repro.net.network import LanSimulation
@@ -138,23 +137,3 @@ class TestMetricsIsolation:
         (metric,) = [m for m in registry.snapshot() if m["name"] == "c"]
         assert metric["labels"]["shard"] == "a"
         assert metric["labels"]["service"] == "kv"
-
-
-class TestWireMemoSoundness:
-    def test_memo_is_content_addressed_across_stacks(self):
-        """The encode memo IS process-global -- that is safe exactly
-        because it is keyed by value content, never by which stack asked.
-        Interleaved cached encodes from two 'shards' must match fresh
-        uncached encodes bit-for-bit."""
-        encode_memo_clear()
-        payload_a = ["shard-a", 1, b"x" * 64]
-        payload_b = ["shard-b", 1, b"x" * 64]
-        interleaved = [
-            encode_value_cached(payload_a),
-            encode_value_cached(payload_b),
-            encode_value_cached(payload_a),
-            encode_value_cached(payload_b),
-        ]
-        assert interleaved[0] == interleaved[2] == encode_value(payload_a)
-        assert interleaved[1] == interleaved[3] == encode_value(payload_b)
-        assert interleaved[0] != interleaved[1]

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from repro.core.errors import WireFormatError
 from repro.core.wire import (
     MAX_BATCH_FRAMES,
-    decode_batch,
-    decode_frame,
+    decode_batch_views,
+    decode_frame_ex,
     decode_value,
     encode_batch,
     encode_frame,
-    encode_memo_clear,
     encode_value,
-    encode_value_cached,
     is_batch,
 )
 
@@ -57,6 +55,8 @@ class TestValueRoundtrip:
         a = encode_value([b"v", [1, 2, None]])
         b = encode_value([b"v", [1, 2, None]])
         assert a == b
+        # Other byte buffers encode exactly like bytes.
+        assert encode_value(bytearray(b"ab")) == encode_value(memoryview(b"ab")) == encode_value(b"ab")
 
     def test_unencodable_type_rejected(self):
         with pytest.raises(TypeError):
@@ -128,10 +128,10 @@ class TestFrames:
     def test_roundtrip(self):
         path = ("ab", 0, "mvc", 3, "rb", 1, 2, 0)
         encoded = encode_frame(path, 2, b"payload")
-        assert decode_frame(encoded) == (path, 2, b"payload")
+        assert decode_frame_ex(encoded)[:3] == (path, 2, b"payload")
 
     def test_empty_path(self):
-        assert decode_frame(encode_frame((), 0, None)) == ((), 0, None)
+        assert decode_frame_ex(encode_frame((), 0, None))[:3] == ((), 0, None)
 
     def test_mtype_range_enforced_on_encode(self):
         with pytest.raises(ValueError):
@@ -143,36 +143,36 @@ class TestFrames:
         frame = bytearray(encode_frame(("x",), 0, None))
         frame[0] = 99
         with pytest.raises(WireFormatError):
-            decode_frame(bytes(frame))
+            decode_frame_ex(bytes(frame))
 
     def test_empty_frame(self):
         with pytest.raises(WireFormatError):
-            decode_frame(b"")
+            decode_frame_ex(b"")
 
     def test_body_not_a_list(self):
         with pytest.raises(WireFormatError):
-            decode_frame(b"\x01" + encode_value(b"nope"))
+            decode_frame_ex(b"\x01" + encode_value(b"nope"))
 
     def test_bool_path_component_rejected(self):
         frame = b"\x01" + encode_value([[True], 0, None])
         with pytest.raises(WireFormatError):
-            decode_frame(frame)
+            decode_frame_ex(frame)
 
     def test_nested_path_component_rejected(self):
         frame = b"\x01" + encode_value([[[1]], 0, None])
         with pytest.raises(WireFormatError):
-            decode_frame(frame)
+            decode_frame_ex(frame)
 
     def test_out_of_range_mtype_rejected_on_decode(self):
         frame = b"\x01" + encode_value([["x"], 999, None])
         with pytest.raises(WireFormatError):
-            decode_frame(frame)
+            decode_frame_ex(frame)
 
     @given(st.binary(max_size=300))
     @settings(max_examples=300)
     def test_random_bytes_never_crash(self, data):
         try:
-            decode_frame(data)
+            decode_frame_ex(data)
         except WireFormatError:
             pass
 
@@ -183,7 +183,7 @@ class TestBatchContainers:
 
     def test_roundtrip(self):
         frames = self.frames()
-        assert decode_batch(encode_batch(frames)) == frames
+        assert decode_batch_views(encode_batch(frames)) == frames
 
     def test_is_batch_discriminates(self):
         frames = self.frames()
@@ -193,15 +193,15 @@ class TestBatchContainers:
 
     def test_single_frame_batch_roundtrip(self):
         frame = encode_frame(("t",), 1, b"solo")
-        assert decode_batch(encode_batch([frame])) == [frame]
+        assert decode_batch_views(encode_batch([frame])) == [frame]
 
     def test_nested_batch_roundtrip(self):
         """A batch is itself a channel unit, so it may ride in a batch."""
         inner = encode_batch(self.frames())
         outer = encode_batch([inner, self.frames()[0]])
-        members = decode_batch(outer)
+        members = decode_batch_views(outer)
         assert members[0] == inner
-        assert decode_batch(members[0]) == self.frames()
+        assert decode_batch_views(members[0]) == self.frames()
 
     def test_empty_batch_rejected_on_encode(self):
         with pytest.raises(ValueError):
@@ -218,84 +218,41 @@ class TestBatchContainers:
 
     def test_decode_plain_frame_rejected(self):
         with pytest.raises(WireFormatError, match="not a batch"):
-            decode_batch(self.frames()[0])
+            decode_batch_views(self.frames()[0])
 
     def test_decode_truncated_count(self):
         with pytest.raises(WireFormatError):
-            decode_batch(b"\x42\x00\x00")
+            decode_batch_views(b"\x42\x00\x00")
 
     def test_decode_zero_count(self):
         with pytest.raises(WireFormatError, match="empty"):
-            decode_batch(b"\x42\x00\x00\x00\x00")
+            decode_batch_views(b"\x42\x00\x00\x00\x00")
 
     def test_decode_count_over_cap_without_allocation(self):
         with pytest.raises(WireFormatError, match="cap"):
-            decode_batch(b"\x42\xff\xff\xff\xff")
+            decode_batch_views(b"\x42\xff\xff\xff\xff")
 
     def test_decode_truncated_member(self):
         data = encode_batch(self.frames())
         with pytest.raises(WireFormatError):
-            decode_batch(data[:-1])
+            decode_batch_views(data[:-1])
 
     def test_decode_trailing_garbage(self):
         with pytest.raises(WireFormatError, match="trailing"):
-            decode_batch(encode_batch(self.frames()) + b"\x00")
+            decode_batch_views(encode_batch(self.frames()) + b"\x00")
 
     def test_decode_empty_member(self):
         # count=1, member length 0.
         with pytest.raises(WireFormatError, match="empty frame"):
-            decode_batch(b"\x42\x00\x00\x00\x01\x00\x00\x00\x00")
+            decode_batch_views(b"\x42\x00\x00\x00\x01\x00\x00\x00\x00")
 
     @given(st.binary(max_size=300))
     @settings(max_examples=300)
     def test_random_bytes_never_crash(self, data):
         try:
-            decode_batch(data)
+            decode_batch_views(data)
         except WireFormatError:
             pass
-
-
-class TestEncodeMemo:
-    def setup_method(self):
-        encode_memo_clear()
-
-    @pytest.mark.parametrize(
-        "value",
-        [None, True, False, 0, 1, -(2**64), b"", b"x", "x", [1, [b"y", None]]],
-    )
-    def test_cached_matches_plain(self, value):
-        assert encode_value_cached(value) == encode_value(value)
-        # Second call hits the memo; bytes must be identical.
-        assert encode_value_cached(value) == encode_value(value)
-
-    def test_bool_not_conflated_with_int(self):
-        """``True == 1`` and they hash alike, but encodings differ."""
-        assert encode_value_cached(1) == encode_value(1)
-        assert encode_value_cached(True) == encode_value(True)
-        assert encode_value_cached(True) != encode_value_cached(1)
-        assert encode_value_cached(0) != encode_value_cached(False)
-
-    def test_mutation_after_encode_does_not_poison(self):
-        value = [1, 2]
-        first = encode_value_cached(value)
-        value.append(3)
-        assert encode_value_cached(value) == encode_value([1, 2, 3])
-        assert encode_value_cached([1, 2]) == first
-
-    def test_bytearray_keys_like_bytes(self):
-        assert encode_value_cached(bytearray(b"ab")) == encode_value(b"ab")
-        assert encode_value_cached(b"ab") == encode_value(b"ab")
-
-    def test_unencodable_type_still_rejected(self):
-        with pytest.raises(TypeError):
-            encode_value_cached({"not": "supported"})
-
-    def test_memo_is_bounded(self):
-        from repro.core.wire import _ENCODE_MEMO_MAX, _encode_memo
-
-        for i in range(_ENCODE_MEMO_MAX * 2):
-            encode_value_cached(i)
-        assert len(_encode_memo) <= _ENCODE_MEMO_MAX
 
 
 @given(
@@ -324,9 +281,9 @@ def test_property_value_roundtrip(value):
 )
 @settings(max_examples=200)
 def test_property_frame_roundtrip(path, mtype, payload):
-    decoded_path, decoded_mtype, decoded_payload = decode_frame(
+    decoded_path, decoded_mtype, decoded_payload = decode_frame_ex(
         encode_frame(tuple(path), mtype, payload)
-    )
+    )[:3]
     assert decoded_path == tuple(path)
     assert decoded_mtype == mtype
     assert decoded_payload == payload
