@@ -25,6 +25,7 @@ from repro.adversary.strategies import (
     DuplicateStormReliableBroadcast,
     OocFlooderAtomicBroadcast,
     RandomBitBinaryConsensus,
+    VectForgerAtomicBroadcast,
     bad_mac_faultload,
     bc_variant,
     byzantine_paper_faultload,
@@ -32,6 +33,7 @@ from repro.adversary.strategies import (
     duplicate_storm_faultload,
     ooc_flood_faultload,
     random_noise_faultload,
+    vect_forge_faultload,
 )
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "DuplicateStormReliableBroadcast",
     "OocFlooderAtomicBroadcast",
     "RandomBitBinaryConsensus",
+    "VectForgerAtomicBroadcast",
     "bad_mac_faultload",
     "bc_variant",
     "byzantine_paper_faultload",
@@ -50,4 +53,5 @@ __all__ = [
     "duplicate_storm_faultload",
     "ooc_flood_faultload",
     "random_noise_faultload",
+    "vect_forge_faultload",
 ]

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.atomic_broadcast import AtomicBroadcast
+from repro.core.atomic_broadcast import (
+    MAX_VECT_IDS,
+    AtomicBroadcast,
+    encode_id_ranges,
+    expand_id_ranges,
+)
 from repro.core.binary_consensus import BinaryConsensus
 from repro.core.echo_broadcast import EchoBroadcast
 from repro.core.mbuf import Mbuf
@@ -177,6 +182,42 @@ class BadMacEchoBroadcast(EchoBroadcast):
         super()._on_vect(mbuf)
 
 
+#: rbid offset of the forger's ghost ids: far above anything broadcast.
+GHOST_RBID = 1 << 40
+
+#: Forged AB_VECT kinds :class:`VectForgerAtomicBroadcast` cycles through.
+FORGERY_KINDS = 5
+
+
+class VectForgerAtomicBroadcast(AtomicBroadcast):
+    """Spells its AB_VECTs every way the id-range parser must refuse,
+    and vouches for ids nobody broadcast.
+
+    Each round's vector is one forgery, cycling through: the honest set
+    with senders 0 and 1 spelled as bools (``True == 1`` in Python, not
+    on the wire); a non-canonical spelling (each range preceded by an
+    overlapping copy of its first id); a range one id over
+    ``MAX_VECT_IDS``; the honest set plus ghost ids; and one range of
+    exactly ``MAX_VECT_IDS`` ghost ids, the largest set a 32-byte vector
+    can claim.  The first three must be dropped as malformed.  Ghost ids
+    parse, but only this process vouches for them, so they never reach
+    ``f + 1`` support.
+    """
+
+    def _vect_ids(self, computed: list[list[int]]) -> Any:
+        kind = self.round % FORGERY_KINDS
+        if kind == 0:
+            return [[bool(s) if s < 2 else s, a, b] for s, a, b in computed] or [[True, 0, 0]]
+        if kind == 1:
+            return [r for s, a, b in computed for r in ([s, a, a], [s, a, b])] or [[0, 1, 0]]
+        if kind == 2:
+            return [[self.me, 0, MAX_VECT_IDS]]
+        if kind == 3:
+            ghosts = {(s, GHOST_RBID + s) for s in self.config.process_ids}
+            return encode_id_ranges(ghosts.union(expand_id_ranges(computed)))
+        return [[self.me, GHOST_RBID, GHOST_RBID + MAX_VECT_IDS - 1]]
+
+
 def byzantine_paper_faultload(factory: ProtocolFactory) -> ProtocolFactory:
     """The exact Byzantine faultload of Section 4.2: zero at the binary
     consensus layer, ⊥ at the multi-valued consensus layer."""
@@ -211,6 +252,11 @@ def bad_mac_faultload(factory: ProtocolFactory) -> ProtocolFactory:
     return factory.override("eb", BadMacEchoBroadcast)
 
 
+def vect_forge_faultload(factory: ProtocolFactory) -> ProtocolFactory:
+    """An atomic broadcast participant whose AB_VECTs are forged."""
+    return factory.override("ab", VectForgerAtomicBroadcast)
+
+
 #: Named faultloads, resolvable by :meth:`repro.net.faults.FaultPlan.with_byzantine`.
 STRATEGIES: dict[str, Any] = {
     "paper": byzantine_paper_faultload,
@@ -219,4 +265,5 @@ STRATEGIES: dict[str, Any] = {
     "ooc-flood": ooc_flood_faultload,
     "duplicate-storm": duplicate_storm_faultload,
     "bad-mac": bad_mac_faultload,
+    "vect-forge": vect_forge_faultload,
 }

@@ -25,10 +25,12 @@ rejoin it through the recovery path).
 
 The registry covers the paper's faultloads (failure-free, fail-stop,
 the Section 4.2 Byzantine process), every registered flooding strategy,
-``byz-bc-split`` (the n=6 (n-f)/2 regression), and the hostile-network
-catalog: ``wan-asym``, ``wan-lossy``, ``wan-dup``, ``wan-reorder``,
-``gray-slow-replica``, ``gray-flaky-mac``, ``gray-degrading``,
-``heal-mid-agreement``, ``laggard-gc`` and ``churn-rejoin``.
+``byz-vect-forge`` (forged AB_VECT id sets; every correct broadcast
+must still deliver), ``byz-bc-split`` (the n=6 (n-f)/2 regression), and
+the hostile-network catalog: ``wan-asym``, ``wan-lossy``, ``wan-dup``,
+``wan-reorder``, ``gray-slow-replica``, ``gray-flaky-mac``,
+``gray-degrading``, ``heal-mid-agreement``, ``laggard-gc`` and
+``churn-rejoin``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.adversary.strategies import FORGERY_KINDS
 from repro.check.invariants import InvariantViolation
 from repro.core.atomic_broadcast import RETAINED_ROUNDS
 from repro.core.config import GroupConfig
@@ -252,6 +255,54 @@ def _laggard_driver(sim: LanSimulation) -> None:
     sim.loop.schedule_at(_LAGGARD_SETTLED, settled)
 
 
+#: byz-vect-forge: correct replicas keep A-broadcasting until
+#: ``_FORGE_LOAD_END`` so the forger sends every kind of forged vector,
+#: and every correct broadcast must have delivered by ``_FORGE_SETTLED``.
+_FORGE_LOAD_END = 0.3
+_FORGE_SETTLED = 1.0
+
+
+def _forge_driver(sim: LanSimulation) -> None:
+    """Keep the correct replicas A-broadcasting under the vect forger,
+    then check liveness: each correct replica delivered all of its own
+    broadcasts, none waits on a payload (a ghost id was never
+    scheduled), and all of them delivered the same id set."""
+    path = ("ab", "a")
+    faulty = sim.fault_plan.faulty_ids()
+    sessions = {}
+    for pid, stack in enumerate(sim.stacks):
+        sessions[pid] = stack.instance_at(path) or stack.create("ab", path)
+    correct = [pid for pid in sessions if pid not in faulty]
+
+    def write(pid: int) -> None:
+        if sim.now < _FORGE_LOAD_END:
+            sessions[pid].broadcast(b"w%d" % pid)
+
+    for pid in correct:
+        sim.add_ticker(pid, 0.02, lambda pid=pid: write(pid))
+
+    def settled() -> None:
+        def fail(detail: str) -> None:
+            raise InvariantViolation(
+                "ab-forge-liveness", path, detail, sim.loop.events_processed
+            )
+
+        reference = sessions[correct[0]]
+        if reference.round < FORGERY_KINDS:
+            fail(f"only {reference.round} rounds ran: some forgeries were never sent")
+        for pid in correct:
+            ab = sessions[pid]
+            if ab.pending_local or ab.stalled_ids():
+                fail(
+                    f"p{pid}: {ab.pending_local} own broadcasts undelivered, "
+                    f"stalled on {ab.stalled_ids()}"
+                )
+            if ab.delivered_frontier() != reference.delivered_frontier():
+                fail(f"p{pid} delivered another id set than p{correct[0]}")
+
+    sim.loop.schedule_at(_FORGE_SETTLED, settled)
+
+
 def _churn_driver(sim: LanSimulation) -> None:
     """Crash replica 3 mid-run and rejoin it through the recovery path,
     twice, while every live replica keeps submitting commands.
@@ -338,6 +389,9 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         _byz_scenario("duplicate-storm"),
         _byz_scenario("bad-mac"),
+        _byz_scenario(
+            "vect-forge", driver=_forge_driver, max_time=_FORGE_SETTLED + 0.1
+        ),
         Scenario(
             name="byz-bc-split",
             n=6,

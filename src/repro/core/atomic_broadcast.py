@@ -24,14 +24,17 @@ Two conceptual tasks:
 The batching is what makes the protocol cheap at high load: one
 agreement orders every message that arrived while the previous
 agreement ran, so the relative cost of agreement *dilutes* as bursts
-grow (Figure 7 of the paper).
+grow (Figure 7 of the paper).  Every id set on the wire -- ``V_i``,
+``W_i``, the decision and the delivered frontier -- is spelled as
+canonical per-sender ranges (:func:`encode_id_ranges`), so its size
+follows senders plus gaps, not the number of messages in the batch.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.errors import BackpressureError, ProtocolViolationError
 from repro.core.mbuf import Mbuf
@@ -44,8 +47,12 @@ from repro.crypto.hashing import hash_bytes
 #: (sender pid, sender-local broadcast id)
 MsgId = tuple[int, int]
 
-#: Defensive cap on identifiers accepted in one AB_VECT: a corrupt
-#: process must not be able to blow up memory with one giant vector.
+#: (sender pid, first rbid, last rbid): a run of consecutive identifiers.
+IdRange = tuple[int, int, int]
+
+#: Defensive cap on identifiers one id set may expand to (per sender,
+#: watermarks excepted, in a frontier): a corrupt process must not be
+#: able to blow up memory with one giant vector.
 MAX_VECT_IDS = 65536
 
 #: Decided rounds kept behind the current one: round r's ``vect``/``mvc``
@@ -58,6 +65,91 @@ RETAINED_ROUNDS = 2
 #: not yet reclaimed at delivery): the dynamic-demultiplexing window that
 #: stops a corrupt process from minting unbounded RB instances.
 MSG_WINDOW = 65536
+
+
+def encode_id_ranges(ids: Iterable[MsgId]) -> list[list[int]]:
+    """Wire form of a set of distinct identifiers: ``[[sender, first,
+    last], ...]``, sorted by sender then first id, each range maximal
+    (disjoint and non-adjacent), so every set has exactly one spelling."""
+    out: list[list[int]] = []
+    for sender, rbid in sorted(ids):
+        if out and out[-1][0] == sender and out[-1][2] == rbid - 1:
+            out[-1][2] = rbid
+        else:
+            out.append([sender, rbid, rbid])
+    return out
+
+
+def parse_id_ranges(
+    payload: Any, process_ids: range, *, watermarks: bool = False
+) -> list[IdRange] | None:
+    """Validate an untrusted id set; ``None`` unless it is exactly what
+    :func:`encode_id_ranges` produces for some set of known senders.
+
+    The expanded size is counted from the bounds, before anything is
+    expanded, and capped at :data:`MAX_VECT_IDS`.  With *watermarks* (a
+    delivered frontier) a range starting at 0 is its sender's
+    watermark: it is exempt from the cap, which then applies per sender.
+    """
+    if type(payload) is not list:
+        return None
+    out: list[IdRange] = []
+    prev_sender, prev_last, count = -1, -1, 0
+    for entry in payload:
+        if type(entry) is not list or len(entry) != 3:
+            return None
+        sender, first, last = entry
+        if (
+            type(sender) is not int
+            or type(first) is not int
+            or type(last) is not int
+            or sender not in process_ids
+            or not 0 <= first <= last
+        ):
+            return None
+        if sender == prev_sender:
+            if first <= prev_last + 1:
+                return None  # overlapping, adjacent-unmerged or unsorted
+        elif sender < prev_sender:
+            return None
+        elif watermarks:
+            count = 0
+        if not (watermarks and first == 0):
+            count += last - first + 1
+            if count > MAX_VECT_IDS:
+                return None
+        prev_sender, prev_last = sender, last
+        out.append((sender, first, last))
+    return out
+
+
+def expand_id_ranges(ranges: Iterable[IdRange]) -> list[MsgId]:
+    """The identifiers of parsed *ranges*, in (sender, rbid) order."""
+    return [(s, r) for s, first, last in ranges for r in range(first, last + 1)]
+
+
+def supported_id_ranges(id_sets: Iterable[list[IdRange]], threshold: int) -> list[IdRange]:
+    """The identifiers in at least *threshold* of the parsed *id_sets*,
+    as canonical ranges.  A sweep over range endpoints: the cost follows
+    the number of ranges, not the ids they span, so a vector claiming
+    ``MAX_VECT_IDS`` ghost ids costs its receivers one range."""
+    steps: dict[int, dict[int, int]] = {}
+    for ranges in id_sets:
+        for sender, first, last in ranges:
+            edges = steps.setdefault(sender, {})
+            edges[first] = edges.get(first, 0) + 1
+            edges[last + 1] = edges.get(last + 1, 0) - 1
+    out: list[IdRange] = []
+    for sender in sorted(steps):
+        depth, start = 0, -1
+        for point, step in sorted(steps[sender].items()):
+            depth += step
+            if depth >= threshold and start < 0:
+                start = point
+            elif depth < threshold and start >= 0:
+                out.append((sender, start, point - 1))
+                start = -1
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,7 +194,7 @@ class AtomicBroadcast(ControlBlock):
         self._delivered_count = 0
         self._delivery_queue: deque[MsgId] = deque()
         self._round = 0
-        self._round_vects: dict[int, dict[int, list[MsgId]]] = {}
+        self._round_vects: dict[int, dict[int, list[IdRange]]] = {}
         self._vect_sent: set[int] = set()
         self._mvc_proposed: set[int] = set()
         # (round, id) of messages delivered from an injected payload:
@@ -226,52 +318,37 @@ class AtomicBroadcast(ControlBlock):
         if rbid != watermark + 1:
             self._frontier_sparse.add(msg_id)
             return
-        watermark = rbid
-        while (sender, watermark + 1) in self._frontier_sparse:
+        self._set_watermark(sender, rbid)
+
+    def _set_watermark(self, sender: int, watermark: int) -> None:
+        # Keeps the invariant every sparse id of a sender lies above its
+        # watermark + 1, which makes delivered_frontier() canonical.
+        sparse = self._frontier_sparse
+        while (sender, watermark + 1) in sparse:
             watermark += 1
-            self._frontier_sparse.discard((sender, watermark))
+            sparse.discard((sender, watermark))
         self._frontier[sender] = watermark
 
-    def delivered_frontier(self) -> list[list[Any]]:
-        """Wire-encodable summary of every delivered identifier:
-        ``[[sender, watermark, [sparse rbids...]], ...]``."""
-        senders = set(self._frontier)
-        senders.update(sender for sender, _ in self._frontier_sparse)
-        return [
-            [
-                sender,
-                self._frontier.get(sender, -1),
-                sorted(r for s, r in self._frontier_sparse if s == sender),
-            ]
-            for sender in sorted(senders)
-        ]
+    def delivered_frontier(self) -> list[list[int]]:
+        """Every delivered identifier, in the canonical id-range form
+        (:func:`encode_id_ranges`); a sender's range ``[sender, 0, w]``
+        is its watermark.  A function of the delivered set alone, so
+        replicas at one position produce one frontier (and digest)."""
+        watermarks = [[sender, 0, w] for sender, w in self._frontier.items()]
+        return sorted(watermarks + encode_id_ranges(self._frontier_sparse))
 
-    def _install_frontier(self, frontier: list) -> None:
-        for sender, watermark, sparse in frontier:
-            if watermark >= 0:
-                self._frontier[sender] = watermark
-            for rbid in sparse:
-                self._frontier_sparse.add((sender, rbid))
-
-    @staticmethod
-    def parse_frontier(payload: Any) -> list[list[Any]] | None:
-        """Validate an untrusted wire frontier; ``None`` if malformed."""
-        if not isinstance(payload, list) or len(payload) > 4096:
-            return None
-        out: list[list[Any]] = []
-        for entry in payload:
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 3
-                or not isinstance(entry[0], int)
-                or not isinstance(entry[1], int)
-                or not isinstance(entry[2], list)
-                or len(entry[2]) > MAX_VECT_IDS
-                or not all(isinstance(r, int) and r >= 0 for r in entry[2])
-            ):
-                return None
-            out.append(entry)
-        return out
+    def _install_frontier(self, frontier: Iterable[IdRange]) -> None:
+        """Mark a parsed frontier delivered; watermarks stay unexpanded."""
+        for sender, first, last in frontier:
+            if first == 0:
+                if last > self._frontier.get(sender, -1):
+                    self._frontier_sparse.difference_update(
+                        [m for m in self._frontier_sparse if m[0] == sender and m[1] <= last]
+                    )
+                    self._set_watermark(sender, last)
+            else:
+                for rbid in range(first, last + 1):
+                    self._mark_delivered((sender, rbid))
 
     # -- positions ------------------------------------------------------------------
 
@@ -534,37 +611,15 @@ class AtomicBroadcast(ControlBlock):
             self._on_agreement(child.path[-1], event)
 
     def _on_vect(self, round_number: int, sender: int, payload: Any) -> None:
-        ids = self._parse_id_list(payload)
-        if ids is None:
+        ranges = parse_id_ranges(payload, self.config.process_ids)
+        if ranges is None:
             return  # malformed vector from a corrupt process
         vects = self._round_vects.setdefault(round_number, {})
         if sender in vects:
             return
-        vects[sender] = ids
+        vects[sender] = ranges
         self._maybe_start_round()
         self._maybe_propose(round_number)
-
-    def _parse_id_list(self, payload: Any) -> list[MsgId] | None:
-        if not isinstance(payload, list) or len(payload) > MAX_VECT_IDS:
-            return None
-        ids: list[MsgId] = []
-        seen: set[MsgId] = set()
-        for entry in payload:
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not isinstance(entry[0], int)
-                or not isinstance(entry[1], int)
-                or entry[0] not in self.config.process_ids
-                or entry[1] < 0
-            ):
-                return None
-            msg_id = (entry[0], entry[1])
-            if msg_id in seen:
-                return None
-            seen.add(msg_id)
-            ids.append(msg_id)
-        return ids
 
     # -- the agreement task -------------------------------------------------------------------
 
@@ -576,9 +631,7 @@ class AtomicBroadcast(ControlBlock):
         # for genuinely pending messages; f+1 support never needs us).
         if self._position_base is None:
             return []
-        return sorted(
-            msg_id for msg_id in self._received if msg_id not in self._scheduled
-        )
+        return [msg_id for msg_id in self._received if msg_id not in self._scheduled]
 
     def _maybe_start_round(self) -> None:
         """Send our AB_VECT for the current round once there is a reason to:
@@ -592,8 +645,12 @@ class AtomicBroadcast(ControlBlock):
         self._vect_sent.add(round_number)
         self._ensure_vect_instances(round_number)
         rb = self.children[self.path + ("vect", round_number, self.me)]
-        rb.broadcast([[s, r] for s, r in pending])  # type: ignore[attr-defined]
+        rb.broadcast(self._vect_ids(encode_id_ranges(pending)))  # type: ignore[attr-defined]
         self._maybe_propose(round_number)
+
+    def _vect_ids(self, computed: list[list[int]]) -> Any:
+        """Payload actually sent in the AB_VECT; the adversary hook."""
+        return computed
 
     def _maybe_propose(self, round_number: int) -> None:
         if (
@@ -606,30 +663,29 @@ class AtomicBroadcast(ControlBlock):
         if len(vects) < self.config.wait_quorum:
             return
         self._mvc_proposed.add(round_number)
-        support: dict[MsgId, int] = {}
-        for ids in vects.values():
-            for msg_id in ids:
-                support[msg_id] = support.get(msg_id, 0) + 1
-        threshold = self.config.f + 1
-        chosen = sorted(
+        # f+1 support needs a correct voucher, so the supported ranges
+        # span only ids some correct process holds: safe to expand.
+        supported = supported_id_ranges(vects.values(), self.config.f + 1)
+        chosen = [
             msg_id
-            for msg_id, votes in support.items()
-            if votes >= threshold
-            and msg_id not in self._scheduled
-            and not self._is_delivered(msg_id)
-        )
+            for msg_id in expand_id_ranges(supported)
+            if msg_id not in self._scheduled and not self._is_delivered(msg_id)
+        ]
         self.agreements_started += 1
         if self.stack.metrics.enabled:
             self._agreement_started_at[round_number] = self.stack.clock()
         mvc = self.make_child("mvc", ("mvc", round_number), purpose=PURPOSE_AGREEMENT)
-        mvc.propose([[s, r] for s, r in chosen])  # type: ignore[attr-defined]
+        # MVC compares proposals by their encoding: the canonical form
+        # makes equal sets equal values.
+        mvc.propose(encode_id_ranges(chosen))  # type: ignore[attr-defined]
 
     def _on_agreement(self, round_number: int, decision: Any) -> None:
         if round_number != self._round:
             return
-        ids = self._parse_id_list(decision) if decision is not None else None
+        ranges = parse_id_ranges(decision, self.config.process_ids)
+        ids = expand_id_ranges(ranges) if ranges else None
         if ids:
-            for msg_id in sorted(ids):
+            for msg_id in ids:
                 # Skip identifiers awaiting delivery *or* already
                 # delivered (here, or -- on a fast-forwarded instance --
                 # group-wide per the transferred frontier): peers skip

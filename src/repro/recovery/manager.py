@@ -39,7 +39,7 @@ from collections import deque
 from typing import Any
 
 from repro.apps.state_machine import Command, ReplicatedStateMachine
-from repro.core.atomic_broadcast import AbDelivery, AtomicBroadcast, MsgId
+from repro.core.atomic_broadcast import AbDelivery, AtomicBroadcast, MsgId, parse_id_ranges
 from repro.core.errors import ProtocolViolationError, WireFormatError
 from repro.core.stack import Stack
 from repro.core.stats import RecoveryStats
@@ -394,7 +394,9 @@ class RecoveryManager:
         verified = None
         if ckpt is not None:
             seq, digest, snapshot, frontier_raw, cert_raw = ckpt
-            frontier = AtomicBroadcast.parse_frontier(frontier_raw)
+            frontier = parse_id_ranges(
+                frontier_raw, self._cfg.process_ids, watermarks=True
+            )
             certificate = parse_certificate(cert_raw, self._cfg.num_processes)
             if (
                 frontier is not None

@@ -8,7 +8,7 @@ has ever been ordered.
 """
 
 from repro.core import atomic_broadcast
-from repro.core.atomic_broadcast import RETAINED_ROUNDS
+from repro.core.atomic_broadcast import RETAINED_ROUNDS, parse_id_ranges
 from repro.core.config import GroupConfig
 from repro.core.reliable_broadcast import MSG_INIT, MSG_READY
 from repro.core.wire import decode_frame_ex
@@ -96,7 +96,7 @@ class TestFlatFootprint:
         assert ab.delivered_count == 5
         assert len(ab._received) == 0
         # One contiguous watermark per sender, no sparse stragglers.
-        assert ab.delivered_frontier() == [[0, 4, []]]
+        assert ab.delivered_frontier() == [[0, 0, 4]]
 
     def test_message_instance_goes_at_delivery(self):
         net = InstantNet(4)
@@ -121,6 +121,39 @@ class TestFlatFootprint:
             # The retained rounds still answer stragglers.
             for round_number in range(ab.gc_floor, ab.round + 1):
                 assert stack.instance_at(("g", "vect", round_number, 0)) is not None
+
+
+class TestFrontier:
+    def test_canonical_ranges_with_the_watermark_first(self):
+        net = InstantNet(4)
+        setup(net)
+        ab = ab_of(net, 0)
+        for msg_id in [(2, 5), (0, 7), (0, 3), (0, 0), (0, 4), (0, 1)]:
+            ab._mark_delivered(msg_id)
+        frontier = ab.delivered_frontier()
+        assert frontier == [[0, 0, 1], [0, 3, 4], [0, 7, 7], [2, 5, 5]]
+        assert parse_id_ranges(frontier, range(4), watermarks=True) is not None
+
+    def test_one_frontier_per_delivered_set(self):
+        """Checkpoint digests hash the frontier: replicas that reached
+        one delivered set by different routes must spell it alike."""
+        net = InstantNet(4)
+        setup(net)
+        in_order, absorbed = ab_of(net, 0), ab_of(net, 1)
+        for rbid in range(5):
+            in_order._mark_delivered((0, rbid))
+        absorbed.absorb_frontier([(0, 3, 4)])
+        absorbed.absorb_frontier([(0, 0, 2)])
+        assert absorbed.delivered_frontier() == in_order.delivered_frontier() == [[0, 0, 4]]
+
+    def test_watermarks_install_unexpanded_and_never_move_back(self):
+        net = InstantNet(4)
+        setup(net)
+        ab = ab_of(net, 2)
+        ab.absorb_frontier([(1, 0, 10**12)])
+        ab.absorb_frontier([(1, 0, 3)])
+        assert ab.delivered_frontier() == [[1, 0, 10**12]]
+        assert ab.pending_local == 0
 
 
 class _WithholdingNet(InstantNet):

@@ -114,3 +114,18 @@ class TestFaultPlan:
         assert FaultPlan.fail_stop(2).crashed == {2: 0.0}
         plan = FaultPlan.with_byzantine(1, byzantine_paper_faultload)
         assert plan.faulty_ids() == {1}
+
+
+class TestVectForge:
+    def test_every_correct_broadcast_delivers_across_seeds(self):
+        """Forged AB_VECTs (bool-spelled, non-canonical, over-cap, ghost
+        ids, an at-cap ghost range) neither break an invariant nor hold
+        back a correct op; the
+        scenario's driver raises ``ab-forge-liveness`` otherwise."""
+        from repro.check.explore import explore
+
+        reproducer = explore("byz-vect-forge", 5)
+        assert reproducer is None, (
+            f"violated {reproducer['violation']['invariant']} (seed {reproducer['seed']}): "
+            f"{reproducer['violation']['detail']}"
+        )

@@ -1,11 +1,27 @@
 """Atomic broadcast: total order, agreement batching, dynamic instance
-creation, and hostile inputs."""
+creation, hostile inputs, and the id-range wire form."""
+
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.atomic_broadcast import AbDelivery
+from repro.core import atomic_broadcast
+from repro.core.atomic_broadcast import (
+    AbDelivery,
+    encode_id_ranges,
+    expand_id_ranges,
+    parse_id_ranges,
+    supported_id_ranges,
+)
+from repro.core.config import GroupConfig
+from repro.core.reliable_broadcast import MSG_INIT
+from repro.core.wire import decode_frame_ex, encode_value
 
 from util import InstantNet, ShuffleNet
+
+FUZZ = dict(max_examples=int(os.environ.get("RITAS_FUZZ_EXAMPLES", "30")), deadline=None)
 
 
 def setup_ab(net, path=("ab",)):
@@ -150,7 +166,7 @@ class TestHostileInputs:
         orders = setup_ab(net)
         for dest in range(3):
             net.stacks[3].send_frame(
-                dest, ("ab", "vect", 0, 3), MSG_INIT, [[2, 999], [1, 777]]
+                dest, ("ab", "vect", 0, 3), MSG_INIT, [[1, 777, 777], [2, 999, 999]]
             )
         for pid in range(3):
             net.stacks[pid].instance_at(("ab",)).broadcast(b"real%d" % pid)
@@ -185,21 +201,155 @@ class TestHostileInputs:
         assert net.stacks[0].live_instances == before  # parked, not created
 
     def test_duplicate_ids_in_vect_rejected(self):
-        net = InstantNet(4)
-        setup_ab(net)
-        ab = net.stacks[0].instance_at(("ab",))
-        assert ab._parse_id_list([[1, 2], [1, 2]]) is None
+        assert parse_id_ranges([[1, 2, 2], [1, 2, 2]], PIDS) is None
+        assert parse_id_ranges([[1, 2, 5], [1, 4, 9]], PIDS) is None
 
     def test_id_list_parser_shapes(self):
+        assert parse_id_ranges([[0, 1, 1], [3, 0, 4]], PIDS) == [(0, 1, 1), (3, 0, 4)]
+        assert parse_id_ranges([[0, 1, 3], [0, 5, 5]], PIDS) == [(0, 1, 3), (0, 5, 5)]
+        assert parse_id_ranges([], PIDS) == []
+        for junk in (
+            "junk",
+            None,
+            [[0, 1]],  # the old per-id form
+            [[0, 1, 1, 1]],
+            [(0, 1, 1)],
+            [[9, 0, 0]],  # unknown sender
+            [[-1, 0, 0]],
+            [[0, -1, 2]],  # negative
+            [[0, 3, 2]],  # inverted
+            [[0, 0, 2], [0, 3, 4]],  # adjacent but not merged
+            [[0, 5, 6], [0, 1, 2]],  # unsorted within a sender
+            [[1, 0, 0], [0, 0, 0]],  # unsorted senders
+            [[0, 0, 0.5]],
+        ):
+            assert parse_id_ranges(junk, PIDS) is None, junk
+
+    def test_parser_caps_before_expanding(self):
+        cap = atomic_broadcast.MAX_VECT_IDS
+        assert parse_id_ranges([[0, 0, cap - 1]], PIDS) == [(0, 0, cap - 1)]
+        assert parse_id_ranges([[0, 0, cap]], PIDS) is None
+        assert parse_id_ranges([[0, 0, cap // 2], [1, 0, cap // 2]], PIDS) is None
+        # Counted from the bounds: a trillion-id range is refused at once.
+        assert parse_id_ranges([[0, 0, 10**12]], PIDS) is None
+
+    def test_frontier_watermarks_are_exempt_and_sparse_capped_per_sender(self):
+        cap = atomic_broadcast.MAX_VECT_IDS
+        huge = [[0, 0, 10**12], [0, 10**12 + 2, 10**12 + 2]]
+        assert parse_id_ranges(huge, PIDS, watermarks=True) == [tuple(r) for r in huge]
+        assert parse_id_ranges(huge, PIDS) is None
+        sparse = [[0, 2, cap + 1], [1, 2, cap + 1]]
+        assert parse_id_ranges(sparse, PIDS, watermarks=True) is not None
+        assert parse_id_ranges(sparse, PIDS) is None
+        assert parse_id_ranges([[0, 2, cap + 2]], PIDS, watermarks=True) is None
+
+    @pytest.mark.parametrize(
+        "forged", [[[True, 0, 0]], [[1, False, 0]], [[1, 0, True]], [[0, 0, 0], [True, 0, 0]]]
+    )
+    def test_bool_spelled_ids_are_malformed(self, forged):
+        """``True == 1``: a parser that admits bools lets one set reach
+        MVC in two spellings, which MVC treats as two values."""
+        assert parse_id_ranges(forged, PIDS) is None
+        assert parse_id_ranges(forged, PIDS, watermarks=True) is None
+
+    def test_bool_spelled_vect_never_counts_toward_support(self):
+        from repro.core.reliable_broadcast import MSG_INIT
+
+        net = InstantNet(4)
+        orders = setup_ab(net)
+        for dest in range(3):
+            net.stacks[3].send_frame(dest, ("ab", "vect", 0, 3), MSG_INIT, [[True, 0, 0]])
+        for pid in range(3):
+            net.stacks[pid].instance_at(("ab",)).broadcast(b"v%d" % pid)
+        net.run()
+        for pid in range(3):
+            assert orders[pid] == orders[0] and len(orders[pid]) == 3
+            vects = net.stacks[pid].instance_at(("ab",))._round_vects[0]
+            assert 3 not in vects and sorted(vects) == [0, 1, 2]
+
+    def test_bool_spelled_decision_schedules_nothing(self):
         net = InstantNet(4)
         setup_ab(net)
         ab = net.stacks[0].instance_at(("ab",))
-        assert ab._parse_id_list([[0, 1], [3, 0]]) == [(0, 1), (3, 0)]
-        assert ab._parse_id_list("junk") is None
-        assert ab._parse_id_list([[0]]) is None
-        assert ab._parse_id_list([[9, 0]]) is None  # unknown pid
-        assert ab._parse_id_list([[0, -1]]) is None
-        assert ab._parse_id_list([]) == []
+        ab._on_agreement(0, [[0, True, 1]])
+        assert ab.agreements_empty == 1 and not ab._scheduled and ab.round == 1
+
+
+PIDS = range(4)
+
+id_sets = st.sets(st.tuples(st.integers(0, 3), st.integers(0, 300)), max_size=60)
+
+
+@given(ids=id_sets, order=st.randoms(use_true_random=False))
+@settings(**FUZZ)
+def test_id_ranges_round_trip_and_have_one_spelling(ids, order):
+    wire = encode_id_ranges(ids)
+    assert expand_id_ranges(parse_id_ranges(wire, PIDS)) == sorted(ids)
+    shuffled = list(ids)
+    order.shuffle(shuffled)
+    assert encode_value(encode_id_ranges(shuffled)) == encode_value(wire)
+
+
+@given(
+    payload=st.lists(
+        st.lists(st.integers(-1, 6) | st.booleans(), min_size=3, max_size=3), max_size=5
+    )
+)
+@settings(**FUZZ)
+def test_parser_accepts_only_the_canonical_spelling(payload):
+    parsed = parse_id_ranges(payload, PIDS)
+    if parsed is not None:
+        canonical = encode_id_ranges(expand_id_ranges(parsed))
+        assert encode_value(canonical) == encode_value(payload)
+
+
+dense_id_sets = st.sets(st.tuples(st.integers(0, 2), st.integers(0, 30)), max_size=60)
+
+
+@given(vects=st.lists(dense_id_sets, min_size=1, max_size=4), threshold=st.integers(1, 3))
+@settings(**FUZZ)
+def test_supported_ranges_match_per_id_counting(vects, threshold):
+    support: dict = {}
+    for ids in vects:
+        for msg_id in ids:
+            support[msg_id] = support.get(msg_id, 0) + 1
+    expected = encode_id_ranges(m for m, votes in support.items() if votes >= threshold)
+    parsed = [parse_id_ranges(encode_id_ranges(ids), PIDS) for ids in vects]
+    assert [list(r) for r in supported_id_ranges(parsed, threshold)] == expected
+
+
+def test_supported_ranges_sweep_endpoints_without_expanding():
+    """A range's cost is its two endpoints: trillion-id ranges sweep at
+    once, and ranges meeting end to end merge into one canonical range."""
+    huge = [[(0, 0, 10**12)], [(0, 5, 10**12 + 7), (1, 0, 10**12)], [(1, 3, 3)]]
+    assert supported_id_ranges(huge, 2) == [(0, 5, 10**12), (1, 3, 3)]
+    assert supported_id_ranges([[(2, 0, 4)], [(2, 5, 9)]], 1) == [(2, 0, 9)]
+    assert supported_id_ranges([[(2, 0, 4)], [(2, 5, 9)]], 2) == []
+    assert supported_id_ranges([[(2, 0, 9)], [(2, 0, 4)]], 1) == [(2, 0, 9)]
+
+
+def test_one_sender_burst_vect_is_one_range():
+    """The AB_VECTs for a 1000-message burst from one sender stay one
+    range each (32 bytes in the wire codec) instead of growing per id."""
+    config = GroupConfig(4, batching=False)
+    vects = []
+
+    class Spy(InstantNet):
+        def enqueue(self, src, dest, data):
+            path, mtype, payload = decode_frame_ex(data)[:3]
+            if path[1:2] == ("vect",) and mtype == MSG_INIT:
+                vects.append(payload)
+            super().enqueue(src, dest, data)
+
+    net = Spy(config=config)
+    orders = setup_ab(net)
+    for k in range(1000):
+        net.stacks[0].instance_at(("ab",)).broadcast(b"%d" % k)
+    net.run()
+    assert all(len(o) == 1000 for o in orders.values())
+    assert vects
+    assert all(len(v) <= 1 and len(encode_value(v)) <= 32 for v in vects), vects
+    assert max(last - first + 1 for v in vects for _, first, last in v) >= 500
 
 
 class TestDeliveryDataclass:
