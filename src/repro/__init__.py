@@ -25,7 +25,8 @@ Quickstart (simulated 4-process LAN)::
     sim.run(until=lambda: all(len(d) == 1 for d in deliveries))
 
 See :mod:`repro.transport` for running over real TCP sockets and
-:mod:`repro.eval` for the paper's benchmark harness.
+:mod:`repro.eval` for the reproduction of the paper's evaluation
+(``python -m repro.eval``).
 """
 
 from repro.core import (

@@ -8,7 +8,7 @@ removal "is very costly in terms of time and requires synchrony
 assumptions").
 
 :class:`SequencerAtomicBroadcast` reproduces that design point so the
-ablation benchmarks can show both sides: lower latency than the
+``ablation-sequencer`` section of ``python -m repro.eval`` can show both sides: lower latency than the
 consensus-based protocol when the leader is correct, and a total
 liveness loss when the leader crashes (where RITAS keeps delivering).
 """

@@ -10,8 +10,8 @@ Design, after Reiter's Rampart (Section 5 of the paper):
 This is intentionally the paper's foil, not a complete system: there is
 no leader-failure detection or view change, so a crashed or silent
 leader halts delivery forever -- exactly the weakness the paper's
-leader-free stack avoids.  The ablation benchmark
-(``benchmarks/bench_ablation_sequencer.py``) measures both regimes.
+leader-free stack avoids.  ``python -m repro.eval ablation-sequencer``
+measures both regimes.
 """
 
 from __future__ import annotations

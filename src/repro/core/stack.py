@@ -758,10 +758,7 @@ class Stack:
         or protocol work -- the cheap path is the point of quarantine.
         """
         if src != self.process_id and self.ledger.quarantined(src):
-            self.stats.frames_quarantine_dropped += 1
-            self.stats.record_drop("quarantined")
-            if self.tracer.enabled:
-                self.tracer.emit(self.process_id, KIND_DROP, (), src=src, reason="quarantined")
+            self._drop(src, "quarantined")
             return
         # Inlined coalesce() window (the contextmanager shows up on
         # profiles at one open/close per received unit).
@@ -776,18 +773,14 @@ class Stack:
     def _receive_unit(self, src: int, data, depth: int) -> None:
         if is_batch(data):
             if depth >= MAX_BATCH_DEPTH:
-                self.stats.record_drop("batch-too-deep")
+                self._drop(src, "batch-too-deep")
                 self.report_misbehavior(src, "batch-too-deep")
                 return
             try:
                 frames = decode_batch_views(data)
             except WireFormatError:
-                self.stats.record_drop("malformed-batch")
+                self._drop(src, "malformed-batch")
                 self.report_misbehavior(src, "malformed-batch")
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        self.process_id, KIND_DROP, (), src=src, reason="malformed-batch"
-                    )
                 return
             self.stats.record_batch_received(len(frames))
             for frame in frames:
@@ -801,7 +794,8 @@ class Stack:
         # cannot fail -- and its raw payload is owned bytes.
         parsed = frame_fastpath(data)
         if parsed is None:
-            self._drop_malformed(src)
+            self._drop(src, "malformed-frame")
+            self.report_misbehavior(src, "malformed-frame")
             return
         path_key, mtype, raw = parsed
         # A frame for a live instance dispatches on the interned path
@@ -813,7 +807,8 @@ class Stack:
             try:
                 path = frame_path(path_key)
             except WireFormatError:
-                self._drop_malformed(src)
+                self._drop(src, "malformed-frame")
+                self.report_misbehavior(src, "malformed-frame")
                 return
         if self.tracer.enabled:
             self.tracer.emit(
@@ -825,11 +820,13 @@ class Stack:
         else:
             self.route(mbuf)
 
-    def _drop_malformed(self, src: int) -> None:
-        self.stats.record_drop("malformed-frame")
-        self.report_misbehavior(src, "malformed-frame")
+    def _drop(self, src: int, reason: str, path: Path = ()) -> None:
+        """Count and trace one discarded unit from *src*: every drop
+        site goes through here, so ``stats.dropped`` and the tracer's
+        ``drop`` events agree reason for reason."""
+        self.stats.record_drop(reason)
         if self.tracer.enabled:
-            self.tracer.emit(self.process_id, KIND_DROP, (), src=src, reason="malformed")
+            self.tracer.emit(self.process_id, KIND_DROP, path, src=src, reason=reason)
 
     def route(self, mbuf: Mbuf) -> None:
         """Demultiplex *mbuf* to its instance, or park it out-of-context."""
@@ -847,11 +844,11 @@ class Stack:
             try:
                 created = ancestor.accept_orphan(mbuf)
             except ProtocolViolationError:
-                self.stats.record_drop("protocol-violation")
+                self._drop(mbuf.src, "protocol-violation", mbuf.path)
                 self.report_misbehavior(mbuf.src, "protocol-violation")
                 return
             if created is ORPHAN_STALE:
-                self.stats.record_drop("stale-frame")
+                self._drop(mbuf.src, "stale-frame", mbuf.path)
                 return
             if created:
                 instance = self._registry.get(mbuf.path)
@@ -869,14 +866,14 @@ class Stack:
         try:
             instance.input(mbuf)
         except ProtocolViolationError:
-            self.stats.record_drop("protocol-violation")
+            self._drop(mbuf.src, "protocol-violation", mbuf.path)
             self.report_misbehavior(mbuf.src, "protocol-violation")
         except WireFormatError:
             # Defense in depth: lazy payloads are validated at receive
             # time, so a decode raising here means the validator and
             # decoder disagree -- treat it like any malformed frame
             # rather than letting it unwind the runtime.
-            self.stats.record_drop("malformed-frame")
+            self._drop(mbuf.src, "malformed-frame", mbuf.path)
             self.report_misbehavior(mbuf.src, "malformed-frame")
 
     # -- randomness -------------------------------------------------------------------

@@ -74,7 +74,6 @@ class StackStats:
     ooc_quota_evictions: int = 0
     misbehavior_reports: int = 0
     quarantine_entries: int = 0
-    frames_quarantine_dropped: int = 0
     sends_shed: int = 0
     backpressure_signals: int = 0
 

@@ -11,6 +11,7 @@ executed on behalf of the agreement task.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.adversary import byzantine_paper_faultload
 from repro.core.config import GroupConfig
@@ -169,6 +170,15 @@ def run_burst(
         latency_p95_s=per_message.quantile(0.95) if per_message.count else 0.0,
         latency_p99_s=per_message.quantile(0.99) if per_message.count else 0.0,
     )
+
+
+def tmax_by_size(results: Sequence[BurstResult]) -> dict[int, float]:
+    """Maximum observed throughput per message size (the T_max of the
+    paper: where the throughput curve stabilizes)."""
+    tmax: dict[int, float] = {}
+    for r in results:
+        tmax[r.message_bytes] = max(tmax.get(r.message_bytes, 0.0), r.throughput_msgs_s)
+    return tmax
 
 
 def sweep_bursts(

@@ -2,7 +2,8 @@
 
 In the style of the experimental BFT-comparison literature (arXiv
 2004.09547): the same workload is run over every registered
-(engine, coin) pair and three views are reported --
+(engine, coin) pair and three views are reported (``python -m
+repro.eval ablation-coin`` prints them side by side) --
 
 - **isolated latency** (Table-1 style): wall-clock seconds from propose
   to the observer's decision, one instance on the simulated 2006 LAN;
@@ -183,28 +184,3 @@ def rounds_distribution(
         decision_rounds(engine, coin, base_seed + seed, n=n, attacker=attacker)
         for seed in range(samples)
     )
-
-
-def head_to_head(
-    *,
-    samples: int = 60,
-    n: int = 4,
-    attacker: bool = True,
-    pairs: tuple[tuple[str, str], ...] = ENGINE_PAIRS,
-) -> dict[str, dict[str, Any]]:
-    """The full comparison table, one entry per (engine, coin) pair."""
-    table: dict[str, dict[str, Any]] = {}
-    for engine, coin in pairs:
-        dist = rounds_distribution(engine, coin, samples=samples, n=n, attacker=attacker)
-        total = sum(dist.values())
-        table[f"{engine}+{coin}"] = {
-            "engine": engine,
-            "coin": coin,
-            "isolated_latency_s": isolated_latency(engine, coin, n=n),
-            "burst_throughput_msgs_s": burst_throughput(engine, coin, n=n),
-            "rounds_histogram": dict(sorted(dist.items())),
-            "rounds_mean": sum(r * c for r, c in dist.items()) / total,
-            "rounds_max": max(dist),
-            "rounds_tail_gt2": sum(c for r, c in dist.items() if r > 2),
-        }
-    return table

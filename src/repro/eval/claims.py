@@ -1,15 +1,15 @@
 """Executable checks of the paper's Section 4.3 claims.
 
-EXPERIMENTS.md *documents* the reproduction; this module *checks* it.
 Each claim is one pure function over measured results -- Table 1 rows
 (:class:`LatencyRow`) or atomic broadcast bursts (:class:`BurstResult`)
 -- returning a verdict with evidence, so every claim has one definition
 and one threshold wherever it is judged:
 
-* the ``check_*`` functions (``ritas-bench claims``, pinned by the test
-  suite) measure reduced workloads -- seconds, not minutes; the claims
-  are about shape, which survives the reduction -- and judge them;
-* ``benchmarks/generate_experiments.py`` judges the full sweeps behind
+* the ``check_*`` functions (``python -m repro.eval claims --quick``,
+  pinned by the test suite) measure reduced workloads -- seconds, not
+  minutes; the claims are about shape, which survives the reduction --
+  and judge them;
+* ``python -m repro.eval claims`` judges the full sweeps behind
   EXPERIMENTS.md with :func:`judge_all`.
 """
 
@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.eval import paper_data
-from repro.eval.atomic_burst import FAULTLOADS, BurstResult, run_burst
-from repro.eval.report import tmax_by_size
+from repro.eval.atomic_burst import FAULTLOADS, BurstResult, run_burst, tmax_by_size
 from repro.eval.stack_analysis import PROTOCOL_ORDER, LatencyRow, latency_table
 
 
 @dataclass(frozen=True)
 class ClaimResult:
-    """Verdict for one paper claim."""
+    """Verdict for one claim: a paper claim here, or any section's
+    verdict in :mod:`repro.eval.sections`."""
 
     number: int
     claim: str
@@ -262,15 +262,3 @@ ALL_CHECKS: tuple[Callable[[int], ClaimResult], ...] = (
 def check_all(seed: int = 2) -> list[ClaimResult]:
     """Run every claim check; returns verdicts in claim order."""
     return [check(seed) for check in ALL_CHECKS]
-
-
-def format_results(results: list[ClaimResult]) -> str:
-    lines = ["Paper claims (Section 4.3) -- reproduction verdicts:", ""]
-    for result in results:
-        mark = "PASS" if result.holds else "FAIL"
-        lines.append(f"  [{mark}] {result.number}. {result.claim}")
-        lines.append(f"         {result.evidence}")
-    passed = sum(1 for r in results if r.holds)
-    lines.append("")
-    lines.append(f"{passed}/{len(results)} claims reproduced")
-    return "\n".join(lines)

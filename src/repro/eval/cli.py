@@ -1,11 +1,13 @@
-"""``ritas-bench`` -- regenerate the paper's tables and figures from the
-command line.
+"""``python -m repro.eval`` (also installed as ``ritas-bench``): print
+one section of the reproduction document, or all of it.
 
 Examples::
 
-    ritas-bench table1
-    ritas-bench fig4 --quick
-    ritas-bench all --quick
+    python -m repro.eval fig4 --quick
+    python -m repro.eval ablation-signatures
+    python -m repro.eval all > EXPERIMENTS.md
+
+Exits 1 if a verdict of a printed section fails.
 """
 
 from __future__ import annotations
@@ -13,103 +15,31 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.eval.atomic_burst import (
-    PAPER_BURST_SIZES,
-    PAPER_MESSAGE_SIZES,
-    run_burst,
-    sweep_bursts,
-)
-from repro.eval.report import (
-    format_burst_sweep,
-    format_fig7,
-    format_table1,
-    tmax_by_size,
-)
-from repro.eval.stack_analysis import latency_table
-
-QUICK_BURSTS = (4, 16, 64, 250, 1000)
-QUICK_SIZES = (10, 100, 1000)
-
-FIG_TITLES = {
-    "fig4": ("failure-free", "Figure 4 -- atomic broadcast, failure-free faultload"),
-    "fig5": ("fail-stop", "Figure 5 -- atomic broadcast, fail-stop faultload"),
-    "fig6": ("byzantine", "Figure 6 -- atomic broadcast, Byzantine faultload"),
-}
-
-
-def _run_table1(args: argparse.Namespace) -> None:
-    rows = latency_table(runs=2 if args.quick else 5, seed=args.seed)
-    print(format_table1(rows))
-
-
-def _run_figure(which: str, args: argparse.Namespace) -> None:
-    faultload, title = FIG_TITLES[which]
-    results = sweep_bursts(
-        faultload,
-        burst_sizes=QUICK_BURSTS if args.quick else PAPER_BURST_SIZES,
-        message_sizes=QUICK_SIZES if args.quick else PAPER_MESSAGE_SIZES,
-        seed=args.seed,
-    )
-    print(format_burst_sweep(results, title))
-    print("T_max (msgs/s):", {m: round(t) for m, t in tmax_by_size(results).items()})
-    if args.plot:
-        from repro.eval.plotting import burst_latency_chart, burst_throughput_chart
-
-        print()
-        print(burst_latency_chart(results, f"{title}: burst latency"))
-        print()
-        print(burst_throughput_chart(results, f"{title}: throughput"))
-
-
-def _run_fig7(args: argparse.Namespace) -> None:
-    bursts = QUICK_BURSTS if args.quick else PAPER_BURST_SIZES
-    results = [run_burst(k, 10, "failure-free", seed=args.seed) for k in bursts]
-    print(format_fig7(results))
-    if args.plot:
-        from repro.eval.plotting import agreement_cost_chart
-
-        print()
-        print(agreement_cost_chart(results))
+from repro.eval.sections import HEADER, SECTIONS
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="ritas-bench",
-        description="Reproduce the evaluation of Moniz et al., DSN 2006.",
+        prog="python -m repro.eval",
+        description="Reproduce the evaluation of Moniz et al., DSN 2006, as markdown.",
     )
     parser.add_argument(
-        "experiment",
-        choices=["table1", "fig4", "fig5", "fig6", "fig7", "claims", "all"],
-        help="which table/figure to regenerate (or 'claims' for the "
-        "Section 4.3 verdicts)",
+        "section",
+        choices=[*SECTIONS, "all"],
+        help="one section, or 'all' for the whole document (EXPERIMENTS.md)",
     )
     parser.add_argument(
-        "--quick", action="store_true", help="smaller sweeps (seconds, not minutes)"
+        "--quick", action="store_true", help="reduced grids (seconds, not minutes)"
     )
-    parser.add_argument(
-        "--plot", action="store_true", help="render ASCII charts of the curves"
-    )
-    parser.add_argument("--seed", type=int, default=1, help="simulation master seed")
     args = parser.parse_args(argv)
 
-    experiments = (
-        ["table1", "fig4", "fig5", "fig6", "fig7"]
-        if args.experiment == "all"
-        else [args.experiment]
-    )
-    for experiment in experiments:
-        if experiment == "table1":
-            _run_table1(args)
-        elif experiment in FIG_TITLES:
-            _run_figure(experiment, args)
-        elif experiment == "claims":
-            from repro.eval.claims import check_all, format_results
-
-            print(format_results(check_all(seed=args.seed)))
-        else:
-            _run_fig7(args)
-        print()
-    return 0
+    names = list(SECTIONS) if args.section == "all" else [args.section]
+    sections = [SECTIONS[name](args.quick) for name in names]
+    text = "\n".join(line for section in sections for line in section.lines)
+    if args.section == "all":
+        text = HEADER + "\n" + text
+    print(text, end="")
+    return 0 if all(section.holds for section in sections) else 1
 
 
 if __name__ == "__main__":

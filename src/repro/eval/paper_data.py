@@ -43,13 +43,3 @@ FIG6_BYZANTINE = {
 #: Figure 7 -- relative cost of agreement (fraction of all reliable+echo
 #: broadcasts spent on agreement) at the extreme burst sizes.
 FIG7_AGREEMENT_COST = {4: 0.92, 1000: 0.024}
-
-#: Section 4.3 qualitative claims checked by tests and benches.
-CLAIMS = (
-    "binary consensus always decides in one round under all faultloads",
-    "multi-valued consensus never decides the default value under all faultloads",
-    "fail-stop runs are faster than failure-free runs (less contention)",
-    "Byzantine faultload performance is approximately failure-free performance",
-    "a whole burst is delivered within about two agreements",
-    "agreement cost dilutes from ~92% at k=4 to ~2.4% at k=1000",
-)

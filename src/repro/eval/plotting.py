@@ -1,9 +1,9 @@
 """Terminal plots for the benchmark figures.
 
 The paper presents Figures 4-7 as latency/throughput line charts; this
-module renders the same series as ASCII charts so ``ritas-bench`` can
-show curve *shapes* directly in the terminal with no plotting
-dependencies.
+module renders the same series as ASCII charts, so the Figure 4 and
+Figure 7 sections of ``python -m repro.eval`` show curve *shapes* with
+no plotting dependencies.
 """
 
 from __future__ import annotations

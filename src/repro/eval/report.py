@@ -1,74 +1,135 @@
-"""Plain-text rendering of benchmark results next to the paper's numbers."""
+"""Markdown rendering: one renderer per table of the reproduction
+document (``python -m repro.eval``, whose full output is EXPERIMENTS.md).
+"""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
 from repro.eval import paper_data
-from repro.eval.atomic_burst import BurstResult
+from repro.eval.atomic_burst import PAPER_MESSAGE_SIZES, BurstResult, tmax_by_size
+from repro.eval.claims import ClaimResult
 from repro.eval.stack_analysis import LatencyRow
 
 
-def format_table1(rows: list[LatencyRow]) -> str:
-    """Render Table 1: measured vs paper, with IPSec overhead columns."""
-    lines = [
-        "Table 1 -- average latency for isolated executions (microseconds)",
-        f"{'protocol':<24}{'w/IPSec':>10}{'w/o':>10}{'ovh':>6}"
-        f"{'p50':>9}{'p95':>9}{'p99':>9}"
-        f"{'paper w/':>10}{'paper w/o':>10}{'ovh':>6}",
-    ]
-    for row in rows:
+@dataclass(frozen=True)
+class Section:
+    """One section of the document: its markdown lines (the last one
+    blank) and the verdicts it judged."""
+
+    lines: tuple[str, ...]
+    verdicts: tuple[ClaimResult, ...] = ()
+
+    @property
+    def holds(self) -> bool:
+        return all(verdict.holds for verdict in self.verdicts)
+
+
+def numbered(*verdicts: tuple[str, bool, str]) -> tuple[ClaimResult, ...]:
+    """``(claim, holds, evidence)`` triples as verdicts numbered from 1."""
+    return tuple(ClaimResult(i, *verdict) for i, verdict in enumerate(verdicts, 1))
+
+
+def table(header: Sequence[str], rows: Iterable[Sequence[object]], align: str) -> list[str]:
+    """A markdown table; *align* holds one ``l`` or ``r`` per column."""
+    rule = "|" + "|".join("---:" if a == "r" else "---" for a in align) + "|"
+    lines = ["| " + " | ".join(header) + " |", rule]
+    lines += ["| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
+    return lines
+
+
+def verdict_table(
+    verdicts: Sequence[ClaimResult], columns: tuple[str, str] = ("Verdict", "Holds")
+) -> list[str]:
+    """Numbered verdicts with their evidence; a failed one is **no**."""
+    return table(
+        ("#",) + columns,
+        (
+            (v.number, v.claim, f"{'yes' if v.holds else '**no**'} ({v.evidence})")
+            for v in verdicts
+        ),
+        "lll",
+    )
+
+
+def fenced(text: str) -> list[str]:
+    """An ASCII chart as a code block."""
+    return ["```", text, "```"]
+
+
+def table1_table(rows: Sequence[LatencyRow]) -> list[str]:
+    """Table 1: measured vs paper, with IPSec overhead columns."""
+
+    def cells(row: LatencyRow) -> tuple:
         paper = paper_data.TABLE1_US[row.protocol]
-        paper_ovh = paper["ipsec"] / paper["plain"] - 1.0
-        lines.append(
-            f"{row.name:<24}"
-            f"{row.with_ipsec_us:>10.0f}{row.without_ipsec_us:>10.0f}"
-            f"{row.ipsec_overhead:>6.0%}"
-            f"{row.p50_us:>9.0f}{row.p95_us:>9.0f}{row.p99_us:>9.0f}"
-            f"{paper['ipsec']:>10}{paper['plain']:>10}{paper_ovh:>6.0%}"
+        return (
+            row.name,
+            f"{row.with_ipsec_us:.0f}",
+            f"{row.without_ipsec_us:.0f}",
+            f"{row.ipsec_overhead:.0%}",
+            paper["ipsec"],
+            paper["plain"],
+            f"{paper['ipsec'] / paper['plain'] - 1:.0%}",
         )
-    return "\n".join(lines)
+
+    return table(
+        (
+            "Protocol",
+            "measured w/ IPSec",
+            "measured w/o",
+            "measured ovh",
+            "paper w/ IPSec",
+            "paper w/o",
+            "paper ovh",
+        ),
+        map(cells, rows),
+        "lrrrrrr",
+    )
 
 
-def format_burst_sweep(results: list[BurstResult], title: str) -> str:
-    """Render one of Figures 4-6 as latency/throughput series."""
-    lines = [
-        title,
-        f"{'m (B)':>7}{'k':>6}{'latency ms':>12}{'msgs/s':>9}"
-        f"{'p50 ms':>9}{'p99 ms':>9}"
-        f"{'agr%':>7}{'agrs':>6}{'bc rnds':>8}{'mvc ⊥':>6}",
-    ]
-    for r in results:
-        lines.append(
-            f"{r.message_bytes:>7}{r.burst_size:>6}"
-            f"{r.latency_s * 1e3:>12.1f}{r.throughput_msgs_s:>9.0f}"
-            f"{r.latency_p50_s * 1e3:>9.1f}{r.latency_p99_s * 1e3:>9.1f}"
-            f"{r.agreement_cost:>7.1%}{r.agreements:>6}"
-            f"{r.max_bc_rounds:>8}{r.mvc_default_decisions:>6}"
-        )
-    return "\n".join(lines)
+def burst_table(results: Sequence[BurstResult]) -> list[str]:
+    """One row per burst of a Figure 4-6 sweep."""
+    return table(
+        ("m (B)", "k", "measured L_burst (ms)", "measured msgs/s", "agreements",
+         "bc rounds", "mvc ⊥"),
+        (
+            (r.message_bytes, r.burst_size, f"{r.latency_s * 1e3:.0f}",
+             f"{r.throughput_msgs_s:.0f}", r.agreements, r.max_bc_rounds,
+             r.mvc_default_decisions)
+            for r in results
+        ),
+        "rrrrrrr",
+    )
 
 
-def tmax_by_size(results: list[BurstResult]) -> dict[int, float]:
-    """Maximum observed throughput per message size (the T_max of the
-    paper: where the throughput curve stabilizes)."""
-    tmax: dict[int, float] = {}
-    for r in results:
-        tmax[r.message_bytes] = max(
-            tmax.get(r.message_bytes, 0.0), r.throughput_msgs_s
-        )
-    return tmax
+def paper_anchor_table(results: Sequence[BurstResult], paper_fig: dict) -> list[str]:
+    """L_burst at k=1000 and T_max per message size, beside the paper's."""
+    latency = {r.message_bytes: r.latency_s for r in results if r.burst_size == 1000}
+    tmax = tmax_by_size(results)
+    return table(
+        ("m (B)", "measured L_burst @k=1000 (ms)", "paper", "measured T_max (msgs/s)",
+         "paper"),
+        (
+            (m, f"{latency[m] * 1e3:.0f}", paper_fig[m]["latency_ms_k1000"],
+             f"{tmax[m]:.0f}", paper_fig[m]["tmax_msgs_s"])
+            for m in PAPER_MESSAGE_SIZES
+            if m in latency
+        ),
+        "rrrrr",
+    )
 
 
-def format_fig7(results: list[BurstResult]) -> str:
-    """Render Figure 7: relative agreement cost versus burst size."""
-    lines = [
-        "Figure 7 -- relative cost of agreement (agreement broadcasts / all broadcasts)",
-        f"{'k':>6}{'agreement':>11}{'total':>8}{'cost':>8}",
-    ]
-    for r in results:
-        lines.append(
-            f"{r.burst_size:>6}{r.agreement_broadcasts:>11}"
-            f"{r.total_broadcasts:>8}{r.agreement_cost:>8.1%}"
-        )
+def fig7_table(results: Sequence[BurstResult]) -> list[str]:
+    """Figure 7: agreement broadcasts against all broadcasts per burst."""
     paper = paper_data.FIG7_AGREEMENT_COST
-    lines.append(f"paper anchors: k=4 -> {paper[4]:.0%}, k=1000 -> {paper[1000]:.1%}")
-    return "\n".join(lines)
+    return table(
+        ("k", "agreement broadcasts", "total broadcasts", "measured cost", "paper"),
+        (
+            (r.burst_size, r.agreement_broadcasts, r.total_broadcasts,
+             f"{r.agreement_cost:.1%}",
+             f"{paper[r.burst_size] * 100:g}%" if r.burst_size in paper else "—")
+            for r in results
+        ),
+        "rrrrr",
+    )

@@ -23,7 +23,7 @@ from repro.core.stack import ProtocolFactory, Stack
 from repro.core.trace import Tracer
 from repro.crypto.coin import LocalCoin
 from repro.crypto.keys import TrustedDealer
-from repro.eval.bc_compare import ENGINE_PAIRS
+from repro.eval.bc_compare import ENGINE_PAIRS, pair_config
 
 from util import InstantNet, ShuffleNet, decisions_of
 
@@ -36,10 +36,6 @@ SCENARIO_BY_PAIR = {
 pair_params = pytest.mark.parametrize(
     ("engine", "coin"), ENGINE_PAIRS, ids=[f"{e}+{c}" for e, c in ENGINE_PAIRS]
 )
-
-
-def pair_config(engine, coin, n=4):
-    return GroupConfig(n, bc_engine=engine, bc_coin=coin)
 
 
 def run_bc(net, proposals, path=("bc",)):

@@ -6,23 +6,27 @@ that says so -- with the claim's own evidence string in the failure.
 
 import pytest
 
-from repro.eval.claims import ALL_CHECKS, check_all, format_results
+from repro.eval.claims import ALL_CHECKS, check_all
+from repro.eval.report import verdict_table
+
+
+@pytest.fixture(scope="module")
+def results():
+    return check_all()
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.__name__)
-def test_each_claim_reproduces(check):
-    result = check(2)
+def test_each_claim_reproduces(check, results):
+    result = results[ALL_CHECKS.index(check)]
     assert result.holds, f"claim {result.number} failed: {result.evidence}"
 
 
-def test_formatting_lists_every_claim():
-    results = check_all(seed=2)
-    text = format_results(results)
-    assert "8/8 claims reproduced" in text
-    for number in range(1, 9):
-        assert f"{number}." in text
+def test_formatting_lists_every_claim(results):
+    text = "\n".join(verdict_table(results))
+    assert "**no**" not in text
+    for result in results:
+        assert f"| {result.number} | {result.claim} | yes (" in text
 
 
-def test_claim_numbers_are_dense_and_ordered():
-    results = check_all(seed=2)
+def test_claim_numbers_are_dense_and_ordered(results):
     assert [r.number for r in results] == list(range(1, 9))

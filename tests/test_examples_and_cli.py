@@ -1,4 +1,4 @@
-"""Smoke tests: every example script runs, and the ritas-bench CLI works."""
+"""Smoke tests: every example script runs, and ``python -m repro.eval`` works."""
 
 import subprocess
 import sys
@@ -60,6 +60,15 @@ class TestCli:
         assert cli_main(["fig7", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "relative cost of agreement" in out
+
+    def test_exits_1_when_a_verdict_fails(self, monkeypatch, capsys):
+        from repro.eval import sections
+        from repro.eval.report import Section, numbered
+
+        failing = Section(("## failing", ""), numbered(("never", False, "by construction")))
+        monkeypatch.setitem(sections.SECTIONS, "table1", lambda quick: failing)
+        assert cli_main(["table1"]) == 1
+        assert capsys.readouterr().out == "## failing\n"
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):

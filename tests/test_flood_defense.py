@@ -192,9 +192,9 @@ class TestStackQuarantine:
         assert stack.ledger.quarantined(3)
         assert stack.stats.quarantine_entries == 1
         # Quarantined traffic is now shed at demux, before decode.
-        before = stack.stats.frames_quarantine_dropped
+        before = stack.stats.dropped["quarantined"]
         stack.receive(3, encode_frame(("ab", 3, "msg", 0), 0, b"x"))
-        assert stack.stats.frames_quarantine_dropped == before + 1
+        assert stack.stats.dropped["quarantined"] == before + 1
         assert len(stack.ooc) == 0
 
     def test_honest_runs_never_report(self):

@@ -638,38 +638,39 @@ class TestLoadgen:
         assert all(len(op.value) == 32 for op in writes_only)
 
     def test_run_load_audits_acked_writes(self):
-        """A small open-loop run: every acknowledged op's AB id appears
-        exactly once in the replicated log (zero lost, zero duplicated
-        acknowledged writes)."""
+        """Small open-loop runs, the second at 50 concurrent sessions:
+        every acknowledged op's AB id appears exactly once in the
+        replicated log (zero lost, zero duplicated acknowledged writes)."""
 
         async def scenario():
             nodes, services, gateway, port = await start_gateway_group()
             try:
-                profile = LoadProfile(
-                    sessions=10, rate=200.0, ops=60, read_fraction=0.4, seed=5
-                )
-                report = await asyncio.wait_for(
-                    run_load("127.0.0.1", port, profile, drain_timeout_s=60.0),
-                    timeout=120,
-                )
-                assert report.sent == 60
-                assert report.timeouts == 0
-                assert report.errors == 0
-                assert report.ok + report.retry_after == 60
-                assert report.latency_p50_s > 0
-                assert (
-                    report.latency_p99_s
-                    >= report.latency_p95_s
-                    >= report.latency_p50_s
-                )
-                # The audit: acked ids vs the replica's applied log.
-                applied_ids = [
-                    delivery.msg_id for delivery, _ in services[0].kv.rsm.applied
-                ]
-                assert len(set(applied_ids)) == len(applied_ids)
-                for acked in report.acked_ids:
-                    assert applied_ids.count(tuple(acked)) == 1
-                assert len(set(report.acked_ids)) == len(report.acked_ids)
+                for profile in (
+                    LoadProfile(sessions=10, rate=200.0, ops=60, read_fraction=0.4, seed=5),
+                    LoadProfile(sessions=50, rate=400.0, ops=200, read_fraction=0.5, seed=9),
+                ):
+                    report = await asyncio.wait_for(
+                        run_load("127.0.0.1", port, profile, drain_timeout_s=60.0),
+                        timeout=120,
+                    )
+                    assert report.sent == profile.ops
+                    assert report.timeouts == 0
+                    assert report.errors == 0
+                    assert report.ok + report.retry_after == profile.ops
+                    assert report.latency_p50_s > 0
+                    assert (
+                        report.latency_p99_s
+                        >= report.latency_p95_s
+                        >= report.latency_p50_s
+                    )
+                    # The audit: acked ids vs the replica's applied log.
+                    applied_ids = [
+                        delivery.msg_id for delivery, _ in services[0].kv.rsm.applied
+                    ]
+                    assert len(set(applied_ids)) == len(applied_ids)
+                    for acked in report.acked_ids:
+                        assert applied_ids.count(tuple(acked)) == 1
+                    assert len(set(report.acked_ids)) == len(report.acked_ids)
             finally:
                 await close_all(gateway, nodes)
 

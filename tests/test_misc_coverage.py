@@ -59,11 +59,11 @@ class TestCliFigures:
         out = capsys.readouterr().out
         assert "T_max" in out
 
-    def test_fig5_quick_with_plot(self, capsys):
-        assert cli_main(["fig5", "--quick", "--plot"]) == 0
+    def test_fig5_quick_runs(self, capsys):
+        assert cli_main(["fig5", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert "burst latency" in out
-        assert "msg/s" in out
+        assert out.startswith("## Figure 5 — atomic broadcast, fail-stop faultload")
+        assert "T_max" in out
 
 
 class TestNodeShellCas:

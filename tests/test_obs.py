@@ -8,6 +8,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -287,6 +288,39 @@ class TestSimulatorIntegration:
                     "ritas_ab_pending_local",
                 ):
                     assert metric.value == 0, (metric.name, dict(metric.labels))
+
+    def test_disabled_metrics_cost_under_3_percent(self):
+        """DESIGN §10's budget, bounded from first principles rather than
+        by comparing two noisy wall clocks: every event an enabled run
+        records is one ``if metrics.enabled:`` guard the disabled run
+        branches over; padded 4x for guards that record nothing, those
+        guards cost under 3% of the disabled run's wall time."""
+        from repro.eval.atomic_burst import run_burst
+
+        def best_of(repeats, fn):
+            times = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        disabled_s = best_of(2, lambda: run_burst(16, 100, seed=2, metrics=False))
+
+        def guards(iterations=200_000):
+            sink = 0
+            for _ in range(iterations):
+                if NULL_REGISTRY.enabled:
+                    sink += 1
+            assert sink == 0
+
+        guard_s = best_of(3, guards) / 200_000
+        events = sum(
+            metric.count if isinstance(metric, Histogram) else max(1, int(metric.value))
+            for registry in _run_sim_burst(k=16, seed=2).metric_registries()
+            for metric in registry.metrics()
+        )
+        assert events * 4 * guard_s < 0.03 * disabled_s, (events, guard_s, disabled_s)
 
 
 def _run_tcp_scenario(tmp_path):

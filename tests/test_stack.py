@@ -1,12 +1,15 @@
 """The stack: control-block chaining, demux, OOC handling, factories."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.config import GroupConfig
-from repro.core.errors import ConfigurationError, ProtocolViolationError
+from repro.core.errors import ConfigurationError, ProtocolViolationError, WireFormatError
 from repro.core.mbuf import Mbuf
-from repro.core.stack import ControlBlock, ProtocolFactory, Stack
-from repro.core.wire import encode_frame
+from repro.core.stack import ORPHAN_STALE, ControlBlock, ProtocolFactory, Stack
+from repro.core.trace import KIND_DROP, Tracer
+from repro.core.wire import MAX_BATCH_DEPTH, encode_batch, encode_frame
 
 from util import InstantNet
 
@@ -124,6 +127,54 @@ class TestRouting:
         stack.receive(2, frame)
         assert stack.stats.frames_received == 1
         assert stack.stats.bytes_received == len(frame)
+
+    def test_every_drop_is_counted_and_traced_under_one_reason(self):
+        class Faulty(Recorder):
+            def input(self, mbuf):
+                error = {"violate": ProtocolViolationError, "garble": WireFormatError}
+                raise error[self.path[0]]("rejected")
+
+            def accept_orphan(self, mbuf):
+                if mbuf.path[-1] == "stale":
+                    return ORPHAN_STALE
+                raise ProtocolViolationError("no such child")
+
+        stack = Stack(
+            GroupConfig(4, quarantine_threshold=50.0),
+            0,
+            outbox=lambda dest, data: None,
+            factory=ProtocolFactory({"rec": Faulty}),
+        )
+        stack.tracer = tracer = Tracer()
+        stack.create("rec", ("violate",))
+        stack.create("rec", ("garble",))
+        frame = encode_frame(("x",), 0, None)
+        too_deep = frame
+        for _ in range(MAX_BATCH_DEPTH + 1):
+            too_deep = encode_batch([too_deep])
+        for unit in (
+            b"\xff\xfe garbage",  # malformed-frame, at parse
+            encode_batch([frame, frame])[:-1],  # malformed-batch
+            too_deep,  # batch-too-deep
+            encode_frame(("violate",), 0, None),  # protocol-violation, at input
+            encode_frame(("garble",), 0, None),  # malformed-frame, at input
+            encode_frame(("violate", "child"), 0, None),  # protocol-violation, at demux
+            encode_frame(("violate", "stale"), 0, None),  # stale-frame
+        ):
+            stack.receive(1, unit)
+        while not stack.ledger.quarantined(2):
+            stack.report_misbehavior(2, "mac-failure")
+        stack.receive(2, frame)  # quarantined
+        traced = Counter(event.detail["reason"] for event in tracer.select(kind=KIND_DROP))
+        assert traced == stack.stats.dropped
+        assert traced == {
+            "malformed-frame": 2,
+            "malformed-batch": 1,
+            "batch-too-deep": 1,
+            "protocol-violation": 2,
+            "stale-frame": 1,
+            "quarantined": 1,
+        }
 
 
 class TestSending:
