@@ -25,6 +25,7 @@ from repro.adversary.strategies import (
     DuplicateStormReliableBroadcast,
     OocFlooderAtomicBroadcast,
     RandomBitBinaryConsensus,
+    ReadyForgerReliableBroadcast,
     VectForgerAtomicBroadcast,
     bad_mac_faultload,
     bc_variant,
@@ -33,6 +34,7 @@ from repro.adversary.strategies import (
     duplicate_storm_faultload,
     ooc_flood_faultload,
     random_noise_faultload,
+    ready_forge_faultload,
     vect_forge_faultload,
 )
 
@@ -45,6 +47,7 @@ __all__ = [
     "DuplicateStormReliableBroadcast",
     "OocFlooderAtomicBroadcast",
     "RandomBitBinaryConsensus",
+    "ReadyForgerReliableBroadcast",
     "VectForgerAtomicBroadcast",
     "bad_mac_faultload",
     "bc_variant",
@@ -53,5 +56,6 @@ __all__ = [
     "duplicate_storm_faultload",
     "ooc_flood_faultload",
     "random_noise_faultload",
+    "ready_forge_faultload",
     "vect_forge_faultload",
 ]

@@ -9,6 +9,7 @@ while steering values.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any
 
 from repro.core.atomic_broadcast import (
@@ -21,9 +22,15 @@ from repro.core.binary_consensus import BinaryConsensus
 from repro.core.echo_broadcast import EchoBroadcast
 from repro.core.mbuf import Mbuf
 from repro.core.multivalued_consensus import MultiValuedConsensus
-from repro.core.reliable_broadcast import ReliableBroadcast
+from repro.core.reliable_broadcast import (
+    MSG_INIT,
+    MSG_READY,
+    READY_HEAD,
+    ReliableBroadcast,
+)
 from repro.core.stack import ControlBlock, ProtocolFactory
-from repro.crypto.hashing import HASH_LEN
+from repro.core.wire import encode_value
+from repro.crypto.hashing import HASH_LEN, hash_bytes
 
 
 def _always_zero_step(self: Any, round_number: int, step: int, computed: Any) -> Any:
@@ -154,7 +161,8 @@ class DuplicateStormReliableBroadcast(ReliableBroadcast):
 
     Duplicates are protocol-harmless (votes count once per source) but
     each copy still costs every receiver decode CPU and bandwidth -- a
-    pure amplification attack on the channel.
+    pure amplification attack on the channel.  INIT leaves through
+    ``send_all``, ECHO and READY through ``send_all_raw``; both repeat.
     """
 
     storm_factor = 4
@@ -162,6 +170,65 @@ class DuplicateStormReliableBroadcast(ReliableBroadcast):
     def send_all(self, mtype: int, payload: Any) -> None:
         for _ in range(self.storm_factor):
             super().send_all(mtype, payload)
+
+    def send_all_raw(self, mtype: int, raw: bytes) -> None:
+        for _ in range(self.storm_factor):
+            super().send_all_raw(mtype, raw)
+
+
+#: READY forgeries :class:`ReadyForgerReliableBroadcast` cycles through:
+#: a digest nobody's payload has, a short ``bytes``, a non-``bytes``
+#: value, and the correct digest sent on the INIT.
+READY_FORGERY_KINDS = 4
+#: The forgeries that are malformed: correct processes drop and score them.
+MALFORMED_READY_KINDS = (1, 2)
+_EARLY_READY = 3
+
+
+class ReadyForgerReliableBroadcast(ReliableBroadcast):
+    """Sends every kind of READY the digest rule has to sort out.
+
+    The stack's READYs take turns: READY(H(x)) for an *x* nobody sent;
+    a ``bytes`` one byte short of a digest; the digest as an int; and
+    the correct digest, sent the moment the INIT arrives, before this
+    process's ECHO (or at the usual trigger if the INIT comes late).
+    The middle two are malformed and must be dropped and scored; the
+    other two are well formed and must not be.  Everything else is
+    honest.
+
+    ``sent`` counts the READYs sent per kind, across the stack's
+    instances; :func:`ready_forge_faultload` gives every stack it
+    builds a subclass with a tally of its own.
+    """
+
+    sent: Counter = Counter()
+
+    def _next_kind(self) -> int:
+        return sum(self.sent.values()) % READY_FORGERY_KINDS
+
+    def input(self, mbuf: Mbuf) -> None:
+        if (
+            mbuf.mtype == MSG_INIT
+            and mbuf.src == self.sender
+            and not (self._init_seen or self._ready_sent)
+            and self._next_kind() == _EARLY_READY
+        ):
+            self._ready_sent = True
+            self._send_ready(hash_bytes(mbuf.raw_payload))
+        super().input(mbuf)
+
+    def _send_ready(self, digest: bytes) -> None:
+        kind = self._next_kind()
+        self.sent[kind] += 1
+        if kind == 0:
+            region = READY_HEAD + hash_bytes(b"nobody sent this", digest)
+        elif kind == 1:
+            region = encode_value(digest[1:])
+        elif kind == 2:
+            region = encode_value(int.from_bytes(digest, "big"))
+        else:
+            region = READY_HEAD + digest
+        self.send_all_raw(MSG_READY, region)
 
 
 class BadMacEchoBroadcast(EchoBroadcast):
@@ -257,6 +324,17 @@ def vect_forge_faultload(factory: ProtocolFactory) -> ProtocolFactory:
     return factory.override("ab", VectForgerAtomicBroadcast)
 
 
+def ready_forge_faultload(factory: ProtocolFactory) -> ProtocolFactory:
+    """A reliable-broadcast participant whose READYs are forged, with a
+    fresh ``sent`` tally."""
+    forger = type(
+        ReadyForgerReliableBroadcast.__name__,
+        (ReadyForgerReliableBroadcast,),
+        {"sent": Counter()},
+    )
+    return factory.override("rb", forger)
+
+
 #: Named faultloads, resolvable by :meth:`repro.net.faults.FaultPlan.with_byzantine`.
 STRATEGIES: dict[str, Any] = {
     "paper": byzantine_paper_faultload,
@@ -266,4 +344,5 @@ STRATEGIES: dict[str, Any] = {
     "duplicate-storm": duplicate_storm_faultload,
     "bad-mac": bad_mac_faultload,
     "vect-forge": vect_forge_faultload,
+    "ready-forge": ready_forge_faultload,
 }

@@ -26,7 +26,9 @@ rejoin it through the recovery path).
 The registry covers the paper's faultloads (failure-free, fail-stop,
 the Section 4.2 Byzantine process), every registered flooding strategy,
 ``byz-vect-forge`` (forged AB_VECT id sets; every correct broadcast
-must still deliver), ``byz-bc-split`` (the n=6 (n-f)/2 regression), and
+must still deliver), ``byz-ready-forge`` (forged and early READY
+digests; every correct broadcast delivers and only the malformed
+READYs are scored), ``byz-bc-split`` (the n=6 (n-f)/2 regression), and
 the hostile-network catalog: ``wan-asym``, ``wan-lossy``, ``wan-dup``,
 ``wan-reorder``, ``gray-slow-replica``, ``gray-flaky-mac``,
 ``gray-degrading``, ``heal-mid-agreement``, ``laggard-gc`` and
@@ -38,7 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.adversary.strategies import FORGERY_KINDS
+from repro.adversary.strategies import (
+    FORGERY_KINDS,
+    MALFORMED_READY_KINDS,
+    READY_FORGERY_KINDS,
+)
 from repro.check.invariants import InvariantViolation
 from repro.core.atomic_broadcast import RETAINED_ROUNDS
 from repro.core.config import GroupConfig
@@ -255,52 +261,88 @@ def _laggard_driver(sim: LanSimulation) -> None:
     sim.loop.schedule_at(_LAGGARD_SETTLED, settled)
 
 
-#: byz-vect-forge: correct replicas keep A-broadcasting until
-#: ``_FORGE_LOAD_END`` so the forger sends every kind of forged vector,
+#: byz-vect-forge / byz-ready-forge: correct replicas keep A-broadcasting
+#: until ``_FORGE_LOAD_END`` so the forger sends every kind of forgery,
 #: and every correct broadcast must have delivered by ``_FORGE_SETTLED``.
 _FORGE_LOAD_END = 0.3
 _FORGE_SETTLED = 1.0
 
+def _forge_driver(
+    invariant: str, forged: Callable[[LanSimulation, list, int], str | None]
+) -> Callable[[LanSimulation], None]:
+    """Keep the correct replicas A-broadcasting under a forger, then
+    check liveness: each correct replica delivered all of its own
+    broadcasts, none waits on a payload, and all of them delivered the
+    same id set.  ``forged(sim, correct, forger)`` adds the strategy's
+    own check, returning what went wrong or ``None``.  A failure is
+    raised as *invariant*."""
 
-def _forge_driver(sim: LanSimulation) -> None:
-    """Keep the correct replicas A-broadcasting under the vect forger,
-    then check liveness: each correct replica delivered all of its own
-    broadcasts, none waits on a payload (a ghost id was never
-    scheduled), and all of them delivered the same id set."""
-    path = ("ab", "a")
-    faulty = sim.fault_plan.faulty_ids()
-    sessions = {}
-    for pid, stack in enumerate(sim.stacks):
-        sessions[pid] = stack.instance_at(path) or stack.create("ab", path)
-    correct = [pid for pid in sessions if pid not in faulty]
+    def driver(sim: LanSimulation) -> None:
+        path = ("ab", "a")
+        (forger,) = sim.fault_plan.faulty_ids()
+        sessions = {}
+        for pid, stack in enumerate(sim.stacks):
+            sessions[pid] = stack.instance_at(path) or stack.create("ab", path)
+        correct = [pid for pid in sessions if pid != forger]
 
-    def write(pid: int) -> None:
-        if sim.now < _FORGE_LOAD_END:
-            sessions[pid].broadcast(b"w%d" % pid)
+        def write(pid: int) -> None:
+            if sim.now < _FORGE_LOAD_END:
+                sessions[pid].broadcast(b"w%d" % pid)
 
-    for pid in correct:
-        sim.add_ticker(pid, 0.02, lambda pid=pid: write(pid))
-
-    def settled() -> None:
-        def fail(detail: str) -> None:
-            raise InvariantViolation(
-                "ab-forge-liveness", path, detail, sim.loop.events_processed
-            )
-
-        reference = sessions[correct[0]]
-        if reference.round < FORGERY_KINDS:
-            fail(f"only {reference.round} rounds ran: some forgeries were never sent")
         for pid in correct:
-            ab = sessions[pid]
-            if ab.pending_local or ab.stalled_ids():
-                fail(
-                    f"p{pid}: {ab.pending_local} own broadcasts undelivered, "
-                    f"stalled on {ab.stalled_ids()}"
-                )
-            if ab.delivered_frontier() != reference.delivered_frontier():
-                fail(f"p{pid} delivered another id set than p{correct[0]}")
+            sim.add_ticker(pid, 0.02, lambda pid=pid: write(pid))
 
-    sim.loop.schedule_at(_FORGE_SETTLED, settled)
+        def settled() -> None:
+            def fail(detail: str) -> None:
+                raise InvariantViolation(invariant, path, detail, sim.loop.events_processed)
+
+            detail = forged(sim, correct, forger)
+            if detail is not None:
+                fail(detail)
+            reference = sessions[correct[0]]
+            for pid in correct:
+                ab = sessions[pid]
+                if ab.pending_local or ab.stalled_ids():
+                    fail(
+                        f"p{pid}: {ab.pending_local} own broadcasts undelivered, "
+                        f"stalled on {ab.stalled_ids()}"
+                    )
+                if ab.delivered_frontier() != reference.delivered_frontier():
+                    fail(f"p{pid} delivered another id set than p{correct[0]}")
+
+        sim.loop.schedule_at(_FORGE_SETTLED, settled)
+
+    return driver
+
+
+def _vects_forged(sim: LanSimulation, correct: list, forger: int) -> str | None:
+    rounds = sim.stacks[correct[0]].instance_at(("ab", "a")).round
+    if rounds < FORGERY_KINDS:
+        return f"only {rounds} rounds ran: some forgeries were never sent"
+    return None
+
+
+def _readies_forged(sim: LanSimulation, correct: list, forger: int) -> str | None:
+    """Every READY forgery was sent, and each correct process scored the
+    forger for malformed READYs only: at most one offense per malformed
+    READY (a READY for a reclaimed instance is dropped unscored), and
+    none at all against a correct peer."""
+    sent = sim.stacks[forger].factory.resolve("rb").sent
+    unsent = [kind for kind in range(READY_FORGERY_KINDS) if not sent[kind]]
+    if unsent:
+        return f"READY forgeries {unsent} were never sent"
+    malformed = sum(sent[kind] for kind in MALFORMED_READY_KINDS)
+    for pid in correct:
+        ledger = sim.stacks[pid].ledger
+        offenses = ledger.offenses(forger)
+        if set(offenses) != {"protocol-violation"} or not (
+            0 < offenses["protocol-violation"] <= malformed
+        ):
+            return f"p{pid} scored the forger {dict(offenses)} for {malformed} malformed READYs"
+        for peer in correct:
+            if ledger.offenses(peer):
+                return f"p{pid} scored correct p{peer}: {dict(ledger.offenses(peer))}"
+    return None
 
 
 def _churn_driver(sim: LanSimulation) -> None:
@@ -390,7 +432,14 @@ SCENARIOS: dict[str, Scenario] = {
         _byz_scenario("duplicate-storm"),
         _byz_scenario("bad-mac"),
         _byz_scenario(
-            "vect-forge", driver=_forge_driver, max_time=_FORGE_SETTLED + 0.1
+            "vect-forge",
+            driver=_forge_driver("ab-forge-liveness", _vects_forged),
+            max_time=_FORGE_SETTLED + 0.1,
+        ),
+        _byz_scenario(
+            "ready-forge",
+            driver=_forge_driver("rb-ready-forge", _readies_forged),
+            max_time=_FORGE_SETTLED + 0.1,
         ),
         Scenario(
             name="byz-bc-split",

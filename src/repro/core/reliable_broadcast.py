@@ -5,18 +5,28 @@ Guarantees, with up to ``f = floor((n-1)/3)`` Byzantine processes:
 1. all correct processes deliver the same message (or none);
 2. if the sender is correct, the message is delivered.
 
-Protocol, for sender *s* and message *m*:
+Protocol, for sender *s* and message *m*, with ``d = H(m)``:
 
 - *s* sends ``(INIT, m)`` to all;
 - on ``INIT``, a process sends ``(ECHO, m)`` to all;
-- on ``floor((n+f)/2)+1`` ECHOs *or* ``f+1`` READYs for the same *m*, a
-  process sends ``(READY, m)`` to all (once);
-- on ``2f+1`` READYs for the same *m*, it delivers *m*.
+- on ``floor((n+f)/2)+1`` ECHOs of an *m* with ``H(m) = d``, *or*
+  ``f+1`` READYs for *d*, a process sends ``(READY, d)`` to all (once);
+- on ``2f+1`` READYs for *d*, it delivers *m* as soon as it holds a
+  payload -- from the INIT or from any ECHO -- whose locally computed
+  digest is *d*.
+
+READY names the payload by its digest instead of carrying it, so each
+process receives the payload n+1 times per broadcast instead of 2n+1.
+Totality survives: the first correct READY(d) needs an echo quorum, of
+which at least ``floor((n+f)/2)+1-f >= f+1`` echoers are correct, and
+each of those sent ``(ECHO, m)`` to every process.  A READY whose
+payload region is not exactly the canonical encoding of a ``HASH_LEN``
+byte string is a protocol violation.
 
 One :class:`ReliableBroadcast` control block handles one broadcast by
 one sender.  Equivocation (a corrupt sender or echoer sending different
 messages to different processes) is handled by counting ECHO/READY
-support per message digest and per source process.
+support per digest and per source process.
 """
 
 from __future__ import annotations
@@ -28,12 +38,25 @@ from repro.core.mbuf import Mbuf
 from repro.core.stack import ControlBlock, Stack
 from repro.core.trace import KIND_BROADCAST
 from repro.core.wire import Path, decode_value, encode_value
-from repro.crypto.hashing import hash_bytes
+from repro.crypto.hashing import HASH_LEN, hash_bytes
 from repro.obs.metrics import COUNT_BUCKETS
 
 MSG_INIT = 0
 MSG_ECHO = 1
 MSG_READY = 2
+
+#: The canonical encoding of a READY payload is this header followed by
+#: the ``HASH_LEN`` digest bytes; nothing else is a READY.
+READY_HEAD = encode_value(bytes(HASH_LEN))[:-HASH_LEN]
+_READY_LEN = len(READY_HEAD) + HASH_LEN
+
+
+def _raw_of(mbuf: Mbuf) -> bytes:
+    """The canonical payload encoding of *mbuf*: straight off the wire
+    for received frames, encoded for locally built ones."""
+    raw = mbuf.raw_payload
+    return raw if raw is not None else encode_value(mbuf.payload)
+
 
 class ReliableBroadcast(ControlBlock):
     """One Bracha broadcast instance (one sender, one message)."""
@@ -56,21 +79,14 @@ class ReliableBroadcast(ControlBlock):
         self.delivered = False
         self.delivered_value: Any = None
         self._init_seen = False
-        self._echo_sent = False
         self._ready_sent = False
-        # digest -> decoded payload (kept so delivery can hand the value
-        # up); populated lazily -- vote handling works on digests and
-        # raw encodings alone, so a payload is decoded at most once per
-        # digest, at delivery or when relayed without its encoding.
-        self._payloads: dict[bytes, Any] = {}
-        # digest -> canonical payload encoding, straight off the wire.
-        # ECHO/READY amplification splices these back into outgoing
-        # frames (send_all_raw) without ever building the Python value.
+        # digest -> canonical payload encoding (from the INIT or an
+        # ECHO), digest computed here.  Delivery decodes the one it
+        # needs; votes never decode.
         self._raws: dict[bytes, bytes] = {}
-        # raw payload -> digest: each counted vote would otherwise hash
-        # its payload again (up to 2n times per instance).  The receive
-        # path hands repeat frames the same raw bytes object, so a hit
-        # is a cached-hash probe; one entry per distinct payload, freed
+        # raw payload -> digest: the INIT and n ECHOs of one payload
+        # share one hash.  The receive path hands repeat frames the same
+        # raw bytes object, so most hits are a cached-hash probe; freed
         # with the instance.
         self._digests: dict[bytes, bytes] = {}
         # digest -> set of source pids, one vote per source per phase.
@@ -102,6 +118,10 @@ class ReliableBroadcast(ControlBlock):
             ).observe(len(encode_value(payload)))
         self.send_all(MSG_INIT, payload)
 
+    def _send_ready(self, digest: bytes) -> None:
+        """Send READY(*digest*) to all (an adversary hook)."""
+        self.send_all_raw(MSG_READY, READY_HEAD + digest)
+
     # -- introspection -----------------------------------------------------------
 
     def inspect(self) -> dict[str, Any]:
@@ -111,7 +131,7 @@ class ReliableBroadcast(ControlBlock):
         if self.delivered:
             # A digest, not the value: cheap to compare across processes
             # and hashable regardless of the payload's shape.
-            state["value_digest"] = self._digest_of(self.delivered_value)
+            state["value_digest"] = hash_bytes(encode_value(self.delivered_value))
         return state
 
     # -- receiving ----------------------------------------------------------------
@@ -135,67 +155,41 @@ class ReliableBroadcast(ControlBlock):
         if self._init_seen:
             return  # duplicate / equivocating INIT: only the first counts
         self._init_seen = True
-        if not self._echo_sent:
-            self._echo_sent = True
-            raw = mbuf.raw_payload
-            if raw is not None:
-                # Relay the INIT's canonical encoding verbatim -- no
-                # decode of the inbound payload, no re-encode outbound,
-                # identical bytes on the wire.
-                self.send_all_raw(MSG_ECHO, raw)
-            else:
-                self.send_all(MSG_ECHO, mbuf.payload)
+        # Relay the INIT's canonical encoding verbatim -- no decode of
+        # the inbound payload, no re-encode outbound.
+        raw = _raw_of(mbuf)
+        self.send_all_raw(MSG_ECHO, raw)
+        # The INIT is a payload source too: a READY quorum may already
+        # be waiting for it.
+        self._check_progress(self._hold(raw))
 
     def _on_echo(self, mbuf: Mbuf) -> None:
         if mbuf.src in self._echo_sources:
             return
         self._echo_sources.add(mbuf.src)
-        digest = self._digest_of_mbuf(mbuf)
+        digest = self._hold(_raw_of(mbuf))
         self._echoes.setdefault(digest, set()).add(mbuf.src)
         self._check_progress(digest)
 
     def _on_ready(self, mbuf: Mbuf) -> None:
+        raw = _raw_of(mbuf)
+        if len(raw) != _READY_LEN or not raw.startswith(READY_HEAD):
+            raise ProtocolViolationError(f"READY from p{mbuf.src} does not carry a digest")
         if mbuf.src in self._ready_sources:
             return
         self._ready_sources.add(mbuf.src)
-        digest = self._digest_of_mbuf(mbuf)
+        digest = raw[-HASH_LEN:]
         self._readies.setdefault(digest, set()).add(mbuf.src)
         self._check_progress(digest)
 
-    def _digest_of_mbuf(self, mbuf: Mbuf) -> bytes:
-        # The frame already carries the canonical payload encoding:
-        # digest it straight from the wire slice instead of re-encoding
-        # the decoded value (identical digest, the codec is canonical).
-        # The decoded value is deliberately NOT touched here -- for a
-        # lazy mbuf that would force the decode this fast path exists to
-        # avoid; _value_of materializes it at most once per digest.
-        raw = mbuf.raw_payload
-        if raw is not None:
-            digest = self._digests.get(raw)
-            if digest is None:
-                digest = self._digests[raw] = hash_bytes(raw)
-                if digest not in self._payloads:
-                    self._raws.setdefault(digest, raw)
-            return digest
-        return self._digest_of(mbuf.payload)
-
-    def _digest_of(self, payload: Any) -> bytes:
-        digest = hash_bytes(encode_value(payload))
-        self._payloads.setdefault(digest, payload)
+    def _hold(self, raw: bytes) -> bytes:
+        """Digest *raw* and keep it as the payload candidate for that
+        digest; returns the digest."""
+        digest = self._digests.get(raw)
+        if digest is None:
+            digest = self._digests[raw] = hash_bytes(raw)
+            self._raws.setdefault(digest, raw)
         return digest
-
-    def _value_of(self, digest: bytes) -> Any:
-        """The decoded payload for *digest*, materialized at most once.
-
-        The raw encoding was validated by the receive path, so the
-        decode cannot fail.
-        """
-        try:
-            return self._payloads[digest]
-        except KeyError:
-            value = decode_value(self._raws[digest])
-            self._payloads[digest] = value
-            return value
 
     def _check_progress(self, digest: bytes) -> None:
         cfg = self.config
@@ -205,15 +199,17 @@ class ReliableBroadcast(ControlBlock):
             echoes >= cfg.echo_quorum or readies >= cfg.ready_amplify
         ):
             self._ready_sent = True
-            raw = self._raws.get(digest)
-            if raw is not None:
-                self.send_all_raw(MSG_READY, raw)
-            else:
-                self.send_all(MSG_READY, self._payloads[digest])
-        if not self.delivered and readies >= cfg.ready_quorum:
-            self.delivered = True
-            self.delivered_value = self._value_of(digest)
-            self.deliver(self.delivered_value)
+            self._send_ready(digest)
+        if self.delivered or readies < cfg.ready_quorum:
+            return
+        raw = self._raws.get(digest)
+        if raw is None:
+            return  # the INIT or an ECHO carrying it will call again
+        self.delivered = True
+        # The region was validated by the receive path (or encoded
+        # here), so the decode cannot fail.
+        self.delivered_value = decode_value(raw)
+        self.deliver(self.delivered_value)
 
 
 #: INIT/ECHO/READY handlers indexed by mtype (see ReliableBroadcast.input).

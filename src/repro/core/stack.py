@@ -210,8 +210,9 @@ class ControlBlock:
         *raw* is spliced into the frame verbatim
         (:func:`repro.core.wire.encode_frame_from_prefix_raw`), so the
         bytes on the wire are identical to ``send_all(mtype,
-        decode_value(raw))`` -- this is how reliable broadcast relays
-        ECHO/READY payloads without a decode/re-encode round trip.  Only
+        decode_value(raw))`` -- this is how reliable broadcast relays an
+        INIT's payload as its ECHO without a decode/re-encode round trip,
+        and sends its READY digest.  Only
         pass validated regions (``Mbuf.raw_payload`` from the receive
         path, or the output of :func:`~repro.core.wire.encode_value`).
         """

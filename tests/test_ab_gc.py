@@ -11,7 +11,8 @@ from repro.core import atomic_broadcast
 from repro.core.atomic_broadcast import RETAINED_ROUNDS, parse_id_ranges
 from repro.core.config import GroupConfig
 from repro.core.reliable_broadcast import MSG_INIT, MSG_READY
-from repro.core.wire import decode_frame_ex
+from repro.core.wire import decode_frame_ex, encode_value
+from repro.crypto.hashing import hash_bytes
 
 from util import InstantNet, ShuffleNet
 
@@ -67,8 +68,9 @@ class TestOrderUnchanged:
         ab_of(net, 0).broadcast(b"once")
         net.run()
         assert net.stacks[2].instance_at(MSG_0_0) is None
+        ready = hash_bytes(encode_value(b"once"))
         for src in (0, 1, 3):
-            net.stacks[src].send_frame(2, MSG_0_0, MSG_READY, b"once")
+            net.stacks[src].send_frame(2, MSG_0_0, MSG_READY, ready)
         net.run()
         assert orders[2].count((0, 0)) == 1
         assert net.stacks[2].ooc_pending == 0

@@ -129,3 +129,19 @@ class TestVectForge:
             f"violated {reproducer['violation']['invariant']} (seed {reproducer['seed']}): "
             f"{reproducer['violation']['detail']}"
         )
+
+
+class TestReadyForge:
+    def test_only_malformed_readies_are_scored_across_seeds(self):
+        """READYs for a digest nobody's payload has, a short ``bytes``,
+        an int, and the correct digest before any ECHO: agreement and
+        every correct op hold, and correct processes score the forger
+        for the two malformed kinds only; the scenario's driver raises
+        ``rb-ready-forge`` otherwise."""
+        from repro.check.explore import explore
+
+        reproducer = explore("byz-ready-forge", 5)
+        assert reproducer is None, (
+            f"violated {reproducer['violation']['invariant']} (seed {reproducer['seed']}): "
+            f"{reproducer['violation']['detail']}"
+        )

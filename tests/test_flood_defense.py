@@ -8,11 +8,17 @@ under a flood, and honest failure-free runs must never file a single
 misbehavior report.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.adversary import STRATEGIES
+from repro.adversary import (
+    STRATEGIES,
+    DuplicateStormReliableBroadcast,
+    duplicate_storm_faultload,
+)
 from repro.apps.kv_store import ReplicatedKvStore
 from repro.apps.lock_service import DistributedLockService
 from repro.apps.state_machine import Command, ReplicatedStateMachine
@@ -21,11 +27,14 @@ from repro.core.errors import BackpressureError, WireFormatError
 from repro.core.ledger import OFFENSE_WEIGHTS, PROBATION_S, MisbehaviorLedger
 from repro.core.mbuf import Mbuf
 from repro.core.ooc import OocTable
+from repro.core.reliable_broadcast import MSG_ECHO, MSG_INIT, MSG_READY
 from repro.core.sendq import BoundedSendQueue
+from repro.core.stack import ProtocolFactory, Stack
 from repro.core.wire import (
     PRIORITY_AGREEMENT,
     PRIORITY_BULK,
     PRIORITY_PAYLOAD,
+    decode_frame_ex,
     encode_batch,
     encode_frame,
     encode_value,
@@ -393,6 +402,25 @@ def test_bad_mac_convicts_the_sender():
         assert ledger.offenses(3)["mac-failure"] > 0
         for honest in range(3):
             assert ledger.offenses(honest)["mac-failure"] == 0
+
+
+def test_duplicate_storm_repeats_every_rb_frame_kind():
+    """INIT leaves through ``send_all``, ECHO and READY through
+    ``send_all_raw``: the storm must repeat all three."""
+    sent = []
+    stack = Stack(
+        GroupConfig(4, batching=False),
+        0,
+        outbox=lambda _dest, data: sent.append(data),
+        factory=duplicate_storm_faultload(ProtocolFactory.default()),
+    )
+    stack.create("rb", ("s",), sender=0).broadcast(b"m")
+    stack.receive(0, encode_frame(("s",), MSG_INIT, b"m"))
+    for src in (0, 1, 2):
+        stack.receive(src, encode_frame(("s",), MSG_ECHO, b"m"))
+    storm = DuplicateStormReliableBroadcast.storm_factor * 4
+    counts = Counter(decode_frame_ex(data)[1] for data in sent)
+    assert counts == {MSG_INIT: storm, MSG_ECHO: storm, MSG_READY: storm}
 
 
 def test_unknown_strategy_name_rejected():

@@ -33,8 +33,9 @@ from repro.core.wire import (
     frame_fastpath,
     frame_path_key,
 )
+from repro.crypto.hashing import hash_bytes
 
-PATH = ("t", "vect", 2, "mvc", "bc")
+PATH =("t", "vect", 2, "mvc", "bc")
 
 
 def _random_value(rng: random.Random, depth: int = 0):
@@ -368,8 +369,10 @@ class TestReceiveFastPathBehavior:
             fastpath_memo_clear()
             stack = Stack(GroupConfig(4), 0, outbox=lambda d, b: None)
             path = ("rb-test",)
+            # INIT and ECHOs carry the payload, READYs its digest.
+            ready = hash_bytes(encode_value(payload))
             frames = [
-                (src, encode_frame(path, mtype, payload))
+                (src, encode_frame(path, mtype, ready if mtype == 2 else payload))
                 for mtype in (0, 1, 2)
                 for src in (1, 2, 3)
                 if mtype or src == 1

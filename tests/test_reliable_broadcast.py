@@ -8,7 +8,8 @@ from repro.core.errors import ProtocolViolationError
 from repro.core.mbuf import Mbuf
 from repro.core.reliable_broadcast import MSG_ECHO, MSG_INIT, MSG_READY
 from repro.core.stack import ProtocolFactory, Stack
-from repro.core.wire import encode_frame
+from repro.core.wire import decode_frame_ex, encode_frame, encode_value
+from repro.crypto.hashing import HASH_LEN, hash_bytes
 
 from util import InstantNet, ShuffleNet
 
@@ -24,10 +25,17 @@ def feed(stack, path, mtype, payload, src):
     stack.receive(src, encode_frame(path, mtype, payload))
 
 
-def sent_mtypes(sent):
-    from repro.core.wire import decode_frame_ex
+def digest(payload):
+    """What a READY for *payload* carries: H of its canonical encoding."""
+    return hash_bytes(encode_value(payload))
 
+
+def sent_mtypes(sent):
     return [decode_frame_ex(data)[1] for _, data in sent]
+
+
+def sent_payloads(sent):
+    return [decode_frame_ex(data)[2] for _, data in sent]
 
 
 class TestUnitBehaviour:
@@ -65,23 +73,33 @@ class TestUnitBehaviour:
             feed(stack, ("b",), MSG_ECHO, b"m", src=src)
         assert sent == []
 
-    def test_ready_amplification(self):
-        """f+1 READYs substitute for the echo quorum."""
+    def test_ready_carries_the_digest(self):
         stack, sent = lone_stack(pid=1)
         stack.create("rb", ("b",), sender=0)
+        for src in (0, 2, 3):
+            feed(stack, ("b",), MSG_ECHO, b"m" * 100, src=src)
+        assert sent_payloads(sent) == [digest(b"m" * 100)] * 4
+
+    def test_ready_amplification(self):
+        """f+1 READYs substitute for the echo quorum, and need no payload."""
+        stack, sent = lone_stack(pid=1)
+        rb = stack.create("rb", ("b",), sender=0)
         for src in (2, 3):
-            feed(stack, ("b",), MSG_READY, b"m", src=src)
+            feed(stack, ("b",), MSG_READY, digest(b"m"), src=src)
         assert sent_mtypes(sent) == [MSG_READY] * 4
+        assert sent_payloads(sent) == [digest(b"m")] * 4
+        assert rb._raws == {}  # amplified with no payload held
 
     def test_delivery_needs_2f_plus_1_readys(self):
         stack, sent = lone_stack(pid=1)
         rb = stack.create("rb", ("b",), sender=0)
         delivered = []
         rb.on_deliver = lambda _i, v: delivered.append(v)
+        feed(stack, ("b",), MSG_ECHO, b"m", src=0)
         for src in (0, 2):
-            feed(stack, ("b",), MSG_READY, b"m", src=src)
+            feed(stack, ("b",), MSG_READY, digest(b"m"), src=src)
         assert delivered == []
-        feed(stack, ("b",), MSG_READY, b"m", src=3)
+        feed(stack, ("b",), MSG_READY, digest(b"m"), src=3)
         assert delivered == [b"m"]
 
     def test_delivery_exactly_once(self):
@@ -89,9 +107,82 @@ class TestUnitBehaviour:
         rb = stack.create("rb", ("b",), sender=0)
         delivered = []
         rb.on_deliver = lambda _i, v: delivered.append(v)
+        feed(stack, ("b",), MSG_ECHO, b"m", src=0)
         for src in (0, 1, 2, 3):
-            feed(stack, ("b",), MSG_READY, b"m", src=src)
+            feed(stack, ("b",), MSG_READY, digest(b"m"), src=src)
+        for src in (1, 2, 3):
+            feed(stack, ("b",), MSG_ECHO, b"m", src=src)
         assert delivered == [b"m"]
+
+    def test_ready_quorum_without_payload_does_not_deliver(self):
+        stack, _ = lone_stack(pid=1)
+        rb = stack.create("rb", ("b",), sender=0)
+        delivered = []
+        rb.on_deliver = lambda _i, v: delivered.append(v)
+        for src in (0, 2, 3):
+            feed(stack, ("b",), MSG_READY, digest(b"m"), src=src)
+        assert delivered == [] and not rb.delivered
+
+    def test_later_echo_with_matching_payload_delivers_once(self):
+        stack, _ = lone_stack(pid=1)
+        rb = stack.create("rb", ("b",), sender=0)
+        delivered = []
+        rb.on_deliver = lambda _i, v: delivered.append(v)
+        for src in (0, 2, 3):
+            feed(stack, ("b",), MSG_READY, digest(b"m"), src=src)
+        feed(stack, ("b",), MSG_ECHO, b"m", src=2)
+        assert delivered == [b"m"]
+        feed(stack, ("b",), MSG_ECHO, b"m", src=3)
+        feed(stack, ("b",), MSG_READY, digest(b"m"), src=1)
+        assert delivered == [b"m"]
+
+    def test_echo_with_another_payload_never_delivers(self):
+        stack, _ = lone_stack(pid=1)
+        rb = stack.create("rb", ("b",), sender=0)
+        delivered = []
+        rb.on_deliver = lambda _i, v: delivered.append(v)
+        for src in (0, 2, 3):
+            feed(stack, ("b",), MSG_READY, digest(b"m"), src=src)
+        for src in (0, 1, 2, 3):
+            feed(stack, ("b",), MSG_ECHO, b"m-prime", src=src)
+        assert delivered == [] and not rb.delivered
+
+    def test_init_supplies_the_payload(self):
+        """The INIT is a payload source too, even before any ECHO."""
+        stack, sent = lone_stack(pid=1)
+        rb = stack.create("rb", ("b",), sender=0)
+        delivered = []
+        rb.on_deliver = lambda _i, v: delivered.append(v)
+        for src in (0, 2, 3):
+            feed(stack, ("b",), MSG_READY, digest([b"m", 7]), src=src)
+        feed(stack, ("b",), MSG_INIT, [b"m", 7], src=0)
+        assert delivered == [[b"m", 7]]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"m",
+            bytes(HASH_LEN - 1),
+            bytes(HASH_LEN + 1),
+            7,
+            None,
+            "x" * HASH_LEN,
+            [bytes(HASH_LEN)],
+        ],
+        ids=["payload", "short", "long", "int", "none", "str", "list"],
+    )
+    def test_malformed_ready_is_dropped_and_scored_once(self, payload):
+        stack, sent = lone_stack(pid=1)
+        stack.create("rb", ("b",), sender=0)
+        feed(stack, ("b",), MSG_READY, payload, src=2)
+        assert stack.stats.dropped["protocol-violation"] == 1
+        assert stack.ledger.offenses(2) == {"protocol-violation": 1}
+        # The malformed READY cast no vote: one more READY is not f+1 ...
+        feed(stack, ("b",), MSG_READY, digest(b"m"), src=3)
+        assert sent == []
+        # ... and p2's well-formed READY still counts.
+        feed(stack, ("b",), MSG_READY, digest(b"m"), src=2)
+        assert sent_mtypes(sent) == [MSG_READY] * 4
 
     def test_echo_votes_counted_once_per_source(self):
         stack, sent = lone_stack(pid=1)
