@@ -20,6 +20,7 @@ from repro.adversary.strategies import (
     STRATEGIES,
     AlwaysZeroBinaryConsensus,
     BadMacEchoBroadcast,
+    BatchOverlapAtomicBroadcast,
     CrashOnProposeBinaryConsensus,
     DefaultValueMultiValuedConsensus,
     DuplicateStormReliableBroadcast,
@@ -28,6 +29,7 @@ from repro.adversary.strategies import (
     ReadyForgerReliableBroadcast,
     VectForgerAtomicBroadcast,
     bad_mac_faultload,
+    batch_overlap_faultload,
     bc_variant,
     byzantine_paper_faultload,
     crash_consensus_faultload,
@@ -42,6 +44,7 @@ __all__ = [
     "STRATEGIES",
     "AlwaysZeroBinaryConsensus",
     "BadMacEchoBroadcast",
+    "BatchOverlapAtomicBroadcast",
     "CrashOnProposeBinaryConsensus",
     "DefaultValueMultiValuedConsensus",
     "DuplicateStormReliableBroadcast",
@@ -50,6 +53,7 @@ __all__ = [
     "ReadyForgerReliableBroadcast",
     "VectForgerAtomicBroadcast",
     "bad_mac_faultload",
+    "batch_overlap_faultload",
     "bc_variant",
     "byzantine_paper_faultload",
     "crash_consensus_faultload",

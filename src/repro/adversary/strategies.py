@@ -13,10 +13,10 @@ from collections import Counter
 from typing import Any
 
 from repro.core.atomic_broadcast import (
-    MAX_VECT_IDS,
+    MAX_BATCH_MSGS,
     AtomicBroadcast,
-    encode_id_ranges,
-    expand_id_ranges,
+    encode_batches,
+    parse_batches,
 )
 from repro.core.binary_consensus import BinaryConsensus
 from repro.core.echo_broadcast import EchoBroadcast
@@ -257,32 +257,70 @@ FORGERY_KINDS = 5
 
 
 class VectForgerAtomicBroadcast(AtomicBroadcast):
-    """Spells its AB_VECTs every way the id-range parser must refuse,
-    and vouches for ids nobody broadcast.
+    """Spells its AB_VECTs every way the batch-list parser must refuse,
+    and vouches for batches nobody broadcast.
 
-    Each round's vector is one forgery, cycling through: the honest set
-    with senders 0 and 1 spelled as bools (``True == 1`` in Python, not
-    on the wire); a non-canonical spelling (each range preceded by an
-    overlapping copy of its first id); a range one id over
-    ``MAX_VECT_IDS``; the honest set plus ghost ids; and one range of
-    exactly ``MAX_VECT_IDS`` ghost ids, the largest set a 32-byte vector
-    can claim.  The first three must be dropped as malformed.  Ghost ids
-    parse, but only this process vouches for them, so they never reach
-    ``f + 1`` support.
+    Each round's vector is one forgery, cycling through: the honest
+    entries with senders 0 and 1 spelled as bools (``True == 1`` in
+    Python, not on the wire); every entry twice; a ghost batch one id
+    over ``MAX_BATCH_MSGS``; the honest set plus one ghost batch per
+    sender; and one ghost batch of exactly ``MAX_BATCH_MSGS`` ids, the
+    longest a batch may be.  The first three must be dropped as
+    malformed.  Ghost batches parse, but only this process vouches for
+    them, so they never reach ``f + 1`` support.
     """
 
     def _vect_ids(self, computed: list[list[int]]) -> Any:
         kind = self.round % FORGERY_KINDS
         if kind == 0:
-            return [[bool(s) if s < 2 else s, a, b] for s, a, b in computed] or [[True, 0, 0]]
+            return [[bool(e[0]) if e[0] < 2 else e[0], *e[1:]] for e in computed] or [[True, 0, 0]]
         if kind == 1:
-            return [r for s, a, b in computed for r in ([s, a, a], [s, a, b])] or [[0, 1, 0]]
+            return [r for r in computed for _ in range(2)] or [[0, 1, 1], [0, 1, 1]]
         if kind == 2:
-            return [[self.me, 0, MAX_VECT_IDS]]
+            return [[self.me, GHOST_RBID, GHOST_RBID + MAX_BATCH_MSGS]]
         if kind == 3:
-            ghosts = {(s, GHOST_RBID + s) for s in self.config.process_ids}
-            return encode_id_ranges(ghosts.union(expand_id_ranges(computed)))
-        return [[self.me, GHOST_RBID, GHOST_RBID + MAX_VECT_IDS - 1]]
+            ghosts = [(s, GHOST_RBID + s, GHOST_RBID + s) for s in self.config.process_ids]
+            return encode_batches(ghosts + parse_batches(computed, self.config.process_ids))
+        return [[self.me, GHOST_RBID, GHOST_RBID + MAX_BATCH_MSGS - 1]]
+
+
+#: Rounds in which :class:`BatchOverlapAtomicBroadcast` sends its batches.
+OVERLAP_ROUNDS = 6
+
+
+class BatchOverlapAtomicBroadcast(AtomicBroadcast):
+    """Reliably broadcasts batches that overlap, and batches of the
+    wrong length.
+
+    In each of its first ``OVERLAP_ROUNDS`` agreement rounds it takes
+    five fresh ids ``a .. a+4`` and broadcasts three batches: ``(a,
+    a+1)`` and ``(a+1, a+2)``, which share id ``a+1`` with conflicting
+    payloads, and ``(a+3, a+4)`` holding one payload instead of two.
+    Correct processes must deliver each shared id once, with the payload
+    of whichever batch was decided first, and never vouch for the short
+    one.  Everything else is honest.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
+        self._overlap_rounds: set[int] = set()
+
+    def child_event(self, child: ControlBlock, event: Any) -> None:
+        super().child_event(child, event)
+        if self.destroyed or self.round in self._overlap_rounds:
+            return
+        if len(self._overlap_rounds) >= OVERLAP_ROUNDS:
+            return
+        self._overlap_rounds.add(self.round)
+        a = self._next_rbid
+        self._next_rbid += 5
+        for first, last, payloads in (
+            (a, a + 1, [b"left %d" % a, b"left %d" % (a + 1)]),
+            (a + 1, a + 2, [b"right %d" % (a + 1), b"right %d" % (a + 2)]),
+            (a + 3, a + 4, [b"short %d" % (a + 3)]),
+        ):
+            rb = self._open_msg_instance(self.me, first, last)
+            rb.broadcast(payloads)  # type: ignore[attr-defined]
 
 
 def byzantine_paper_faultload(factory: ProtocolFactory) -> ProtocolFactory:
@@ -324,6 +362,11 @@ def vect_forge_faultload(factory: ProtocolFactory) -> ProtocolFactory:
     return factory.override("ab", VectForgerAtomicBroadcast)
 
 
+def batch_overlap_faultload(factory: ProtocolFactory) -> ProtocolFactory:
+    """An atomic broadcast participant whose batches overlap or are short."""
+    return factory.override("ab", BatchOverlapAtomicBroadcast)
+
+
 def ready_forge_faultload(factory: ProtocolFactory) -> ProtocolFactory:
     """A reliable-broadcast participant whose READYs are forged, with a
     fresh ``sent`` tally."""
@@ -345,4 +388,5 @@ STRATEGIES: dict[str, Any] = {
     "bad-mac": bad_mac_faultload,
     "vect-forge": vect_forge_faultload,
     "ready-forge": ready_forge_faultload,
+    "batch-overlap": batch_overlap_faultload,
 }

@@ -28,7 +28,9 @@ the Section 4.2 Byzantine process), every registered flooding strategy,
 ``byz-vect-forge`` (forged AB_VECT id sets; every correct broadcast
 must still deliver), ``byz-ready-forge`` (forged and early READY
 digests; every correct broadcast delivers and only the malformed
-READYs are scored), ``byz-bc-split`` (the n=6 (n-f)/2 regression), and
+READYs are scored), ``byz-batch-overlap`` (overlapping batches with
+conflicting payloads and short batches; each id delivers once, alike
+everywhere), ``byz-bc-split`` (the n=6 (n-f)/2 regression), and
 the hostile-network catalog: ``wan-asym``, ``wan-lossy``, ``wan-dup``,
 ``wan-reorder``, ``gray-slow-replica``, ``gray-flaky-mac``,
 ``gray-degrading``, ``heal-mid-agreement``, ``laggard-gc`` and
@@ -43,6 +45,7 @@ from typing import Any, Callable
 from repro.adversary.strategies import (
     FORGERY_KINDS,
     MALFORMED_READY_KINDS,
+    OVERLAP_ROUNDS,
     READY_FORGERY_KINDS,
 )
 from repro.check.invariants import InvariantViolation
@@ -261,7 +264,7 @@ def _laggard_driver(sim: LanSimulation) -> None:
     sim.loop.schedule_at(_LAGGARD_SETTLED, settled)
 
 
-#: byz-vect-forge / byz-ready-forge: correct replicas keep A-broadcasting
+#: byz-vect-forge / byz-ready-forge / byz-batch-overlap: correct replicas keep A-broadcasting
 #: until ``_FORGE_LOAD_END`` so the forger sends every kind of forgery,
 #: and every correct broadcast must have delivered by ``_FORGE_SETTLED``.
 _FORGE_LOAD_END = 0.3
@@ -342,6 +345,26 @@ def _readies_forged(sim: LanSimulation, correct: list, forger: int) -> str | Non
         for peer in correct:
             if ledger.offenses(peer):
                 return f"p{pid} scored correct p{peer}: {dict(ledger.offenses(peer))}"
+    return None
+
+
+def _batches_overlapped(sim: LanSimulation, correct: list, forger: int) -> str | None:
+    """Every overlap round was sent, each correct process delivered each
+    id at most once, held every short batch as malformed, and scored no
+    correct peer."""
+    for pid in correct:
+        ab = sim.stacks[pid].instance_at(("ab", "a"))
+        ids = [(sender, rbid) for sender, rbid, _ in ab.order_log]
+        if len(ids) != len(set(ids)):
+            return f"p{pid} delivered an id twice"
+        short = [batch for batch in ab._malformed if batch[0] == forger]
+        if len(short) != OVERLAP_ROUNDS:
+            return f"p{pid} saw {len(short)} of {OVERLAP_ROUNDS} short batches"
+        if not any(sender == forger for sender, _ in ids):
+            return f"p{pid} delivered none of the forger's overlapping batches"
+        for peer in correct:
+            if sim.stacks[pid].ledger.offenses(peer):
+                return f"p{pid} scored correct p{peer}"
     return None
 
 
@@ -439,6 +462,11 @@ SCENARIOS: dict[str, Scenario] = {
         _byz_scenario(
             "ready-forge",
             driver=_forge_driver("rb-ready-forge", _readies_forged),
+            max_time=_FORGE_SETTLED + 0.1,
+        ),
+        _byz_scenario(
+            "batch-overlap",
+            driver=_forge_driver("ab-batch-overlap", _batches_overlapped),
             max_time=_FORGE_SETTLED + 0.1,
         ),
         Scenario(

@@ -9,30 +9,43 @@ of vector consensus.
 
 Two conceptual tasks:
 
-1. **Broadcast** -- to A-broadcast *m*, a process reliably broadcasts
-   ``(AB_MSG, i, rbid, m)``; the pair ``(i, rbid)`` identifies *m*
-   system-wide.
+1. **Broadcast** -- to A-broadcast *m*, a process assigns it the next
+   ``rbid``; the pair ``(i, rbid)`` identifies *m* system-wide.  The
+   messages a process broadcasts inside one flush window
+   (:meth:`Stack.coalesce`, or the window :meth:`Stack.receive` opens
+   around each inbound unit) travel together as one *batch*: a reliable
+   broadcast at ``("msg", i, first, last)`` whose payload is the list of
+   the ``last - first + 1`` messages.  Outside a window, or with
+   ``config.batching`` off (the paper's stack), every message is a
+   batch of one -- the paper's per-message pattern.
 2. **Agreement** -- in rounds: each process reliably broadcasts
-   ``(AB_VECT, i, r, V_i)`` with the identifiers it has received but not
-   yet delivered; after ``n - f`` such vectors it builds ``W_i``, the
-   identifiers present in ``f + 1`` or more of them (so every chosen
-   identifier was vouched for by a correct process and its payload is
-   guaranteed to arrive), and proposes ``W_i`` to multi-valued
-   consensus.  A non-⊥ decision is delivered in deterministic
-   (sender, rbid) order.
+   ``(AB_VECT, i, r, V_i)`` with the batches it has received whose
+   messages are not yet ordered; after ``n - f`` such vectors it builds
+   ``W_i``, the batches present in ``f + 1`` or more of them (so every
+   chosen batch was vouched for by a correct process, and RB totality
+   brings its content everywhere), and proposes ``W_i`` to multi-valued
+   consensus.
 
-The batching is what makes the protocol cheap at high load: one
-agreement orders every message that arrived while the previous
+A non-⊥ decision is delivered batch by batch in ``(sender, first,
+last)`` order, ids inside a batch in rbid order, each message on its
+own.  An id that is already scheduled or delivered is skipped, so a
+corrupt sender's overlapping batches deliver each id once, from the
+first decided batch that names it -- and RB agreement fixes that
+batch's content, so every correct process delivers the same payload.
+
+The batching at both levels is what makes the protocol cheap at high
+load: one agreement orders every batch that arrived while the previous
 agreement ran, so the relative cost of agreement *dilutes* as bursts
-grow (Figure 7 of the paper).  Every id set on the wire -- ``V_i``,
-``W_i``, the decision and the delivered frontier -- is spelled as
-canonical per-sender ranges (:func:`encode_id_ranges`), so its size
-follows senders plus gaps, not the number of messages in the batch.
+grow (Figure 7 of the paper), and one reliable broadcast carries every
+message of a flush window.  Agreement payloads list the sorted,
+distinct batches, a sender's back-to-back batches in one entry with
+every boundary kept (:func:`encode_batches`); the delivered frontier is
+the merged id-range form (:func:`encode_id_ranges`).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -50,10 +63,18 @@ MsgId = tuple[int, int]
 #: (sender pid, first rbid, last rbid): a run of consecutive identifiers.
 IdRange = tuple[int, int, int]
 
+#: (sender pid, first rbid, last rbid): one sender's batch of messages,
+#: carried by one reliable broadcast instance.
+Batch = tuple[int, int, int]
+
 #: Defensive cap on identifiers one id set may expand to (per sender,
 #: watermarks excepted, in a frontier): a corrupt process must not be
 #: able to blow up memory with one giant vector.
 MAX_VECT_IDS = 65536
+
+#: Most messages one batch may carry.  A sender splits a longer flush
+#: window into batches of this size; receivers refuse larger ones.
+MAX_BATCH_MSGS = 1024
 
 #: Decided rounds kept behind the current one: round r's ``vect``/``mvc``
 #: subtree is destroyed when round r + 2 decides.  That took n - f
@@ -61,9 +82,9 @@ MAX_VECT_IDS = 65536
 #: f + 1 correct processes are past r (DESIGN section 3).
 RETAINED_ROUNDS = 2
 
-#: Per-sender cap on *open* receiver-side AB message instances (created,
-#: not yet reclaimed at delivery): the dynamic-demultiplexing window that
-#: stops a corrupt process from minting unbounded RB instances.
+#: Per-sender cap on *open* receiver-side batch instances (created, not
+#: yet reclaimed): the dynamic-demultiplexing window that stops a
+#: corrupt process from minting unbounded RB instances.
 MSG_WINDOW = 65536
 
 
@@ -128,27 +149,54 @@ def expand_id_ranges(ranges: Iterable[IdRange]) -> list[MsgId]:
     return [(s, r) for s, first, last in ranges for r in range(first, last + 1)]
 
 
-def supported_id_ranges(id_sets: Iterable[list[IdRange]], threshold: int) -> list[IdRange]:
-    """The identifiers in at least *threshold* of the parsed *id_sets*,
-    as canonical ranges.  A sweep over range endpoints: the cost follows
-    the number of ranges, not the ids they span, so a vector claiming
-    ``MAX_VECT_IDS`` ghost ids costs its receivers one range."""
-    steps: dict[int, dict[int, int]] = {}
-    for ranges in id_sets:
-        for sender, first, last in ranges:
-            edges = steps.setdefault(sender, {})
-            edges[first] = edges.get(first, 0) + 1
-            edges[last + 1] = edges.get(last + 1, 0) - 1
-    out: list[IdRange] = []
-    for sender in sorted(steps):
-        depth, start = 0, -1
-        for point, step in sorted(steps[sender].items()):
-            depth += step
-            if depth >= threshold and start < 0:
-                start = point
-            elif depth < threshold and start >= 0:
-                out.append((sender, start, point - 1))
-                start = -1
+def encode_batches(batches: Iterable[Batch]) -> list[list[int]]:
+    """Wire form of a set of batches: sorted and distinct, one entry per
+    run of a sender's back-to-back batches.  ``[sender, first, l1, l2,
+    ...]`` names the batches ``(sender, first, l1)``, ``(sender, l1 + 1,
+    l2)``, ...: every boundary is kept, so one triple still names one RB
+    instance, and a correct sender's stream of batches costs one entry
+    however many batches it holds.  Runs are maximal, so every set has
+    exactly one spelling."""
+    out: list[list[int]] = []
+    for sender, first, last in sorted(set(batches)):
+        if out and out[-1][0] == sender and out[-1][-1] == first - 1:
+            out[-1].append(last)
+        else:
+            out.append([sender, first, last])
+    return out
+
+
+def parse_batches(payload: Any, process_ids: range) -> list[Batch] | None:
+    """Validate an untrusted batch list; the batches in sorted order, or
+    ``None`` unless *payload* is exactly what :func:`encode_batches`
+    produces for batches of known senders, each at most
+    :data:`MAX_BATCH_MSGS` long, together naming at most
+    :data:`MAX_VECT_IDS` ids (counted from the bounds)."""
+    if type(payload) is not list:
+        return None
+    out: list[Batch] = []
+    count = 0
+    for entry in payload:
+        if type(entry) is not list or len(entry) < 3:
+            return None
+        sender, first = entry[0], entry[1]
+        if type(sender) is not int or sender not in process_ids:
+            return None
+        if type(first) is not int or first < 0:
+            return None
+        if out and out[-1][0] == sender and out[-1][2] == first - 1:
+            return None  # the previous run should have continued
+        for last in entry[2:]:
+            if type(last) is not int or not first <= last < first + MAX_BATCH_MSGS:
+                return None
+            batch = (sender, first, last)
+            if out and batch <= out[-1]:
+                return None  # unsorted or duplicated
+            count += last - first + 1
+            if count > MAX_VECT_IDS:
+                return None
+            out.append(batch)
+            first = last + 1
     return out
 
 
@@ -180,10 +228,24 @@ class AtomicBroadcast(ControlBlock):
     ):
         super().__init__(stack, path, parent, purpose)
         self._next_rbid = 0
+        # Payloads broadcast in the open flush window, not yet sent: ids
+        # _next_rbid - len(_batch) .. _next_rbid - 1.
+        self._batch: list[Any] = []
         self._open_msg_instances: dict[int, int] = {}
-        # Both forget a message the moment it AB-delivers.
-        self._received: dict[MsgId, Any] = {}
-        self._scheduled: set[MsgId] = set()
+        # Well-formed RB-delivered batch contents still needed: vouched
+        # for, or bound to scheduled ids.  Forgotten when the last id
+        # bound to the batch delivers.
+        self._batches: dict[Batch, list] = {}
+        # Scheduled (decided, undelivered) id -> the batch it delivers
+        # from; and per batch, how many scheduled ids it binds.
+        self._scheduled: dict[MsgId, Batch] = {}
+        self._bound: dict[Batch, int] = {}
+        # Payloads fetched out-of-band for scheduled ids (recovery).
+        self._injected: dict[MsgId, Any] = {}
+        # Batches whose RB delivered a malformed value: destroyed, and
+        # frames for them are stale from then on (they keep their slot
+        # in the sender's window).
+        self._malformed: set[Batch] = set()
         # Delivered identifiers, kept compact: per-sender contiguous
         # watermark (every rbid <= it is delivered) plus a sparse set of
         # delivered ids above their sender's watermark.  Bounded by the
@@ -194,12 +256,14 @@ class AtomicBroadcast(ControlBlock):
         self._delivered_count = 0
         self._delivery_queue: deque[MsgId] = deque()
         self._round = 0
-        self._round_vects: dict[int, dict[int, list[IdRange]]] = {}
+        self._round_vects: dict[int, dict[int, list[Batch]]] = {}
         self._vect_sent: set[int] = set()
         self._mvc_proposed: set[int] = set()
-        # (round, id) of messages delivered from an injected payload:
-        # their RB instances wait for the round rule.
-        self._collectable: deque[tuple[int, MsgId]] = deque()
+        # (round, batch) of batches reclaimed before their RB instance
+        # delivered here (their ids delivered from injected payloads, or
+        # were ordered from other batches): the instance may still owe a
+        # READY, so it waits for the round rule.
+        self._collectable: deque[tuple[int, Batch]] = deque()
         self._gc_floor = 0  # lowest round whose instances still exist
         # Cumulative count of identifiers scheduled through the end of
         # each decided round.  Identical at every correct process (it is
@@ -243,7 +307,11 @@ class AtomicBroadcast(ControlBlock):
         """Atomically broadcast *payload*; returns its system-wide id.
 
         The message is delivered through :attr:`on_deliver` (in total
-        order, at every correct process) -- not returned here.
+        order, at every correct process) -- not returned here.  Inside a
+        flush window with ``config.batching`` on, it joins this
+        process's open batch, sent when the outermost window closes (or
+        at :data:`MAX_BATCH_MSGS` messages); otherwise it is sent at
+        once, as a batch of one.
 
         Raises:
             BackpressureError: ``config.ab_pending_cap`` locally
@@ -270,8 +338,26 @@ class AtomicBroadcast(ControlBlock):
         self._next_rbid += 1
         if self.stack.metrics.enabled:
             self._submit_times[(self.me, rbid)] = self.stack.clock()
-        self._open_msg_instance(self.me, rbid).broadcast(payload)  # type: ignore[attr-defined]
+        if not self._batch and not (
+            self.config.batching and self.stack.at_window_close(self._flush_batch)
+        ):
+            self._send_batch(rbid, [payload])
+            return (self.me, rbid)
+        self._batch.append(payload)
+        if len(self._batch) >= MAX_BATCH_MSGS:
+            self._flush_batch()
         return (self.me, rbid)
+
+    def _flush_batch(self) -> None:
+        """Send the open batch (the stack runs this at window close)."""
+        batch, self._batch = self._batch, []
+        if batch and not self.destroyed:
+            self._send_batch(self._next_rbid - len(batch), batch)
+
+    def _send_batch(self, first: int, payloads: list) -> None:
+        last = first + len(payloads) - 1
+        rb = self._open_msg_instance(self.me, first, last)
+        rb.broadcast(payloads)  # type: ignore[attr-defined]
 
     @property
     def delivered_count(self) -> int:
@@ -309,6 +395,23 @@ class AtomicBroadcast(ControlBlock):
     def _is_delivered(self, msg_id: MsgId) -> bool:
         sender, rbid = msg_id
         return rbid <= self._frontier.get(sender, -1) or msg_id in self._frontier_sparse
+
+    def _all_delivered(self, batch: Batch) -> bool:
+        sender, first, last = batch
+        if last <= self._frontier.get(sender, -1):
+            return True
+        return all(self._is_delivered((sender, r)) for r in range(first, last + 1))
+
+    def _unordered(self, batch: Batch) -> bool:
+        """True if some id of *batch* is neither scheduled nor delivered:
+        the batch can still bind ids, so it is worth vouching for."""
+        sender, first, last = batch
+        scheduled = self._scheduled
+        for rbid in range(first, last + 1):
+            msg_id = (sender, rbid)
+            if msg_id not in scheduled and not self._is_delivered(msg_id):
+                return True
+        return False
 
     def _mark_delivered(self, msg_id: MsgId) -> None:
         sender, rbid = msg_id
@@ -409,12 +512,7 @@ class AtomicBroadcast(ControlBlock):
         exactly as if the messages had delivered here.
         """
         self._install_frontier(frontier)
-        held = set(self._received)
-        depth = len(self.path)
-        held.update(path[-2:] for path in self.children if path[depth] == "msg")
-        for msg_id in held:
-            if self._is_delivered(msg_id):
-                self._reclaim_msg(msg_id)
+        self._reclaim_delivered(self._held_batches())
 
     def inject_payload(self, msg_id: MsgId, payload: Any) -> bool:
         """Hand this instance a payload fetched out-of-band.
@@ -425,13 +523,15 @@ class AtomicBroadcast(ControlBlock):
         delivery queue here.  Only identifiers that are scheduled,
         undelivered and still missing are accepted.
         """
+        batch = self._scheduled.get(msg_id)
         if (
-            msg_id not in self._scheduled
-            or msg_id in self._received
+            batch is None
+            or batch in self._batches
+            or msg_id in self._injected
             or self._is_delivered(msg_id)
         ):
             return False
-        self._received[msg_id] = payload
+        self._injected[msg_id] = payload
         self.payloads_injected += 1
         self._drain_delivery_queue()
         return True
@@ -441,7 +541,7 @@ class AtomicBroadcast(ControlBlock):
         delivery order (the head of the list blocks everything else)."""
         out: list[MsgId] = []
         for msg_id in self._delivery_queue:
-            if msg_id not in self._received:
+            if self._scheduled[msg_id] not in self._batches and msg_id not in self._injected:
                 out.append(msg_id)
                 if len(out) >= limit:
                     break
@@ -457,16 +557,20 @@ class AtomicBroadcast(ControlBlock):
         and resumes above it.
         """
         if next_rbid > self._next_rbid:
+            self._flush_batch()  # its ids are consecutive below the jump
             self._next_rbid = next_rbid
 
     def max_rbid_from(self, sender: int) -> int:
         """Highest rbid this instance has seen attributed to *sender*
         (delivered, received or scheduled); ``-1`` if none."""
         best = self._frontier.get(sender, -1)
-        for source in (self._frontier_sparse, self._received, self._scheduled):
+        for source in (self._frontier_sparse, self._scheduled):
             for s, r in source:
                 if s == sender and r > best:
                     best = r
+        for s, _, last in self._batches:
+            if s == sender and last > best:
+                best = last
         return best
 
     def nudge(self, payload: Any) -> MsgId:
@@ -490,38 +594,56 @@ class AtomicBroadcast(ControlBlock):
         if msg_id in self._scheduled:
             return False
         self._mark_delivered(msg_id)
-        self._reclaim_msg(msg_id)
+        sender, rbid = msg_id
+        self._reclaim_delivered(
+            b for b in self._held_batches() if b[0] == sender and b[1] <= rbid <= b[2]
+        )
         return True
 
     # -- instance management -------------------------------------------------------------
 
-    def _open_msg_instance(self, sender: int, rbid: int) -> ControlBlock:
+    def _open_msg_instance(self, sender: int, first: int, last: int) -> ControlBlock:
         self._open_msg_instances[sender] = self._open_msg_instances.get(sender, 0) + 1
         return self.make_child(
-            "rb", ("msg", sender, rbid), sender=sender, purpose=PURPOSE_PAYLOAD
+            "rb", ("msg", sender, first, last), sender=sender, purpose=PURPOSE_PAYLOAD
         )
 
     def _close_msg_instance(self, rb: ControlBlock) -> None:
         rb.destroy()
-        self._open_msg_instances[rb.path[-2]] -= 1
+        self._open_msg_instances[rb.path[-3]] -= 1
 
-    def _reclaim_msg(self, msg_id: MsgId) -> None:
-        """Forget a delivered message: its payload and its RB instance.
+    def _held_batches(self) -> set[Batch]:
+        """Batches with content or a live RB instance here."""
+        depth = len(self.path)
+        held = set(self._batches)
+        held.update(path[depth + 1 :] for path in self.children if path[depth] == "msg")
+        return held
+
+    def _reclaim_delivered(self, batches: Iterable[Batch]) -> None:
+        """Reclaim the unbound *batches* all of whose ids are delivered."""
+        for batch in batches:
+            if batch not in self._bound and self._all_delivered(batch):
+                self._reclaim_batch(batch)
+
+    def _reclaim_batch(self, batch: Batch) -> None:
+        """Forget a batch no scheduled id is bound to: its content and
+        its RB instance.
 
         An RB instance that has delivered has sent its READY (f + 1
         READYs trigger it, delivery takes 2f + 1) and owes peers nothing
-        more; votes still in flight resolve to ``ORPHAN_STALE``.  One
-        that has not (the payload was injected) may still owe a READY
-        and stays until its round is collected.
+        more; votes still in flight resolve to ``ORPHAN_STALE`` once its
+        ids are delivered.  One that has not (its ids delivered from
+        injected payloads, or were ordered from other batches) may still
+        owe a READY and stays until its round is collected.
         """
-        self._received.pop(msg_id, None)
-        rb = self.children.get(self.path + ("msg",) + msg_id)
+        self._batches.pop(batch, None)
+        rb = self.children.get(self.path + ("msg",) + batch)
         if rb is None:
             return
         if rb.delivered:  # type: ignore[attr-defined]
             self._close_msg_instance(rb)
         else:
-            self._collectable.append((self._round, msg_id))
+            self._collectable.append((self._round, batch))
 
     def _ensure_vect_instances(self, round_number: int) -> None:
         # One construction window: a laggard's replay of parked frames
@@ -541,28 +663,33 @@ class AtomicBroadcast(ControlBlock):
     def accept_orphan(self, mbuf: Mbuf) -> "bool | object":
         """Create receiver-side instances on demand (dynamic demux).
 
-        AB_MSG identifiers are not knowable in advance, so the reliable
-        broadcast instance for a peer's ``(sender, rbid)`` is created on
-        first contact -- subject to a per-sender window that stops a
-        corrupt process from minting unbounded instances.
+        Batch paths ``("msg", sender, first, last)`` are not knowable in
+        advance, so the reliable broadcast instance for a peer's batch
+        is created on first contact -- subject to a per-sender window
+        that stops a corrupt process from minting unbounded instances,
+        and to the :data:`MAX_BATCH_MSGS` length cap.
 
-        Frames addressed to *retired* state -- an already-delivered
-        message id, or agreement machinery (``vect``/``mvc`` subtrees)
-        of a round below the GC floor -- are reported
+        Frames addressed to *retired* state -- a batch whose ids are all
+        delivered, a batch whose RB delivered a malformed value, or
+        agreement machinery (``vect``/``mvc`` subtrees) of a round below
+        the GC floor -- are reported
         :data:`~repro.core.stack.ORPHAN_STALE`: a laggard catching up
         after the group checkpointed past it re-sends them freely, and
         nothing will ever drain them from the out-of-context table.
         """
         suffix = mbuf.path[len(self.path) :]
-        if len(suffix) == 3 and suffix[0] == "msg":
-            _, sender, rbid = suffix
+        if len(suffix) == 4 and suffix[0] == "msg":
+            _, sender, first, last = suffix
             if (
-                isinstance(sender, int)
-                and isinstance(rbid, int)
+                type(sender) is int
+                and type(first) is int
+                and type(last) is int
                 and sender in self.config.process_ids
-                and rbid >= 0
+                and 0 <= first <= last
+                and last - first < MAX_BATCH_MSGS
             ):
-                if self._is_delivered((sender, rbid)):
+                batch = (sender, first, last)
+                if batch in self._malformed or self._all_delivered(batch):
                     return ORPHAN_STALE
                 if self._open_msg_instances.get(sender, 0) >= MSG_WINDOW:
                     # Attribution rule: score only when the flooder is
@@ -571,7 +698,7 @@ class AtomicBroadcast(ControlBlock):
                     if mbuf.src == sender:
                         self.stack.report_misbehavior(sender, "msg-window")
                     return False
-                self._open_msg_instance(sender, rbid)
+                self._open_msg_instance(sender, first, last)
                 return True
             return False
         if len(suffix) >= 2 and suffix[0] in ("vect", "mvc") and isinstance(suffix[1], int):
@@ -598,54 +725,68 @@ class AtomicBroadcast(ControlBlock):
             return
         kind = child.path[len(self.path)]
         if kind == "msg":
-            sender, rbid = child.path[-2:]
-            msg_id = (sender, rbid)
-            if msg_id not in self._received and not self._is_delivered(msg_id):
-                self._received[msg_id] = event
-                self._drain_delivery_queue()
-                self._maybe_start_round()
+            self._on_batch(child, event)
         elif kind == "vect":
             round_number, sender = child.path[-2:]
             self._on_vect(round_number, sender, event)
         elif kind == "mvc":
             self._on_agreement(child.path[-1], event)
 
+    def _on_batch(self, rb: ControlBlock, content: Any) -> None:
+        batch: Batch = rb.path[-3:]  # type: ignore[assignment]
+        if type(content) is not list or len(content) != batch[2] - batch[1] + 1:
+            # Only a corrupt sender sends this; RB agreement means every
+            # correct process sees it and none vouches for it.  The
+            # batch keeps its slot in the sender's window.
+            rb.destroy()
+            self._malformed.add(batch)
+            return
+        if batch in self._bound or self._unordered(batch):
+            self._batches[batch] = content
+            self._drain_delivery_queue()
+            self._maybe_start_round()
+        else:
+            # Every id is delivered, or bound to another batch: this one
+            # can never be delivered from.
+            self._close_msg_instance(rb)
+
     def _on_vect(self, round_number: int, sender: int, payload: Any) -> None:
-        ranges = parse_id_ranges(payload, self.config.process_ids)
-        if ranges is None:
+        batches = parse_batches(payload, self.config.process_ids)
+        if batches is None:
             return  # malformed vector from a corrupt process
         vects = self._round_vects.setdefault(round_number, {})
         if sender in vects:
             return
-        vects[sender] = ranges
+        vects[sender] = batches
         self._maybe_start_round()
         self._maybe_propose(round_number)
 
     # -- the agreement task -------------------------------------------------------------------
 
-    def _pending_ids(self) -> list[MsgId]:
+    def _pending_batches(self) -> list[Batch]:
         # A fast-forwarded instance that has not yet learned its position
-        # anchor holds stale knowledge: payloads gathered while it was
+        # anchor holds stale knowledge: batches gathered while it was
         # catching up may already be delivered group-wide.  Until the
         # recovery layer anchors it, it vouches for nothing (peers vouch
-        # for genuinely pending messages; f+1 support never needs us).
+        # for genuinely pending batches; f+1 support never needs us).
         if self._position_base is None:
             return []
-        return [msg_id for msg_id in self._received if msg_id not in self._scheduled]
+        # A bound batch had every id scheduled when it was decided.
+        return [b for b in self._batches if b not in self._bound and self._unordered(b)]
 
     def _maybe_start_round(self) -> None:
         """Send our AB_VECT for the current round once there is a reason to:
-        we hold undelivered messages, or a peer opened the round."""
+        we hold unordered batches, or a peer opened the round."""
         round_number = self._round
         if round_number in self._vect_sent:
             return
-        pending = self._pending_ids()
+        pending = self._pending_batches()
         if not pending and not self._round_vects.get(round_number):
             return
         self._vect_sent.add(round_number)
         self._ensure_vect_instances(round_number)
         rb = self.children[self.path + ("vect", round_number, self.me)]
-        rb.broadcast(self._vect_ids(encode_id_ranges(pending)))  # type: ignore[attr-defined]
+        rb.broadcast(self._vect_ids(encode_batches(pending)))  # type: ignore[attr-defined]
         self._maybe_propose(round_number)
 
     def _vect_ids(self, computed: list[list[int]]) -> Any:
@@ -663,13 +804,14 @@ class AtomicBroadcast(ControlBlock):
         if len(vects) < self.config.wait_quorum:
             return
         self._mvc_proposed.add(round_number)
-        # f+1 support needs a correct voucher, so the supported ranges
-        # span only ids some correct process holds: safe to expand.
-        supported = supported_id_ranges(vects.values(), self.config.f + 1)
+        # f+1 identical triples need a correct voucher, which holds the
+        # batch: RB totality brings its content to every correct process.
+        support = Counter(batch for batches in vects.values() for batch in batches)
+        threshold = self.config.f + 1
         chosen = [
-            msg_id
-            for msg_id in expand_id_ranges(supported)
-            if msg_id not in self._scheduled and not self._is_delivered(msg_id)
+            batch
+            for batch, votes in support.items()
+            if votes >= threshold and self._unordered(batch)
         ]
         self.agreements_started += 1
         if self.stack.metrics.enabled:
@@ -677,30 +819,22 @@ class AtomicBroadcast(ControlBlock):
         mvc = self.make_child("mvc", ("mvc", round_number), purpose=PURPOSE_AGREEMENT)
         # MVC compares proposals by their encoding: the canonical form
         # makes equal sets equal values.
-        mvc.propose(encode_id_ranges(chosen))  # type: ignore[attr-defined]
+        mvc.propose(encode_batches(chosen))  # type: ignore[attr-defined]
 
     def _on_agreement(self, round_number: int, decision: Any) -> None:
         if round_number != self._round:
             return
-        ranges = parse_id_ranges(decision, self.config.process_ids)
-        ids = expand_id_ranges(ranges) if ranges else None
-        if ids:
-            for msg_id in ids:
-                # Skip identifiers awaiting delivery *or* already
-                # delivered (here, or -- on a fast-forwarded instance --
-                # group-wide per the transferred frontier): peers skip
-                # them the same way, so re-delivering would diverge.
-                if msg_id not in self._scheduled and not self._is_delivered(msg_id):
-                    self._scheduled.add(msg_id)
-                    self._delivery_queue.append(msg_id)
-                    self._sched_total += 1
+        batches = parse_batches(decision, self.config.process_ids)
+        if batches:
+            for batch in batches:
+                self._schedule(batch)
         else:
             self.agreements_empty += 1
         started = self._agreement_started_at.pop(round_number, None)
         if started is not None and self.stack.metrics.enabled:
             self.stack.metrics.histogram(
                 "ritas_ab_agreement_seconds",
-                outcome="empty" if not ids else "batch",
+                outcome="batch" if batches else "empty",
             ).observe(self.stack.clock() - started)
         self._sched_cum[round_number] = self._sched_total
         self._round += 1
@@ -709,23 +843,59 @@ class AtomicBroadcast(ControlBlock):
         self._collect(self._round - 1 - RETAINED_ROUNDS)
         self._maybe_start_round()
 
+    def _schedule(self, batch: Batch) -> None:
+        """Queue a decided batch's ids for delivery, bound to it.
+
+        Identifiers awaiting delivery *or* already delivered (here, or
+        -- on a fast-forwarded instance -- group-wide per the
+        transferred frontier) are skipped: peers skip them the same
+        way, so re-delivering would diverge.
+        """
+        sender, first, last = batch
+        scheduled, queue = self._scheduled, self._delivery_queue
+        bound = 0
+        for rbid in range(first, last + 1):
+            msg_id = (sender, rbid)
+            if msg_id not in scheduled and not self._is_delivered(msg_id):
+                scheduled[msg_id] = batch
+                queue.append(msg_id)
+                bound += 1
+        if bound:
+            self._bound[batch] = self._bound.get(batch, 0) + bound
+            self._sched_total += bound
+        elif batch not in self._bound:
+            self._reclaim_batch(batch)
+
     def _drain_delivery_queue(self) -> None:
         """Deliver scheduled messages whose payload has arrived, strictly
         in queue order (total order requires the head to block the rest)."""
-        while self._delivery_queue:
-            msg_id = self._delivery_queue[0]
-            if msg_id not in self._received:
+        queue = self._delivery_queue
+        while queue:
+            msg_id = queue[0]
+            batch = self._scheduled[msg_id]
+            content = self._batches.get(batch)
+            if content is not None:
+                payload = content[msg_id[1] - batch[1]]
+                if self._injected:
+                    self._injected.pop(msg_id, None)
+            elif msg_id in self._injected:
+                payload = self._injected.pop(msg_id)
+            else:
                 return
-            self._delivery_queue.popleft()
-            self._scheduled.discard(msg_id)
-            payload = self._received[msg_id]
+            queue.popleft()
+            del self._scheduled[msg_id]
             submitted = self._submit_times.pop(msg_id, None)
             if submitted is not None and self.stack.metrics.enabled:
                 self.stack.metrics.histogram(
                     "ritas_ab_delivery_latency_seconds"
                 ).observe(self.stack.clock() - submitted)
             self._mark_delivered(msg_id)
-            self._reclaim_msg(msg_id)
+            left = self._bound[batch] - 1
+            if left:
+                self._bound[batch] = left
+            else:
+                del self._bound[batch]
+                self._reclaim_batch(batch)
             delivery = AbDelivery(
                 sender=msg_id[0],
                 rbid=msg_id[1],
@@ -762,7 +932,7 @@ class AtomicBroadcast(ControlBlock):
                     vect.destroy()
         self._gc_floor = max(self._gc_floor, horizon + 1)
         while self._collectable and self._collectable[0][0] <= horizon:
-            _, msg_id = self._collectable.popleft()
-            rb = self.children.get(self.path + ("msg",) + msg_id)
+            _, batch = self._collectable.popleft()
+            rb = self.children.get(self.path + ("msg",) + batch)
             if rb is not None:
                 self._close_msg_instance(rb)

@@ -29,7 +29,7 @@ from repro.core.errors import ProtocolViolationError
 from repro.core.mbuf import Mbuf
 from repro.core.stack import ControlBlock, Stack
 from repro.core.trace import KIND_BROADCAST
-from repro.core.wire import Path, encode_value
+from repro.core.wire import Path, encode_payload, encode_value
 from repro.crypto.hashing import HASH_LEN, hash_bytes
 from repro.crypto.mac import mac_vector, verify_mac_batch
 from repro.obs.metrics import COUNT_BUCKETS
@@ -84,14 +84,15 @@ class EchoBroadcast(ControlBlock):
             self.stack.tracer.emit(
                 self.me, KIND_BROADCAST, self.path, protocol=self.protocol
             )
+        raw = encode_payload(payload)
         if self.stack.metrics.enabled:
             self.stack.metrics.histogram(
                 "ritas_broadcast_payload_bytes",
                 buckets=COUNT_BUCKETS,
                 protocol=self.protocol,
                 purpose=self.purpose,
-            ).observe(len(encode_value(payload)))
-        self.send_all(MSG_INIT, payload)
+            ).observe(len(raw))
+        self.send_all_raw(MSG_INIT, raw)
 
     # -- introspection ---------------------------------------------------------
 

@@ -37,7 +37,7 @@ from repro.core.errors import ProtocolViolationError
 from repro.core.mbuf import Mbuf
 from repro.core.stack import ControlBlock, Stack
 from repro.core.trace import KIND_BROADCAST
-from repro.core.wire import Path, decode_value, encode_value
+from repro.core.wire import Path, decode_value, encode_payload, encode_value
 from repro.crypto.hashing import HASH_LEN, hash_bytes
 from repro.obs.metrics import COUNT_BUCKETS
 
@@ -109,14 +109,15 @@ class ReliableBroadcast(ControlBlock):
             self.stack.tracer.emit(
                 self.me, KIND_BROADCAST, self.path, protocol=self.protocol
             )
+        raw = encode_payload(payload)
         if self.stack.metrics.enabled:
             self.stack.metrics.histogram(
                 "ritas_broadcast_payload_bytes",
                 buckets=COUNT_BUCKETS,
                 protocol=self.protocol,
                 purpose=self.purpose,
-            ).observe(len(encode_value(payload)))
-        self.send_all(MSG_INIT, payload)
+            ).observe(len(raw))
+        self.send_all_raw(MSG_INIT, raw)
 
     def _send_ready(self, digest: bytes) -> None:
         """Send READY(*digest*) to all (an adversary hook)."""

@@ -460,6 +460,7 @@ class Stack:
         # frames are parked per destination and flushed as batches.
         self._coalesce_depth = 0
         self._pending_frames: dict[int, list[bytes]] = {}
+        self._window_close: list[Callable[[], None]] = []
 
     # -- instance management -------------------------------------------------------
 
@@ -703,11 +704,31 @@ class Stack:
         stack.  :meth:`receive` opens a window around each inbound
         channel unit, so replies provoked by one arrival coalesce
         automatically; runtimes and applications wrap bursts of sends
-        the same way.
+        the same way.  Callbacks registered with :meth:`at_window_close`
+        run as the outermost window closes, before its frames flush.
         """
         self._coalesce_depth += 1
         try:
             yield
+        finally:
+            self._leave_window()
+
+    def at_window_close(self, callback: Callable[[], None]) -> bool:
+        """Run *callback* when the outermost flush window closes, before
+        the window's frames flush, so whatever it sends coalesces with
+        them.  Returns ``False`` (and registers nothing) when no window
+        is open.  Atomic broadcast sends its open message batch here."""
+        if self._coalesce_depth == 0:
+            return False
+        self._window_close.append(callback)
+        return True
+
+    def _leave_window(self) -> None:
+        try:
+            while self._coalesce_depth == 1 and self._window_close:
+                callbacks, self._window_close = self._window_close, []
+                for callback in callbacks:
+                    callback()
         finally:
             self._coalesce_depth -= 1
             if self._coalesce_depth == 0 and self._pending_frames:
@@ -767,9 +788,7 @@ class Stack:
         try:
             self._receive_unit(src, data, 0)
         finally:
-            self._coalesce_depth -= 1
-            if self._coalesce_depth == 0 and self._pending_frames:
-                self._flush_pending_frames()
+            self._leave_window()
 
     def _receive_unit(self, src: int, data, depth: int) -> None:
         if is_batch(data):

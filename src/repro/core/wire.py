@@ -101,6 +101,16 @@ def encode_value(value: Any) -> bytes:
     return bytes(out)
 
 
+def encode_payload(value: Any) -> bytes:
+    """:func:`encode_value` at the depth a frame holds its payload: the
+    region :func:`encode_frame` would write, to send with
+    ``send_all_raw`` (a value one level too deep to frame is refused
+    here, as :func:`encode_frame` refuses it)."""
+    out = bytearray()
+    _encode_into(out, value, 1)
+    return bytes(out)
+
+
 def _encode_into(out: bytearray, value: Any, depth: int) -> None:
     if depth > _MAX_DEPTH:
         raise ValueError("value nesting too deep to encode")
@@ -527,10 +537,24 @@ def decode_frame_ex(data) -> tuple[Path, int, Any, bytes]:
 # Keying by the full frame bytes makes the memo trivially sound (equal
 # bytes parse identically) and unpoisonable (the key IS the
 # attacker-controlled input).  Entries are ``_parse_frame`` results, or
-# ``None`` for a frame it rejected.
+# ``None`` for a frame it rejected.  Oldest entries go first, past either
+# bound: the entry cap, or FASTPATH_MEMO_BYTES of pinned frame and
+# payload bytes.
 _FASTPATH_MEMO_MAX = 1024
 _fastpath_memo: "OrderedDict[bytes, tuple[bytes, int, bytes] | None]" = OrderedDict()
+_fastpath_memo_bytes = 0
 _MEMO_MISS = object()
+
+#: Most bytes the receive path's parse memo pins: each entry holds its
+#: frame and a copy of the payload region.  Sized to the entry cap at
+#: 8 KiB payloads, so a few large frames (a batch of many messages) stay
+#: memoized without the memo growing with frame size; a frame larger
+#: than the whole budget is parsed but not kept.
+FASTPATH_MEMO_BYTES = 16 * 1024 * 1024
+
+
+def _memo_cost(frame: bytes, parsed: "tuple[bytes, int, bytes] | None") -> int:
+    return len(frame) + (len(parsed[2]) if parsed is not None else 0)
 
 
 def frame_fastpath(data) -> tuple[bytes, int, bytes] | None:
@@ -547,6 +571,7 @@ def frame_fastpath(data) -> tuple[bytes, int, bytes] | None:
     returned ``raw_payload`` is then the *same* bytes object every time,
     so a downstream digest cache keyed on it is a cached-hash probe.
     """
+    global _fastpath_memo_bytes
     frame = data if type(data) is bytes else bytes(data)
     memo = _fastpath_memo
     hit = memo.get(frame, _MEMO_MISS)
@@ -556,15 +581,20 @@ def frame_fastpath(data) -> tuple[bytes, int, bytes] | None:
         result = _parse_frame(frame)
     except WireFormatError:
         result = None
-    memo[frame] = result
-    if len(memo) > _FASTPATH_MEMO_MAX:
-        memo.popitem(last=False)
+    cost = _memo_cost(frame, result)
+    if cost <= FASTPATH_MEMO_BYTES:
+        memo[frame] = result
+        _fastpath_memo_bytes += cost
+        while len(memo) > _FASTPATH_MEMO_MAX or _fastpath_memo_bytes > FASTPATH_MEMO_BYTES:
+            _fastpath_memo_bytes -= _memo_cost(*memo.popitem(last=False))
     return result
 
 
 def fastpath_memo_clear() -> None:
     """Drop all memoized frame parses (test isolation hook)."""
+    global _fastpath_memo_bytes
     _fastpath_memo.clear()
+    _fastpath_memo_bytes = 0
 
 
 def encode_frame_from_prefix_raw(prefix: bytes, mtype: int, raw) -> bytes:

@@ -253,7 +253,7 @@ def mvc_channel(quick: bool) -> Section:
     )
 
 
-# -- ablation-batching: frame coalescing ---------------------------------------------
+# -- ablation-batching: message batches and frame coalescing ---------------------------
 
 #: (n, k, m, least speedup): two high-load points, two latency-bound ones.
 BATCHING_POINTS = ((4, 64, 100, 1.5), (7, 16, 100, 1.5), (4, 16, 100, 0.95), (4, 32, 100, 0.95))
@@ -285,10 +285,10 @@ def batching(quick: bool) -> Section:
         )
     )
     return _section(
-        "Ablation — frame coalescing (`ablation-batching`)",
+        "Ablation — message batches and frame coalescing (`ablation-batching`)",
         "AB burst throughput with `GroupConfig.batching` off (the paper's "
-        "per-frame traffic) and on (same-peer frames share one channel unit). "
-        "The gain needs frames in flight: large bursts and large groups.",
+        "per-message, per-frame traffic) and on (a sender's burst share is "
+        "one reliable broadcast, and same-peer frames share one channel unit).",
         table(("n", "k", "m (B)", "unbatched msgs/s", "batched msgs/s", "speedup", "floor"),
               rows, "rrrrrrr"),
         verdicts,

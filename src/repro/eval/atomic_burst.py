@@ -77,19 +77,20 @@ def run_burst(
     params: NetworkParameters = LAN_2006,
     observer: int = 0,
     max_time: float = 900.0,
-    batching: bool = True,
+    batching: bool = False,
     metrics: bool = True,
     config_kwargs: dict | None = None,
 ) -> BurstResult:
     """Run one burst and return its measurements (observer is a correct
     process; the burst is split evenly across the live senders).
 
-    With *batching* on (the default) each sender hands its share of the
-    burst to the channel in one flush window, so frames coalesce into
-    batches all the way down the stack; off reproduces the unbatched
-    per-frame traffic.  Extra :class:`GroupConfig` knobs (e.g.
-    ``bc_engine`` / ``bc_coin`` for engine head-to-heads) pass through
-    *config_kwargs*."""
+    *batching* off (the default) is the paper's stack: every message
+    is its own reliable broadcast and every frame its own channel unit.
+    On, each sender hands its share of the burst to the stack in one
+    flush window, so atomic broadcast carries it in one batch and
+    frames coalesce all the way down the stack.  Extra
+    :class:`GroupConfig` knobs (e.g. ``bc_engine`` / ``bc_coin`` for
+    engine head-to-heads) pass through *config_kwargs*."""
     plan = _fault_plan(faultload, n)
     config = GroupConfig(n, batching=batching, **(config_kwargs or {}))
     sim = LanSimulation(
@@ -124,8 +125,8 @@ def run_burst(
         count = per_sender + (1 if index < remainder else 0)
         stack = sim.stacks[pid]
         ab = stack.instance_at(("burst",))
-        # One flush window per sender: the whole burst share leaves as
-        # coalesced batches (a no-op when batching is off).
+        # One flush window per sender: with batching on, the whole burst
+        # share is one AB batch (a no-op when batching is off).
         with stack.coalesce():
             for _ in range(count):
                 ab.broadcast(payload)

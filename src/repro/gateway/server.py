@@ -467,9 +467,12 @@ class ClientGateway:
     def _handle_frames(self, session: _Session, frames: list[bytes]) -> None:
         """Process one read-wakeup's worth of pipelined requests.
 
-        All submissions triggered here share one coalescing window per
-        hosted shard, so each replica stack sends them as batched
-        channel units -- this is where client pipelining turns into
+        All submissions triggered here share one flush window per
+        hosted shard, so one wakeup's ordered ops are one atomic
+        broadcast batch -- one reliable broadcast, ordered by one
+        agreement slot, each op still delivered and answered on its own
+        -- and the replica stack sends the window's frames as batched
+        channel units.  This is where client pipelining turns into
         atomic-broadcast batching.  On a sharded node the windows of
         every hosted stack are opened together: one wakeup's requests
         batch per shard, and the transport's drain-batch merge then

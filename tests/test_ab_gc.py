@@ -16,7 +16,7 @@ from repro.crypto.hashing import hash_bytes
 
 from util import InstantNet, ShuffleNet
 
-MSG_0_0 = ("g", "msg", 0, 0)
+MSG_0_0 = ("g", "msg", 0, 0, 0)  # p0's first message: a batch of one
 
 
 def setup(net):
@@ -42,7 +42,7 @@ def run_rounds(net, count, sender=0):
 
 def footprint(net):
     return [
-        (stack.live_instances, len(ab_of(net, pid)._received), len(ab_of(net, pid)._scheduled))
+        (stack.live_instances, len(ab_of(net, pid)._batches), len(ab_of(net, pid)._scheduled))
         for pid, stack in enumerate(net.stacks)
     ]
 
@@ -68,7 +68,7 @@ class TestOrderUnchanged:
         ab_of(net, 0).broadcast(b"once")
         net.run()
         assert net.stacks[2].instance_at(MSG_0_0) is None
-        ready = hash_bytes(encode_value(b"once"))
+        ready = hash_bytes(encode_value([b"once"]))
         for src in (0, 1, 3):
             net.stacks[src].send_frame(2, MSG_0_0, MSG_READY, ready)
         net.run()
@@ -96,7 +96,7 @@ class TestFlatFootprint:
             net.run()
         ab = ab_of(net, 0)
         assert ab.delivered_count == 5
-        assert len(ab._received) == 0
+        assert len(ab._batches) == 0
         # One contiguous watermark per sender, no sparse stragglers.
         assert ab.delivered_frontier() == [[0, 0, 4]]
 

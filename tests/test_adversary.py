@@ -118,9 +118,9 @@ class TestFaultPlan:
 
 class TestVectForge:
     def test_every_correct_broadcast_delivers_across_seeds(self):
-        """Forged AB_VECTs (bool-spelled, non-canonical, over-cap, ghost
-        ids, an at-cap ghost range) neither break an invariant nor hold
-        back a correct op; the
+        """Forged AB_VECTs (bool-spelled, duplicated triples, a batch
+        over ``MAX_BATCH_MSGS``, ghost batches, an at-cap ghost batch)
+        neither break an invariant nor hold back a correct op; the
         scenario's driver raises ``ab-forge-liveness`` otherwise."""
         from repro.check.explore import explore
 
@@ -141,6 +141,22 @@ class TestReadyForge:
         from repro.check.explore import explore
 
         reproducer = explore("byz-ready-forge", 5)
+        assert reproducer is None, (
+            f"violated {reproducer['violation']['invariant']} (seed {reproducer['seed']}): "
+            f"{reproducer['violation']['detail']}"
+        )
+
+
+class TestBatchOverlap:
+    def test_each_id_delivers_once_alike_across_seeds(self):
+        """Overlapping batches with conflicting payloads for the shared
+        id, and batches of the wrong length: every correct replica
+        delivers the same sequence, each id at most once, and every
+        correct op, scoring no correct peer; the scenario's driver
+        raises ``ab-batch-overlap`` otherwise."""
+        from repro.check.explore import explore
+
+        reproducer = explore("byz-batch-overlap", 5)
         assert reproducer is None, (
             f"violated {reproducer['violation']['invariant']} (seed {reproducer['seed']}): "
             f"{reproducer['violation']['detail']}"

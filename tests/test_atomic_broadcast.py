@@ -12,12 +12,12 @@ from repro.core.atomic_broadcast import (
     AbDelivery,
     encode_id_ranges,
     expand_id_ranges,
+    encode_batches,
+    parse_batches,
     parse_id_ranges,
-    supported_id_ranges,
 )
-from repro.core.config import GroupConfig
 from repro.core.reliable_broadcast import MSG_INIT
-from repro.core.wire import decode_frame_ex, encode_value
+from repro.core.wire import decode_batch_views, decode_frame_ex, encode_value, is_batch
 
 from util import InstantNet, ShuffleNet
 
@@ -185,7 +185,7 @@ class TestHostileInputs:
             stack.create("ab", ("ab",))
         before = net.stacks[0].live_instances
         for rbid in range(50):
-            net.stacks[3].send_frame(0, ("ab", "msg", 3, rbid), MSG_INIT, b"spam")
+            net.stacks[3].send_frame(0, ("ab", "msg", 3, rbid, rbid), MSG_INIT, [b"spam"])
         net.run()
         created = net.stacks[0].live_instances - before
         assert created <= 4
@@ -196,7 +196,7 @@ class TestHostileInputs:
         net = InstantNet(4)
         setup_ab(net)
         before = net.stacks[0].live_instances
-        net.stacks[3].send_frame(0, ("ab", "msg", 3, -5), MSG_INIT, b"spam")
+        net.stacks[3].send_frame(0, ("ab", "msg", 3, -5, -5), MSG_INIT, [b"spam"])
         net.run()
         assert net.stacks[0].live_instances == before  # parked, not created
 
@@ -303,53 +303,100 @@ def test_parser_accepts_only_the_canonical_spelling(payload):
         assert encode_value(canonical) == encode_value(payload)
 
 
-dense_id_sets = st.sets(st.tuples(st.integers(0, 2), st.integers(0, 30)), max_size=60)
+def test_batch_lists_round_trip_and_have_one_spelling():
+    # Back-to-back batches share an entry, boundaries kept.
+    assert encode_batches([(1, 8, 8), (1, 0, 3), (1, 4, 7)]) == [[1, 0, 3, 7, 8]]
+    # An overlapping batch (0, 5, 5) sorts between (0, 4, 9) and
+    # (0, 10, 12), so it ends one run and starts another.
+    batches = [(2, 0, 0), (0, 4, 9), (0, 0, 3), (0, 10, 12), (0, 5, 5), (0, 4, 9)]
+    wire = encode_batches(batches)
+    assert wire == [[0, 0, 3, 9], [0, 5, 5], [0, 10, 12], [2, 0, 0]]
+    assert parse_batches(wire, PIDS) == sorted(set(batches))
+    assert parse_batches([], PIDS) == []
 
 
-@given(vects=st.lists(dense_id_sets, min_size=1, max_size=4), threshold=st.integers(1, 3))
+batch_sets = st.sets(
+    st.tuples(st.integers(0, 3), st.integers(0, 40), st.integers(0, 3)).map(
+        lambda t: (t[0], t[1], t[1] + t[2])
+    ),
+    max_size=30,
+)
+
+
+@given(batches=batch_sets)
 @settings(**FUZZ)
-def test_supported_ranges_match_per_id_counting(vects, threshold):
-    support: dict = {}
-    for ids in vects:
-        for msg_id in ids:
-            support[msg_id] = support.get(msg_id, 0) + 1
-    expected = encode_id_ranges(m for m, votes in support.items() if votes >= threshold)
-    parsed = [parse_id_ranges(encode_id_ranges(ids), PIDS) for ids in vects]
-    assert [list(r) for r in supported_id_ranges(parsed, threshold)] == expected
+def test_batch_spelling_is_unique(batches):
+    wire = encode_batches(batches)
+    assert parse_batches(wire, PIDS) == sorted(batches)
+    split = [list(b) for b in sorted(batches)]  # one entry per batch
+    if split != wire:
+        assert parse_batches(split, PIDS) is None
 
 
-def test_supported_ranges_sweep_endpoints_without_expanding():
-    """A range's cost is its two endpoints: trillion-id ranges sweep at
-    once, and ranges meeting end to end merge into one canonical range."""
-    huge = [[(0, 0, 10**12)], [(0, 5, 10**12 + 7), (1, 0, 10**12)], [(1, 3, 3)]]
-    assert supported_id_ranges(huge, 2) == [(0, 5, 10**12), (1, 3, 3)]
-    assert supported_id_ranges([[(2, 0, 4)], [(2, 5, 9)]], 1) == [(2, 0, 9)]
-    assert supported_id_ranges([[(2, 0, 4)], [(2, 5, 9)]], 2) == []
-    assert supported_id_ranges([[(2, 0, 9)], [(2, 0, 4)]], 1) == [(2, 0, 9)]
+def test_batch_parser_refuses_every_other_spelling():
+    cap = atomic_broadcast.MAX_BATCH_MSGS
+    assert parse_batches([[0, 0, cap - 1]], PIDS) == [(0, 0, cap - 1)]
+    for junk in (
+        "junk",
+        [[0, 0, cap]],  # one id over MAX_BATCH_MSGS
+        [[0, 0, 4, 5 + cap]],
+        [[0, 4, 9], [0, 4, 9]],  # duplicated
+        [[0, 4, 9], [0, 0, 9]],  # unsorted
+        [[0, 0, 3], [0, 4, 9]],  # a run split in two
+        [[0, 0, 3, 3]],  # an empty batch in a run
+        [[True, 0, 0]],
+        [[0, 0, True]],
+        [[0, 3, 2]],
+        [[9, 0, 0]],
+        [[0, 0]],
+        [(0, 1, 1)],
+    ):
+        assert parse_batches(junk, PIDS) is None, junk
+    # The batches together may name at most MAX_VECT_IDS ids.
+    full = [[s, 0] + [r + cap - 1 for r in range(0, 16 * cap, cap)] for s in PIDS]
+    assert parse_batches(full, PIDS) is not None
+    assert parse_batches(full[:-1] + [full[-1] + [16 * cap]], PIDS) is None
+
+
+def test_support_needs_f_plus_1_identical_triples():
+    """(1, 1, 3) overlaps the supported (1, 0, 3) but names another RB
+    instance: only identical triples add up."""
+    net = InstantNet(4)
+    setup_ab(net)
+    ab = net.stacks[0].instance_at(("ab",))
+    ab._vect_sent.add(0)
+    for sender, vect in enumerate(
+        [[[1, 0, 3], [2, 0, 0]], [[1, 0, 3], [3, 5, 5]], [[1, 1, 3], [2, 0, 0]]]
+    ):
+        ab._on_vect(0, sender, vect)
+    proposal = net.stacks[0].instance_at(("ab", "mvc", 0)).proposal
+    assert proposal == [[1, 0, 3], [2, 0, 0]]
 
 
 def test_one_sender_burst_vect_is_one_range():
-    """The AB_VECTs for a 1000-message burst from one sender stay one
-    range each (32 bytes in the wire codec) instead of growing per id."""
-    config = GroupConfig(4, batching=False)
+    """A 1000-message burst from one sender in one flush window is one
+    batch, so its AB_VECTs carry one triple (32 bytes in the wire codec)
+    instead of growing per id."""
     vects = []
 
     class Spy(InstantNet):
         def enqueue(self, src, dest, data):
-            path, mtype, payload = decode_frame_ex(data)[:3]
-            if path[1:2] == ("vect",) and mtype == MSG_INIT:
-                vects.append(payload)
+            for frame in decode_batch_views(data) if is_batch(data) else [data]:
+                path, mtype, payload = decode_frame_ex(frame)[:3]
+                if path[1:2] == ("vect",) and mtype == MSG_INIT:
+                    vects.append(payload)
             super().enqueue(src, dest, data)
 
-    net = Spy(config=config)
+    net = Spy(4)
     orders = setup_ab(net)
-    for k in range(1000):
-        net.stacks[0].instance_at(("ab",)).broadcast(b"%d" % k)
+    with net.stacks[0].coalesce():
+        for k in range(1000):
+            net.stacks[0].instance_at(("ab",)).broadcast(b"%d" % k)
     net.run()
     assert all(len(o) == 1000 for o in orders.values())
     assert vects
     assert all(len(v) <= 1 and len(encode_value(v)) <= 32 for v in vects), vects
-    assert max(last - first + 1 for v in vects for _, first, last in v) >= 500
+    assert max(last - first + 1 for v in vects for _, first, last in v) == 1000
 
 
 class TestDeliveryDataclass:

@@ -254,6 +254,23 @@ class TestFrameFastpath:
             frame_fastpath(encode_frame(PATH, 1, [i]))
         assert len(_fastpath_memo) <= _FASTPATH_MEMO_MAX
 
+    def test_memo_pins_at_most_its_byte_budget(self):
+        """A stream of batch-sized frames (100 x 8 KiB messages) stays
+        within the byte budget, and the newest frame stays memoized."""
+        from repro.core import wire
+
+        big = [bytes(8192)] * 100
+        for i in range(60):
+            frame = encode_frame(PATH, i % 3, big)
+            first = frame_fastpath(frame)
+            pinned = sum(
+                len(key) + (len(parsed[2]) if parsed else 0)
+                for key, parsed in wire._fastpath_memo.items()
+            )
+            assert pinned == wire._fastpath_memo_bytes <= wire.FASTPATH_MEMO_BYTES
+        assert frame_fastpath(bytes(frame)) is first
+        assert len(wire._fastpath_memo) < 20
+
 
 # -- lazy mbufs ----------------------------------------------------------------
 

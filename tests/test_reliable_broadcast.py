@@ -303,3 +303,29 @@ class TestEndToEnd:
         net.stacks[0].instance_at(("x",)).broadcast(b"m")
         net.run()
         assert len(got) == 5
+
+
+@pytest.mark.parametrize("kind", ["rb", "eb"])
+def test_broadcast_encodes_its_payload_once_with_metrics_on(kind, monkeypatch):
+    """The payload-size histogram and the INIT frame share one encode."""
+    from repro.core import wire
+    from repro.obs.metrics import MetricsRegistry
+
+    stack, sent = lone_stack()
+    stack.metrics = MetricsRegistry()
+    block = stack.create(kind, ("b",), sender=0)
+    inner, active, top_level = wire._encode_into, [0], []
+
+    def counting(out, value, depth):
+        if not active[0]:
+            top_level.append(value)
+        active[0] += 1
+        try:
+            inner(out, value, depth)
+        finally:
+            active[0] -= 1
+
+    monkeypatch.setattr(wire, "_encode_into", counting)
+    block.broadcast([b"x" * 100, 7])
+    assert len(top_level) == 1 and len(sent) == 4
+    assert all(decode_frame_ex(data)[2] == [b"x" * 100, 7] for _, data in sent)
