@@ -23,20 +23,22 @@ from repro.adversary.strategies import (
     BatchOverlapAtomicBroadcast,
     CrashOnProposeBinaryConsensus,
     DefaultValueMultiValuedConsensus,
+    DigestForgerReliableBroadcast,
     DuplicateStormReliableBroadcast,
+    InitOmitReliableBroadcast,
     OocFlooderAtomicBroadcast,
     RandomBitBinaryConsensus,
-    ReadyForgerReliableBroadcast,
     VectForgerAtomicBroadcast,
     bad_mac_faultload,
     batch_overlap_faultload,
     bc_variant,
     byzantine_paper_faultload,
     crash_consensus_faultload,
+    digest_forge_faultload,
     duplicate_storm_faultload,
+    init_omit_faultload,
     ooc_flood_faultload,
     random_noise_faultload,
-    ready_forge_faultload,
     vect_forge_faultload,
 )
 
@@ -47,19 +49,21 @@ __all__ = [
     "BatchOverlapAtomicBroadcast",
     "CrashOnProposeBinaryConsensus",
     "DefaultValueMultiValuedConsensus",
+    "DigestForgerReliableBroadcast",
     "DuplicateStormReliableBroadcast",
+    "InitOmitReliableBroadcast",
     "OocFlooderAtomicBroadcast",
     "RandomBitBinaryConsensus",
-    "ReadyForgerReliableBroadcast",
     "VectForgerAtomicBroadcast",
     "bad_mac_faultload",
     "batch_overlap_faultload",
     "bc_variant",
     "byzantine_paper_faultload",
     "crash_consensus_faultload",
+    "digest_forge_faultload",
     "duplicate_storm_faultload",
+    "init_omit_faultload",
     "ooc_flood_faultload",
     "random_noise_faultload",
-    "ready_forge_faultload",
     "vect_forge_faultload",
 ]

@@ -23,6 +23,7 @@ from repro.core.echo_broadcast import EchoBroadcast
 from repro.core.mbuf import Mbuf
 from repro.core.multivalued_consensus import MultiValuedConsensus
 from repro.core.reliable_broadcast import (
+    MSG_ECHO,
     MSG_INIT,
     MSG_READY,
     READY_HEAD,
@@ -159,76 +160,115 @@ class OocFlooderAtomicBroadcast(AtomicBroadcast):
 class DuplicateStormReliableBroadcast(ReliableBroadcast):
     """Repeats every outgoing rb frame ``storm_factor`` times.
 
-    Duplicates are protocol-harmless (votes count once per source) but
-    each copy still costs every receiver decode CPU and bandwidth -- a
-    pure amplification attack on the channel.  INIT leaves through
-    ``send_all``, ECHO and READY through ``send_all_raw``; both repeat.
+    Duplicates are protocol-harmless (votes count once per source, and
+    PAYLOADs once per source) but each copy still costs every receiver
+    decode CPU and bandwidth -- a pure amplification attack on the
+    channel.  INIT, ECHO and READY leave through ``send_all_raw``, the
+    unicast PAYLOAD push through ``send_raw``; both repeat.
     """
 
     storm_factor = 4
-
-    def send_all(self, mtype: int, payload: Any) -> None:
-        for _ in range(self.storm_factor):
-            super().send_all(mtype, payload)
 
     def send_all_raw(self, mtype: int, raw: bytes) -> None:
         for _ in range(self.storm_factor):
             super().send_all_raw(mtype, raw)
 
+    def send_raw(self, dest: int, mtype: int, raw: bytes) -> None:
+        for _ in range(self.storm_factor):
+            super().send_raw(dest, mtype, raw)
 
-#: READY forgeries :class:`ReadyForgerReliableBroadcast` cycles through:
-#: a digest nobody's payload has, a short ``bytes``, a non-``bytes``
-#: value, and the correct digest sent on the INIT.
-READY_FORGERY_KINDS = 4
+
+#: Forged votes :class:`DigestForgerReliableBroadcast` cycles through, per
+#: vote type: a digest nobody's payload has, a short ``bytes``, a
+#: non-``bytes`` value, and the correct digest (a READY sent the moment
+#: the INIT arrives).  ECHOs add a fifth: the full payload, as the
+#: paper's ECHO carried it.
+VOTE_FORGERY_KINDS = {MSG_ECHO: 5, MSG_READY: 4}
 #: The forgeries that are malformed: correct processes drop and score them.
-MALFORMED_READY_KINDS = (1, 2)
-_EARLY_READY = 3
+MALFORMED_VOTE_KINDS = {MSG_ECHO: (1, 2, 4), MSG_READY: (1, 2)}
+_CORRECT_DIGEST = 3
+_PAYLOAD_ECHO = 4
 
 
-class ReadyForgerReliableBroadcast(ReliableBroadcast):
-    """Sends every kind of READY the digest rule has to sort out.
+class DigestForgerReliableBroadcast(ReliableBroadcast):
+    """Sends every kind of ECHO and READY the digest rule has to sort out.
 
-    The stack's READYs take turns: READY(H(x)) for an *x* nobody sent;
-    a ``bytes`` one byte short of a digest; the digest as an int; and
-    the correct digest, sent the moment the INIT arrives, before this
-    process's ECHO (or at the usual trigger if the INIT comes late).
-    The middle two are malformed and must be dropped and scored; the
-    other two are well formed and must not be.  Everything else is
-    honest.
+    The stack's ECHOs take turns, and so do its READYs: a vote for
+    H(x) for an *x* nobody sent; a ``bytes`` one byte short of a
+    digest; the digest as an int; and the correct digest -- for a READY,
+    sent the moment the INIT arrives, before this process's ECHO (or at
+    the usual trigger if the INIT comes late).  Every fifth ECHO carries
+    the payload itself.  The short, int and payload votes are malformed
+    and must be dropped and scored; the others are well formed and must
+    not be.  Everything else is honest.
 
-    ``sent`` counts the READYs sent per kind, across the stack's
-    instances; :func:`ready_forge_faultload` gives every stack it
-    builds a subclass with a tally of its own.
+    ``sent`` counts the votes sent per ``(mtype, kind)``, across the
+    stack's instances; :func:`digest_forge_faultload` gives every stack
+    it builds a subclass with a tally of its own.
     """
 
     sent: Counter = Counter()
 
-    def _next_kind(self) -> int:
-        return sum(self.sent.values()) % READY_FORGERY_KINDS
+    def _next_kind(self, mtype: int) -> int:
+        kinds = VOTE_FORGERY_KINDS[mtype]
+        return sum(self.sent[(mtype, kind)] for kind in range(kinds)) % kinds
 
     def input(self, mbuf: Mbuf) -> None:
         if (
             mbuf.mtype == MSG_INIT
             and mbuf.src == self.sender
             and not (self._init_seen or self._ready_sent)
-            and self._next_kind() == _EARLY_READY
+            and self._next_kind(MSG_READY) == _CORRECT_DIGEST
         ):
             self._ready_sent = True
             self._send_ready(hash_bytes(mbuf.raw_payload))
         super().input(mbuf)
 
-    def _send_ready(self, digest: bytes) -> None:
-        kind = self._next_kind()
-        self.sent[kind] += 1
+    def _forged(self, mtype: int, digest: bytes) -> bytes:
+        kind = self._next_kind(mtype)
+        self.sent[(mtype, kind)] += 1
         if kind == 0:
-            region = READY_HEAD + hash_bytes(b"nobody sent this", digest)
-        elif kind == 1:
-            region = encode_value(digest[1:])
-        elif kind == 2:
-            region = encode_value(int.from_bytes(digest, "big"))
-        else:
-            region = READY_HEAD + digest
-        self.send_all_raw(MSG_READY, region)
+            return READY_HEAD + hash_bytes(b"nobody sent this", digest)
+        if kind == 1:
+            return encode_value(digest[1:])
+        if kind == 2:
+            return encode_value(int.from_bytes(digest, "big"))
+        if kind == _PAYLOAD_ECHO:
+            return self._raws[digest]  # an ECHO is sent holding the INIT
+        return READY_HEAD + digest
+
+    def _send_echo(self, digest: bytes) -> None:
+        self.send_all_raw(MSG_ECHO, self._forged(MSG_ECHO, digest))
+
+    def _send_ready(self, digest: bytes) -> None:
+        self.send_all_raw(MSG_READY, self._forged(MSG_READY, digest))
+
+
+class InitOmitReliableBroadcast(ReliableBroadcast):
+    """A sender whose INIT reaches only itself and the 2f processes
+    after it (in pid order, wrapping), and never the rest.
+
+    An omitted process never echoes, so it can obtain the payload only
+    from the PAYLOAD pushes of the echoers that deliver.  ``omitted``
+    counts the INITs withheld, across the stack's instances;
+    :func:`init_omit_faultload` gives every stack it builds a subclass
+    with a tally of its own.  Everything else is honest.
+    """
+
+    omitted: Counter = Counter()
+
+    def send_all_raw(self, mtype: int, raw: bytes) -> None:
+        if mtype != MSG_INIT:
+            super().send_all_raw(mtype, raw)
+            return
+        n = self.config.num_processes
+        reached = 1 + 2 * self.config.num_faulty
+        for offset in range(n):
+            dest = (self.me + offset) % n
+            if offset < reached:
+                self.send_raw(dest, MSG_INIT, raw)
+            else:
+                self.omitted[dest] += 1
 
 
 class BadMacEchoBroadcast(EchoBroadcast):
@@ -367,15 +407,26 @@ def batch_overlap_faultload(factory: ProtocolFactory) -> ProtocolFactory:
     return factory.override("ab", BatchOverlapAtomicBroadcast)
 
 
-def ready_forge_faultload(factory: ProtocolFactory) -> ProtocolFactory:
-    """A reliable-broadcast participant whose READYs are forged, with a
-    fresh ``sent`` tally."""
+def digest_forge_faultload(factory: ProtocolFactory) -> ProtocolFactory:
+    """A reliable-broadcast participant whose ECHOs and READYs are
+    forged, with a fresh ``sent`` tally."""
     forger = type(
-        ReadyForgerReliableBroadcast.__name__,
-        (ReadyForgerReliableBroadcast,),
+        DigestForgerReliableBroadcast.__name__,
+        (DigestForgerReliableBroadcast,),
         {"sent": Counter()},
     )
     return factory.override("rb", forger)
+
+
+def init_omit_faultload(factory: ProtocolFactory) -> ProtocolFactory:
+    """A reliable-broadcast sender whose INITs skip n-1-2f processes,
+    with a fresh ``omitted`` tally."""
+    omitter = type(
+        InitOmitReliableBroadcast.__name__,
+        (InitOmitReliableBroadcast,),
+        {"omitted": Counter()},
+    )
+    return factory.override("rb", omitter)
 
 
 #: Named faultloads, resolvable by :meth:`repro.net.faults.FaultPlan.with_byzantine`.
@@ -387,6 +438,7 @@ STRATEGIES: dict[str, Any] = {
     "duplicate-storm": duplicate_storm_faultload,
     "bad-mac": bad_mac_faultload,
     "vect-forge": vect_forge_faultload,
-    "ready-forge": ready_forge_faultload,
+    "digest-forge": digest_forge_faultload,
+    "init-omit": init_omit_faultload,
     "batch-overlap": batch_overlap_faultload,
 }

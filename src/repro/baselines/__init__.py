@@ -1,4 +1,5 @@
-"""Baseline protocols the paper compares against (Section 5).
+"""Baseline protocols the paper compares against (Section 5), and the
+paper's own reliable broadcast.
 
 The paper's related work contrasts RITAS with leader-based
 intrusion-tolerant systems -- Rampart orders messages through a leader
@@ -11,8 +12,18 @@ assumptions").
 ``ablation-sequencer`` section of ``python -m repro.eval`` can show both sides: lower latency than the
 consensus-based protocol when the leader is correct, and a total
 liveness loss when the leader crashes (where RITAS keeps delivering).
+
+:class:`PaperReliableBroadcast` is Bracha's broadcast with ECHO
+relaying the message, as the paper measures it; the simulated figures
+run on it.
 """
 
+from repro.baselines.paper_rb import PaperReliableBroadcast, with_paper_rb
 from repro.baselines.sequencer import SequencerAtomicBroadcast, with_sequencer
 
-__all__ = ["SequencerAtomicBroadcast", "with_sequencer"]
+__all__ = [
+    "PaperReliableBroadcast",
+    "SequencerAtomicBroadcast",
+    "with_paper_rb",
+    "with_sequencer",
+]

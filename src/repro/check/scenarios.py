@@ -26,11 +26,13 @@ rejoin it through the recovery path).
 The registry covers the paper's faultloads (failure-free, fail-stop,
 the Section 4.2 Byzantine process), every registered flooding strategy,
 ``byz-vect-forge`` (forged AB_VECT id sets; every correct broadcast
-must still deliver), ``byz-ready-forge`` (forged and early READY
-digests; every correct broadcast delivers and only the malformed
-READYs are scored), ``byz-batch-overlap`` (overlapping batches with
-conflicting payloads and short batches; each id delivers once, alike
-everywhere), ``byz-bc-split`` (the n=6 (n-f)/2 regression), and
+must still deliver), ``byz-digest-forge`` (forged ECHO and READY
+digests, early READYs and payload-carrying ECHOs; every correct
+broadcast delivers and only the malformed votes are scored),
+``byz-init-omit`` (a sender's INITs skip one correct process, which
+must deliver everything from PAYLOAD pushes), ``byz-batch-overlap``
+(overlapping batches with conflicting payloads and short batches; each
+id delivers once, alike everywhere), ``byz-bc-split`` (the n=6 (n-f)/2 regression), and
 the hostile-network catalog: ``wan-asym``, ``wan-lossy``, ``wan-dup``,
 ``wan-reorder``, ``gray-slow-replica``, ``gray-flaky-mac``,
 ``gray-degrading``, ``heal-mid-agreement``, ``laggard-gc`` and
@@ -44,9 +46,9 @@ from typing import Any, Callable
 
 from repro.adversary.strategies import (
     FORGERY_KINDS,
-    MALFORMED_READY_KINDS,
+    MALFORMED_VOTE_KINDS,
     OVERLAP_ROUNDS,
-    READY_FORGERY_KINDS,
+    VOTE_FORGERY_KINDS,
 )
 from repro.check.invariants import InvariantViolation
 from repro.core.atomic_broadcast import RETAINED_ROUNDS
@@ -264,21 +266,26 @@ def _laggard_driver(sim: LanSimulation) -> None:
     sim.loop.schedule_at(_LAGGARD_SETTLED, settled)
 
 
-#: byz-vect-forge / byz-ready-forge / byz-batch-overlap: correct replicas keep A-broadcasting
-#: until ``_FORGE_LOAD_END`` so the forger sends every kind of forgery,
-#: and every correct broadcast must have delivered by ``_FORGE_SETTLED``.
+#: byz-vect-forge / byz-digest-forge / byz-batch-overlap / byz-init-omit:
+#: correct replicas keep A-broadcasting until ``_FORGE_LOAD_END`` so the
+#: forger sends every kind of forgery, and every correct broadcast must
+#: have delivered by ``_FORGE_SETTLED``.
 _FORGE_LOAD_END = 0.3
 _FORGE_SETTLED = 1.0
 
 def _forge_driver(
-    invariant: str, forged: Callable[[LanSimulation, list, int], str | None]
+    invariant: str,
+    forged: Callable[[LanSimulation, list, int], str | None],
+    *,
+    forger_writes: bool = False,
 ) -> Callable[[LanSimulation], None]:
-    """Keep the correct replicas A-broadcasting under a forger, then
-    check liveness: each correct replica delivered all of its own
-    broadcasts, none waits on a payload, and all of them delivered the
-    same id set.  ``forged(sim, correct, forger)`` adds the strategy's
-    own check, returning what went wrong or ``None``.  A failure is
-    raised as *invariant*."""
+    """Keep the correct replicas (and, with *forger_writes*, the forger)
+    A-broadcasting under a forger, then check liveness: each correct
+    replica delivered all of its own broadcasts, none waits on a
+    payload, and all of them delivered the same id set.
+    ``forged(sim, correct, forger)`` adds the strategy's own check,
+    returning what went wrong or ``None``.  A failure is raised as
+    *invariant*."""
 
     def driver(sim: LanSimulation) -> None:
         path = ("ab", "a")
@@ -292,7 +299,7 @@ def _forge_driver(
             if sim.now < _FORGE_LOAD_END:
                 sessions[pid].broadcast(b"w%d" % pid)
 
-        for pid in correct:
+        for pid in sessions if forger_writes else correct:
             sim.add_ticker(pid, 0.02, lambda pid=pid: write(pid))
 
         def settled() -> None:
@@ -325,26 +332,53 @@ def _vects_forged(sim: LanSimulation, correct: list, forger: int) -> str | None:
     return None
 
 
-def _readies_forged(sim: LanSimulation, correct: list, forger: int) -> str | None:
-    """Every READY forgery was sent, and each correct process scored the
-    forger for malformed READYs only: at most one offense per malformed
-    READY (a READY for a reclaimed instance is dropped unscored), and
-    none at all against a correct peer."""
+def _votes_forged(sim: LanSimulation, correct: list, forger: int) -> str | None:
+    """Every ECHO and READY forgery was sent, and each correct process
+    scored the forger for malformed votes only: at most one offense per
+    malformed vote (a vote for a reclaimed instance is dropped unscored),
+    and none at all against a correct peer."""
     sent = sim.stacks[forger].factory.resolve("rb").sent
-    unsent = [kind for kind in range(READY_FORGERY_KINDS) if not sent[kind]]
+    unsent = [
+        (mtype, kind)
+        for mtype, kinds in VOTE_FORGERY_KINDS.items()
+        for kind in range(kinds)
+        if not sent[(mtype, kind)]
+    ]
     if unsent:
-        return f"READY forgeries {unsent} were never sent"
-    malformed = sum(sent[kind] for kind in MALFORMED_READY_KINDS)
+        return f"(mtype, kind) forgeries {unsent} were never sent"
+    malformed = sum(
+        sent[(mtype, kind)] for mtype, kinds in MALFORMED_VOTE_KINDS.items() for kind in kinds
+    )
     for pid in correct:
         ledger = sim.stacks[pid].ledger
         offenses = ledger.offenses(forger)
         if set(offenses) != {"protocol-violation"} or not (
             0 < offenses["protocol-violation"] <= malformed
         ):
-            return f"p{pid} scored the forger {dict(offenses)} for {malformed} malformed READYs"
+            return f"p{pid} scored the forger {dict(offenses)} for {malformed} malformed votes"
         for peer in correct:
             if ledger.offenses(peer):
                 return f"p{pid} scored correct p{peer}: {dict(ledger.offenses(peer))}"
+    return None
+
+
+def _inits_omitted(sim: LanSimulation, correct: list, forger: int) -> str | None:
+    """The forger withheld INITs from a correct process, yet every
+    correct process delivered the same sequence, the forger's own
+    broadcasts included, and scored nobody correct."""
+    omitted = sim.stacks[forger].factory.resolve("rb").omitted
+    if not any(omitted[pid] for pid in correct):
+        return "the forger withheld no INIT from a correct process"
+    logs = [sim.stacks[pid].instance_at(("ab", "a")).order_log for pid in correct]
+    for pid, log in zip(correct, logs):
+        if list(log) != list(logs[0]):
+            return f"p{pid} delivered another sequence than p{correct[0]}"
+    if not any(sender == forger for sender, _, _ in logs[0]):
+        return "no correct process delivered the forger's broadcasts"
+    for pid in correct:
+        for peer in correct:
+            if sim.stacks[pid].ledger.offenses(peer):
+                return f"p{pid} scored correct p{peer}"
     return None
 
 
@@ -460,8 +494,13 @@ SCENARIOS: dict[str, Scenario] = {
             max_time=_FORGE_SETTLED + 0.1,
         ),
         _byz_scenario(
-            "ready-forge",
-            driver=_forge_driver("rb-ready-forge", _readies_forged),
+            "digest-forge",
+            driver=_forge_driver("rb-digest-forge", _votes_forged),
+            max_time=_FORGE_SETTLED + 0.1,
+        ),
+        _byz_scenario(
+            "init-omit",
+            driver=_forge_driver("rb-init-omit", _inits_omitted, forger_writes=True),
             max_time=_FORGE_SETTLED + 0.1,
         ),
         _byz_scenario(

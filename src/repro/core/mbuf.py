@@ -9,9 +9,9 @@ Every received mbuf is *lazy*: the stack's one frame parse
 (:func:`repro.core.wire.frame_fastpath`) validates the encoded-payload
 region and the stack builds the mbuf with :meth:`Mbuf.lazy`, deferring
 object construction until somebody actually reads ``.payload``.
-Reliable broadcast relays an INIT's raw region verbatim as its ECHO,
-digests ECHOs from the raw region and reads READY digests straight out
-of it, so most received mbufs are never decoded at all.  Validation
+Reliable broadcast digests an INIT's raw region, reads ECHO and READY
+digests straight out of theirs and pushes a held raw region verbatim as
+a PAYLOAD, so most received mbufs are never decoded at all.  Validation
 up front makes the deferred decode infallible -- reading ``.payload``
 cannot raise.  Locally originated mbufs are built eagerly with
 :class:`Mbuf` and carry no raw payload.

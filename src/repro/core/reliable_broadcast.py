@@ -8,20 +8,25 @@ Guarantees, with up to ``f = floor((n-1)/3)`` Byzantine processes:
 Protocol, for sender *s* and message *m*, with ``d = H(m)``:
 
 - *s* sends ``(INIT, m)`` to all;
-- on ``INIT``, a process sends ``(ECHO, m)`` to all;
-- on ``floor((n+f)/2)+1`` ECHOs of an *m* with ``H(m) = d``, *or*
-  ``f+1`` READYs for *d*, a process sends ``(READY, d)`` to all (once);
+- on the first ``INIT``, a process holds *m* under its locally computed
+  digest *d* and sends ``(ECHO, d)`` to all;
+- on ``floor((n+f)/2)+1`` ECHOs for *d*, *or* ``f+1`` READYs for *d*, a
+  process sends ``(READY, d)`` to all (once);
 - on ``2f+1`` READYs for *d*, it delivers *m* as soon as it holds a
-  payload -- from the INIT or from any ECHO -- whose locally computed
-  digest is *d*.
+  payload -- from the INIT or from a PAYLOAD -- whose locally computed
+  digest is *d*;
+- on delivering, it sends ``(PAYLOAD, m)`` once to every peer whose
+  ECHO(d) it has not counted: the only peers that may lack *m*.
 
-READY names the payload by its digest instead of carrying it, so each
-process receives the payload n+1 times per broadcast instead of 2n+1.
-Totality survives: the first correct READY(d) needs an echo quorum, of
-which at least ``floor((n+f)/2)+1-f >= f+1`` echoers are correct, and
-each of those sent ``(ECHO, m)`` to every process.  A READY whose
-payload region is not exactly the canonical encoding of a ``HASH_LEN``
-byte string is a protocol violation.
+ECHO and READY name the payload by its digest, so the payload crosses
+the wire once per receiver, in the INIT, plus a push to a peer that
+missed it.  Totality survives: a correct process delivers *d* only
+after an echo quorum for *d* exists, of which at least
+``floor((n+f)/2)+1-f >= f+1`` echoers are correct and hold *m*; each of
+them delivers, and a correct process without the INIT never echoes, so
+each of them pushes *m* to it.  An ECHO or READY whose payload region is
+not exactly the canonical encoding of a ``HASH_LEN`` byte string is a
+protocol violation.
 
 One :class:`ReliableBroadcast` control block handles one broadcast by
 one sender.  Equivocation (a corrupt sender or echoer sending different
@@ -44,11 +49,12 @@ from repro.obs.metrics import COUNT_BUCKETS
 MSG_INIT = 0
 MSG_ECHO = 1
 MSG_READY = 2
+MSG_PAYLOAD = 3
 
-#: The canonical encoding of a READY payload is this header followed by
-#: the ``HASH_LEN`` digest bytes; nothing else is a READY.
+#: The canonical encoding of an ECHO or READY payload is this header
+#: followed by the ``HASH_LEN`` digest bytes; nothing else is a vote.
 READY_HEAD = encode_value(bytes(HASH_LEN))[:-HASH_LEN]
-_READY_LEN = len(READY_HEAD) + HASH_LEN
+_VOTE_LEN = len(READY_HEAD) + HASH_LEN
 
 
 def _raw_of(mbuf: Mbuf) -> bytes:
@@ -56,6 +62,16 @@ def _raw_of(mbuf: Mbuf) -> bytes:
     for received frames, encoded for locally built ones."""
     raw = mbuf.raw_payload
     return raw if raw is not None else encode_value(mbuf.payload)
+
+
+def _vote_digest(mbuf: Mbuf) -> bytes:
+    """The digest an ECHO or READY votes for, read from its raw region
+    without a decode; anything but the canonical digest encoding is a
+    protocol violation."""
+    raw = _raw_of(mbuf)
+    if len(raw) != _VOTE_LEN or not raw.startswith(READY_HEAD):
+        raise ProtocolViolationError(f"rb vote from p{mbuf.src} does not carry a digest")
+    return raw[-HASH_LEN:]
 
 
 class ReliableBroadcast(ControlBlock):
@@ -80,21 +96,18 @@ class ReliableBroadcast(ControlBlock):
         self.delivered_value: Any = None
         self._init_seen = False
         self._ready_sent = False
-        # digest -> canonical payload encoding (from the INIT or an
-        # ECHO), digest computed here.  Delivery decodes the one it
+        # digest -> canonical payload encoding (from the INIT or a
+        # PAYLOAD), digest computed here.  Delivery decodes the one it
         # needs; votes never decode.
         self._raws: dict[bytes, bytes] = {}
-        # raw payload -> digest: the INIT and n ECHOs of one payload
-        # share one hash.  The receive path hands repeat frames the same
-        # raw bytes object, so most hits are a cached-hash probe; freed
-        # with the instance.
-        self._digests: dict[bytes, bytes] = {}
         # digest -> set of source pids, one vote per source per phase.
         self._echoes: dict[bytes, set[int]] = {}
         self._readies: dict[bytes, set[int]] = {}
-        # Sources already counted in each phase (equivocation guard).
+        # Sources already counted in each phase (equivocation guard),
+        # and sources whose one PAYLOAD was taken.
         self._echo_sources: set[int] = set()
         self._ready_sources: set[int] = set()
+        self._payload_sources: set[int] = set()
 
     # -- sending ----------------------------------------------------------------
 
@@ -119,9 +132,22 @@ class ReliableBroadcast(ControlBlock):
             ).observe(len(raw))
         self.send_all_raw(MSG_INIT, raw)
 
+    def _send_echo(self, digest: bytes) -> None:
+        """Send ECHO(*digest*) to all (an adversary hook)."""
+        self.send_all_raw(MSG_ECHO, READY_HEAD + digest)
+
     def _send_ready(self, digest: bytes) -> None:
         """Send READY(*digest*) to all (an adversary hook)."""
         self.send_all_raw(MSG_READY, READY_HEAD + digest)
+
+    def _push_payload(self, digest: bytes, raw: bytes) -> None:
+        """Send the delivered payload once to every peer, never self,
+        whose ECHO(*digest*) was not counted here: the only peers that
+        may lack it (an adversary hook)."""
+        echoed = self._echoes.get(digest, ())
+        for dest in self.config.process_ids:
+            if dest != self.me and dest not in echoed:
+                self.send_raw(dest, MSG_PAYLOAD, raw)
 
     # -- introspection -----------------------------------------------------------
 
@@ -140,10 +166,10 @@ class ReliableBroadcast(ControlBlock):
     def input(self, mbuf: Mbuf) -> None:
         if self.destroyed:
             return
-        # Tuple-indexed dispatch: INIT/ECHO/READY are the densest vote
-        # path in the stack (every broadcast crosses it n^2 times).
+        # Tuple-indexed dispatch: ECHO/READY are the densest vote path
+        # in the stack (every broadcast crosses it n^2 times).
         mtype = mbuf.mtype
-        if 0 <= mtype <= 2:
+        if 0 <= mtype <= 3:
             _RB_HANDLERS[mtype](self, mbuf)
         else:
             raise ProtocolViolationError(f"unknown rb mtype {mbuf.mtype}")
@@ -156,40 +182,40 @@ class ReliableBroadcast(ControlBlock):
         if self._init_seen:
             return  # duplicate / equivocating INIT: only the first counts
         self._init_seen = True
-        # Relay the INIT's canonical encoding verbatim -- no decode of
-        # the inbound payload, no re-encode outbound.
-        raw = _raw_of(mbuf)
-        self.send_all_raw(MSG_ECHO, raw)
+        digest = self._hold(_raw_of(mbuf))
+        self._send_echo(digest)
         # The INIT is a payload source too: a READY quorum may already
         # be waiting for it.
-        self._check_progress(self._hold(raw))
+        self._check_progress(digest)
 
     def _on_echo(self, mbuf: Mbuf) -> None:
+        digest = _vote_digest(mbuf)
         if mbuf.src in self._echo_sources:
             return
         self._echo_sources.add(mbuf.src)
-        digest = self._hold(_raw_of(mbuf))
         self._echoes.setdefault(digest, set()).add(mbuf.src)
         self._check_progress(digest)
 
     def _on_ready(self, mbuf: Mbuf) -> None:
-        raw = _raw_of(mbuf)
-        if len(raw) != _READY_LEN or not raw.startswith(READY_HEAD):
-            raise ProtocolViolationError(f"READY from p{mbuf.src} does not carry a digest")
+        digest = _vote_digest(mbuf)
         if mbuf.src in self._ready_sources:
             return
         self._ready_sources.add(mbuf.src)
-        digest = raw[-HASH_LEN:]
         self._readies.setdefault(digest, set()).add(mbuf.src)
         self._check_progress(digest)
+
+    def _on_payload(self, mbuf: Mbuf) -> None:
+        # A payload source only: never a vote, never an ECHO.
+        if self.delivered or mbuf.src in self._payload_sources:
+            return
+        self._payload_sources.add(mbuf.src)
+        self._check_progress(self._hold(_raw_of(mbuf)))
 
     def _hold(self, raw: bytes) -> bytes:
         """Digest *raw* and keep it as the payload candidate for that
         digest; returns the digest."""
-        digest = self._digests.get(raw)
-        if digest is None:
-            digest = self._digests[raw] = hash_bytes(raw)
-            self._raws.setdefault(digest, raw)
+        digest = hash_bytes(raw)
+        self._raws.setdefault(digest, raw)
         return digest
 
     def _check_progress(self, digest: bytes) -> None:
@@ -205,17 +231,20 @@ class ReliableBroadcast(ControlBlock):
             return
         raw = self._raws.get(digest)
         if raw is None:
-            return  # the INIT or an ECHO carrying it will call again
+            return  # the INIT or a PAYLOAD carrying it will call again
         self.delivered = True
+        self._push_payload(digest, raw)
         # The region was validated by the receive path (or encoded
         # here), so the decode cannot fail.
         self.delivered_value = decode_value(raw)
         self.deliver(self.delivered_value)
 
 
-#: INIT/ECHO/READY handlers indexed by mtype (see ReliableBroadcast.input).
+#: INIT/ECHO/READY/PAYLOAD handlers indexed by mtype (see
+#: ReliableBroadcast.input).
 _RB_HANDLERS = (
     ReliableBroadcast._on_init,
     ReliableBroadcast._on_echo,
     ReliableBroadcast._on_ready,
+    ReliableBroadcast._on_payload,
 )

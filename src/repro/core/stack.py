@@ -204,15 +204,20 @@ class ControlBlock:
         """Send one frame of this instance to every process, self included."""
         self.stack.broadcast_frame(self.path, mtype, payload)
 
+    def send_raw(self, dest: int, mtype: int, raw) -> None:
+        """:meth:`send` for a payload that is already canonically
+        encoded (see :meth:`send_all_raw`) -- how reliable broadcast
+        pushes a held payload to one peer without re-encoding it."""
+        self.stack.send_frame_raw(dest, self.path, mtype, raw)
+
     def send_all_raw(self, mtype: int, raw) -> None:
         """Broadcast a frame whose payload is already canonically encoded.
 
         *raw* is spliced into the frame verbatim
         (:func:`repro.core.wire.encode_frame_from_prefix_raw`), so the
         bytes on the wire are identical to ``send_all(mtype,
-        decode_value(raw))`` -- this is how reliable broadcast relays an
-        INIT's payload as its ECHO without a decode/re-encode round trip,
-        and sends its READY digest.  Only
+        decode_value(raw))`` -- this is how reliable broadcast sends an
+        encoded INIT and its ECHO/READY digests.  Only
         pass validated regions (``Mbuf.raw_payload`` from the receive
         path, or the output of :func:`~repro.core.wire.encode_value`).
         """
@@ -670,17 +675,30 @@ class Stack:
                 )
             self._emit(dest, data)
 
-    def broadcast_frame_raw(self, path: Path, mtype: int, raw) -> None:
-        """:meth:`broadcast_frame` for an already-encoded payload region.
-
-        Splices *raw* after the cached path prefix -- byte-identical to
-        the value-encoding path by canonicality, with the same
-        statistics and trace accounting.
-        """
+    def _encode_frame_raw(self, path: Path, mtype: int, raw) -> bytes:
+        """Splice the already-encoded payload region *raw* after the
+        cached path prefix -- byte-identical to the value-encoding path
+        by canonicality."""
         prefix = self._path_prefix.get(path)
         if prefix is None:
             prefix = encode_frame_prefix(path)
-        data = encode_frame_from_prefix_raw(prefix, mtype, raw)
+        return encode_frame_from_prefix_raw(prefix, mtype, raw)
+
+    def send_frame_raw(self, dest: int, path: Path, mtype: int, raw) -> None:
+        """:meth:`send_frame` for an already-encoded payload region, with
+        the same statistics and trace accounting."""
+        data = self._encode_frame_raw(path, mtype, raw)
+        self.stats.record_send(len(data))
+        if self.tracer.enabled:
+            self.tracer.emit(
+                self.process_id, KIND_SEND, path, dest=dest, mtype=mtype, size=len(data)
+            )
+        self._emit(dest, data)
+
+    def broadcast_frame_raw(self, path: Path, mtype: int, raw) -> None:
+        """:meth:`broadcast_frame` for an already-encoded payload region,
+        with the same statistics and trace accounting."""
+        data = self._encode_frame_raw(path, mtype, raw)
         size = len(data)
         tracing = self.tracer.enabled
         for dest in self.config.process_ids:

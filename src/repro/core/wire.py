@@ -602,8 +602,8 @@ def encode_frame_from_prefix_raw(prefix: bytes, mtype: int, raw) -> bytes:
 
     By canonicality the result is byte-identical to
     ``encode_frame_from_prefix(prefix, mtype, decode_value(raw))`` --
-    this is how a receiver relays a payload (reliable broadcast's
-    ECHO/READY amplification) without ever decoding it.  *raw* must be a
+    this is how a receiver forwards a payload (reliable broadcast's
+    PAYLOAD push) without ever decoding it.  *raw* must be a
     validated encoded-value region (e.g. ``Mbuf.raw_payload`` from the
     receive path); it is spliced verbatim.
     """

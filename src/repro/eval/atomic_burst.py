@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.adversary import byzantine_paper_faultload
+from repro.baselines import with_paper_rb
 from repro.core.config import GroupConfig
+from repro.core.stack import ProtocolFactory
 from repro.core.stats import StackStats
 from repro.net.faults import FaultPlan
 from repro.net.network import LAN_2006, LanSimulation, NetworkParameters
@@ -84,6 +86,8 @@ def run_burst(
     """Run one burst and return its measurements (observer is a correct
     process; the burst is split evenly across the live senders).
 
+    Reliable broadcast is always the paper's, with ECHO relaying the
+    message (:class:`repro.baselines.PaperReliableBroadcast`).
     *batching* off (the default) is the paper's stack: every message
     is its own reliable broadcast and every frame its own channel unit.
     On, each sender hands its share of the burst to the stack in one
@@ -94,7 +98,12 @@ def run_burst(
     plan = _fault_plan(faultload, n)
     config = GroupConfig(n, batching=batching, **(config_kwargs or {}))
     sim = LanSimulation(
-        config, seed=seed, ipsec=ipsec, params=params, fault_plan=plan
+        config,
+        seed=seed,
+        ipsec=ipsec,
+        params=params,
+        fault_plan=plan,
+        base_factory=with_paper_rb(ProtocolFactory.default(config)),
     )
     if metrics:
         sim.enable_metrics()

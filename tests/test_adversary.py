@@ -131,20 +131,47 @@ class TestVectForge:
         )
 
 
-class TestReadyForge:
-    def test_only_malformed_readies_are_scored_across_seeds(self):
-        """READYs for a digest nobody's payload has, a short ``bytes``,
-        an int, and the correct digest before any ECHO: agreement and
-        every correct op hold, and correct processes score the forger
-        for the two malformed kinds only; the scenario's driver raises
-        ``rb-ready-forge`` otherwise."""
+class TestDigestForge:
+    def test_only_malformed_votes_are_scored_across_seeds(self):
+        """ECHOs and READYs for a digest nobody's payload has, a short
+        ``bytes``, an int, and the correct digest (a READY before any
+        ECHO), plus ECHOs carrying the payload: agreement and every
+        correct op hold, and correct processes score the forger for the
+        malformed kinds only; the scenario's driver raises
+        ``rb-digest-forge`` otherwise."""
         from repro.check.explore import explore
 
-        reproducer = explore("byz-ready-forge", 5)
+        reproducer = explore("byz-digest-forge", 5)
         assert reproducer is None, (
             f"violated {reproducer['violation']['invariant']} (seed {reproducer['seed']}): "
             f"{reproducer['violation']['detail']}"
         )
+
+
+class TestInitOmit:
+    def test_every_correct_process_delivers_across_seeds(self):
+        """A sender whose INITs never reach one correct process: that
+        process delivers every broadcast, in the same sequence as the
+        others, from the echoers' PAYLOAD pushes, and nobody correct is
+        scored; the scenario's driver raises ``rb-init-omit`` otherwise."""
+        from repro.check.explore import explore
+
+        reproducer = explore("byz-init-omit", 5)
+        assert reproducer is None, (
+            f"violated {reproducer['violation']['invariant']} (seed {reproducer['seed']}): "
+            f"{reproducer['violation']['detail']}"
+        )
+
+    def test_catches_the_no_push_mutant(self, monkeypatch):
+        """Without the push at delivery the omitted process never gets
+        the forger's payloads, and the scenario says so."""
+        from repro.check.explore import run_one
+        from repro.core.reliable_broadcast import ReliableBroadcast
+
+        monkeypatch.setattr(ReliableBroadcast, "_push_payload", lambda *_: None)
+        result = run_one("byz-init-omit", seed=0, tie_break_seed=0, jitter_s=0.0)
+        assert result["outcome"] == "violation"
+        assert result["invariant"] == "rb-init-omit"
 
 
 class TestBatchOverlap:

@@ -38,12 +38,12 @@ def weakened_bar(monkeypatch):
 
 # (seed, tie_break_seed, jitter) known to drive byz-bc-split into the
 # step-3 split under the weakened bar; explore() visits it at index 1
-# when started from base_seed 97.  (Re-pinned when jitter moved to
-# per-link RNG streams, and again when READY started carrying a digest
-# instead of the payload -- each shifted the schedule space.)
-BAD_SEED = 98
+# when started from base_seed 5.  (Re-pinned when jitter moved to
+# per-link RNG streams, when READY started carrying a digest instead of
+# the payload, and when ECHO did too -- each shifted the schedule space.)
+BAD_SEED = 6
 BAD_JITTER = 1e-4
-EXPLORE_BASE = 97
+EXPLORE_BASE = 5
 
 
 class TestReintroducedBug:

@@ -27,7 +27,7 @@ from repro.core.errors import BackpressureError, WireFormatError
 from repro.core.ledger import OFFENSE_WEIGHTS, PROBATION_S, MisbehaviorLedger
 from repro.core.mbuf import Mbuf
 from repro.core.ooc import OocTable
-from repro.core.reliable_broadcast import MSG_ECHO, MSG_INIT, MSG_READY
+from repro.core.reliable_broadcast import MSG_ECHO, MSG_INIT, MSG_PAYLOAD, MSG_READY
 from repro.core.sendq import BoundedSendQueue
 from repro.core.stack import ProtocolFactory, Stack
 from repro.core.wire import (
@@ -42,6 +42,7 @@ from repro.core.wire import (
     frame_path_key,
     frame_priority,
 )
+from repro.crypto.hashing import hash_bytes
 from repro.net.faults import FaultPlan
 from repro.net.network import LanSimulation
 
@@ -405,22 +406,28 @@ def test_bad_mac_convicts_the_sender():
 
 
 def test_duplicate_storm_repeats_every_rb_frame_kind():
-    """INIT leaves through ``send_all``, ECHO and READY through
-    ``send_all_raw``: the storm must repeat all three."""
+    """INIT, ECHO and READY leave through ``send_all_raw``, the PAYLOAD
+    push through the unicast ``send_raw``: the storm must repeat all
+    four."""
     sent = []
     stack = Stack(
         GroupConfig(4, batching=False),
         0,
-        outbox=lambda _dest, data: sent.append(data),
+        outbox=lambda dest, data: sent.append((dest, data)),
         factory=duplicate_storm_faultload(ProtocolFactory.default()),
     )
     stack.create("rb", ("s",), sender=0).broadcast(b"m")
     stack.receive(0, encode_frame(("s",), MSG_INIT, b"m"))
-    for src in (0, 1, 2):
-        stack.receive(src, encode_frame(("s",), MSG_ECHO, b"m"))
-    storm = DuplicateStormReliableBroadcast.storm_factor * 4
-    counts = Counter(decode_frame_ex(data)[1] for data in sent)
-    assert counts == {MSG_INIT: storm, MSG_ECHO: storm, MSG_READY: storm}
+    digest = hash_bytes(encode_value(b"m"))
+    for mtype in (MSG_ECHO, MSG_READY):
+        for src in (0, 1, 2):
+            stack.receive(src, encode_frame(("s",), mtype, digest))
+    factor = DuplicateStormReliableBroadcast.storm_factor
+    storm = factor * 4
+    counts = Counter(decode_frame_ex(data)[1] for _, data in sent)
+    assert counts == {MSG_INIT: storm, MSG_ECHO: storm, MSG_READY: storm, MSG_PAYLOAD: factor}
+    # p3 never echoed, so only p3 is pushed to.
+    assert {dest for dest, data in sent if decode_frame_ex(data)[1] == MSG_PAYLOAD} == {3}
 
 
 def test_unknown_strategy_name_rejected():

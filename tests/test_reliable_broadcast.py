@@ -3,10 +3,11 @@ properties, including sender equivocation."""
 
 import pytest
 
+from repro.baselines import with_paper_rb
 from repro.core.config import GroupConfig
 from repro.core.errors import ProtocolViolationError
 from repro.core.mbuf import Mbuf
-from repro.core.reliable_broadcast import MSG_ECHO, MSG_INIT, MSG_READY
+from repro.core.reliable_broadcast import MSG_ECHO, MSG_INIT, MSG_PAYLOAD, MSG_READY
 from repro.core.stack import ProtocolFactory, Stack
 from repro.core.wire import decode_frame_ex, encode_frame, encode_value
 from repro.crypto.hashing import HASH_LEN, hash_bytes
@@ -26,7 +27,8 @@ def feed(stack, path, mtype, payload, src):
 
 
 def digest(payload):
-    """What a READY for *payload* carries: H of its canonical encoding."""
+    """What an ECHO or READY for *payload* carries: H of its canonical
+    encoding."""
     return hash_bytes(encode_value(payload))
 
 
@@ -38,12 +40,40 @@ def sent_payloads(sent):
     return [decode_frame_ex(data)[2] for _, data in sent]
 
 
+#: Every shape an ECHO or READY region may take that is not a digest.
+MALFORMED_VOTES = pytest.mark.parametrize(
+    "payload",
+    [
+        b"m",
+        bytes(HASH_LEN - 1),
+        bytes(HASH_LEN + 1),
+        7,
+        None,
+        "x" * HASH_LEN,
+        [bytes(HASH_LEN)],
+    ],
+    ids=["payload", "short", "long", "int", "none", "str", "list"],
+)
+
+
+def delivered_values(rb):
+    delivered = []
+    rb.on_deliver = lambda _i, v: delivered.append(v)
+    return delivered
+
+
 class TestUnitBehaviour:
     def test_init_triggers_echo_to_all(self):
         stack, sent = lone_stack(pid=1)
         stack.create("rb", ("b",), sender=0)
         feed(stack, ("b",), MSG_INIT, b"m", src=0)
         assert sent_mtypes(sent) == [MSG_ECHO] * 4
+
+    def test_echo_carries_the_digest(self):
+        stack, sent = lone_stack(pid=1)
+        stack.create("rb", ("b",), sender=0)
+        feed(stack, ("b",), MSG_INIT, b"m" * 100, src=0)
+        assert sent_payloads(sent) == [digest(b"m" * 100)] * 4
 
     def test_init_from_wrong_sender_rejected(self):
         stack, sent = lone_stack(pid=1)
@@ -63,21 +93,21 @@ class TestUnitBehaviour:
         stack, sent = lone_stack(pid=1)
         stack.create("rb", ("b",), sender=0)
         for src in (0, 2, 3):  # floor((4+1)/2)+1 = 3 echoes
-            feed(stack, ("b",), MSG_ECHO, b"m", src=src)
+            feed(stack, ("b",), MSG_ECHO, digest(b"m"), src=src)
         assert sent_mtypes(sent) == [MSG_READY] * 4
 
     def test_two_echoes_not_enough(self):
         stack, sent = lone_stack(pid=1)
         stack.create("rb", ("b",), sender=0)
         for src in (0, 2):
-            feed(stack, ("b",), MSG_ECHO, b"m", src=src)
+            feed(stack, ("b",), MSG_ECHO, digest(b"m"), src=src)
         assert sent == []
 
     def test_ready_carries_the_digest(self):
         stack, sent = lone_stack(pid=1)
         stack.create("rb", ("b",), sender=0)
         for src in (0, 2, 3):
-            feed(stack, ("b",), MSG_ECHO, b"m" * 100, src=src)
+            feed(stack, ("b",), MSG_ECHO, digest(b"m" * 100), src=src)
         assert sent_payloads(sent) == [digest(b"m" * 100)] * 4
 
     def test_ready_amplification(self):
@@ -91,11 +121,10 @@ class TestUnitBehaviour:
         assert rb._raws == {}  # amplified with no payload held
 
     def test_delivery_needs_2f_plus_1_readys(self):
-        stack, sent = lone_stack(pid=1)
+        stack, _ = lone_stack(pid=1)
         rb = stack.create("rb", ("b",), sender=0)
-        delivered = []
-        rb.on_deliver = lambda _i, v: delivered.append(v)
-        feed(stack, ("b",), MSG_ECHO, b"m", src=0)
+        delivered = delivered_values(rb)
+        feed(stack, ("b",), MSG_INIT, b"m", src=0)
         for src in (0, 2):
             feed(stack, ("b",), MSG_READY, digest(b"m"), src=src)
         assert delivered == []
@@ -105,72 +134,124 @@ class TestUnitBehaviour:
     def test_delivery_exactly_once(self):
         stack, _ = lone_stack(pid=1)
         rb = stack.create("rb", ("b",), sender=0)
-        delivered = []
-        rb.on_deliver = lambda _i, v: delivered.append(v)
-        feed(stack, ("b",), MSG_ECHO, b"m", src=0)
+        delivered = delivered_values(rb)
+        feed(stack, ("b",), MSG_INIT, b"m", src=0)
         for src in (0, 1, 2, 3):
             feed(stack, ("b",), MSG_READY, digest(b"m"), src=src)
         for src in (1, 2, 3):
-            feed(stack, ("b",), MSG_ECHO, b"m", src=src)
+            feed(stack, ("b",), MSG_ECHO, digest(b"m"), src=src)
+            feed(stack, ("b",), MSG_PAYLOAD, b"m", src=src)
         assert delivered == [b"m"]
 
     def test_ready_quorum_without_payload_does_not_deliver(self):
         stack, _ = lone_stack(pid=1)
         rb = stack.create("rb", ("b",), sender=0)
-        delivered = []
-        rb.on_deliver = lambda _i, v: delivered.append(v)
+        delivered = delivered_values(rb)
         for src in (0, 2, 3):
             feed(stack, ("b",), MSG_READY, digest(b"m"), src=src)
         assert delivered == [] and not rb.delivered
 
-    def test_later_echo_with_matching_payload_delivers_once(self):
+    def test_later_payload_with_matching_digest_delivers_once(self):
         stack, _ = lone_stack(pid=1)
         rb = stack.create("rb", ("b",), sender=0)
-        delivered = []
-        rb.on_deliver = lambda _i, v: delivered.append(v)
+        delivered = delivered_values(rb)
         for src in (0, 2, 3):
             feed(stack, ("b",), MSG_READY, digest(b"m"), src=src)
-        feed(stack, ("b",), MSG_ECHO, b"m", src=2)
+        feed(stack, ("b",), MSG_PAYLOAD, b"m", src=2)
         assert delivered == [b"m"]
-        feed(stack, ("b",), MSG_ECHO, b"m", src=3)
+        feed(stack, ("b",), MSG_PAYLOAD, b"m", src=3)
         feed(stack, ("b",), MSG_READY, digest(b"m"), src=1)
         assert delivered == [b"m"]
 
     def test_echo_with_another_payload_never_delivers(self):
+        """An ECHO carrying a payload -- the paper's ECHO -- is malformed:
+        it neither supplies the payload nor votes."""
         stack, _ = lone_stack(pid=1)
         rb = stack.create("rb", ("b",), sender=0)
-        delivered = []
-        rb.on_deliver = lambda _i, v: delivered.append(v)
+        delivered = delivered_values(rb)
         for src in (0, 2, 3):
             feed(stack, ("b",), MSG_READY, digest(b"m"), src=src)
         for src in (0, 1, 2, 3):
             feed(stack, ("b",), MSG_ECHO, b"m-prime", src=src)
         assert delivered == [] and not rb.delivered
+        assert rb._raws == {} and rb._echoes == {}
+        assert stack.stats.dropped["protocol-violation"] == 4
+
+    def test_payload_with_another_digest_never_delivers(self):
+        stack, _ = lone_stack(pid=1)
+        rb = stack.create("rb", ("b",), sender=0)
+        delivered = delivered_values(rb)
+        for src in (0, 2, 3):
+            feed(stack, ("b",), MSG_READY, digest(b"m"), src=src)
+        for src in (0, 2, 3):
+            feed(stack, ("b",), MSG_PAYLOAD, b"m-prime", src=src)
+        assert delivered == [] and not rb.delivered
+        assert list(rb._raws) == [digest(b"m-prime")]
+
+    def test_payload_only_holder_does_not_echo(self):
+        """A PAYLOAD is a payload source, never a vote and never an INIT."""
+        stack, sent = lone_stack(pid=1)
+        rb = stack.create("rb", ("b",), sender=0)
+        for src in (0, 2, 3):
+            feed(stack, ("b",), MSG_PAYLOAD, b"m", src=src)
+        assert sent == []
+        assert list(rb._raws) == [digest(b"m")]
+        assert rb._echoes == {} and rb._readies == {}
+
+    def test_second_payload_from_one_source_is_not_hashed(self, monkeypatch):
+        from repro.core import reliable_broadcast
+
+        hashed = []
+
+        def counting(*parts):
+            hashed.append(parts)
+            return hash_bytes(*parts)
+
+        monkeypatch.setattr(reliable_broadcast, "hash_bytes", counting)
+        stack, _ = lone_stack(pid=1)
+        rb = stack.create("rb", ("b",), sender=0)
+        feed(stack, ("b",), MSG_PAYLOAD, b"m", src=2)
+        feed(stack, ("b",), MSG_PAYLOAD, b"other", src=2)
+        assert len(hashed) == 1
+        for src in (0, 2, 3):
+            feed(stack, ("b",), MSG_READY, digest(b"m"), src=src)
+        assert rb.delivered
+        # Once delivered, a PAYLOAD from a fresh source is not hashed either.
+        feed(stack, ("b",), MSG_PAYLOAD, b"m", src=3)
+        assert len(hashed) == 1
+
+    def test_delivery_pushes_to_peers_whose_echo_was_not_counted(self):
+        """p0 never echoed here and p3 echoed another digest: each gets
+        the payload once; p2 echoed d and p1 is this process."""
+        stack, sent = lone_stack(pid=1)
+        rb = stack.create("rb", ("b",), sender=0)
+        feed(stack, ("b",), MSG_INIT, b"m", src=0)
+        feed(stack, ("b",), MSG_ECHO, digest(b"m"), src=2)
+        feed(stack, ("b",), MSG_ECHO, digest(b"m-prime"), src=3)
+        for src in (0, 2):
+            feed(stack, ("b",), MSG_READY, digest(b"m"), src=src)
+        sent.clear()
+        feed(stack, ("b",), MSG_READY, digest(b"m"), src=3)
+        assert rb.delivered
+        pushes = [(dest, data) for dest, data in sent if decode_frame_ex(data)[1] == MSG_PAYLOAD]
+        assert sorted(dest for dest, _ in pushes) == [0, 3]
+        assert sent_payloads(pushes) == [b"m", b"m"]
+        # Nothing is pushed twice: later votes find the instance delivered.
+        sent.clear()
+        feed(stack, ("b",), MSG_READY, digest(b"m"), src=1)
+        assert MSG_PAYLOAD not in sent_mtypes(sent)
 
     def test_init_supplies_the_payload(self):
         """The INIT is a payload source too, even before any ECHO."""
         stack, sent = lone_stack(pid=1)
         rb = stack.create("rb", ("b",), sender=0)
-        delivered = []
-        rb.on_deliver = lambda _i, v: delivered.append(v)
+        delivered = delivered_values(rb)
         for src in (0, 2, 3):
             feed(stack, ("b",), MSG_READY, digest([b"m", 7]), src=src)
         feed(stack, ("b",), MSG_INIT, [b"m", 7], src=0)
         assert delivered == [[b"m", 7]]
 
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            b"m",
-            bytes(HASH_LEN - 1),
-            bytes(HASH_LEN + 1),
-            7,
-            None,
-            "x" * HASH_LEN,
-            [bytes(HASH_LEN)],
-        ],
-        ids=["payload", "short", "long", "int", "none", "str", "list"],
-    )
+    @MALFORMED_VOTES
     def test_malformed_ready_is_dropped_and_scored_once(self, payload):
         stack, sent = lone_stack(pid=1)
         stack.create("rb", ("b",), sender=0)
@@ -184,20 +265,35 @@ class TestUnitBehaviour:
         feed(stack, ("b",), MSG_READY, digest(b"m"), src=2)
         assert sent_mtypes(sent) == [MSG_READY] * 4
 
+    @MALFORMED_VOTES
+    def test_malformed_echo_is_dropped_and_scored_once(self, payload):
+        stack, sent = lone_stack(pid=1)
+        stack.create("rb", ("b",), sender=0)
+        feed(stack, ("b",), MSG_ECHO, payload, src=2)
+        assert stack.stats.dropped["protocol-violation"] == 1
+        assert stack.ledger.offenses(2) == {"protocol-violation": 1}
+        # The malformed ECHO cast no vote: two more ECHOs are no quorum ...
+        for src in (0, 3):
+            feed(stack, ("b",), MSG_ECHO, digest(b"m"), src=src)
+        assert sent == []
+        # ... and p2's well-formed ECHO still counts.
+        feed(stack, ("b",), MSG_ECHO, digest(b"m"), src=2)
+        assert sent_mtypes(sent) == [MSG_READY] * 4
+
     def test_echo_votes_counted_once_per_source(self):
         stack, sent = lone_stack(pid=1)
         stack.create("rb", ("b",), sender=0)
         for _ in range(5):
-            feed(stack, ("b",), MSG_ECHO, b"m", src=2)
+            feed(stack, ("b",), MSG_ECHO, digest(b"m"), src=2)
         assert sent == []  # one source, however chatty, is one vote
 
     def test_equivocating_echoes_split_by_digest(self):
         """Votes for different payloads never combine."""
         stack, sent = lone_stack(pid=1)
         stack.create("rb", ("b",), sender=0)
-        feed(stack, ("b",), MSG_ECHO, b"m1", src=0)
-        feed(stack, ("b",), MSG_ECHO, b"m2", src=2)
-        feed(stack, ("b",), MSG_ECHO, b"m3", src=3)
+        feed(stack, ("b",), MSG_ECHO, digest(b"m1"), src=0)
+        feed(stack, ("b",), MSG_ECHO, digest(b"m2"), src=2)
+        feed(stack, ("b",), MSG_ECHO, digest(b"m3"), src=3)
         assert sent == []
 
     def test_unknown_mtype_rejected(self):
@@ -284,6 +380,27 @@ class TestEndToEnd:
             net.run()
             assert got == {pid: b"p" for pid in range(4)}, f"seed {seed}"
 
+    @pytest.mark.parametrize("push", [True, False], ids=["push", "no-push"])
+    def test_process_without_the_init_gets_the_payload_pushed(self, push, monkeypatch):
+        """A corrupt sender INITs itself and 2f correct processes only.
+        p3 never echoes, so each echoer pushes m to it at delivery;
+        without the push p3 holds the READY quorum and never delivers."""
+        from repro.core.reliable_broadcast import ReliableBroadcast
+
+        if not push:
+            monkeypatch.setattr(ReliableBroadcast, "_push_payload", lambda *_: None)
+        for seed in range(8):
+            net = ShuffleNet(4, seed=seed)
+            got = {}
+            for pid, stack in enumerate(net.stacks):
+                rb = stack.create("rb", ("x",), sender=0)
+                rb.on_deliver = lambda _i, v, pid=pid: got.setdefault(pid, v)
+            for dest in (0, 1, 2):
+                net.stacks[0].send_frame(dest, ("x",), MSG_INIT, b"m")
+            net.run()
+            expected = {pid: b"m" for pid in (range(4) if push else range(3))}
+            assert got == expected, f"seed {seed}"
+
     def test_larger_group_n7(self):
         net = InstantNet(7)
         got = {}
@@ -329,3 +446,57 @@ def test_broadcast_encodes_its_payload_once_with_metrics_on(kind, monkeypatch):
     block.broadcast([b"x" * 100, 7])
     assert len(top_level) == 1 and len(sent) == 4
     assert all(decode_frame_ex(data)[2] == [b"x" * 100, 7] for _, data in sent)
+
+
+
+def paper_stack(pid=1):
+    """:func:`lone_stack` running the figures' baseline RB."""
+    sent = []
+    stack = Stack(
+        GroupConfig(4),
+        pid,
+        outbox=lambda d, b: sent.append((d, b)),
+        factory=with_paper_rb(ProtocolFactory.default()),
+    )
+    return stack, sent
+
+
+def test_paper_rb_echo_relays_the_payload_and_pushes_nothing():
+    stack, sent = paper_stack()
+    rb = stack.create("rb", ("b",), sender=0)
+    delivered = delivered_values(rb)
+    feed(stack, ("b",), MSG_INIT, b"m" * 100, src=0)
+    assert sent_payloads(sent) == [b"m" * 100] * 4
+    assert sent_mtypes(sent) == [MSG_ECHO] * 4
+    sent.clear()
+    for src in (0, 2, 3):
+        feed(stack, ("b",), MSG_READY, digest(b"m" * 100), src=src)
+    assert delivered == [b"m" * 100]
+    assert MSG_PAYLOAD not in sent_mtypes(sent)
+
+
+def test_paper_rb_takes_the_payload_from_an_echo():
+    stack, _ = paper_stack()
+    rb = stack.create("rb", ("b",), sender=0)
+    delivered = delivered_values(rb)
+    for src in (0, 2, 3):
+        feed(stack, ("b",), MSG_READY, digest(b"m"), src=src)
+    feed(stack, ("b",), MSG_ECHO, b"m", src=2)
+    assert delivered == [b"m"]
+
+
+def test_run_burst_runs_the_paper_rb(monkeypatch):
+    """The figures' pin took: ``_RB_HANDLERS`` binds the base class's
+    methods, so only a dispatched ECHO proves the baseline runs."""
+    from repro.baselines import PaperReliableBroadcast
+    from repro.eval.atomic_burst import run_burst
+
+    echoes = []
+    inner = PaperReliableBroadcast._on_payload_echo
+    monkeypatch.setattr(
+        PaperReliableBroadcast,
+        "_on_payload_echo",
+        lambda self, mbuf: (echoes.append(mbuf.src), inner(self, mbuf)),
+    )
+    assert run_burst(4, 10, seed=0).delivered == 4
+    assert echoes
