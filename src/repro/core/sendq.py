@@ -1,7 +1,7 @@
 """Bounded, priority-aware outbound frame queue.
 
 Both runtimes keep one FIFO of encoded channel units per peer (the TCP
-sender tasks, the simulator's link buffers).  Unbounded, those queues
+links, the simulator's link buffers).  Unbounded, those queues
 are the easiest resource for a flooded or dead peer to exhaust:
 frames pile up faster than the link drains them and memory grows until
 the process dies -- exactly the denial-of-service the paper's protocols

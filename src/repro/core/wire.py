@@ -76,8 +76,10 @@ _MAX_LEN = 64 * 1024 * 1024  # defensive cap on any single field
 MAX_BATCH_FRAMES = 4096
 #: Frames a sender packs into one batch container; a longer run of
 #: same-peer frames leaves as consecutive batches.  Read by every
-#: coalescing point: the stack's flush window, the TCP sender's queue
-#: drain and the simulator's link buffer.
+#: coalescing point: the stack's flush window, the TCP link flush (which
+#: counts queued units, each at most a SEND_BATCH_FRAMES container, so a
+#: spliced container stays within SEND_BATCH_FRAMES ** 2 ==
+#: MAX_BATCH_FRAMES members) and the simulator's link buffer.
 SEND_BATCH_FRAMES = 64
 #: Batches nested inside batches beyond this depth are rejected.
 MAX_BATCH_DEPTH = 4
@@ -650,6 +652,31 @@ def encode_batch(frames: Sequence[bytes]) -> bytes:
             raise ValueError(f"frame of {size} bytes exceeds cap")
         out += _pack_u32(size)
         out += frame
+    return bytes(out)
+
+
+def splice_batch(units: Sequence[bytes]) -> bytes:
+    """Coalesce channel units into one *flat* batch container.
+
+    A unit that is itself a batch container contributes its members,
+    spliced in rather than nested; any other unit is one member.  The
+    result is byte-identical to :func:`encode_batch` over the flattened
+    member list.  Containers are trusted to be well formed -- the local
+    stack built them -- so their member region is copied without a walk.
+    """
+    count = 0
+    out = bytearray(b"\x42\x00\x00\x00\x00")
+    for unit in units:
+        if unit[0] == _T_BATCH:
+            count += _unpack_u32_from(unit, 1)[0]
+            out += memoryview(unit)[5:]
+        else:
+            count += 1
+            out += _pack_u32(len(unit))
+            out += unit
+    if count > MAX_BATCH_FRAMES:
+        raise ValueError(f"batch of {count} exceeds cap {MAX_BATCH_FRAMES}")
+    _U32.pack_into(out, 1, count)
     return bytes(out)
 
 

@@ -213,8 +213,8 @@ class LanSimulation:
         self.link_frames_corrupted = 0
         # Per-link send buffers for frame coalescing: frames handed to a
         # link while the sender's CPU is still busy wait here and leave
-        # merged, mirroring the TCP sender task draining its queue into
-        # one batch per write.  Bounded by config.send_queue_max_frames
+        # merged, mirroring the TCP link flush writing what a loop turn
+        # queued as one container.  Bounded by config.send_queue_max_frames
         # with priority-aware shedding (0 = unbounded, seed behaviour).
         self._link_pending: dict[tuple[int, int], BoundedSendQueue] = {}
 
@@ -481,7 +481,7 @@ class LanSimulation:
             # Link-level flush window: frames queued toward this peer
             # before the sender's CPU can take the first one leave merged
             # in one batch -- the discrete-event analogue of the TCP
-            # sender task draining its queue into a single write.
+            # link flush writing a loop turn's queue in a single write.
             key = (src, dest)
             queue = self._link_pending.get(key)
             if queue is not None:

@@ -5,8 +5,13 @@ connection to every peer (used for sending only); inbound connections
 are receive-only.  The first frame on an inbound connection identifies
 -- and cryptographically authenticates -- the sending peer.
 
+The data path is event-driven: inbound links deliver each complete unit
+of a read as it arrives; one flush per loop turn delivers loopback units
+and writes each peer one flat container.  A down, blocked or paused peer
+keeps its units queued, unencoded; a connector task per peer only connects.
+
 A node hosts S >= 1 stacks (one per group / shard) over that one mesh:
-one listener, one connection, sender task and bounded queue per peer,
+one listener, one connection, connector task and bounded queue per peer,
 one metrics registry.  Shard 0's channel units flow untagged -- a
 one-stack node is the paper's process, and its bytes are what a peer
 hosting more shards expects for shard 0 -- and shard i>0 units ride
@@ -15,8 +20,8 @@ behind a 3-byte channel tag::
     0x53 ('S')  |  u16 shard index (big-endian)  |  stack channel unit
 
 0x53 collides with neither ``FRAME_VERSION`` (0x01) nor the batch tag
-(0x42), so the demultiplexer needs no length heuristics.  The sender's
-batch merge packs different shards' units into the same container, so
+(0x42), so the demultiplexer needs no length heuristics.  The link
+flush packs different shards' units into the same container, so
 S groups pay the per-write fixed costs once.  Isolation between the
 hosted groups is cryptographic: each stack has its own keystore, coin
 sequence and RNG stream (all scoped by ``GroupConfig.group_tag``).
@@ -44,19 +49,20 @@ from repro.core.trace import KIND_SHED
 from repro.core.wire import (
     SEND_BATCH_FRAMES,
     decode_batch_views,
-    encode_batch,
     frame_priority,
     is_batch,
+    splice_batch,
 )
 from repro.crypto.coin import CoinSource, SharedCoinDealer
 from repro.crypto.keys import KeyStore, TrustedDealer
 from repro.obs.metrics import MetricsRegistry
-from repro.transport.framing import MAC_LEN, FrameCodec, FramingError, peek_src
+from repro.transport.framing import MAC_LEN, MAX_FRAME, FrameCodec, FramingError, peek_src
 
 logger = logging.getLogger(__name__)
 
 _LEN = struct.Struct(">I")
-_MAX_BODY = 64 * 1024 * 1024
+#: Resting size of an inbound link's receive buffer.
+_RECV_BUFFER = 64 * 1024
 
 #: First byte of a shard-tagged channel unit ('S'); must stay disjoint
 #: from FRAME_VERSION (0x01) and the batch tag (0x42).
@@ -85,51 +91,124 @@ def _shard_of(unit: bytes) -> int:
     return 0
 
 
-class _SendChannel:
-    """One peer's outbound queue: a :class:`BoundedSendQueue` plus an
-    asyncio wakeup for the sender task.
+class _Link(asyncio.BaseProtocol):
+    """A connection's transport, and a :attr:`closed` future resolved (with
+    the error, if any) when it is gone; live ones sit in ``_connections``."""
 
-    Replaces the seed's unbounded ``asyncio.Queue`` so a slow or dead
-    peer cannot grow this process's memory without bound; shedding is
-    priority-aware and never reorders the surviving frames.
-    """
+    transport: Any = None
 
-    def __init__(self, max_frames: int = 0):
-        self.queue = BoundedSendQueue(max_frames)
-        self._event = asyncio.Event()
+    def __init__(self, node: "RitasNode"):
+        self.node = node
 
-    def __len__(self) -> int:
-        return len(self.queue)
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.closed = asyncio.get_running_loop().create_future()
+        self.node._connections.add(self)
+        if self.node._closed:
+            transport.close()
 
-    @property
-    def bytes(self) -> int:
-        return self.queue.bytes
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.transport = None
+        self.node._connections.discard(self)
+        self.closed.set_result(exc)
 
-    def put(self, data: bytes, priority: int | None = None) -> list[bytes]:
-        """Enqueue; returns whatever the bound forced out."""
-        shed = self.queue.push(data, priority)
-        if self.queue:
-            self._event.set()
-        return shed
 
-    def get_nowait(self) -> bytes | None:
-        data = self.queue.pop()
-        if not self.queue:
-            self._event.clear()
-        return data
+class _PeerLink(_Link, asyncio.Protocol):
+    """One peer's outbound link: bounded send queue, codec and transport.
+    Every connection attempt gets this object, so queued units outlive a
+    reconnect; bytes written into a dead transport die with it."""
 
-    async def get(self) -> bytes:
-        while True:
-            data = self.get_nowait()
-            if data is not None:
-                return data
-            await self._event.wait()
+    def __init__(self, node: "RitasNode", pid: int):
+        super().__init__(node)
+        self.pid = pid
+        self.codec = FrameCodec(node.keystore.key_for(pid), node.process_id)
+        self.queue = BoundedSendQueue(node.config.send_queue_max_frames)
+        #: Set by flow control (the transport's buffer is over its mark).
+        self.paused = False
 
-    def drain(self) -> list[bytes]:
-        """Take everything queued, in FIFO order."""
-        units = self.queue.drain()
-        self._event.clear()
-        return units
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.node._schedule_flush()
+
+
+class _InboundLink(_Link, asyncio.BufferedProtocol):
+    """One receive-only connection.  Reads land in one reusable buffer
+    (``recv_into``: no allocation per read); any failure closes the link,
+    delivering nothing after the bad unit."""
+
+    def __init__(self, node: "RitasNode"):
+        super().__init__(node)
+        self.codec: FrameCodec | None = None
+        #: Set by the first valid MAC: only then is the link attributable.
+        self.peer_pid: int | None = None
+        #: ``buffer[start:end]`` is an incomplete unit awaiting more bytes.
+        self.buffer = bytearray(_RECV_BUFFER)
+        self.start = self.end = 0
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        # Resize only here: during buffer_updated the read's view is live.
+        start, end = self.start, self.end
+        if start:
+            self.buffer[: end - start] = self.buffer[start:end]
+            self.start, self.end = 0, end - start
+        if self.end == 0 and len(self.buffer) > _RECV_BUFFER:
+            self.buffer = bytearray(_RECV_BUFFER)
+        if self.end == len(self.buffer):
+            # Full with one unit whose length buffer_updated checked: double
+            # toward it, so memory grows only with bytes actually received.
+            unit = _LEN.size + _LEN.unpack_from(self.buffer)[0]
+            self.buffer.extend(bytes(min(len(self.buffer), unit - self.end)))
+        return memoryview(self.buffer)[self.end :]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        """Authenticate and deliver every complete unit buffered, checking
+        a length as soon as its header is in, before the buffer grows."""
+        self.end += nbytes
+        node, offset, size = self.node, self.start, self.end
+        try:
+            with memoryview(self.buffer) as view:
+                while size - offset >= _LEN.size and not node._closed:
+                    (length,) = _LEN.unpack_from(view, offset)
+                    if not MAC_LEN < length <= MAX_FRAME:
+                        raise FramingError(f"implausible frame length {length}")
+                    end = offset + _LEN.size + length
+                    if end > size:
+                        break
+                    body = view[offset + _LEN.size : end]
+                    src, payload = (self.codec or self._authenticate(body)).decode(body)
+                    self.peer_pid = src
+                    offset = end
+                    # Looked up per unit: tracing wraps stack.receive after connect().
+                    (node.stack.receive if len(node.stacks) == 1 else node._demux)(src, payload)
+        except FramingError as exc:
+            self._reject(exc)
+            return
+        # A closing node drops the rest unread: no unchecked length stays.
+        self.start = size if node._closed else offset
+
+    def _authenticate(self, body) -> FrameCodec:
+        """Pick the pairwise key by the first unit's claimed src; the same
+        unit is then verified under it, so a liar gains nothing."""
+        node = self.node
+        src = peek_src(body)
+        if src not in node.config.process_ids or src == node.process_id:
+            raise FramingError(f"inbound link claims invalid pid {src}")
+        self.codec = FrameCodec(node.keystore.key_for(src), src)
+        return self.codec
+
+    def _reject(self, exc: FramingError) -> None:
+        node = self.node
+        node.frames_rejected += 1
+        if self.peer_pid is not None:
+            # Past its first valid MAC the link is attributable (the peer
+            # corrupted the stream or let someone hijack its session); a
+            # pid merely *claimed* in a first unit charges nobody.
+            node._charge_link(self.peer_pid)
+        logger.warning("p%d: rejecting link (peer %s): %s", node.process_id, self.peer_pid, exc)
+        self.transport.close()
 
 
 @dataclass(frozen=True)
@@ -203,27 +282,23 @@ class RitasNode:
         #: Inbound units dropped for carrying an unhosted shard index.
         self.frames_unknown_shard = 0
         self._server: asyncio.base_events.Server | None = None
-        self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._send_codecs: dict[int, FrameCodec] = {}
-        self._send_queues: dict[int, _SendChannel] = {}
-        # Per-peer fault-injection gates (set = link open).  A cleared
-        # gate holds the sender loop before it writes, so frames queue
-        # and flush in order on release -- the TCP view of a transient
-        # partition: delay, never loss.
-        self._link_open: dict[int, asyncio.Event] = {}
+        #: One outbound link (send queue, codec, connection) per peer.
+        self._send_queues: dict[int, _PeerLink] = {}
+        #: Peers whose outbound link is held (:meth:`set_link_blocked`).
+        self._blocked: set[int] = set()
+        #: This turn's ``(shard index, unit)`` addressed to this process.
+        self._loopback: list[tuple[int, bytes]] = []
+        self._flush_scheduled = False
         self._tasks: list[asyncio.Task] = []
-        # Inbound connection handlers, so close() can cancel them: the
-        # asyncio server does not cancel live handler tasks on close,
-        # and a handler parked in readexactly() would otherwise outlive
-        # the node ("task was destroyed but it is pending").
-        self._inbound_tasks: set[asyncio.Task] = set()
+        #: Live connections, both directions.
+        self._connections: set[_Link] = set()
         self._closed = False
         self.frames_rejected = 0
         #: Frames dropped by the per-peer send-queue bound
         #: (``config.send_queue_max_frames``), dead-peer sheds included.
         self.frames_shed = 0
         #: Outbound channel units merged into batch containers by the
-        #: sender tasks (on top of any coalescing the stack already did).
+        #: link flush (on top of any coalescing the stack already did).
         self.batches_sent = 0
         self.frames_batched = 0
         #: Reconnect bookkeeping (see :meth:`_reconnect_delay`).
@@ -333,8 +408,8 @@ class RitasNode:
         if self._server is not None:
             return
         own = self.addresses[self.process_id]
-        self._server = await asyncio.start_server(
-            self._on_inbound, host=own.host, port=own.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _InboundLink(self), host=own.host, port=own.port
         )
         bound = self._server.sockets[0].getsockname()[1]
         self.addresses[self.process_id] = PeerAddress(own.host, bound)
@@ -354,19 +429,15 @@ class RitasNode:
         self.addresses = list(addresses)
 
     async def connect(self) -> None:
-        """Start the outbound sender task for every peer (each retries
-        until its peer is up)."""
+        """Start the connector task for every peer (each retries until
+        its peer is up)."""
         if self._tasks:
             return
         for pid in self.config.process_ids:
             if pid == self.process_id:
                 continue
-            self._send_codecs[pid] = FrameCodec(
-                self.keystore.key_for(pid), self.process_id
-            )
-            channel = _SendChannel(self.config.send_queue_max_frames)
-            self._send_queues[pid] = channel
-            self._tasks.append(asyncio.create_task(self._sender(pid, channel)))
+            link = self._send_queues[pid] = _PeerLink(self, pid)
+            self._tasks.append(asyncio.create_task(self._connector(link)))
 
     async def start(self) -> None:
         """Listen, then connect to every peer (retrying until they are up)."""
@@ -375,22 +446,16 @@ class RitasNode:
 
     async def close(self) -> None:
         self._closed = True
-        pending = list(self._tasks) + list(self._inbound_tasks)
-        for task in pending:
+        for task in self._tasks:
             task.cancel()
-        await asyncio.gather(*pending, return_exceptions=True)
+        await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
-        self._inbound_tasks.clear()
-        writers = list(self._writers.values())
-        self._writers.clear()
-        for writer in writers:
-            writer.close()
-        # Await the transports so the event loop fully releases the
-        # sockets before we return -- a closed node leaves nothing
-        # half-torn-down behind (no warnings at interpreter exit).
-        await asyncio.gather(
-            *(writer.wait_closed() for writer in writers), return_exceptions=True
-        )
+        links = list(self._connections)
+        for link in links:
+            link.transport.close()
+        # Await the transports so the loop releases the sockets before we
+        # return: a closed node leaves nothing half-torn-down behind.
+        await asyncio.gather(*(link.closed for link in links))
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -468,9 +533,9 @@ class RitasNode:
             return
         for stack in self.stacks:
             stack.sample_gauges()
-        for pid, channel in self._send_queues.items():
-            registry.gauge("ritas_send_queue_frames", peer=pid).set(len(channel))
-            registry.gauge("ritas_send_queue_bytes", peer=pid).set(channel.bytes)
+        for pid, link in self._send_queues.items():
+            registry.gauge("ritas_send_queue_frames", peer=pid).set(len(link.queue))
+            registry.gauge("ritas_send_queue_bytes", peer=pid).set(link.queue.bytes)
 
     # -- outbound -------------------------------------------------------------------
 
@@ -483,22 +548,57 @@ class RitasNode:
             if self._closed:
                 return
             if dest == self.process_id:
-                # Local loopback: schedule rather than recurse, keeping
-                # the send call non-reentrant like a socket write.
-                asyncio.get_running_loop().call_soon(
-                    self.stacks[index].receive, dest, data
-                )
-                return
-            channel = self._send_queues[dest]
-            # Shedding order is decided on the stack's own frame: behind
-            # the shard tag every unit would look like bulk.  Unbounded
-            # queues never shed, so they skip the header peek.
-            priority = frame_priority(data) if channel.queue.max_frames else None
-            shed = channel.put(tag + data if tag else data, priority)
-            if shed:
-                self._charge_shed(dest, shed)
+                # The flush delivers it: sends stay non-reentrant.
+                self._loopback.append((index, data))
+            else:
+                queue = self._send_queues[dest].queue
+                # Shed priority is read from the stack's own frame (behind
+                # the shard tag all is bulk); unbounded queues never shed.
+                priority = frame_priority(data) if queue.max_frames else None
+                shed = queue.push(tag + data if tag else data, priority)
+                if shed:
+                    self._charge_shed(dest, shed)
+            self._schedule_flush()
 
         return outbox
+
+    def _schedule_flush(self) -> None:
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            asyncio.get_running_loop().call_soon(self._flush)
+
+    def _flush(self) -> None:
+        """Once per loop turn that queued anything: deliver the turn's loopback
+        units, then write every writable peer's queue, including what they queued."""
+        if self._closed:
+            return
+        loopback, self._loopback = self._loopback, []
+        for index, data in loopback:
+            try:
+                self.stacks[index].receive(self.process_id, data)
+            except Exception:
+                # One failing unit must not strand the rest of the turn.
+                logger.exception("p%d: loopback unit failed", self.process_id)
+        self._flush_scheduled = False
+        for pid, link in self._send_queues.items():
+            if link.queue and link.transport and not link.paused and pid not in self._blocked:
+                self._write(link)
+        if self._loopback:
+            self._schedule_flush()
+
+    def _write(self, link: _PeerLink) -> None:
+        """Write one peer's queue in one transport write: one flat container
+        per :data:`SEND_BATCH_FRAMES` units with batching on, else per unit."""
+        units = link.queue.drain()
+        step = SEND_BATCH_FRAMES if self.config.batching else 1
+        out = []
+        for start in range(0, len(units), step):
+            chunk = units[start : start + step]
+            if len(chunk) > 1:
+                self.batches_sent += 1
+                self.frames_batched += len(chunk)
+            out.append(link.codec.encode(splice_batch(chunk) if len(chunk) > 1 else chunk[0]))
+        link.transport.write(b"".join(out))
 
     def _charge_shed(self, dest: int, shed: list[bytes]) -> None:
         """Account units the queue toward *dest* dropped, each to the
@@ -513,53 +613,30 @@ class RitasNode:
                     self.process_id, KIND_SHED, (), dest=dest, frames=frames
                 )
 
-    def _link_gate(self, pid: int) -> asyncio.Event:
-        gate = self._link_open.get(pid)
-        if gate is None:
-            gate = asyncio.Event()
-            gate.set()
-            self._link_open[pid] = gate
-        return gate
-
     def set_link_blocked(self, pid: int, blocked: bool) -> None:
         """Fault injection: hold (or release) the outbound link to *pid*.
 
-        While blocked, frames keep queueing toward the peer and the
-        sender loop parks before its next write; on release everything
-        flushes in order.  Blocking the cross-island links of every node
-        on both sides is how the partition tests build a 2/2 split on
-        the real runtime -- and healing it is one call per link, with
-        delivery semantics identical to the simulator's
-        :class:`~repro.net.faults.Partition` (delayed, complete, FIFO).
+        While blocked, units keep queueing (unencoded) toward the peer and
+        the link flush skips it; on release everything flushes in order.
+        Blocking the cross-island links of every node on both sides is
+        how the partition tests build a 2/2 split on the real runtime --
+        and healing it is one call per link, with delivery semantics
+        identical to the simulator's :class:`~repro.net.faults.Partition`
+        (delayed, complete, FIFO).
         """
-        gate = self._link_gate(pid)
         if blocked:
-            gate.clear()
+            self._blocked.add(pid)
         else:
-            gate.set()
+            self._blocked.discard(pid)
+            if self._send_queues:
+                self._schedule_flush()
 
     def send_queue_depth(self, pid: int) -> tuple[int, int]:
         """Current ``(frames, bytes)`` queued toward peer *pid*."""
-        channel = self._send_queues.get(pid)
-        if channel is None:
+        link = self._send_queues.get(pid)
+        if link is None:
             return (0, 0)
-        return (len(channel), channel.bytes)
-
-    def _drain_batch(self, first: bytes, channel: "_SendChannel") -> bytes:
-        """Opportunistically merge queued same-peer frames into one batch
-        container, so the link pays one length header and one HMAC for
-        the lot.  Only what is already queued is taken -- no waiting."""
-        chunk = [first]
-        while len(chunk) < SEND_BATCH_FRAMES:
-            data = channel.get_nowait()
-            if data is None:
-                break
-            chunk.append(data)
-        if len(chunk) == 1:
-            return first
-        self.batches_sent += 1
-        self.frames_batched += len(chunk)
-        return encode_batch(chunk)
+        return (len(link.queue), link.queue.bytes)
 
     def _reconnect_delay(self, failures: int) -> float:
         """Backoff before reconnect attempt number *failures* + 1: the
@@ -572,64 +649,39 @@ class RitasNode:
             self.reconnect_delays.append(delay)
         return delay
 
-    async def _sender(self, pid: int, channel: "_SendChannel") -> None:
-        """Own the outbound connection to *pid*: (re)connect and drain."""
-        codec = self._send_codecs[pid]
-        gate = self._link_gate(pid)
-        writer: asyncio.StreamWriter | None = None
+    async def _connector(self, link: _PeerLink) -> None:
+        """Own the outbound connection to one peer: connect, wait for it to
+        drop, reconnect -- after a backoff if the attempt failed or the
+        connection lasted under :data:`RECONNECT_BASE_S`.  No writing."""
+        loop = asyncio.get_running_loop()
         failures = 0
         budget = self.config.reconnect_retry_budget
         try:
             while not self._closed:
-                if writer is None:
-                    address = self.addresses[pid]
-                    self.connect_attempts += 1
-                    try:
-                        _, writer = await asyncio.open_connection(
-                            address.host, address.port
-                        )
-                        self._writers[pid] = writer
-                        failures = 0
-                    except OSError:
-                        failures += 1
-                        if budget and failures >= budget:
-                            # Past the retry budget the peer is presumed
-                            # down: shed its queue so memory stays
-                            # bounded while probing continues at the
-                            # capped rate.
-                            dropped = channel.drain()
-                            if dropped:
-                                self.frames_dropped_reconnect += len(dropped)
-                                self._charge_shed(pid, dropped)
-                        await asyncio.sleep(self._reconnect_delay(failures))
-                        continue
-                data = await channel.get()
-                if not gate.is_set():
-                    await gate.wait()
-                batching = self.config.batching
-                if batching:
-                    data = self._drain_batch(data, channel)
+                address = self.addresses[link.pid]
+                self.connect_attempts += 1
                 try:
-                    writer.write(codec.encode(data))
-                    # Drain-once leaning: whatever else is already queued
-                    # leaves in the same flush -- every unit is written
-                    # into the transport buffer first and the (possibly
-                    # blocking) flow-control drain is awaited once per
-                    # wakeup instead of once per unit.
-                    while True:
-                        more = channel.get_nowait()
-                        if more is None:
-                            break
-                        if batching:
-                            more = self._drain_batch(more, channel)
-                        writer.write(codec.encode(more))
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    logger.warning("p%d: lost connection to p%d", self.process_id, pid)
-                    writer.close()
-                    writer = None
-                    # The frame is lost with the connection; the reliable
-                    # channel property is per-TCP-session, as in the paper.
+                    await loop.create_connection(lambda: link, address.host, address.port)
+                    opened = loop.time()
+                    link.resume_writing()  # flush what queued while it was down
+                    # Shielded: cancelling this task must not cancel close()'s wait.
+                    error = await asyncio.shield(link.closed)
+                    if error is not None and not self._closed:
+                        logger.warning("p%d: lost p%d link: %s", self.process_id, link.pid, error)
+                except OSError:
+                    opened = loop.time()  # a failed attempt was up for no time
+                if loop.time() - opened >= RECONNECT_BASE_S:
+                    failures = 0  # it stayed up: reconnect at once
+                    continue
+                failures += 1
+                if budget and failures >= budget:
+                    # Past the budget the peer is presumed down: shed its
+                    # queue (bounded memory); probing goes on, capped.
+                    dropped = link.queue.drain()
+                    if dropped:
+                        self.frames_dropped_reconnect += len(dropped)
+                        self._charge_shed(link.pid, dropped)
+                await asyncio.sleep(self._reconnect_delay(failures))
         except asyncio.CancelledError:
             pass
 
@@ -669,55 +721,3 @@ class RitasNode:
         threatens every hosted group equally, so each ledger records it."""
         for stack in self.stacks:
             stack.report_misbehavior(pid, "mac-failure")
-
-    async def _on_inbound(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._inbound_tasks.add(task)
-        codec: FrameCodec | None = None
-        peer = "?"
-        peer_pid: int | None = None
-        try:
-            while not self._closed:
-                header = await reader.readexactly(_LEN.size)
-                (length,) = _LEN.unpack(header)
-                if not MAC_LEN < length <= _MAX_BODY:
-                    raise FramingError(f"implausible frame length {length}")
-                body = await reader.readexactly(length)
-                if codec is None:
-                    src = peek_src(body)
-                    if src not in self.config.process_ids or src == self.process_id:
-                        raise FramingError(f"inbound link claims invalid pid {src}")
-                    codec = FrameCodec(self.keystore.key_for(src), src)
-                    peer = f"p{src}"
-                src, payload = codec.decode(body)
-                # Only a link that has produced at least one valid MAC
-                # is attributable: anyone can *claim* a pid in its first
-                # body, and scoring on that claim would let an outsider
-                # slander group members.
-                peer_pid = src
-                if len(self.stacks) == 1:
-                    self.stack.receive(src, payload)
-                else:
-                    self._demux(src, payload)
-        except asyncio.CancelledError:
-            pass
-        except (asyncio.IncompleteReadError, ConnectionError):
-            logger.debug("p%d: inbound link from %s closed", self.process_id, peer)
-        except FramingError as exc:
-            self.frames_rejected += 1
-            if peer_pid is not None:
-                # The link authenticated itself as peer_pid with its
-                # first valid MAC, so a later framing/MAC failure is
-                # chargeable -- either that peer corrupted the stream or
-                # it let someone else hijack its session.
-                self._charge_link(peer_pid)
-            logger.warning(
-                "p%d: rejecting inbound link from %s: %s", self.process_id, peer, exc
-            )
-        finally:
-            if task is not None:
-                self._inbound_tasks.discard(task)
-            writer.close()

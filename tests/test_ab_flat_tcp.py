@@ -22,7 +22,12 @@ from util import start_tcp_group
 N = 4
 PHASE_PUTS = 300
 
-pytestmark = pytest.mark.usefixtures("fast_reconnect")
+pytestmark = [
+    pytest.mark.usefixtures("fast_reconnect"),
+    pytest.mark.filterwarnings(
+        "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+    ),
+]
 
 
 class Group:

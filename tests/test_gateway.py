@@ -35,6 +35,10 @@ from repro.gateway.server import (
 )
 from repro.transport.tcp import PeerAddress, RitasNode
 
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 
 # -- protocol unit tests (no I/O) ---------------------------------------------
 

@@ -20,7 +20,12 @@ ISLANDS = ((0, 1), (2, 3))
 PER_NODE = 5
 TOTAL = N * PER_NODE
 
-pytestmark = pytest.mark.usefixtures("fast_reconnect")
+pytestmark = [
+    pytest.mark.usefixtures("fast_reconnect"),
+    pytest.mark.filterwarnings(
+        "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+    ),
+]
 
 
 async def _wait(predicate, timeout_s, what):

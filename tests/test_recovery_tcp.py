@@ -20,7 +20,12 @@ N = 4
 INTERVAL = 16
 TICK_S = 0.02
 
-pytestmark = pytest.mark.usefixtures("fast_reconnect")
+pytestmark = [
+    pytest.mark.usefixtures("fast_reconnect"),
+    pytest.mark.filterwarnings(
+        "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+    ),
+]
 
 
 def _make_node(config, dealer, addresses, pid):

@@ -22,6 +22,10 @@ from repro.apps.state_machine import Command
 from repro.transport import PeerAddress, RitasNode
 from tests.util import make_sharded_node, start_tcp_group
 
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 WORKLOAD = [
     (0, "put", "alpha", b"1"),
     (1, "put", "beta", b"2"),

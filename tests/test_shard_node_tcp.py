@@ -17,6 +17,10 @@ from repro.transport import tcp
 from repro.transport.tcp import PeerAddress, RitasNode, tag_unit
 from tests.util import make_sharded_node, reserve_port, start_tcp_group
 
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 NAMES = ["s0", "s1"]
 
 

@@ -1,14 +1,20 @@
 """The TCP transport: framing security and live asyncio group runs."""
 
 import asyncio
+import struct
 
 import pytest
 
 from repro.core.config import GroupConfig
 from repro.crypto.keys import TrustedDealer
-from repro.transport.framing import FrameCodec, FramingError, peek_src
+from repro.transport import tcp
+from repro.transport.framing import MAC_LEN, MAX_FRAME, FrameCodec, FramingError, peek_src
 from repro.transport.tcp import PeerAddress, RitasNode
 from repro.transport.session import RitasSession
+
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
 
 
 class TestFraming:
@@ -218,8 +224,6 @@ class TestLiveGroup:
                     "127.0.0.1", nodes[0].bound_port
                 )
                 # A plausible-looking but unauthenticated frame.
-                import struct
-
                 body = struct.pack(">QI", 0, 1) + b"attack payload" + b"\x00" * 32
                 writer.write(struct.pack(">I", len(body)) + body)
                 await writer.drain()
@@ -242,3 +246,172 @@ class TestLiveGroup:
                 [PeerAddress("127.0.0.1", 1)],
                 dealer.keystore_for(0),
             )
+
+
+def feed(link, data):
+    """Hand *data* to a buffered link protocol the way a transport does."""
+    while data:
+        with link.get_buffer(-1) as buffer:
+            assert len(buffer), "get_buffer() returned an empty buffer"
+            size = min(len(buffer), len(data))
+            buffer[:size] = data[:size]
+        link.buffer_updated(size)
+        data = data[size:]
+
+
+class _FakeTransport:
+    """Stands in for an accepted connection's transport."""
+
+    def __init__(self):
+        self.closed = False
+
+    def close(self):
+        self.closed = True
+
+
+class TestInboundParser:
+    """The inbound link protocol, driven directly: every complete unit of
+    a read is authenticated and delivered, in order, and any failure
+    closes the link with nothing after the bad unit delivered."""
+
+    def setup_method(self):
+        config = GroupConfig(4)
+        dealer = TrustedDealer(4, seed=b"parser")
+        addresses = [PeerAddress("127.0.0.1", 0)] * 4
+        self.node = RitasNode(config, 0, addresses, dealer.keystore_for(0))
+        self.got = []
+        self.charged = []
+        self.node.stack.receive = lambda src, data: self.got.append((src, data))
+        self.node._charge_link = self.charged.append
+        self.link = tcp._InboundLink(self.node)
+        self.transport = _FakeTransport()
+        self.link.transport = self.transport
+        # p1's outbound codec toward p0: the same pairwise key.
+        self.sender = FrameCodec(dealer.keystore_for(1).key_for(0), 1)
+
+    def units(self, count):
+        return [self.sender.encode(b"\x01unit-%d" % i) for i in range(count)]
+
+    def assert_rejected(self, charged):
+        assert self.node.frames_rejected == 1
+        assert self.charged == charged
+        assert self.transport.closed
+
+    def test_one_unit_fed_a_byte_at_a_time(self):
+        (unit,) = self.units(1)
+        for index in range(len(unit) - 1):
+            feed(self.link, unit[index : index + 1])
+            assert self.got == []
+        feed(self.link, unit[-1:])
+        assert self.got == [(1, b"\x01unit-0")]
+        assert self.link.start == self.link.end
+        assert not self.transport.closed
+
+    def test_three_units_and_half_a_fourth_in_one_read(self):
+        units = self.units(4)
+        half = len(units[3]) // 2
+        feed(self.link, b"".join(units[:3]) + units[3][:half])
+        assert [data for _, data in self.got] == [b"\x01unit-%d" % i for i in range(3)]
+        feed(self.link, units[3][half:])
+        assert [data for _, data in self.got] == [b"\x01unit-%d" % i for i in range(4)]
+        assert self.link.start == self.link.end
+
+    def test_bad_mac_after_two_valid_units(self):
+        units = self.units(4)
+        units[2] = units[2][:-1] + bytes([units[2][-1] ^ 1])
+        feed(self.link, b"".join(units))
+        assert [data for _, data in self.got] == [b"\x01unit-0", b"\x01unit-1"]
+        self.assert_rejected(charged=[1])
+
+    def test_bad_first_unit_charges_nobody(self):
+        (unit,) = self.units(1)
+        feed(self.link, unit[:-1] + bytes([unit[-1] ^ 1]))
+        assert self.got == []
+        self.assert_rejected(charged=[])
+
+    def test_first_unit_claiming_own_pid_charges_nobody(self):
+        forged = FrameCodec(b"k" * 32, 0).encode(b"\x01x")
+        feed(self.link, forged)
+        assert self.got == []
+        self.assert_rejected(charged=[])
+
+    def test_replayed_seq(self):
+        first, second = self.units(2)
+        feed(self.link, first + second + first)
+        assert len(self.got) == 2
+        self.assert_rejected(charged=[1])
+
+    @pytest.mark.parametrize("length", [MAC_LEN, MAX_FRAME + 1])
+    def test_implausible_length_rejected_before_body_is_buffered(self, length):
+        (unit,) = self.units(1)
+        feed(self.link, unit + struct.pack(">I", length) + b"\x00" * 64)
+        assert len(self.got) == 1
+        assert len(self.link.buffer) == tcp._RECV_BUFFER
+        self.assert_rejected(charged=[1])
+
+    def test_implausible_length_on_a_bare_header(self):
+        feed(self.link, struct.pack(">I", MAX_FRAME + 1))
+        assert self.got == [] and len(self.link.buffer) == tcp._RECV_BUFFER
+        self.assert_rejected(charged=[])
+
+    def test_claimed_length_does_not_grow_the_buffer(self):
+        """A bare header claiming MAX_FRAME pins no memory: the buffer
+        doubles only once the bytes that arrived have filled it."""
+        feed(self.link, struct.pack(">I", MAX_FRAME))
+        self.link.get_buffer(-1)
+        assert len(self.link.buffer) == tcp._RECV_BUFFER
+        feed(self.link, bytes(tcp._RECV_BUFFER))
+        assert len(self.link.buffer) == 2 * tcp._RECV_BUFFER
+        assert self.got == [] and not self.transport.closed
+
+    def test_closing_node_leaves_no_unchecked_length_behind(self):
+        self.node._closed = True
+        (unit,) = self.units(1)
+        feed(self.link, unit + struct.pack(">I", 0xFFFFFFFF) + bytes(tcp._RECV_BUFFER))
+        assert self.got == [] and self.link.start == self.link.end
+        self.link.get_buffer(-1)
+        assert len(self.link.buffer) == tcp._RECV_BUFFER
+
+    def test_unit_larger_than_the_buffer_grows_it_then_shrinks(self):
+        big = self.sender.encode(b"\x01" + bytes(3 * tcp._RECV_BUFFER))
+        small = self.sender.encode(b"\x01small")
+        feed(self.link, big)
+        assert [len(data) for _, data in self.got] == [1 + 3 * tcp._RECV_BUFFER]
+        assert len(self.link.buffer) == len(big)
+        feed(self.link, small)
+        assert [len(data) for _, data in self.got] == [1 + 3 * tcp._RECV_BUFFER, 6]
+        assert len(self.link.buffer) == tcp._RECV_BUFFER
+
+
+class TestReceiveSeam:
+    def test_patched_receive_sees_inbound_and_loopback_units(self, group4):
+        """``stack.receive`` replaced after connect() (how tracing wraps
+        it) sees every unit: each peer's and this process's loopback."""
+        config, dealer = group4
+
+        async def scenario():
+            nodes = make_nodes(config, dealer)
+            await start_group(nodes)
+            seen = {pid: set() for pid in range(4)}
+            try:
+                for pid, node in enumerate(nodes):
+                    inner = node.stack.receive
+
+                    def receive(src, data, pid=pid, inner=inner):
+                        seen[pid].add(src)
+                        inner(src, data)
+
+                    node.stack.receive = receive
+                    node.stack.create("ab", ("t",))
+                for pid, node in enumerate(nodes):
+                    node.stack.instance_at(("t",)).broadcast(b"m%d" % pid)
+                for _ in range(400):
+                    if all(len(s) == 4 for s in seen.values()):
+                        break
+                    await asyncio.sleep(0.02)
+                assert all(s == {0, 1, 2, 3} for s in seen.values()), seen
+            finally:
+                for node in nodes:
+                    await node.close()
+
+        asyncio.run(scenario())
