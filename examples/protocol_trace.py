@@ -19,7 +19,7 @@ def main() -> None:
         clock=lambda: sim.now,
         kinds={KIND_ROUND, KIND_BROADCAST, KIND_DECIDE, KIND_DELIVER},
     )
-    sim.stacks[0].tracer = tracer
+    sim.stacks[0].stats.subscribe(tracer)
 
     decisions = [None] * 4
     for pid, stack in enumerate(sim.stacks):

@@ -1,10 +1,10 @@
 """Runtime protocol-invariant checking over a running simulation.
 
-The checker hangs off two hooks the core exposes:
+The checker hangs off two hooks:
 
-- :attr:`Stack.observer` -- called with the delivering control block on
-  every :meth:`ControlBlock.deliver`, marking that instance path
-  *dirty*;
+- it subscribes to every stack's ``deliver`` events
+  (:meth:`repro.core.stats.StackStats.subscribe`); a correct process's
+  delivery marks the delivering instance and its ancestors *dirty*;
 - :attr:`EventLoop.on_event` -- called after every processed simulator
   event; the checker then re-examines only the dirty paths, comparing
   :meth:`ControlBlock.inspect` snapshots across *correct* processes.
@@ -41,7 +41,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.stack import ControlBlock, Stack
+from repro.core.stack import ControlBlock
+from repro.core.trace import KIND_DELIVER
 from repro.core.wire import Path
 from repro.net.network import LanSimulation
 
@@ -151,10 +152,11 @@ class InvariantChecker:
         self.deep_check_interval = deep_check_interval
         self.order_log_cap = order_log_cap
         self.checks_run = 0
-        self.correct = set(sim.correct_ids())
         self._dirty: set[Path] = set()
-        for pid, stack in enumerate(sim.stacks):
-            self._instrument(pid, stack)
+        self.rebind()
+        # A restarted process's stack carries this subscription over.
+        for stack in sim.stacks:
+            stack.stats.subscribe(self, (KIND_DELIVER,))
         # Chain rather than overwrite: several simulations (shards) may
         # share one EventLoop, each with its own checker; every checker
         # in the chain still runs after every event.
@@ -168,32 +170,26 @@ class InvariantChecker:
                 self._on_event()
 
             sim.loop.on_event = chained
-        # A restarted process gets a fresh stack; re-instrument it (the
-        # restart also cleared its crash entry, making it correct again).
-        previous_hook = sim.on_stack_rebuilt
-
-        def rebuilt(pid: int, stack: Stack) -> None:
-            if previous_hook is not None:
-                previous_hook(pid, stack)
-            self.correct = set(self.sim.correct_ids())
-            self._instrument(pid, stack)
-
-        sim.on_stack_rebuilt = rebuilt
-
-    def _instrument(self, pid: int, stack: Stack) -> None:
-        stack.record_delivery_order = True
-        stack.order_log_cap = self.order_log_cap
-        if pid in self.correct:
-            stack.observer = self._observe
 
     # -- hooks ---------------------------------------------------------------------
 
-    def _observe(self, block: ControlBlock) -> None:
+    def rebind(self, clock: Any = None, incarnation: int | None = None) -> None:
+        """Instrument the simulation's current stacks: a restarted
+        process's fresh stack needs the order log, and the restart
+        cleared its crash entry, making it correct again."""
+        self.correct = set(self.sim.correct_ids())
+        for stack in self.sim.stacks:
+            stack.record_delivery_order = True
+            stack.order_log_cap = self.order_log_cap
+
+    def __call__(self, process: int, kind: str, path: Path, detail: dict[str, Any]) -> None:
+        if process not in self.correct:
+            return
         # A delivery mutates not just the delivering block but every
         # ancestor that consumes it via child_event -- mark the whole
         # chain dirty so e.g. binary consensus's step bookkeeping is
         # rechecked when one of its round broadcasts completes.
-        node: ControlBlock | None = block
+        node: ControlBlock | None = self.sim.stacks[process].instance_at(path)
         while node is not None:
             self._dirty.add(node.path)
             node = node.parent

@@ -329,7 +329,7 @@ class SoakRunner:
         frames, frame_bytes = sim.link_queue_depth()
         per: dict[int, dict[str, Any]] = {}
         for pid in sim.config.process_ids:
-            registry = sim.stacks[pid].metrics
+            registry = sim.metric_registries()[pid]
             ab = self.stores[pid].rsm.ab
             per[pid] = {
                 "ooc_pending": registry.gauge("ritas_ooc_pending").value,

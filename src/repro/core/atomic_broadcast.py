@@ -53,7 +53,6 @@ from repro.core.errors import BackpressureError, ProtocolViolationError
 from repro.core.mbuf import Mbuf
 from repro.core.stack import ORPHAN_STALE, ControlBlock, Stack
 from repro.core.stats import PURPOSE_AGREEMENT, PURPOSE_PAYLOAD
-from repro.core.trace import KIND_BACKPRESSURE
 from repro.core.wire import Path, encode_value
 from repro.crypto.hashing import hash_bytes
 
@@ -280,12 +279,6 @@ class AtomicBroadcast(ControlBlock):
         self.agreements_empty = 0
         self.fast_forwards = 0
         self.payloads_injected = 0
-        # Metrics bookkeeping, populated only while the stack's registry
-        # is enabled: submit time of locally broadcast messages (observed
-        # as end-to-end ordered-delivery latency) and start time of each
-        # round's agreement (proposal to decision).
-        self._submit_times: dict[MsgId, float] = {}
-        self._agreement_started_at: dict[int, float] = {}
         #: Per-delivery order log ``(sender, rbid, payload digest)``,
         #: kept only when the stack opts in (the invariant checker
         #: compares prefixes across processes); ``None`` otherwise so
@@ -321,11 +314,7 @@ class AtomicBroadcast(ControlBlock):
         """
         cap = self.config.ab_pending_cap
         if cap and self.pending_local >= cap:
-            self.stack.stats.backpressure_signals += 1
-            if self.stack.tracer.enabled:
-                self.stack.tracer.emit(
-                    self.me, KIND_BACKPRESSURE, self.path, pending=self.pending_local, cap=cap
-                )
+            self.stack.stats.record_backpressure(self.path, self.pending_local, cap)
             raise BackpressureError(
                 f"{self.pending_local} local messages undelivered (cap {cap})",
                 pending=self.pending_local,
@@ -336,8 +325,7 @@ class AtomicBroadcast(ControlBlock):
     def _send_msg(self, payload: Any) -> MsgId:
         rbid = self._next_rbid
         self._next_rbid += 1
-        if self.stack.metrics.enabled:
-            self._submit_times[(self.me, rbid)] = self.stack.clock()
+        self.stack.stats.record_submit(self.path, rbid)
         if not self._batch and not (
             self.config.batching and self.stack.at_window_close(self._flush_batch)
         ):
@@ -814,8 +802,7 @@ class AtomicBroadcast(ControlBlock):
             if votes >= threshold and self._unordered(batch)
         ]
         self.agreements_started += 1
-        if self.stack.metrics.enabled:
-            self._agreement_started_at[round_number] = self.stack.clock()
+        self.stack.stats.record_agreement(self.path, round_number)
         mvc = self.make_child("mvc", ("mvc", round_number), purpose=PURPOSE_AGREEMENT)
         # MVC compares proposals by their encoding: the canonical form
         # makes equal sets equal values.
@@ -830,12 +817,9 @@ class AtomicBroadcast(ControlBlock):
                 self._schedule(batch)
         else:
             self.agreements_empty += 1
-        started = self._agreement_started_at.pop(round_number, None)
-        if started is not None and self.stack.metrics.enabled:
-            self.stack.metrics.histogram(
-                "ritas_ab_agreement_seconds",
-                outcome="batch" if batches else "empty",
-            ).observe(self.stack.clock() - started)
+        self.stack.stats.record_agreed(
+            self.path, round_number, "batch" if batches else "empty"
+        )
         self._sched_cum[round_number] = self._sched_total
         self._round += 1
         self._ensure_vect_instances(self._round)
@@ -884,11 +868,6 @@ class AtomicBroadcast(ControlBlock):
                 return
             queue.popleft()
             del self._scheduled[msg_id]
-            submitted = self._submit_times.pop(msg_id, None)
-            if submitted is not None and self.stack.metrics.enabled:
-                self.stack.metrics.histogram(
-                    "ritas_ab_delivery_latency_seconds"
-                ).observe(self.stack.clock() - submitted)
             self._mark_delivered(msg_id)
             left = self._bound[batch] - 1
             if left:

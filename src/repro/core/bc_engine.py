@@ -24,8 +24,7 @@ The shared surface:
   decision state and ``step_values`` (the per-(round, step) values this
   process broadcast), compared across correct processes;
 - :meth:`BCEngine._conclude` -- one-shot decision bookkeeping shared by
-  all engines (stats, trace, the per-engine
-  ``ritas_bc_rounds_to_decide`` histogram, delivery to the parent).
+  all engines (one ``record_decision`` call, delivery to the parent).
 
 Engines that *require* a common coin (every correct process must see
 the same toss per round -- the Crain decide rule is unsafe over
@@ -40,9 +39,7 @@ from typing import Any
 
 from repro.core.errors import ConfigurationError, ProtocolViolationError
 from repro.core.stack import ControlBlock, Stack
-from repro.core.trace import KIND_DECIDE
 from repro.core.wire import Path
-from repro.obs.metrics import COUNT_BUCKETS
 
 
 class BCEngine(ControlBlock):
@@ -121,18 +118,7 @@ class BCEngine(ControlBlock):
         self.decided = True
         self.decision = value
         self.decision_round = round_number
-        self.stack.stats.record_decision(self.protocol, round_number)
-        metrics = self.stack.metrics
-        if metrics.enabled:
-            metrics.histogram(
-                "ritas_bc_rounds_to_decide",
-                buckets=COUNT_BUCKETS,
-                engine=self.engine_name,
-            ).observe(round_number)
-        if self.stack.tracer.enabled:
-            self.stack.tracer.emit(
-                self.me, KIND_DECIDE, self.path, value=value, round=round_number
-            )
+        self.stack.stats.record_decision(self.protocol, round_number, self.path, value)
         self.deliver(value)
 
     # -- introspection ---------------------------------------------------------------

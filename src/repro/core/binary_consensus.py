@@ -44,7 +44,6 @@ from repro.core.bc_engine import BCEngine, register_bc_engine
 from repro.core.errors import ProtocolViolationError
 from repro.core.mbuf import Mbuf
 from repro.core.stack import ControlBlock, Stack
-from repro.core.trace import KIND_ROUND
 from repro.core.wire import Path
 
 STEPS = (1, 2, 3)
@@ -117,11 +116,6 @@ class BinaryConsensus(BCEngine):
         # moment the coin was tossed; the invariant checker asserts the
         # coin branch was legal (no f+1 agreement, a full n-f quorum).
         self._coin_rounds: dict[int, tuple[int, int, int]] = {}
-        # Metrics bookkeeping (populated only while metrics are enabled):
-        # stack-clock time each round and each (round, step) broadcast
-        # started, consumed when the round/step completes.
-        self._round_started_at: dict[int, float] = {}
-        self._step_started_at: dict[tuple[int, int], float] = {}
 
     def _begin(self, value: int) -> None:
         self._start_round(1, self._step_value(1, 1, value))
@@ -149,10 +143,7 @@ class BinaryConsensus(BCEngine):
         if self._halted:
             return
         self.rounds_executed = max(self.rounds_executed, round_number)
-        if self.stack.metrics.enabled:
-            self._round_started_at[round_number] = self.stack.clock()
-        if self.stack.tracer.enabled:
-            self.stack.tracer.emit(self.me, KIND_ROUND, self.path, round=round_number)
+        self.stack.stats.record_round(self.path, round_number)
         state = self._round_state(round_number)
         self._broadcast_step(round_number, 1, value, state)
         # Values replayed from the out-of-context table while the
@@ -168,8 +159,6 @@ class BinaryConsensus(BCEngine):
         if step in state.broadcast_sent:
             return
         state.broadcast_sent.add(step)
-        if self.stack.metrics.enabled:
-            self._step_started_at[(round_number, step)] = self.stack.clock()
         self._sent_values[(round_number, step)] = value
         rb = self.children.get(self.path + (round_number, step, self.me))
         if rb is None or rb.destroyed:
@@ -315,13 +304,7 @@ class BinaryConsensus(BCEngine):
         if 1 not in state.broadcast_sent:
             return  # round not locally started yet (still catching up)
         state.triggered.add(step)
-        metrics = self.stack.metrics
-        if metrics.enabled:
-            started = self._step_started_at.pop((round_number, step), None)
-            if started is not None:
-                metrics.histogram(
-                    "ritas_bc_step_seconds", step=step
-                ).observe(self.stack.clock() - started)
+        self.stack.stats.record_step(self.path, round_number, step)
         counts = state.counts[step]
         if step == 1:
             value = self._step_value(round_number, 2, majority_value(counts))
@@ -339,13 +322,6 @@ class BinaryConsensus(BCEngine):
     def _finish_round(self, round_number: int, counts: Counter) -> None:
         decide_bar = self.config.ready_quorum  # 2f + 1
         adopt_bar = self.config.f + 1
-        metrics = self.stack.metrics
-        if metrics.enabled:
-            started = self._round_started_at.pop(round_number, None)
-            if started is not None:
-                metrics.histogram("ritas_bc_round_seconds").observe(
-                    self.stack.clock() - started
-                )
         next_value: int
         if counts[1] >= decide_bar or counts[0] >= decide_bar:
             decided_value = 1 if counts[1] >= decide_bar else 0

@@ -64,7 +64,6 @@ from repro.core.bc_engine import BCEngine, register_bc_engine
 from repro.core.errors import ProtocolViolationError
 from repro.core.mbuf import Mbuf
 from repro.core.stack import ControlBlock, Stack
-from repro.core.trace import KIND_ROUND
 from repro.core.wire import Path
 
 #: Frame types inside one round.
@@ -138,7 +137,6 @@ class CrainBinaryConsensus(BCEngine):
         #: Post-decision lazy round (see module docstring); unlike
         #: Bracha's single extra round this re-arms until traffic stops.
         self._armed_round: int | None = None
-        self._round_started_at: dict[int, float] = {}
 
     def _begin(self, value: int) -> None:
         self._start_round(1, self._step_value(1, 1, value))
@@ -163,10 +161,7 @@ class CrainBinaryConsensus(BCEngine):
         if self.destroyed:
             return
         self.rounds_executed = max(self.rounds_executed, round_number)
-        if self.stack.metrics.enabled:
-            self._round_started_at[round_number] = self.stack.clock()
-        if self.stack.tracer.enabled:
-            self.stack.tracer.emit(self.me, KIND_ROUND, self.path, round=round_number)
+        self.stack.stats.record_round(self.path, round_number)
         state = self._round_state(round_number)
         if value not in (0, 1):
             value = 0  # a corrupt hook returned junk; stay in-domain
@@ -304,13 +299,6 @@ class CrainBinaryConsensus(BCEngine):
     def _finish_round(
         self, round_number: int, conf_views: list[frozenset[int]]
     ) -> None:
-        metrics = self.stack.metrics
-        if metrics.enabled:
-            started = self._round_started_at.pop(round_number, None)
-            if started is not None:
-                metrics.histogram("ritas_bc_round_seconds").observe(
-                    self.stack.clock() - started
-                )
         union: set[int] = set()
         for view in conf_views:
             union |= view

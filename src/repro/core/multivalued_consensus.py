@@ -259,14 +259,9 @@ class MultiValuedConsensus(ControlBlock):
     def _decide(self, value: Any) -> None:
         self.decided = True
         self.decision = value
-        self.stack.stats.record_decision(self.protocol, 1)
+        self.stack.stats.record_decision(self.protocol, 1, self.path, value)
         if value is None:
-            self.stack.stats.decisions["mvc-default"] += 1
-        if self.stack.metrics.enabled:
             # ⊥ decisions are the faultload signature (Section 4.3: the
             # Byzantine runs are where agreements default).
-            self.stack.metrics.counter(
-                "ritas_mvc_decisions_total",
-                outcome="default" if value is None else "value",
-            ).inc()
+            self.stack.stats.decisions["mvc-default"] += 1
         self.deliver(value)

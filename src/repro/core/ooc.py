@@ -96,7 +96,7 @@ class OocTable:
 
     def snapshot(self) -> dict[str, int]:
         """Point-in-time depth/accounting view for the metrics layer
-        (:meth:`repro.core.stack.Stack.sample_gauges`) and tests."""
+        (``StackMetrics.sample`` in :mod:`repro.obs.stack_metrics`) and tests."""
         return {
             "pending": self._size,
             "bytes": self.bytes,

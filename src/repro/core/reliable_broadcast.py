@@ -41,10 +41,8 @@ from typing import Any
 from repro.core.errors import ProtocolViolationError
 from repro.core.mbuf import Mbuf
 from repro.core.stack import ControlBlock, Stack
-from repro.core.trace import KIND_BROADCAST
 from repro.core.wire import Path, decode_value, encode_payload, encode_value
 from repro.crypto.hashing import HASH_LEN, hash_bytes
-from repro.obs.metrics import COUNT_BUCKETS
 
 MSG_INIT = 0
 MSG_ECHO = 1
@@ -117,19 +115,8 @@ class ReliableBroadcast(ControlBlock):
             raise ProtocolViolationError(
                 f"p{self.me} cannot broadcast on instance owned by p{self.sender}"
             )
-        self.stack.stats.record_broadcast(self.protocol, self.purpose)
-        if self.stack.tracer.enabled:
-            self.stack.tracer.emit(
-                self.me, KIND_BROADCAST, self.path, protocol=self.protocol
-            )
         raw = encode_payload(payload)
-        if self.stack.metrics.enabled:
-            self.stack.metrics.histogram(
-                "ritas_broadcast_payload_bytes",
-                buckets=COUNT_BUCKETS,
-                protocol=self.protocol,
-                purpose=self.purpose,
-            ).observe(len(raw))
+        self.stack.stats.record_broadcast(self.protocol, self.purpose, self.path, len(raw))
         self.send_all_raw(MSG_INIT, raw)
 
     def _send_echo(self, digest: bytes) -> None:

@@ -35,18 +35,6 @@ from repro.core.ledger import MisbehaviorLedger
 from repro.core.mbuf import Mbuf
 from repro.core.ooc import EVICT_QUOTA, OocTable
 from repro.core.stats import PURPOSE_APP, StackStats
-from repro.core.trace import (
-    KIND_CREATE,
-    KIND_DELIVER,
-    KIND_DESTROY,
-    KIND_DROP,
-    KIND_OOC,
-    KIND_QUARANTINE,
-    KIND_QUOTA,
-    KIND_RECEIVE,
-    KIND_SEND,
-    NULL_TRACER,
-)
 from repro.core.wire import (
     MAX_BATCH_DEPTH,
     SEND_BATCH_FRAMES,
@@ -63,12 +51,6 @@ from repro.core.wire import (
 )
 from repro.crypto.coin import CoinSource, LocalCoin
 from repro.crypto.keys import KeyStore, TrustedDealer
-from repro.obs.metrics import NULL_REGISTRY
-
-#: Histogram of instance-lifetime latency: creation to first delivery
-#: (create->deliver for rb/eb, create->decide for bc/mvc/vc, create->
-#: first ordered delivery for ab), labelled by protocol and purpose.
-METRIC_INSTANCE_LATENCY = "ritas_instance_latency_seconds"
 
 Outbox = Callable[[int, bytes], None]
 Clock = Callable[[], float]
@@ -122,15 +104,10 @@ class ControlBlock:
         self.children: dict[Path, ControlBlock] = {}
         self.on_deliver: DeliverFn | None = None
         self._destroyed = False
-        #: Stack-clock time this instance was created; the metrics layer
-        #: turns it into the instance-lifetime latency histogram.
-        self.created_at = stack.clock()
-        self._latency_observed = False
         if parent is not None:
             parent.children[path] = self
         stack._register(self)
-        if stack.tracer.enabled:
-            stack.tracer.emit(stack.process_id, KIND_CREATE, path, protocol=self.protocol)
+        stack.stats.record_create(path, self.protocol)
 
     # -- convenience accessors -------------------------------------------------
 
@@ -189,10 +166,7 @@ class ControlBlock:
         if self.parent is not None:
             self.parent.children.pop(self.path, None)
         self.stack._unregister(self)
-        if self.stack.tracer.enabled:
-            self.stack.tracer.emit(
-                self.stack.process_id, KIND_DESTROY, self.path, protocol=self.protocol
-            )
+        self.stack.stats.record_destroy(self.path, self.protocol)
 
     # -- data plane ---------------------------------------------------------------
 
@@ -261,22 +235,7 @@ class ControlBlock:
         """Deliver *event* to the parent instance or application callback."""
         if self._destroyed:
             return
-        if not self._latency_observed:
-            self._latency_observed = True
-            metrics = self.stack.metrics
-            if metrics.enabled:
-                metrics.histogram(
-                    METRIC_INSTANCE_LATENCY,
-                    protocol=self.protocol,
-                    purpose=self.purpose,
-                ).observe(self.stack.clock() - self.created_at)
-        if self.stack.tracer.enabled:
-            self.stack.tracer.emit(
-                self.stack.process_id, KIND_DELIVER, self.path, protocol=self.protocol
-            )
-        observer = self.stack.observer
-        if observer is not None:
-            observer(self)
+        self.stack.stats.record_deliver(self.path, self.protocol, event)
         if self.on_deliver is not None:
             self.on_deliver(self, event)
         elif self.parent is not None:
@@ -421,16 +380,8 @@ class Stack:
                 f"bc engine {getattr(bc_cls, 'engine_name', '?')!r} requires a "
                 "common coin, but the configured coin source is not common"
             )
-        self.stats = StackStats()
-        #: Structured event recorder; NULL_TRACER by default (no cost).
-        self.tracer = NULL_TRACER
-        #: Metric registry (:mod:`repro.obs`); NULL_REGISTRY by default,
-        #: so instrumentation guarded by ``metrics.enabled`` is free.
-        self.metrics = NULL_REGISTRY
-        #: Optional callable invoked with the delivering control block on
-        #: every :meth:`ControlBlock.deliver`; the invariant checker uses
-        #: it to dirty-track which instance paths need re-checking.
-        self.observer: Callable[[ControlBlock], None] | None = None
+        #: Counters, and the one record point subscribers listen to.
+        self.stats = StackStats(process_id)
         #: When True, atomic-broadcast instances created on this stack
         #: keep a full per-delivery order log for cross-process
         #: prefix-agreement checking (memory grows with history -- meant
@@ -572,32 +523,6 @@ class Stack:
         per-sender pending counts, eviction attribution)."""
         return self._ooc
 
-    # -- observability ---------------------------------------------------------------
-
-    def sample_gauges(self) -> None:
-        """Refresh this stack's depth gauges in its metrics registry.
-
-        Runtimes call this periodically (and before snapshotting): the
-        OOC table's pending depth, the live-instance count, and each
-        root atomic-broadcast instance's locally-pending backlog (the
-        quantity ``config.ab_pending_cap`` bounds).  Send-queue depths
-        live in the runtimes, which sample them alongside this.  A no-op
-        with metrics disabled.
-        """
-        metrics = self.metrics
-        if not metrics.enabled:
-            return
-        ooc = self._ooc.snapshot()
-        metrics.gauge("ritas_ooc_pending").set(ooc["pending"])
-        metrics.gauge("ritas_ooc_bytes").set(ooc["bytes"])
-        metrics.gauge("ritas_instances_live").set(len(self._registry))
-        for path, block in self._registry.items():
-            if block.protocol == "ab" and block.parent is None:
-                metrics.gauge(
-                    "ritas_ab_pending_local",
-                    path="/".join(str(c) for c in path),
-                ).set(block.pending_local)  # type: ignore[attr-defined]
-
     # -- flood defense ---------------------------------------------------------------
 
     def report_misbehavior(self, src: int, offense: str, weight: float | None = None) -> bool:
@@ -613,27 +538,13 @@ class Stack:
         self.stats.misbehavior_reports += 1
         entered = self.ledger.report(src, offense, weight)
         if entered:
-            self.stats.quarantine_entries += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.process_id,
-                    KIND_QUARANTINE,
-                    (),
-                    src=src,
-                    offense=offense,
-                    score=self.ledger.score(src),
-                )
+            self.stats.record_quarantine(src, offense, self.ledger.score(src))
         return entered
 
     def _on_ooc_evict(self, mbuf: Mbuf, reason: str) -> None:
-        """OOC eviction hook: count, trace and -- when the evicted
-        sender exceeds its fair share -- score the offender."""
-        if reason == EVICT_QUOTA:
-            self.stats.ooc_quota_evictions += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.process_id, KIND_QUOTA, mbuf.path, src=mbuf.src, reason=reason
-            )
+        """OOC eviction hook: record it and -- when the evicted sender
+        exceeds its fair share -- score the offender."""
+        self.stats.record_evict(mbuf.path, mbuf.src, reason)
         fair_share = max(1, self._ooc.capacity // self.config.num_processes)
         if reason == EVICT_QUOTA or self._ooc.pending_of(mbuf.src) >= fair_share:
             self.report_misbehavior(mbuf.src, "ooc-quota")
@@ -646,11 +557,7 @@ class Stack:
             data = encode_frame_from_prefix(prefix, mtype, payload)
         else:
             data = encode_frame(path, mtype, payload)
-        self.stats.record_send(len(data))
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.process_id, KIND_SEND, path, dest=dest, mtype=mtype, size=len(data)
-            )
+        self.stats.record_send(len(data), path, dest, mtype)
         self._emit(dest, data)
 
     def broadcast_frame(self, path: Path, mtype: int, payload: Any) -> None:
@@ -665,14 +572,12 @@ class Stack:
             data = encode_frame_from_prefix(prefix, mtype, payload)
         else:
             data = encode_frame(path, mtype, payload)
-        size = len(data)
-        tracing = self.tracer.enabled
-        for dest in self.config.process_ids:
-            self.stats.record_send(size)
-            if tracing:
-                self.tracer.emit(
-                    self.process_id, KIND_SEND, path, dest=dest, mtype=mtype, size=size
-                )
+        self._send_all(path, mtype, data)
+
+    def _send_all(self, path: Path, mtype: int, data: bytes) -> None:
+        dests = self.config.process_ids
+        self.stats.record_send_all(len(data), path, dests, mtype)
+        for dest in dests:
             self._emit(dest, data)
 
     def _encode_frame_raw(self, path: Path, mtype: int, raw) -> bytes:
@@ -688,26 +593,13 @@ class Stack:
         """:meth:`send_frame` for an already-encoded payload region, with
         the same statistics and trace accounting."""
         data = self._encode_frame_raw(path, mtype, raw)
-        self.stats.record_send(len(data))
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.process_id, KIND_SEND, path, dest=dest, mtype=mtype, size=len(data)
-            )
+        self.stats.record_send(len(data), path, dest, mtype)
         self._emit(dest, data)
 
     def broadcast_frame_raw(self, path: Path, mtype: int, raw) -> None:
         """:meth:`broadcast_frame` for an already-encoded payload region,
         with the same statistics and trace accounting."""
-        data = self._encode_frame_raw(path, mtype, raw)
-        size = len(data)
-        tracing = self.tracer.enabled
-        for dest in self.config.process_ids:
-            self.stats.record_send(size)
-            if tracing:
-                self.tracer.emit(
-                    self.process_id, KIND_SEND, path, dest=dest, mtype=mtype, size=size
-                )
-            self._emit(dest, data)
+        self._send_all(path, mtype, self._encode_frame_raw(path, mtype, raw))
 
     # -- frame coalescing -----------------------------------------------------------
 
@@ -762,12 +654,13 @@ class Stack:
             # what window close would produce, so the wire is identical.
             if len(pending) >= SEND_BATCH_FRAMES:
                 del self._pending_frames[dest]
-                self.stats.record_batch_sent(
-                    len(pending), (len(pending) - 1) * CHANNEL_HEADER_BYTES
-                )
-                self._outbox(dest, encode_batch(pending))
+                self._send_batch(dest, pending)
         else:
             self._outbox(dest, data)
+
+    def _send_batch(self, dest: int, frames: list[bytes]) -> None:
+        self.stats.record_batch_sent(len(frames), (len(frames) - 1) * CHANNEL_HEADER_BYTES, dest)
+        self._outbox(dest, encode_batch(frames))
 
     def _flush_pending_frames(self) -> None:
         pending, self._pending_frames = self._pending_frames, {}
@@ -779,10 +672,7 @@ class Stack:
                     # and byte-identical to the unbatched send.
                     self._outbox(dest, chunk[0])
                     continue
-                self.stats.record_batch_sent(
-                    len(chunk), (len(chunk) - 1) * CHANNEL_HEADER_BYTES
-                )
-                self._outbox(dest, encode_batch(chunk))
+                self._send_batch(dest, chunk)
 
     def receive(self, src: int, data: bytes) -> None:
         """Entry point for the runtime: one channel unit arrived from
@@ -820,38 +710,35 @@ class Stack:
                 self._drop(src, "malformed-batch")
                 self.report_misbehavior(src, "malformed-batch")
                 return
-            self.stats.record_batch_received(len(frames))
+            self.stats.record_batch_received(len(frames), src)
             for frame in frames:
                 self._receive_unit(src, frame, depth + 1)
             return
         size = len(data)
-        self.stats.record_receive(size)
         # One memoized parse (frame_fastpath): the n-1 repeat copies of a
         # broadcast skip the walk entirely.  The payload region comes
         # back validated, so every mbuf is lazy -- decoding it later
         # cannot fail -- and its raw payload is owned bytes.
         parsed = frame_fastpath(data)
-        if parsed is None:
+        path = None
+        if parsed is not None:
+            path_key, mtype, raw = parsed
+            # A frame for a live instance dispatches on the interned path
+            # bytes: no path decode, no tuple allocation, no registry walk.
+            block = self._demux.get(path_key)
+            if block is not None:
+                path = block.path
+            else:
+                try:
+                    path = frame_path(path_key)
+                except WireFormatError:
+                    pass
+        if path is None:
+            self.stats.record_receive(size, (), src)
             self._drop(src, "malformed-frame")
             self.report_misbehavior(src, "malformed-frame")
             return
-        path_key, mtype, raw = parsed
-        # A frame for a live instance dispatches on the interned path
-        # bytes: no path decode, no tuple allocation, no registry walk.
-        block = self._demux.get(path_key)
-        if block is not None:
-            path = block.path
-        else:
-            try:
-                path = frame_path(path_key)
-            except WireFormatError:
-                self._drop(src, "malformed-frame")
-                self.report_misbehavior(src, "malformed-frame")
-                return
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.process_id, KIND_RECEIVE, path, src=src, mtype=mtype, size=size
-            )
+        self.stats.record_receive(size, path, src, mtype)
         mbuf = Mbuf.lazy(src, path, mtype, raw, wire_size=size, recv_time=self.clock())
         if block is not None:
             self._input_guarded(block, mbuf)
@@ -859,12 +746,9 @@ class Stack:
             self.route(mbuf)
 
     def _drop(self, src: int, reason: str, path: Path = ()) -> None:
-        """Count and trace one discarded unit from *src*: every drop
-        site goes through here, so ``stats.dropped`` and the tracer's
-        ``drop`` events agree reason for reason."""
-        self.stats.record_drop(reason)
-        if self.tracer.enabled:
-            self.tracer.emit(self.process_id, KIND_DROP, path, src=src, reason=reason)
+        """Record one discarded unit from *src*: every drop site goes
+        through here, so each drop is counted under one reason."""
+        self.stats.record_drop(reason, path, src)
 
     def route(self, mbuf: Mbuf) -> None:
         """Demultiplex *mbuf* to its instance, or park it out-of-context."""
@@ -895,10 +779,7 @@ class Stack:
                     return
             break
         self._ooc.store(mbuf)
-        self.stats.ooc_stored += 1
-        self.stats.ooc_evicted = self._ooc.evictions
-        if self.tracer.enabled:
-            self.tracer.emit(self.process_id, KIND_OOC, mbuf.path, src=mbuf.src)
+        self.stats.record_ooc(mbuf.path, mbuf.src, self._ooc.evictions)
 
     def _input_guarded(self, instance: ControlBlock, mbuf: Mbuf) -> None:
         try:
@@ -920,9 +801,8 @@ class Stack:
         """Obtain the round coin for a binary-consensus instance."""
         tag = "/".join(str(c) for c in instance_path).encode()
         value = self.coin.toss(tag, round_number)
-        if self.metrics.enabled:
-            # Counted at toss time -- not on the adopt-coin path -- so
-            # the coin-skew gauge covers every tossed round, including
-            # ones where a-priori agreement made the toss moot.
-            self.metrics.counter("ritas_bc_coin_total", value=value).inc()
+        # Recorded at toss time -- not on the adopt-coin path -- so every
+        # tossed round counts, including ones where a-priori agreement
+        # made the toss moot.
+        self.stats.record_coin(instance_path, round_number, value)
         return value

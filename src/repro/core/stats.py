@@ -1,4 +1,4 @@
-"""Statistics collected by a running stack.
+"""Statistics collected by a running stack, and its one record point.
 
 The evaluation section of the paper reports three kinds of quantities
 that must be observable from outside the protocols:
@@ -9,14 +9,35 @@ that must be observable from outside the protocols:
 - round counts for the consensus layers, to check the "always one
   round" observations of Section 4.3.
 
-Every stack owns one :class:`StackStats`; protocol instances report into
-it through narrow methods so tests can assert on exact counters.
+Every stack owns one :class:`StackStats`, and each protocol happening is
+one ``record_*`` call on it: the call bumps the counters and, only when
+something subscribed to that kind, hands one ``(process, kind, path,
+detail)`` event to each subscriber -- the tracer, the metrics subscriber
+(:mod:`repro.obs.stack_metrics`) or the invariant checker.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
+from typing import Any, Callable, Collection
+
+from repro.core import trace
+from repro.core.ooc import EVICT_QUOTA
+from repro.core.wire import Path
+
+#: Called as ``subscriber(process, kind, path, detail)`` (*detail* is
+#: shared, never mutate it); also has ``rebind(clock=None,
+#: incarnation=None)``, called when a restart carries it to a new stack.
+Subscriber = Callable[[int, str, Path, dict], None]
+
+
+class _Listeners:
+    """The per-kind subscriber table: one tuple per kind (``send``,
+    ``batch_send``, ...), so a record call nobody listens to costs one
+    truth test.  Slots keep it off the counters' attribute dict."""
+
+    __slots__ = tuple(kind.replace("-", "_") for kind in trace.KINDS)
 
 
 def _accumulate_fields(target, source) -> None:
@@ -48,8 +69,13 @@ PURPOSE_APP = "app"
 
 @dataclass
 class StackStats:
-    """Mutable counters for one process's stack."""
+    """Mutable counters for one process's stack, plus its subscribers.
 
+    Args:
+        process: id stamped into every event handed to subscribers.
+    """
+
+    process: InitVar[int] = 0
     frames_sent: int = 0
     frames_received: int = 0
     bytes_sent: int = 0
@@ -77,38 +103,171 @@ class StackStats:
     sends_shed: int = 0
     backpressure_signals: int = 0
 
-    # -- recording -----------------------------------------------------------
+    def __post_init__(self, process: int) -> None:
+        self.process = process
+        #: ``(subscriber, kinds)`` pairs; ``kinds`` None means every kind.
+        self.subscriptions: list[tuple[Subscriber, frozenset[str] | None]] = []
+        self._on = _Listeners()
+        self._route()
 
-    def record_send(self, nbytes: int) -> None:
+    def subscribe(self, subscriber: Subscriber, kinds: Collection[str] | None = None) -> None:
+        """Hand *subscriber* every event of *kinds* (default: all kinds)."""
+        self.subscriptions.append((subscriber, None if kinds is None else frozenset(kinds)))
+        self._route()
+
+    def _route(self) -> None:
+        for kind in trace.KINDS:
+            listeners = tuple(s for s, only in self.subscriptions if only is None or kind in only)
+            setattr(self._on, kind.replace("-", "_"), listeners)
+
+    def _fan(self, listeners: tuple, kind: str, path: Path, detail: dict[str, Any]) -> None:
+        process = self.process
+        for listener in listeners:
+            listener(process, kind, path, detail)
+
+    def record_send(self, nbytes: int, path: Path = (), dest=None, mtype=None) -> None:
         self.frames_sent += 1
         self.bytes_sent += nbytes
+        if self._on.send:
+            detail = {"dest": dest, "mtype": mtype, "size": nbytes}
+            self._fan(self._on.send, trace.KIND_SEND, path, detail)
 
-    def record_receive(self, nbytes: int) -> None:
+    def record_send_all(self, nbytes: int, path: Path, dests: range, mtype: int) -> None:
+        """One frame sent to each of *dests* (a broadcast encodes once)."""
+        self.frames_sent += len(dests)
+        self.bytes_sent += nbytes * len(dests)
+        if self._on.send:
+            for dest in dests:
+                detail = {"dest": dest, "mtype": mtype, "size": nbytes}
+                self._fan(self._on.send, trace.KIND_SEND, path, detail)
+
+    def record_receive(self, nbytes: int, path: Path = (), src=None, mtype=None) -> None:
+        """One frame arrived (a frame that failed to parse is recorded
+        with an empty path and no mtype, then dropped)."""
         self.frames_received += 1
         self.bytes_received += nbytes
+        if self._on.receive:
+            detail = {"src": src, "mtype": mtype, "size": nbytes}
+            self._fan(self._on.receive, trace.KIND_RECEIVE, path, detail)
 
-    def record_drop(self, reason: str) -> None:
-        self.dropped[reason] += 1
-
-    def record_batch_sent(self, frames: int, header_bytes_saved: int) -> None:
+    def record_batch_sent(self, frames: int, header_bytes_saved: int, dest=None) -> None:
         """Count one outgoing batch coalescing *frames* frames."""
         self.batches_sent += 1
         self.frames_coalesced += frames
         self.header_bytes_saved += header_bytes_saved
+        if self._on.batch_send:
+            detail = {"dest": dest, "frames": frames}
+            self._fan(self._on.batch_send, trace.KIND_BATCH_SEND, (), detail)
 
-    def record_batch_received(self, frames: int) -> None:
+    def record_batch_received(self, frames: int, src=None) -> None:
         """Count one incoming batch carrying *frames* frames."""
         self.batches_received += 1
         self.frames_decoalesced += frames
+        if self._on.batch_receive:
+            detail = {"src": src, "frames": frames}
+            self._fan(self._on.batch_receive, trace.KIND_BATCH_RECEIVE, (), detail)
 
-    def record_broadcast(self, kind: str, purpose: str) -> None:
-        """Count one locally initiated broadcast of *kind* ('rb' or 'eb')."""
+    def record_drop(self, reason: str, path: Path = (), src=None) -> None:
+        self.dropped[reason] += 1
+        if self._on.drop:
+            self._fan(self._on.drop, trace.KIND_DROP, path, {"src": src, "reason": reason})
+
+    def record_shed(self, dest: int, frames: int, queued: int) -> None:
+        """The send queue toward *dest* shed *frames* frames, *queued* stay."""
+        self.sends_shed += frames
+        if self._on.shed:
+            detail = {"dest": dest, "frames": frames, "queued": queued}
+            self._fan(self._on.shed, trace.KIND_SHED, (), detail)
+
+    def record_ooc(self, path: Path, src: int, evictions: int) -> None:
+        """One frame parked out of context; *evictions*: the table's total."""
+        self.ooc_stored += 1
+        self.ooc_evicted = evictions
+        if self._on.ooc:
+            self._fan(self._on.ooc, trace.KIND_OOC, path, {"src": src})
+
+    def record_evict(self, path: Path, src: int, reason: str) -> None:
+        """One parked frame evicted from the out-of-context table."""
+        if reason == EVICT_QUOTA:
+            self.ooc_quota_evictions += 1
+        if self._on.quota:
+            self._fan(self._on.quota, trace.KIND_QUOTA, path, {"src": src, "reason": reason})
+
+    def record_quarantine(self, src: int, offense: str, score: float) -> None:
+        self.quarantine_entries += 1
+        if self._on.quarantine:
+            detail = {"src": src, "offense": offense, "score": score}
+            self._fan(self._on.quarantine, trace.KIND_QUARANTINE, (), detail)
+
+    def record_create(self, path: Path, protocol: str) -> None:
+        if self._on.create:
+            self._fan(self._on.create, trace.KIND_CREATE, path, {"protocol": protocol})
+
+    def record_destroy(self, path: Path, protocol: str) -> None:
+        if self._on.destroy:
+            self._fan(self._on.destroy, trace.KIND_DESTROY, path, {"protocol": protocol})
+
+    def record_deliver(self, path: Path, protocol: str, event: Any) -> None:
+        """An instance delivered *event*; a delivery that names a message
+        (an atomic-broadcast delivery's ``msg_id``) carries it as ``msg``."""
+        if self._on.deliver:
+            detail = {"protocol": protocol}
+            msg_id = getattr(event, "msg_id", None)
+            if msg_id is not None:
+                detail["msg"] = msg_id
+            self._fan(self._on.deliver, trace.KIND_DELIVER, path, detail)
+
+    def record_broadcast(self, kind: str, purpose: str, path: Path = (), size: int = 0) -> None:
+        """Count one locally initiated broadcast of *kind* ('rb' or 'eb')
+        carrying a *size*-byte payload."""
         self.broadcasts[(kind, purpose)] += 1
+        if self._on.broadcast:
+            detail = {"protocol": kind, "purpose": purpose, "size": size}
+            self._fan(self._on.broadcast, trace.KIND_BROADCAST, path, detail)
 
-    def record_decision(self, protocol: str, rounds: int) -> None:
-        """Record that a consensus instance decided after *rounds* rounds."""
+    def record_round(self, path: Path, round_number: int) -> None:
+        """A binary-consensus round started."""
+        if self._on.round:
+            self._fan(self._on.round, trace.KIND_ROUND, path, {"round": round_number})
+
+    def record_step(self, path: Path, round_number: int, step: int) -> None:
+        """A binary-consensus step's quorum was reached (the step ended)."""
+        if self._on.step:
+            self._fan(self._on.step, trace.KIND_STEP, path, {"round": round_number, "step": step})
+
+    def record_coin(self, path: Path, round_number: int, value: int) -> None:
+        """A binary-consensus round's coin was tossed."""
+        if self._on.coin:
+            self._fan(self._on.coin, trace.KIND_COIN, path, {"round": round_number, "value": value})
+
+    def record_decision(self, protocol: str, rounds: int, path: Path = (), value=None) -> None:
+        """Record that a consensus instance decided *value* after *rounds* rounds."""
         self.decisions[protocol] += 1
         self.consensus_rounds[(protocol, rounds)] += 1
+        if self._on.decide:
+            self._fan(self._on.decide, trace.KIND_DECIDE, path, {"value": value, "round": rounds})
+
+    def record_submit(self, path: Path, rbid: int) -> None:
+        """This process submitted message *rbid* to atomic broadcast."""
+        if self._on.submit:
+            self._fan(self._on.submit, trace.KIND_SUBMIT, path, {"rbid": rbid})
+
+    def record_backpressure(self, path: Path, pending: int, cap: int) -> None:
+        self.backpressure_signals += 1
+        if self._on.backpressure:
+            detail = {"pending": pending, "cap": cap}
+            self._fan(self._on.backpressure, trace.KIND_BACKPRESSURE, path, detail)
+
+    def record_agreement(self, path: Path, round_number: int) -> None:
+        """An atomic-broadcast round proposed to its agreement."""
+        if self._on.agreement:
+            self._fan(self._on.agreement, trace.KIND_AGREEMENT, path, {"round": round_number})
+
+    def record_agreed(self, path: Path, round_number: int, outcome: str) -> None:
+        """An AB round applied its agreement's ``"batch"``/``"empty"`` outcome."""
+        if self._on.agreed:
+            detail = {"round": round_number, "outcome": outcome}
+            self._fan(self._on.agreed, trace.KIND_AGREED, path, detail)
 
     # -- derived quantities (Figure 7) ----------------------------------------
 

@@ -1,19 +1,19 @@
 """Structured protocol tracing.
 
 Debugging a distributed protocol from interleaved logs is miserable;
-this module gives every stack an optional :class:`Tracer` that records
+this module gives a run an optional :class:`Tracer` that records
 *structured* events (who, which instance, what happened, when) into a
 bounded ring buffer, with filters and a renderer.
 
-Events are cheap when tracing is off: the stack's default tracer is
-:data:`NULL_TRACER`, whose ``emit`` is a no-op, and callers use
-``stack.tracer.emit(...)`` without building strings.
+A tracer subscribes to a stack's record point
+(:class:`~repro.core.stats.StackStats`); a stack nobody subscribed to
+builds no event at all.
 
 Typical use::
 
     sim = LanSimulation(n=4, seed=1)
     tracer = Tracer(capacity=10_000, clock=lambda: sim.now)
-    sim.stacks[0].tracer = tracer
+    sim.stacks[0].stats.subscribe(tracer)
     ... run ...
     for event in tracer.select(kind="decide"):
         print(event.render())
@@ -40,13 +40,18 @@ def _json_safe(value: Any) -> Any:
         return value
     return repr(value)
 
-#: Event kinds emitted by the stack and protocols.
+#: Event kinds recorded by the stack and protocols (one per happening;
+#: see :class:`~repro.core.stats.StackStats`, which records each).
 KIND_SEND = "send"
 KIND_RECEIVE = "receive"
+KIND_BATCH_SEND = "batch-send"
+KIND_BATCH_RECEIVE = "batch-receive"
 KIND_BROADCAST = "broadcast"
 KIND_DELIVER = "deliver"
 KIND_DECIDE = "decide"
 KIND_ROUND = "round"
+KIND_STEP = "step"
+KIND_COIN = "coin"
 KIND_DROP = "drop"
 KIND_OOC = "ooc"
 KIND_CREATE = "create"
@@ -55,6 +60,12 @@ KIND_QUOTA = "quota"
 KIND_QUARANTINE = "quarantine"
 KIND_SHED = "shed"
 KIND_BACKPRESSURE = "backpressure"
+KIND_SUBMIT = "submit"
+KIND_AGREEMENT = "agreement"
+KIND_AGREED = "agreed"
+
+#: Every kind, in the order above.
+KINDS = tuple(value for name, value in globals().items() if name.startswith("KIND_"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,8 +93,6 @@ class Tracer:
         clock: time source (defaults to 0.0; runtimes inject theirs).
         kinds: when given, only these event kinds are recorded.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -119,12 +128,13 @@ class Tracer:
         if incarnation is not None:
             self.incarnation = incarnation
 
-    def emit(self, process: int, kind: str, path: Path, **detail: Any) -> None:
+    def __call__(self, process: int, kind: str, path: Path, detail: dict[str, Any]) -> None:
+        """Record one event (the stack-subscriber entry point)."""
         if self._kinds is not None and kind not in self._kinds:
             return
         self.emitted += 1
         if self.incarnation:
-            detail["incarnation"] = self.incarnation
+            detail = {**detail, "incarnation": self.incarnation}
         self._events.append(
             TraceEvent(
                 time=self._clock(),
@@ -209,48 +219,3 @@ class Tracer:
 
     def clear(self) -> None:
         self._events.clear()
-
-
-class _NullTracer:
-    """Tracing disabled: emit is a no-op (the stack default)."""
-
-    enabled = False
-
-    def rebind(
-        self,
-        clock: Callable[[], float] | None = None,
-        incarnation: int | None = None,
-    ) -> None:
-        pass
-
-    def emit(self, process: int, kind: str, path: Path, **detail: Any) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-    @property
-    def dropped_events(self) -> int:
-        return 0
-
-    def events(self) -> list[TraceEvent]:
-        return []
-
-    def to_records(self) -> list[dict[str, Any]]:
-        return []
-
-    def write_jsonl(self, out) -> None:
-        pass
-
-    def select(self, **filters: Any) -> Iterator[TraceEvent]:
-        return iter(())
-
-    def render(self, **filters: Any) -> str:
-        return ""
-
-    def clear(self) -> None:
-        pass
-
-
-#: Shared inert tracer instance.
-NULL_TRACER = _NullTracer()

@@ -116,11 +116,9 @@ class VectorConsensus(ControlBlock):
         if self._vector_ok(decision):
             self.decided = True
             self.decision = decision
-            self.stack.stats.record_decision(self.protocol, self.round_number + 1)
-            if self.stack.metrics.enabled:
-                self.stack.metrics.counter(
-                    "ritas_vc_decisions_total", round=self.round_number
-                ).inc()
+            self.stack.stats.record_decision(
+                self.protocol, self.round_number + 1, self.path, decision
+            )
             self.deliver(decision)
             return
         self.round_number += 1

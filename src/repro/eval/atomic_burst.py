@@ -156,7 +156,7 @@ def run_burst(
     per_message = Histogram("ritas_ab_delivery_latency_seconds")
     if metrics:
         for pid in sim.correct_ids():
-            for metric in sim.stacks[pid].metrics.metrics():
+            for metric in sim.metric_registries()[pid].metrics():
                 if (
                     isinstance(metric, Histogram)
                     and metric.name == "ritas_ab_delivery_latency_seconds"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.stack import METRIC_INSTANCE_LATENCY
+from repro.obs.stack_metrics import METRIC_INSTANCE_LATENCY
 from repro.net.network import LAN_2006, LanSimulation, NetworkParameters
 from repro.obs.metrics import Histogram
 
@@ -136,7 +136,7 @@ def _single_run(
     if reason != "until" or done_at[0] is None:
         raise RuntimeError(f"{protocol} did not complete (stop reason: {reason})")
     if collect is not None:
-        registry = sim.stacks[observer].metrics
+        registry = sim.metric_registries()[observer]
         for metric in registry.metrics():
             if (
                 isinstance(metric, Histogram)

@@ -53,7 +53,7 @@ def render(gateway, target: str, method: str = "GET") -> bytes:
     if path == "/metrics":
         gateway.node.sample_metrics()
         gateway.sample_gauges()
-        registry = gateway.node.stack.metrics
+        registry = gateway.node.metrics
         text = to_prometheus([registry]) if registry.enabled else ""
         return _response(
             "200 OK", text.encode("utf-8"), "text/plain; version=0.0.4; charset=utf-8"

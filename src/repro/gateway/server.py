@@ -362,7 +362,7 @@ class ClientGateway:
         session = _Session(sid, reader, writer)
         self._sessions[sid] = session
         self.sessions_total += 1
-        metrics = self.node.stack.metrics
+        metrics = self.node.metrics
         if metrics.enabled:
             metrics.counter(METRIC_SESSIONS_TOTAL).inc()
         session.writer_task = asyncio.create_task(self._session_writer(session))
@@ -401,7 +401,7 @@ class ClientGateway:
         """
         self.internal_errors += 1
         error_type = type(exc).__name__
-        metrics = self.node.stack.metrics
+        metrics = self.node.metrics
         if metrics.enabled:
             metrics.counter(
                 METRIC_INTERNAL_ERRORS, context=context, error=error_type
@@ -681,7 +681,7 @@ class ClientGateway:
             self.ops_wrong_shard += 1
         else:
             self.ops_error += 1
-        metrics = self.node.stack.metrics
+        metrics = self.node.metrics
         if metrics.enabled:
             metrics.counter(METRIC_OPS, op=op, status=status).inc()
             metrics.histogram(METRIC_OP_LATENCY, op=op).observe(self._clock() - started)
@@ -733,7 +733,7 @@ class ClientGateway:
 
     def sample_gauges(self) -> None:
         """Refresh the gateway gauges (a no-op with metrics disabled)."""
-        metrics = self.node.stack.metrics
+        metrics = self.node.metrics
         if not metrics.enabled:
             return
         metrics.gauge(METRIC_SESSIONS_OPEN).set(len(self._sessions))

@@ -40,7 +40,6 @@ from typing import Callable
 from repro.core.config import GroupConfig
 from repro.core.sendq import BoundedSendQueue
 from repro.core.stack import ProtocolFactory, Stack
-from repro.core.trace import KIND_SHED
 from repro.core.wire import SEND_BATCH_FRAMES, encode_batch, is_batch
 from repro.crypto.coin import SharedCoinDealer
 from repro.crypto.keys import TrustedDealer
@@ -48,6 +47,7 @@ from repro.net.faults import FaultPlan
 from repro.net.links import LinkModel
 from repro.net.simulator import EventLoop, PeriodicHandle
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.stack_metrics import StackMetrics
 
 
 @dataclass(frozen=True)
@@ -241,10 +241,8 @@ class LanSimulation:
         # cancelled when their process restarts so they can never fire
         # against a dead incarnation's stack.
         self._tickers: dict[int, list[PeriodicHandle]] = {}
-        #: Optional callable invoked with ``(pid, new_stack)`` after
-        #: :meth:`restart_process` rebuilds a stack; the invariant
-        #: checker uses it to re-attach its observers.
-        self.on_stack_rebuilt: Callable[[int, Stack], None] | None = None
+        # pid -> metrics subscriber, once enable_metrics ran.
+        self._metrics: dict[int, StackMetrics] = {}
         if hosts is not None:
             if len(hosts) != config.num_processes:
                 raise ValueError(
@@ -313,12 +311,12 @@ class LanSimulation:
         (its connections died), tickers registered for it via
         :meth:`add_ticker` are cancelled, and any crash entry in the
         fault plan is cleared so the new incarnation sends and receives
-        again.  A tracer attached to the old stack is carried over,
-        rebound to the simulation clock and stamped with the new
-        incarnation number.  The caller re-creates application instances
-        on the returned stack and typically attaches a
-        :class:`~repro.recovery.RecoveryManager` with
-        ``recovering=True`` to rejoin the group.
+        again.  Every subscriber of the old stack (a tracer, the metrics
+        subscriber, the invariant checker) is carried over, rebound to
+        the simulation clock and the new incarnation number.  The caller
+        re-creates application instances on the returned stack and
+        typically attaches a :class:`~repro.recovery.RecoveryManager`
+        with ``recovering=True`` to rejoin the group.
         """
         self._generation[pid] += 1
         self.fault_plan.revive(pid)
@@ -329,21 +327,9 @@ class LanSimulation:
         old_stack = self.stacks[pid]
         stack = self._build_stack(pid)
         self.stacks[pid] = stack
-        if old_stack.tracer.enabled:
-            tracer = old_stack.tracer
-            tracer.rebind(clock=lambda: self.loop.now, incarnation=self._generation[pid])
-            stack.tracer = tracer
-        if old_stack.metrics.enabled:
-            # The registry outlives the incarnation, exactly like the
-            # tracer: post-restart samples keep accumulating into the
-            # same histograms, stamped with the new incarnation.
-            registry = old_stack.metrics
-            registry.rebind(
-                clock=lambda: self.loop.now, incarnation=self._generation[pid]
-            )
-            stack.metrics = registry
-        if self.on_stack_rebuilt is not None:
-            self.on_stack_rebuilt(pid, stack)
+        for subscriber, kinds in old_stack.stats.subscriptions:
+            subscriber.rebind(clock=lambda: self.loop.now, incarnation=self._generation[pid])
+            stack.stats.subscribe(subscriber, kinds)
         return stack
 
     # -- metrics ---------------------------------------------------------------------
@@ -353,8 +339,9 @@ class LanSimulation:
         sample_interval_s: float | None = None,
         registries: "list[MetricsRegistry] | None" = None,
     ) -> list[MetricsRegistry]:
-        """Attach a :class:`~repro.obs.metrics.MetricsRegistry` to every
-        stack (idempotent) and return the registries.
+        """Subscribe a :class:`~repro.obs.stack_metrics.StackMetrics`
+        recording into a :class:`~repro.obs.metrics.MetricsRegistry` to
+        every stack (idempotent) and return the registries.
 
         With *sample_interval_s* set, queue-depth gauges are sampled on a
         per-process ticker every that many simulated seconds.  The
@@ -370,8 +357,7 @@ class LanSimulation:
         distinguishable.
         """
         for pid in self.config.process_ids:
-            stack = self.stacks[pid]
-            if not stack.metrics.enabled:
+            if pid not in self._metrics:
                 if registries is not None:
                     registry = registries[pid]
                 else:
@@ -384,7 +370,9 @@ class LanSimulation:
                 registry.rebind(
                     clock=lambda: self.loop.now, incarnation=self._generation[pid]
                 )
-                stack.metrics = registry
+                subscriber = StackMetrics(registry, lambda pid=pid: self.stacks[pid])
+                self.stacks[pid].stats.subscribe(subscriber, StackMetrics.KINDS)
+                self._metrics[pid] = subscriber
             if sample_interval_s is not None:
                 self.add_ticker(
                     pid, sample_interval_s, lambda pid=pid: self._sample_process(pid)
@@ -394,7 +382,7 @@ class LanSimulation:
     def metric_registries(self) -> list[MetricsRegistry]:
         """The enabled per-process registries, in pid order (feed these
         to the exporters in :mod:`repro.obs.export`)."""
-        return [stack.metrics for stack in self.stacks if stack.metrics.enabled]
+        return [self._metrics[pid].registry for pid in sorted(self._metrics)]
 
     def sample_metrics(self) -> None:
         """Sample queue-depth gauges for every live process, now."""
@@ -403,11 +391,11 @@ class LanSimulation:
                 self._sample_process(pid)
 
     def _sample_process(self, pid: int) -> None:
-        stack = self.stacks[pid]
-        registry = stack.metrics
-        if not registry.enabled:
+        subscriber = self._metrics.get(pid)
+        if subscriber is None:
             return
-        stack.sample_gauges()
+        subscriber.sample()
+        registry = subscriber.registry
         for dest in self.config.process_ids:
             if dest == pid:
                 continue
@@ -503,12 +491,7 @@ class LanSimulation:
         if shed:
             self.link_frames_shed += len(shed)
             self.link_bytes_shed += sum(len(f) for f in shed)
-            stack = self.stacks[src]
-            stack.stats.sends_shed += len(shed)
-            if stack.tracer.enabled:
-                stack.tracer.emit(
-                    src, KIND_SHED, (), dest=dest, frames=len(shed), queued=len(queue)
-                )
+            self.stacks[src].stats.record_shed(dest, len(shed), len(queue))
         if len(queue) > self.peak_link_queue_frames:
             self.peak_link_queue_frames = len(queue)
 

@@ -5,8 +5,9 @@ The paper's Section 4 is entirely measurement; this package makes the
 same quantities -- and their *distributions* -- visible on a live run:
 
 - :mod:`repro.obs.metrics` -- Counter/Gauge/Histogram primitives and
-  the per-stack :class:`MetricsRegistry` (``NULL_REGISTRY`` when off,
-  so the disabled hot path is one attribute check);
+  the per-stack :class:`MetricsRegistry`;
+- :mod:`repro.obs.stack_metrics` -- :class:`StackMetrics`, the stack
+  subscriber that derives every ``ritas_*`` metric from its events;
 - :mod:`repro.obs.export` -- JSONL snapshots and Prometheus text
   exposition;
 - ``python -m repro.obs`` -- renders histogram summaries (p50/p95/p99)

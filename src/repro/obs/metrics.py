@@ -4,8 +4,8 @@ The evaluation section of the paper is entirely *measurement* --
 per-protocol isolated latency (Table 1), burst latency and throughput
 under three faultloads (Figures 4-6), agreement cost (Figure 7) -- and
 distributions, not averages, are what distinguish these protocols in
-practice.  This module gives every stack an optional
-:class:`MetricsRegistry` holding three metric types:
+practice.  This module gives a run optional
+:class:`MetricsRegistry` instances holding three metric types:
 
 - :class:`Counter` -- monotonically increasing count;
 - :class:`Gauge` -- point-in-time level (queue depths, pending work);
@@ -15,11 +15,11 @@ practice.  This module gives every stack an optional
   to log-bucket interpolation -- still monotone and bounded by one
   bucket's width of error).
 
-Cheap when off, by construction: the stack's default registry is
-:data:`NULL_REGISTRY`, whose ``enabled`` is ``False`` and whose metric
-handles are shared no-ops -- exactly the :data:`~repro.core.trace.NULL_TRACER`
-pattern.  Instrumented code guards with ``if metrics.enabled:`` so the
-disabled hot path costs one attribute load and a branch.
+Cheap when off, by construction: a stack records into a registry only
+through the :class:`~repro.obs.stack_metrics.StackMetrics` subscriber,
+so a stack nobody enabled metrics on builds no event at all.
+:data:`NULL_REGISTRY` (``enabled`` is ``False``, every handle a shared
+no-op) is what a node's gateway records into while metrics are off.
 
 Registries are **per stack** (one process, one registry); group-wide
 views are produced by the exporters in :mod:`repro.obs.export`, which
@@ -265,7 +265,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Per-stack metric store, following the ``NULL_TRACER`` pattern.
+    """Per-stack metric store (:data:`NULL_REGISTRY` when off).
 
     Args:
         clock: time source stamped into snapshots (runtimes inject the
@@ -442,13 +442,9 @@ class LabeledRegistry:
 
 
 class _NullMetric:
-    """Shared no-op metric handle: observing costs one dynamic call."""
+    """Shared no-op metric handle."""
 
     __slots__ = ()
-    name = "null"
-    labels: LabelItems = ()
-    value = 0.0
-    count = 0
 
     def inc(self, amount: float = 1.0) -> None:
         pass
@@ -462,36 +458,16 @@ class _NullMetric:
     def observe(self, value: float) -> None:
         pass
 
-    def quantile(self, q: float) -> float:
-        return float("nan")
-
-    def snapshot(self) -> dict[str, Any]:
-        return {}
-
 
 _NULL_METRIC = _NullMetric()
 
 
 class _NullRegistry:
-    """Metrics disabled: every factory returns the shared no-op handle.
-
-    Instrumented code guards hot paths with ``if metrics.enabled:``;
-    unguarded calls still work (and do nothing).
-    """
+    """Metrics disabled: every factory returns the shared no-op handle,
+    so a caller may record unguarded (and guard hot paths with
+    ``if metrics.enabled:``)."""
 
     enabled = False
-    const_labels: dict[str, str] = {}
-    incarnation = 0
-
-    def rebind(
-        self,
-        clock: Callable[[], float] | None = None,
-        incarnation: int | None = None,
-    ) -> None:
-        pass
-
-    def now(self) -> float:
-        return 0.0
 
     def counter(self, name: str, **labels: Any) -> _NullMetric:
         return _NULL_METRIC
@@ -505,12 +481,9 @@ class _NullRegistry:
     def __len__(self) -> int:
         return 0
 
-    def metrics(self) -> list:
-        return []
-
     def snapshot(self) -> list:
         return []
 
 
-#: Shared inert registry instance (the stack default).
+#: Shared inert registry: ``RitasNode.metrics`` until metrics are enabled.
 NULL_REGISTRY = _NullRegistry()

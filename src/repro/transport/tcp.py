@@ -45,7 +45,6 @@ from repro.core.config import GroupConfig
 from repro.core.errors import ConfigurationError, WireFormatError
 from repro.core.sendq import BoundedSendQueue
 from repro.core.stack import ProtocolFactory, Stack
-from repro.core.trace import KIND_SHED
 from repro.core.wire import (
     SEND_BATCH_FRAMES,
     decode_batch_views,
@@ -55,7 +54,8 @@ from repro.core.wire import (
 )
 from repro.crypto.coin import CoinSource, SharedCoinDealer
 from repro.crypto.keys import KeyStore, TrustedDealer
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_REGISTRY, LabeledRegistry, MetricsRegistry
+from repro.obs.stack_metrics import StackMetrics
 from repro.transport.framing import MAC_LEN, MAX_FRAME, FrameCodec, FramingError, peek_src
 
 logger = logging.getLogger(__name__)
@@ -279,6 +279,8 @@ class RitasNode:
         #: Reconnect-jitter draws share shard 0's stream.
         self.rng = self.stack.rng
         self._registry: MetricsRegistry | None = None
+        # One metrics subscriber per stack, once enable_metrics ran.
+        self._stack_metrics: list[StackMetrics] = []
         #: Inbound units dropped for carrying an unhosted shard index.
         self.frames_unknown_shard = 0
         self._server: asyncio.base_events.Server | None = None
@@ -498,8 +500,9 @@ class RitasNode:
     def enable_metrics(
         self, sample_interval_s: float | None = None
     ) -> MetricsRegistry:
-        """Attach one :class:`~repro.obs.metrics.MetricsRegistry` to this
-        node's stacks (idempotent) and return it.
+        """Subscribe every stack of this node to one
+        :class:`~repro.obs.metrics.MetricsRegistry` (idempotent) and
+        return it.
 
         A one-stack node records straight into the registry; with more
         shards each stack records through a ``shard=<group_tag>``-labeled
@@ -516,23 +519,32 @@ class RitasNode:
                 const_labels["group"] = self.config.group_tag
             registry = MetricsRegistry(clock=time.monotonic, const_labels=const_labels)
             self._registry = registry
-            for index, stack in enumerate(self.stacks):
-                stack.metrics = (
+            self._stack_metrics = [
+                StackMetrics.attach(
+                    stack,
                     registry.labeled(shard=stack.config.group_tag or f"s{index}")
                     if sharded
-                    else registry
+                    else registry,
                 )
+                for index, stack in enumerate(self.stacks)
+            ]
         if sample_interval_s is not None:
             self.add_ticker(sample_interval_s, self.sample_metrics)
         return self._registry
+
+    @property
+    def metrics(self) -> MetricsRegistry | LabeledRegistry:
+        """What :attr:`stack` records into (its shard-labeled view on a
+        sharded node); :data:`NULL_REGISTRY` until :meth:`enable_metrics`."""
+        return self._stack_metrics[0].registry if self._stack_metrics else NULL_REGISTRY
 
     def sample_metrics(self) -> None:
         """Sample send-queue depth gauges and every stack's gauges, now."""
         registry = self._registry
         if registry is None:
             return
-        for stack in self.stacks:
-            stack.sample_gauges()
+        for subscriber in self._stack_metrics:
+            subscriber.sample()
         for pid, link in self._send_queues.items():
             registry.gauge("ritas_send_queue_frames", peer=pid).set(len(link.queue))
             registry.gauge("ritas_send_queue_bytes", peer=pid).set(link.queue.bytes)
@@ -605,13 +617,9 @@ class RitasNode:
         stack that queued it (the per-peer queue is shared by every
         shard, so the victim need not be the enqueuer's)."""
         self.frames_shed += len(shed)
+        queued = len(self._send_queues[dest].queue)
         for index, frames in Counter(map(_shard_of, shed)).items():
-            stack = self.stacks[index]
-            stack.stats.sends_shed += frames
-            if stack.tracer.enabled:
-                stack.tracer.emit(
-                    self.process_id, KIND_SHED, (), dest=dest, frames=frames
-                )
+            self.stacks[index].stats.record_shed(dest, frames, queued)
 
     def set_link_blocked(self, pid: int, blocked: bool) -> None:
         """Fault injection: hold (or release) the outbound link to *pid*.

@@ -257,7 +257,7 @@ class TestDeterminism:
         tracers = []
         for stack in sim.stacks:
             tracer = Tracer(clock=lambda: sim.loop.now)
-            stack.tracer = tracer
+            stack.stats.subscribe(tracer)
             tracers.append(tracer)
         scenario.apply_ops(sim, scenario.ops)
         sim.run(max_time=scenario.max_time)
@@ -309,11 +309,13 @@ class TestHeadToHead:
 class TestMetrics:
     def _metered_net(self, engine, coin, proposals, *, seed=0, shuffle=False):
         from repro.obs.metrics import MetricsRegistry
+        from repro.obs.stack_metrics import StackMetrics
 
         cls = ShuffleNet if shuffle else InstantNet
         net = cls(config=pair_config(engine, coin), seed=seed)
-        for stack in net.stacks:
-            stack.metrics = MetricsRegistry()
+        net.registries = [
+            StackMetrics.attach(stack, MetricsRegistry()).registry for stack in net.stacks
+        ]
         run_bc(net, proposals)
         return net
 
@@ -322,7 +324,7 @@ class TestMetrics:
         net = self._metered_net(engine, coin, [1, 1, 1, 1])
         metric = [
             m
-            for m in net.stacks[0].metrics.metrics()
+            for m in net.registries[0].metrics()
             if m.name == "ritas_bc_rounds_to_decide"
         ]
         assert len(metric) == 1
@@ -340,8 +342,8 @@ class TestMetrics:
         )
         counted = sum(
             m.value
-            for stack in net.stacks
-            for m in stack.metrics.metrics()
+            for registry in net.registries
+            for m in registry.metrics()
             if m.name == "ritas_bc_coin_total"
         )
         assert tossed > 0

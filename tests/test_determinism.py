@@ -26,7 +26,7 @@ class TestSimulationDeterminism:
         tracers = []
         for stack in sim.stacks:
             tracer = Tracer(clock=lambda: sim.loop.now)
-            stack.tracer = tracer
+            stack.stats.subscribe(tracer)
             tracers.append(tracer)
         scenario.apply_ops(sim, scenario.ops)
         sim.run(max_time=scenario.max_time)
@@ -119,7 +119,7 @@ class TestCoinDeterminism:
         tracers = []
         for stack in sim.stacks:
             tracer = Tracer(clock=lambda: sim.loop.now)
-            stack.tracer = tracer
+            stack.stats.subscribe(tracer)
             tracers.append(tracer)
         scenario.apply_ops(sim, scenario.ops)
         sim.run(max_time=scenario.max_time)
@@ -214,7 +214,7 @@ class TestTracerRewire:
         the simulation clock on restart and stamps the new incarnation."""
         sim = LanSimulation(n=4, seed=3)
         tracer = Tracer()  # deliberately stale clock: always reports 0.0
-        sim.stacks[2].tracer = tracer
+        sim.stacks[2].stats.subscribe(tracer)
         for stack in sim.stacks:
             stack.create("rb", ("m",), sender=0)
         sim.stacks[0].instance_at(("m",)).broadcast(b"first-life")
@@ -224,7 +224,7 @@ class TestTracerRewire:
         assert all("incarnation" not in event.detail for event in pre)
 
         stack = sim.restart_process(2)
-        assert stack.tracer is tracer  # carried over, not dropped
+        assert (tracer, None) in stack.stats.subscriptions  # carried over, not dropped
         for s in sim.stacks:
             if s.instance_at(("m2",)) is None:
                 s.create("rb", ("m2",), sender=0)

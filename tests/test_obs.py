@@ -2,9 +2,11 @@
 runtime integration (simulator and TCP) and the CLI renderer."""
 
 import asyncio
+import collections
 import io
 import json
 import math
+import pathlib
 import re
 import subprocess
 import sys
@@ -28,7 +30,21 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
+from repro.check.scenarios import SCENARIOS
+from repro.core.trace import (
+    KIND_BROADCAST,
+    KIND_CREATE,
+    KIND_DECIDE,
+    KIND_DROP,
+    KIND_OOC,
+    KIND_RECEIVE,
+    KIND_SEND,
+    KIND_SHED,
+    Tracer,
+)
 from repro.transport import PeerAddress, RitasNode
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestPrimitives:
@@ -224,9 +240,12 @@ class TestExporters:
         assert '\\"' in text and "\\\\" in text and "\\n" in text
 
 
-def _run_sim_burst(k=8, n=4, seed=3):
+def _run_sim_burst(k=8, n=4, seed=3, subscriber=None):
     sim = LanSimulation(n=n, seed=seed)
     sim.enable_metrics()
+    if subscriber is not None:
+        for stack in sim.stacks:
+            stack.stats.subscribe(subscriber)
     for pid in sim.config.process_ids:
         sim.stacks[pid].create("ab", ("obs",))
     for pid in sim.config.process_ids:
@@ -260,17 +279,17 @@ class TestSimulatorIntegration:
 
     def test_metrics_disabled_by_default(self):
         sim = LanSimulation(n=4, seed=3)
-        assert all(not s.metrics.enabled for s in sim.stacks)
+        assert all(s.stats.subscriptions == [] for s in sim.stacks)
         assert sim.metric_registries() == []
         sim.sample_metrics()  # no-op, must not blow up
 
     def test_registry_survives_restart(self):
         sim = LanSimulation(n=4, seed=5)
-        sim.enable_metrics()
-        registry = sim.stacks[1].metrics
+        registry = sim.enable_metrics()[1]
         registry.counter("probe").inc()
         stack = sim.restart_process(1)
-        assert stack.metrics is registry
+        assert sim.metric_registries()[1] is registry
+        assert [type(s).__name__ for s, _ in stack.stats.subscriptions] == ["StackMetrics"]
         assert registry.incarnation == 1
         assert registry.counter("probe").value == 1
 
@@ -291,10 +310,12 @@ class TestSimulatorIntegration:
 
     def test_disabled_metrics_cost_under_3_percent(self):
         """DESIGN §10's budget, bounded from first principles rather than
-        by comparing two noisy wall clocks: every event an enabled run
-        records is one ``if metrics.enabled:`` guard the disabled run
-        branches over; padded 4x for guards that record nothing, those
-        guards cost under 3% of the disabled run's wall time."""
+        by comparing two noisy wall clocks: every event a fully
+        subscribed run records is one record call whose subscriber
+        table the unsubscribed run finds empty (one truth test); padded
+        4x for record calls that build nothing either way, those tests
+        cost under 3% of the unsubscribed run's wall time."""
+        from repro.core.stats import StackStats
         from repro.eval.atomic_burst import run_burst
 
         def best_of(repeats, fn):
@@ -307,23 +328,23 @@ class TestSimulatorIntegration:
 
         disabled_s = best_of(2, lambda: run_burst(16, 100, seed=2, metrics=False))
 
+        stats = StackStats()
+
         def guards(iterations=200_000):
             sink = 0
             for _ in range(iterations):
-                if NULL_REGISTRY.enabled:
+                if stats._on.send:
                     sink += 1
             assert sink == 0
 
         guard_s = best_of(3, guards) / 200_000
-        events = sum(
-            metric.count if isinstance(metric, Histogram) else max(1, int(metric.value))
-            for registry in _run_sim_burst(k=16, seed=2).metric_registries()
-            for metric in registry.metrics()
-        )
+        recorded = []
+        _run_sim_burst(k=16, seed=2, subscriber=lambda *event: recorded.append(event[1]))
+        events = len(recorded)
         assert events * 4 * guard_s < 0.03 * disabled_s, (events, guard_s, disabled_s)
 
 
-def _run_tcp_scenario(tmp_path):
+def _run_tcp_scenario(tmp_path, subscribe=None):
     async def scenario():
         config = GroupConfig(4)
         dealer = TrustedDealer(4, seed=b"obs-tcp")
@@ -332,6 +353,8 @@ def _run_tcp_scenario(tmp_path):
             RitasNode(config, pid, addresses, dealer.keystore_for(pid))
             for pid in range(4)
         ]
+        if subscribe is not None:
+            subscribe([node.stack for node in nodes])
         for node in nodes:
             await node.listen()
         bound = [PeerAddress("127.0.0.1", node.bound_port) for node in nodes]
@@ -363,6 +386,145 @@ def _run_tcp_scenario(tmp_path):
                 await node.close()
 
     return asyncio.run(scenario())
+
+
+def _subscribe_tracers(stacks, tracers):
+    for stack in stacks:
+        tracer = Tracer(capacity=1_000_000)
+        stack.stats.subscribe(tracer)
+        tracers.append((stack, tracer))
+
+
+def _assert_views_agree(stack, tracer):
+    """The counters and the trace come from one record call per
+    happening, so they agree exactly."""
+    stats = stack.stats
+    events = tracer.events()
+    assert tracer.dropped_events == 0
+    count = collections.Counter
+    kinds = count(event.kind for event in events)
+    assert kinds[KIND_SEND] == stats.frames_sent
+    assert kinds[KIND_RECEIVE] == stats.frames_received
+    drops = count(event.detail["reason"] for event in events if event.kind == KIND_DROP)
+    assert drops == stats.dropped
+    assert kinds[KIND_BROADCAST] == stats.total_broadcasts()
+    protocol_of = {e.path: e.detail["protocol"] for e in events if e.kind == KIND_CREATE}
+    decided = count(protocol_of[e.path] for e in events if e.kind == KIND_DECIDE)
+    for protocol in ("bc", "mvc", "vc"):
+        assert decided[protocol] == stats.decisions[protocol], protocol
+    assert kinds[KIND_OOC] == stats.ooc_stored
+    shed = sum(event.detail["frames"] for event in events if event.kind == KIND_SHED)
+    assert shed == stats.sends_shed
+
+
+def _run_scenario(name, tracers):
+    scenario = SCENARIOS[name]
+    sim = scenario.build(1, 1, 1e-4)
+    _subscribe_tracers(sim.stacks, tracers)
+    scenario.start(sim)
+    scenario.apply_ops(sim, scenario.ops)
+    sim.run(max_time=scenario.max_time)
+
+
+def _run_shedding_burst(tracers):
+    sim = LanSimulation(GroupConfig(4, send_queue_max_frames=4), seed=1)
+    _subscribe_tracers(sim.stacks, tracers)
+    for stack in sim.stacks:
+        stack.create("ab", ("a",))
+    for stack in sim.stacks:
+        ab = stack.instance_at(("a",))
+        for _ in range(20):
+            ab.broadcast(b"x" * 50)
+    sim.run(max_time=5.0)
+
+
+class TestViewsAgree:
+    """Counters, trace and decisions cannot disagree: per stack, the
+    trace holds exactly the happenings ``StackStats`` counted."""
+
+    @pytest.mark.parametrize(
+        "name, happened",
+        [
+            ("byz-ooc-flood", ("ooc_stored", "ooc_evicted")),
+            ("byz-digest-forge", ("dropped",)),
+            ("gray-flaky-mac", ("dropped",)),  # frames that fail to parse
+        ],
+    )
+    def test_scenario(self, name, happened):
+        tracers = []
+        _run_scenario(name, tracers)
+        for attribute in happened:
+            assert any(getattr(stack.stats, attribute) for stack, _ in tracers), attribute
+        for stack, tracer in tracers:
+            _assert_views_agree(stack, tracer)
+
+    def test_shedding_burst(self):
+        tracers = []
+        _run_shedding_burst(tracers)
+        assert all(stack.stats.sends_shed for stack, _ in tracers)
+        for stack, tracer in tracers:
+            _assert_views_agree(stack, tracer)
+
+    def test_tcp(self, tmp_path):
+        tracers = []
+        _run_tcp_scenario(tmp_path, lambda stacks: _subscribe_tracers(stacks, tracers))
+        assert all(stack.stats.decisions["mvc"] for stack, _ in tracers)
+        for stack, tracer in tracers:
+            _assert_views_agree(stack, tracer)
+
+
+def _documented_metrics():
+    """docs/API.md's ``ritas_*`` rows: name -> label keys (the backticked
+    names before the row's dash, outside parentheses, which list values;
+    ``process``/``runtime`` are the const labels every row has)."""
+    rows = {}
+    for line in (REPO / "docs" / "API.md").read_text(encoding="utf-8").splitlines():
+        match = re.match(r"\| `(ritas_\w+)` \| \w+ \| [^|]+ \| (.*) \|$", line)
+        if match:
+            labels = re.sub(r"\([^)]*\)", "", match.group(2).split("—")[0])
+            rows[match.group(1)] = set(re.findall(r"`(\w+)`", labels))
+    return rows
+
+
+class TestDocumentedMetrics:
+    def test_api_table_matches_live_registry(self):
+        """Every ``ritas_*`` metric a run produces is documented, every
+        documented one is produced, and each row names its labels."""
+        documented = _documented_metrics()
+        assert len(documented) >= 10
+        sim = LanSimulation(n=4, seed=1, jitter_s=1e-4)
+        sim.enable_metrics()
+        for stack in sim.stacks:
+            for kind in ("ab", "vc", "bc"):
+                stack.create(kind, (kind,))
+        for pid, stack in enumerate(sim.stacks):
+            stack.instance_at(("ab",)).broadcast(b"m%d" % pid)
+            stack.instance_at(("vc",)).propose(b"v%d" % pid)
+            stack.instance_at(("bc",)).propose(pid % 2)  # split: a coin round
+        sim.run(max_time=30.0)
+        sim.sample_metrics()
+        produced = {}
+        for registry in sim.metric_registries():
+            for metric in registry.metrics():
+                if metric.name.startswith("ritas_"):
+                    keys = {key for key, _ in metric.labels} - {"process", "runtime"}
+                    assert produced.setdefault(metric.name, keys) == keys, metric.name
+        assert set(produced) == set(documented)
+        for name, keys in produced.items():
+            assert keys == documented[name], name
+
+
+class TestOneRecordPoint:
+    def test_core_has_no_observability_side_channel(self):
+        """Protocols record through ``stack.stats`` only: no module of
+        the core reaches for a tracer, a metrics registry or an observer."""
+        offenders = [
+            f"{path.name}:{number}"
+            for path in sorted((REPO / "src" / "repro" / "core").glob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(r"\.(tracer|metrics|observer)\b", line)
+        ]
+        assert offenders == []
 
 
 class TestTcpIntegration:

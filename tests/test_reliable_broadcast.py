@@ -427,9 +427,10 @@ def test_broadcast_encodes_its_payload_once_with_metrics_on(kind, monkeypatch):
     """The payload-size histogram and the INIT frame share one encode."""
     from repro.core import wire
     from repro.obs.metrics import MetricsRegistry
+    from repro.obs.stack_metrics import StackMetrics
 
     stack, sent = lone_stack()
-    stack.metrics = MetricsRegistry()
+    StackMetrics.attach(stack, MetricsRegistry())
     block = stack.create(kind, ("b",), sender=0)
     inner, active, top_level = wire._encode_into, [0], []
 

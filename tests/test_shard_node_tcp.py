@@ -93,7 +93,9 @@ class TestShardedGroup:
                 await start_tcp_group(nodes)
                 registry = nodes[0].enable_metrics()
                 for index, stack in enumerate(nodes[0].stacks):
-                    assert stack.metrics.enabled
+                    assert [type(s).__name__ for s, _ in stack.stats.subscriptions] == [
+                        "StackMetrics"
+                    ]
                 delivered = [0, 0]
                 for node in nodes:
                     for index, stack in enumerate(node.stacks):

@@ -145,7 +145,7 @@ class TestRouting:
             outbox=lambda dest, data: None,
             factory=ProtocolFactory({"rec": Faulty}),
         )
-        stack.tracer = tracer = Tracer()
+        stack.stats.subscribe(tracer := Tracer())
         stack.create("rec", ("violate",))
         stack.create("rec", ("garble",))
         frame = encode_frame(("x",), 0, None)

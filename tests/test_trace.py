@@ -13,7 +13,6 @@ from repro.core.trace import (
     KIND_RECEIVE,
     KIND_ROUND,
     KIND_SEND,
-    NULL_TRACER,
     TraceEvent,
     Tracer,
 )
@@ -26,7 +25,7 @@ def traced_net(n=4, **tracer_kwargs):
     tracers = []
     for stack in net.stacks:
         tracer = Tracer(**tracer_kwargs)
-        stack.tracer = tracer
+        stack.stats.subscribe(tracer)
         tracers.append(tracer)
     return net, tracers
 
@@ -34,8 +33,8 @@ def traced_net(n=4, **tracer_kwargs):
 class TestTracer:
     def test_emit_and_select(self):
         tracer = Tracer()
-        tracer.emit(0, KIND_SEND, ("a",), dest=1)
-        tracer.emit(1, KIND_RECEIVE, ("a",), src=0)
+        tracer(0, KIND_SEND, ("a",), {"dest": 1})
+        tracer(1, KIND_RECEIVE, ("a",), {"src": 0})
         assert len(tracer) == 2
         sends = list(tracer.select(kind=KIND_SEND))
         assert len(sends) == 1
@@ -43,9 +42,9 @@ class TestTracer:
 
     def test_select_by_process_and_prefix(self):
         tracer = Tracer()
-        tracer.emit(0, KIND_SEND, ("a", 1))
-        tracer.emit(0, KIND_SEND, ("b", 1))
-        tracer.emit(2, KIND_SEND, ("a", 2))
+        tracer(0, KIND_SEND, ("a", 1), {})
+        tracer(0, KIND_SEND, ("b", 1), {})
+        tracer(2, KIND_SEND, ("a", 2), {})
         assert len(list(tracer.select(process=0))) == 2
         assert len(list(tracer.select(path_prefix=("a",)))) == 2
         assert len(list(tracer.select(process=0, path_prefix=("a",)))) == 1
@@ -53,15 +52,15 @@ class TestTracer:
     def test_capacity_ring(self):
         tracer = Tracer(capacity=3)
         for i in range(10):
-            tracer.emit(0, KIND_SEND, (i,))
+            tracer(0, KIND_SEND, (i,), {})
         assert len(tracer) == 3
         assert tracer.emitted == 10
         assert [e.path for e in tracer.events()] == [(7,), (8,), (9,)]
 
     def test_kind_filter_at_emit(self):
         tracer = Tracer(kinds={KIND_DECIDE})
-        tracer.emit(0, KIND_SEND, ())
-        tracer.emit(0, KIND_DECIDE, (), value=1)
+        tracer(0, KIND_SEND, (), {})
+        tracer(0, KIND_DECIDE, (), {"value": 1})
         assert len(tracer) == 1
 
     def test_render_line(self):
@@ -74,20 +73,13 @@ class TestTracer:
 
     def test_clear(self):
         tracer = Tracer()
-        tracer.emit(0, KIND_SEND, ())
+        tracer(0, KIND_SEND, (), {})
         tracer.clear()
         assert len(tracer) == 0
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             Tracer(capacity=0)
-
-    def test_null_tracer_is_inert(self):
-        NULL_TRACER.emit(0, KIND_SEND, ())
-        assert len(NULL_TRACER) == 0
-        assert NULL_TRACER.events() == []
-        assert NULL_TRACER.render() == ""
-        assert not NULL_TRACER.enabled
 
 
 class TestSelectSnapshot:
@@ -97,18 +89,18 @@ class TestSelectSnapshot:
         # "RuntimeError: deque mutated during iteration".
         tracer = Tracer()
         for i in range(5):
-            tracer.emit(0, KIND_SEND, (i,))
+            tracer(0, KIND_SEND, (i,), {})
         seen = []
         for event in tracer.select(kind=KIND_SEND):
-            tracer.emit(0, KIND_RECEIVE, event.path, echoed=True)
+            tracer(0, KIND_RECEIVE, event.path, {"echoed": True})
             seen.append(event.path)
         assert seen == [(i,) for i in range(5)]
         assert len(list(tracer.select(kind=KIND_RECEIVE))) == 5
 
     def test_clear_during_select_iteration(self):
         tracer = Tracer()
-        tracer.emit(0, KIND_SEND, ())
-        tracer.emit(0, KIND_SEND, ())
+        tracer(0, KIND_SEND, (), {})
+        tracer(0, KIND_SEND, (), {})
         count = 0
         for _ in tracer.select():
             tracer.clear()
@@ -120,10 +112,10 @@ class TestSelectSnapshot:
         # evicts the oldest event while we iterate.
         tracer = Tracer(capacity=4)
         for i in range(4):
-            tracer.emit(0, KIND_SEND, (i,))
+            tracer(0, KIND_SEND, (i,), {})
         walked = 0
         for event in tracer.select():
-            tracer.emit(1, KIND_RECEIVE, event.path)
+            tracer(1, KIND_RECEIVE, event.path, {})
             walked += 1
         assert walked == 4
 
@@ -133,24 +125,21 @@ class TestDroppedEvents:
         tracer = Tracer(capacity=3)
         assert tracer.dropped_events == 0
         for i in range(10):
-            tracer.emit(0, KIND_SEND, (i,))
+            tracer(0, KIND_SEND, (i,), {})
         assert tracer.dropped_events == 7
 
     def test_clear_counts_as_dropped(self):
         tracer = Tracer()
-        tracer.emit(0, KIND_SEND, ())
+        tracer(0, KIND_SEND, (), {})
         tracer.clear()
         assert tracer.dropped_events == 1
-
-    def test_null_tracer_never_drops(self):
-        assert NULL_TRACER.dropped_events == 0
 
 
 class TestJsonlExport:
     def test_meta_record_stamps_drop_accounting(self):
         tracer = Tracer(capacity=2)
         for i in range(5):
-            tracer.emit(0, KIND_SEND, (i,))
+            tracer(0, KIND_SEND, (i,), {})
         records = tracer.to_records()
         meta = records[0]
         assert meta["record"] == "meta"
@@ -164,13 +153,11 @@ class TestJsonlExport:
         import json
 
         tracer = Tracer()
-        tracer.emit(
+        tracer(
             0,
             KIND_DECIDE,
             ("bc", 7),
-            digest=b"\xde\xad",
-            values=(1, b"\x01"),
-            exotic={"not", "json"},
+            {"digest": b"\xde\xad", "values": (1, b"\x01"), "exotic": {"not", "json"}},
         )
         records = tracer.to_records()
         text = json.dumps(records)  # must not raise
@@ -186,7 +173,7 @@ class TestJsonlExport:
         import json
 
         tracer = Tracer()
-        tracer.emit(3, KIND_SEND, ("a",), dest=1)
+        tracer(3, KIND_SEND, ("a",), {"dest": 1})
         out = io.StringIO()
         tracer.write_jsonl(out)
         lines = [json.loads(line) for line in out.getvalue().splitlines()]
@@ -199,14 +186,6 @@ class TestJsonlExport:
             "path": ["a"],
             "detail": {"dest": 1},
         }
-
-    def test_null_tracer_exports_nothing(self):
-        import io
-
-        out = io.StringIO()
-        NULL_TRACER.write_jsonl(out)
-        assert NULL_TRACER.to_records() == []
-        assert out.getvalue() == ""
 
 
 class TestStackIntegration:
@@ -246,7 +225,7 @@ class TestStackIntegration:
 
     def test_tracing_off_by_default_and_free(self):
         net = InstantNet(4)
-        assert net.stacks[0].tracer is NULL_TRACER
+        assert net.stacks[0].stats.subscriptions == []
         for stack in net.stacks:
             stack.create("bc", ("b",))
         for stack in net.stacks:
