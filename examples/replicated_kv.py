@@ -18,7 +18,6 @@ from repro.adversary import byzantine_paper_faultload
 from repro.apps import ReplicatedKvStore
 from repro.transport import PeerAddress, RitasNode
 
-BASE_PORT = 42600
 N = 4
 BYZANTINE_REPLICA = 3
 
@@ -26,7 +25,8 @@ BYZANTINE_REPLICA = 3
 async def main() -> None:
     config = GroupConfig(N)
     dealer = TrustedDealer(N, seed=b"examples/replicated_kv")
-    addresses = [PeerAddress("127.0.0.1", BASE_PORT + pid) for pid in range(N)]
+    # Port 0: each replica binds an ephemeral port, then learns the others'.
+    blank = [PeerAddress("127.0.0.1", 0)] * N
 
     nodes: list[RitasNode] = []
     stores: list[ReplicatedKvStore] = []
@@ -34,14 +34,17 @@ async def main() -> None:
         factory = ProtocolFactory.default()
         if pid == BYZANTINE_REPLICA:
             factory = byzantine_paper_faultload(factory)
-        node = RitasNode(
-            config, pid, addresses, dealer.keystore_for(pid), factory=factory
-        )
-        await node.start()
+        node = RitasNode(config, pid, blank, dealer.keystore_for(pid), factory=factory)
+        await node.listen()
         nodes.append(node)
         stores.append(ReplicatedKvStore(node.stack.create("ab", ("kv",))))
+    addresses = [PeerAddress("127.0.0.1", node.bound_port) for node in nodes]
+    for node in nodes:
+        node.set_peer_addresses(addresses)
+        await node.connect()
 
-    print(f"{N} replicas up on 127.0.0.1:{BASE_PORT}..{BASE_PORT + N - 1}")
+    ports = ", ".join(str(address.port) for address in addresses)
+    print(f"{N} replicas up on 127.0.0.1 ports {ports}")
     print(f"replica {BYZANTINE_REPLICA} is Byzantine (Section 4.2 faultload)\n")
 
     stores[0].put("motd", b"replicated hello")

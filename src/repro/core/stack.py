@@ -402,7 +402,7 @@ class Stack:
         # send side, instance path -> encoded frame prefix.  Both are
         # maintained by _register/_unregister, so they are bounded by
         # the number of live instances.
-        self._demux: dict[bytes, ControlBlock] = {}
+        self._by_path_key: dict[bytes, ControlBlock] = {}
         self._path_prefix: dict[Path, bytes] = {}
         self._ooc = OocTable(config.ooc_capacity, peer_quota=config.ooc_peer_quota)
         self._ooc.on_evict = self._on_ooc_evict
@@ -443,7 +443,7 @@ class Stack:
         self._path_prefix[block.path] = prefix
         # The frame prefix past the 6 fixed header bytes is exactly the
         # canonical path encoding -- the demux key inbound frames carry.
-        self._demux[prefix[6:]] = block
+        self._by_path_key[prefix[6:]] = block
         parked = self._ooc.drain_prefix(block.path)
         if parked:
             self.stats.ooc_drained += len(parked)
@@ -472,7 +472,7 @@ class Stack:
         self._registry.pop(block.path, None)
         prefix = self._path_prefix.pop(block.path, None)
         if prefix is not None:
-            self._demux.pop(prefix[6:], None)
+            self._by_path_key.pop(prefix[6:], None)
         purged = self._ooc.purge_prefix(block.path)
         self.stats.ooc_purged += purged
 
@@ -725,7 +725,7 @@ class Stack:
             path_key, mtype, raw = parsed
             # A frame for a live instance dispatches on the interned path
             # bytes: no path decode, no tuple allocation, no registry walk.
-            block = self._demux.get(path_key)
+            block = self._by_path_key.get(path_key)
             if block is not None:
                 path = block.path
             else:

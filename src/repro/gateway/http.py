@@ -7,9 +7,10 @@ a human with ``curl``.
 
 Routes::
 
-    GET /metrics   Prometheus text exposition 0.0.4 of the replica's
-                   registry -- protocol metrics plus the gateway_* family
-                   (gauges freshly sampled per scrape)
+    GET /metrics   Prometheus text exposition 0.0.4 of every hosted
+                   group's registry -- protocol metrics, each series
+                   under its group label -- plus the gateway_* family
+                   once (gauges freshly sampled per scrape)
     GET /status    JSON gateway snapshot (sessions, in-flight ops,
                    admission state)
     GET /healthz   200 "ok" while the gateway accepts sessions
@@ -51,10 +52,10 @@ def render(gateway, target: str, method: str = "GET") -> bytes:
         return _response("405 Method Not Allowed", b"GET only\n")
     path = target.split("?", 1)[0]
     if path == "/metrics":
-        gateway.node.sample_metrics()
         gateway.sample_gauges()
-        registry = gateway.node.metrics
-        text = to_prometheus([registry]) if registry.enabled else ""
+        for node in gateway.nodes:
+            node.sample_metrics()
+        text = to_prometheus(node.metrics for node in gateway.nodes if node.metrics.enabled)
         return _response(
             "200 OK", text.encode("utf-8"), "text/plain; version=0.0.4; charset=utf-8"
         )

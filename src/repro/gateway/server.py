@@ -97,54 +97,48 @@ SWEEP_INTERVAL_S = 1.0
 
 @dataclass
 class GatewayServices:
-    """The replicated services a gateway fronts.
+    """The replicated services a gateway fronts, on the node they were
+    attached to.
 
     Every replica of the group attaches the same services (writes apply
     group-wide); the gateway rides on one -- or several, each with its
     own gateway -- of them.
     """
 
+    node: RitasNode
     kv: ReplicatedKvStore
     locks: DistributedLockService
 
     @classmethod
     def attach(cls, node: RitasNode) -> "GatewayServices":
-        return cls.attach_stack(node.stack)
-
-    @classmethod
-    def attach_stack(cls, stack: Stack) -> "GatewayServices":
-        """Attach the service pair to one stack -- per shard stack on a
-        sharded host (every shard's AB instances live at the same paths;
-        the stacks are independent, so the paths never collide)."""
+        stack = node.stack
         return cls(
+            node=node,
             kv=ReplicatedKvStore(stack.create("ab", SERVICE_PATH_KV)),
             locks=DistributedLockService(stack.create("ab", SERVICE_PATH_LOCK)),
         )
 
 
 def attach_router(
-    node: RitasNode,
+    nodes: "list[RitasNode]",
     shard_map: ShardMap,
     hosted: "list[int] | None" = None,
 ) -> ShardRouter:
-    """Attach gateway services to every hosted shard of *node* and wrap
-    them in a :class:`~repro.shard.router.ShardRouter`.
+    """Attach gateway services to this process's nodes -- one node per
+    group, in *shard_map*'s name order -- and wrap them in a
+    :class:`~repro.shard.router.ShardRouter`.
 
-    *node*'s stacks (see :meth:`RitasNode.add_shard`) must be in
-    *shard_map*'s name order; a plain node hosts shard 0 only.  *hosted*
-    restricts which shards this gateway fronts (default: every stack the
-    node runs) -- operations owned by unhosted shards are answered
+    *hosted* restricts which shards this gateway fronts (default: every
+    node given) -- operations owned by unhosted shards are answered
     ``wrong-shard`` with the owner hint.
     """
-    stacks = node.stacks
-    if len(stacks) > len(shard_map):
-        raise ValueError(
-            f"node hosts {len(stacks)} shards but the map names {len(shard_map)}"
-        )
+    if len(nodes) > len(shard_map):
+        raise ValueError(f"{len(nodes)} nodes but the map names {len(shard_map)} shards")
     if hosted is None:
-        hosted = list(range(len(stacks)))
-    services = {index: GatewayServices.attach_stack(stacks[index]) for index in hosted}
-    return ShardRouter(shard_map, services)
+        hosted = list(range(len(nodes)))
+    return ShardRouter(
+        shard_map, {index: GatewayServices.attach(nodes[index]) for index in hosted}
+    )
 
 
 class _Session:
@@ -200,7 +194,8 @@ class ClientGateway:
 
     Args:
         node: the replica this gateway rides on (must be started by the
-            caller; the gateway shares its event loop and stacks).
+            caller; the gateway shares its event loop and records the
+            ``gateway_*`` metrics into its registry).
         services: the replicated services to front -- either one
             :class:`GatewayServices` (unsharded; attach the same
             services on every replica) or a
@@ -240,12 +235,14 @@ class ClientGateway:
         #: First hosted shard's services (unsharded callers see their
         #: original object here).
         self.services: GatewayServices = self.router.services[self.router.hosted[0]]
-        # The stacks whose coalescing windows bracket request handling;
-        # on a sharded node each hosted shard contributes its own.
-        self._hosted_stacks: list[Stack] = [
-            node.stacks[index] if index < len(node.stacks) else node.stack
-            for index in self.router.hosted
-        ]
+        hosted_nodes = [self.router.services[index].node for index in self.router.hosted]
+        # The stacks whose coalescing windows bracket request handling:
+        # each hosted group contributes its own.
+        self._hosted_stacks: list[Stack] = [each.stack for each in hosted_nodes]
+        #: The nodes whose registries ``/metrics`` exports: this one
+        #: (which also records the ``gateway_*`` family) and every
+        #: hosted group's.
+        self.nodes: list[RitasNode] = list(dict.fromkeys([node, *hosted_nodes]))
         self.local_reads = local_reads
         self.max_sessions = max_sessions
         self._server: asyncio.base_events.Server | None = None
@@ -473,10 +470,9 @@ class ClientGateway:
         agreement slot, each op still delivered and answered on its own
         -- and the replica stack sends the window's frames as batched
         channel units.  This is where client pipelining turns into
-        atomic-broadcast batching.  On a sharded node the windows of
-        every hosted stack are opened together: one wakeup's requests
-        batch per shard, and the transport's drain-batch merge then
-        packs the *shards'* units into shared link batches.
+        atomic-broadcast batching.  With several hosted groups the
+        windows of every hosted stack are opened together: one wakeup's
+        requests batch per group.
         """
         with contextlib.ExitStack() as windows:
             for stack in self._hosted_stacks:

@@ -40,7 +40,7 @@ from typing import Callable
 from repro.core.config import GroupConfig
 from repro.core.sendq import BoundedSendQueue
 from repro.core.stack import ProtocolFactory, Stack
-from repro.core.wire import SEND_BATCH_FRAMES, encode_batch, is_batch
+from repro.core.wire import SEND_BATCH_FRAMES, is_batch, splice_batch
 from repro.crypto.coin import SharedCoinDealer
 from repro.crypto.keys import TrustedDealer
 from repro.net.faults import FaultPlan
@@ -204,6 +204,8 @@ class LanSimulation:
         self.batches_on_wire = 0
         self.link_batches = 0
         self.link_frames_coalesced = 0
+        #: Stack containers whose members a link batch spliced in.
+        self.link_containers_spliced = 0
         self.link_frames_shed = 0
         self.link_bytes_shed = 0
         self.peak_link_queue_frames = 0
@@ -335,9 +337,7 @@ class LanSimulation:
     # -- metrics ---------------------------------------------------------------------
 
     def enable_metrics(
-        self,
-        sample_interval_s: float | None = None,
-        registries: "list[MetricsRegistry] | None" = None,
+        self, sample_interval_s: float | None = None
     ) -> list[MetricsRegistry]:
         """Subscribe a :class:`~repro.obs.stack_metrics.StackMetrics`
         recording into a :class:`~repro.obs.metrics.MetricsRegistry` to
@@ -349,27 +349,18 @@ class LanSimulation:
         :meth:`sample_metrics` calls -- a ticker keeps the event loop
         non-empty, which would break drive-until-idle ``run()`` loops.
 
-        *registries* attaches caller-supplied registries (one per pid)
-        instead of creating private ones -- the sharded simulation hands
-        each shard per-shard :meth:`~repro.obs.metrics.MetricsRegistry.labeled`
-        views of one shared store.  A tagged group's private registries
-        carry a ``group`` const label so multi-group exports stay
-        distinguishable.
+        A tagged group's registries carry a ``group`` const label so
+        multi-group exports stay distinguishable.
         """
         for pid in self.config.process_ids:
             if pid not in self._metrics:
-                if registries is not None:
-                    registry = registries[pid]
-                else:
-                    const_labels = {"process": pid, "runtime": "sim"}
-                    if self.config.group_tag:
-                        const_labels["group"] = self.config.group_tag
-                    registry = MetricsRegistry(
-                        clock=lambda: self.loop.now, const_labels=const_labels
-                    )
-                registry.rebind(
-                    clock=lambda: self.loop.now, incarnation=self._generation[pid]
+                const_labels = {"process": pid, "runtime": "sim"}
+                if self.config.group_tag:
+                    const_labels["group"] = self.config.group_tag
+                registry = MetricsRegistry(
+                    clock=lambda: self.loop.now, const_labels=const_labels
                 )
+                registry.rebind(incarnation=self._generation[pid])
                 subscriber = StackMetrics(registry, lambda pid=pid: self.stacks[pid])
                 self.stacks[pid].stats.subscribe(subscriber, StackMetrics.KINDS)
                 self._metrics[pid] = subscriber
@@ -507,9 +498,12 @@ class LanSimulation:
             if len(chunk) == 1:
                 self._transmit_unit(src, dest, chunk[0])
             else:
+                # Flat, as the TCP link writes it: a stack container's
+                # members are spliced in, not nested.
                 self.link_batches += 1
                 self.link_frames_coalesced += len(chunk)
-                self._transmit_unit(src, dest, encode_batch(chunk))
+                self.link_containers_spliced += sum(map(is_batch, chunk))
+                self._transmit_unit(src, dest, splice_batch(chunk))
 
     def _gen(self, src: int, dest: int) -> tuple[int, int]:
         """Incarnation stamp a frame carries through the staged events."""

@@ -38,7 +38,6 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
-    LabeledRegistry,
     MetricsRegistry,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LabeledRegistry",
     "MetricsRegistry",
     "read_jsonl",
     "snapshot_records",

@@ -343,18 +343,6 @@ class MetricsRegistry:
             raise TypeError(f"{name} already registered as {type(metric).__name__}")
         return metric
 
-    def labeled(self, **labels: Any) -> "LabeledRegistry":
-        """A view of this registry with extra const labels.
-
-        Every metric created through the view lands in *this* registry
-        with ``labels`` merged in -- one shared store, many label
-        scopes.  A sharded host hands each stack
-        ``registry.labeled(shard="users-2")`` so per-shard series stay
-        distinguishable while exporters, snapshots, and the HTTP
-        endpoint keep seeing a single registry.
-        """
-        return LabeledRegistry(self, labels)
-
     # -- introspection -------------------------------------------------------
 
     def __len__(self) -> int:
@@ -376,69 +364,6 @@ class MetricsRegistry:
                 record["incarnation"] = self.incarnation
             records.append(record)
         return records
-
-
-class LabeledRegistry:
-    """Delegating view over a :class:`MetricsRegistry` (see
-    :meth:`MetricsRegistry.labeled`).
-
-    Quacks like a registry -- ``enabled``/``counter``/``gauge``/
-    ``histogram``/``rebind``/``snapshot`` -- but owns no metric store:
-    every factory call forwards to the base registry with this view's
-    labels merged in (explicit per-call labels still win on conflict).
-    ``rebind`` forwards too, so a restarted shard re-stamps the shared
-    clock and incarnation exactly as a private registry would.
-    """
-
-    enabled = True
-
-    def __init__(self, base: "MetricsRegistry | LabeledRegistry", labels: dict[str, Any]):
-        self._base = base
-        self._labels = {k: str(v) for k, v in labels.items()}
-
-    @property
-    def const_labels(self) -> dict[str, str]:
-        return {**self._base.const_labels, **self._labels}
-
-    @property
-    def incarnation(self) -> int:
-        return self._base.incarnation
-
-    def rebind(
-        self,
-        clock: Callable[[], float] | None = None,
-        incarnation: int | None = None,
-    ) -> None:
-        self._base.rebind(clock, incarnation)
-
-    def now(self) -> float:
-        return self._base.now()
-
-    def labeled(self, **labels: Any) -> "LabeledRegistry":
-        return LabeledRegistry(self, labels)
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        return self._base.counter(name, **{**self._labels, **labels})
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._base.gauge(name, **{**self._labels, **labels})
-
-    def histogram(
-        self,
-        name: str,
-        buckets: tuple[float, ...] = LATENCY_BUCKETS,
-        **labels: Any,
-    ) -> Histogram:
-        return self._base.histogram(name, buckets=buckets, **{**self._labels, **labels})
-
-    def __len__(self) -> int:
-        return len(self._base)
-
-    def metrics(self) -> list[Counter | Gauge | Histogram]:
-        return self._base.metrics()
-
-    def snapshot(self) -> list[dict[str, Any]]:
-        return self._base.snapshot()
 
 
 class _NullMetric:

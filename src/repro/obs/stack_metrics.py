@@ -17,7 +17,7 @@ from typing import Any, Callable
 from repro.core import trace
 from repro.core.stack import Stack
 from repro.core.wire import Path
-from repro.obs.metrics import COUNT_BUCKETS, LabeledRegistry, MetricsRegistry
+from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry
 
 #: Instance-lifetime latency, creation to first delivery (a decision for
 #: bc/mvc/vc, the first ordered message for ab), by protocol and purpose.
@@ -25,9 +25,9 @@ METRIC_INSTANCE_LATENCY = "ritas_instance_latency_seconds"
 
 
 class StackMetrics:
-    """Subscriber that records one stack's events into *registry* (a
-    registry or a labeled view).  *stack_of* returns the stack it
-    listens to -- after a restart, the live one."""
+    """Subscriber that records one stack's events into *registry*.
+    *stack_of* returns the stack it listens to -- after a restart, the
+    live one."""
 
     #: The event kinds this subscriber needs; subscribe with these only.
     KINDS = frozenset(
@@ -36,7 +36,7 @@ class StackMetrics:
         | {trace.KIND_SUBMIT, trace.KIND_AGREEMENT, trace.KIND_AGREED}
     )
 
-    def __init__(self, registry: MetricsRegistry | LabeledRegistry, stack_of: Callable[[], Stack]):
+    def __init__(self, registry: MetricsRegistry, stack_of: Callable[[], Stack]):
         self.registry = registry
         self._stack_of = stack_of
         # path -> (created at, protocol, purpose), until the first deliver.
@@ -45,7 +45,7 @@ class StackMetrics:
         self._started: dict[Path, dict[tuple, float]] = {}
 
     @classmethod
-    def attach(cls, stack: Stack, registry: MetricsRegistry | LabeledRegistry) -> "StackMetrics":
+    def attach(cls, stack: Stack, registry: MetricsRegistry) -> "StackMetrics":
         """Subscribe a new :class:`StackMetrics` to *stack* and return it."""
         subscriber = cls(registry, lambda: stack)
         stack.stats.subscribe(subscriber, cls.KINDS)

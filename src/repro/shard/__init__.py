@@ -2,17 +2,17 @@
 
 One RITAS group totally orders every operation through a single
 atomic-broadcast stream; that stream is the scalability ceiling.  This
-package runs **S independent groups (shards)** over shared
-infrastructure and routes each KV key to exactly one owning group:
+package runs **S independent groups (shards)** and routes each KV key
+to exactly one owning group:
 
 - :mod:`repro.shard.ring` -- the deterministic consistent-hash
   :class:`ShardMap` of keys onto shards (stable under ring changes);
 - :mod:`repro.shard.sim` -- :class:`ShardedLanSimulation`: S LAN
   simulations on one shared event loop (scale-out or colocated hosts),
   with per-shard fault plans and per-shard invariant checkers;
-- the TCP runtime needs no class of its own here: a
-  :class:`~repro.transport.tcp.RitasNode` hosts S stacks over its one
-  socket mesh via :meth:`~repro.transport.tcp.RitasNode.add_shard`;
+- the TCP runtime needs no class of its own here: a process in S
+  groups runs one :class:`~repro.transport.tcp.RitasNode` per group,
+  each with its own listener, peer mesh and keystore;
 - :mod:`repro.shard.router` -- :class:`ShardRouter`: key -> owning
   shard's services, with structured :class:`WrongShardError` /
   :class:`CrossShardError` redirect hints (cross-shard commits are
@@ -20,7 +20,7 @@ infrastructure and routes each KV key to exactly one owning group:
 
 Isolation is cryptographic, not just structural: every shard's config
 carries a distinct ``GroupConfig.group_tag``, scoping its MAC keys,
-shared-coin secrets, and RNG streams away from its co-hosted siblings.
+shared-coin secrets, and RNG streams away from the other groups.
 
 See docs/SHARDING.md for usage and DESIGN.md §14 for the architecture.
 """

@@ -1,9 +1,9 @@
 """The routing tier: client operations onto the owning shard.
 
 A gateway process hosts the replicated services of one or more shards
-(usually all of them, via :meth:`RitasNode.add_shard
-<repro.transport.tcp.RitasNode.add_shard>`) and
-routes every client operation by its key through the
+(usually all of them, one :class:`~repro.transport.tcp.RitasNode` per
+group; see :func:`~repro.gateway.server.attach_router`) and routes
+every client operation by its key through the
 :class:`~repro.shard.ring.ShardMap`.  Two failure shapes surface as
 structured errors instead of silent misrouting:
 

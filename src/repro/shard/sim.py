@@ -57,7 +57,7 @@ class ShardedLanSimulation:
     Args:
         num_shards: how many groups (or pass explicit ``names``).
         names: shard names; default ``s0..s{S-1}``.  They double as
-            ``group_tag`` values and metric ``shard`` labels.
+            ``group_tag`` values and metric ``group`` labels.
         config: per-group template (``group_tag`` is overwritten per
             shard); default ``GroupConfig(n)``.
         n: group size when no config template is given.
@@ -124,7 +124,6 @@ class ShardedLanSimulation:
                     hosts=shared_hosts,
                 )
             )
-        self._registries: list[MetricsRegistry] = []
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -146,26 +145,11 @@ class ShardedLanSimulation:
 
     # -- observability -------------------------------------------------------
 
-    def enable_metrics(self) -> list[MetricsRegistry]:
-        """One shared registry per host position, with each shard's
-        stack recording through a ``shard=<name>``-labeled view --
-        exactly the layout a sharded process exports.
-        """
-        if not self._registries:
-            self._registries = [
-                MetricsRegistry(
-                    clock=lambda: self.loop.now,
-                    const_labels={"process": pid, "runtime": "sim"},
-                )
-                for pid in range(self.config.num_processes)
-            ]
-        for name, sim in zip(self.map.names, self.shards):
-            sim.enable_metrics(
-                registries=[
-                    registry.labeled(shard=name) for registry in self._registries
-                ]
-            )
-        return self._registries
+    def enable_metrics(self) -> list[list[MetricsRegistry]]:
+        """Enable every shard's metrics and return its registries, per
+        shard in pid order.  Each group records into registries of its
+        own, told apart by their ``group=<name>`` const label."""
+        return [sim.enable_metrics() for sim in self.shards]
 
     def attach_checkers(self, **kwargs) -> list:
         """One :class:`~repro.check.invariants.InvariantChecker` per

@@ -1,4 +1,4 @@
-"""The asyncio TCP node hosting one or more RITAS stacks.
+"""The asyncio TCP node hosting one RITAS stack.
 
 Topology: every node listens on its own address and opens one outbound
 connection to every peer (used for sending only); inbound connections
@@ -10,21 +10,10 @@ of a read as it arrives; one flush per loop turn delivers loopback units
 and writes each peer one flat container.  A down, blocked or paused peer
 keeps its units queued, unencoded; a connector task per peer only connects.
 
-A node hosts S >= 1 stacks (one per group / shard) over that one mesh:
-one listener, one connection, connector task and bounded queue per peer,
-one metrics registry.  Shard 0's channel units flow untagged -- a
-one-stack node is the paper's process, and its bytes are what a peer
-hosting more shards expects for shard 0 -- and shard i>0 units ride
-behind a 3-byte channel tag::
-
-    0x53 ('S')  |  u16 shard index (big-endian)  |  stack channel unit
-
-0x53 collides with neither ``FRAME_VERSION`` (0x01) nor the batch tag
-(0x42), so the demultiplexer needs no length heuristics.  The link
-flush packs different shards' units into the same container, so
-S groups pay the per-write fixed costs once.  Isolation between the
-hosted groups is cryptographic: each stack has its own keystore, coin
-sequence and RNG stream (all scoped by ``GroupConfig.group_tag``).
+A node is one process of one group, as in the paper.  A process taking
+part in several groups (shards) runs one node per group, each with its
+own listener, peer mesh, keystore and metrics registry; the groups'
+keys, coins and RNG streams are kept apart by ``GroupConfig.group_tag``.
 
 All stack processing happens on the event loop thread; the sans-IO core
 needs no locks.
@@ -37,24 +26,17 @@ import logging
 import random
 import struct
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.config import GroupConfig
-from repro.core.errors import ConfigurationError, WireFormatError
+from repro.core.errors import ConfigurationError
 from repro.core.sendq import BoundedSendQueue
 from repro.core.stack import ProtocolFactory, Stack
-from repro.core.wire import (
-    SEND_BATCH_FRAMES,
-    decode_batch_views,
-    frame_priority,
-    is_batch,
-    splice_batch,
-)
+from repro.core.wire import SEND_BATCH_FRAMES, frame_priority, splice_batch
 from repro.crypto.coin import CoinSource, SharedCoinDealer
-from repro.crypto.keys import KeyStore, TrustedDealer
-from repro.obs.metrics import NULL_REGISTRY, LabeledRegistry, MetricsRegistry
+from repro.crypto.keys import KeyStore
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.stack_metrics import StackMetrics
 from repro.transport.framing import MAC_LEN, MAX_FRAME, FrameCodec, FramingError, peek_src
 
@@ -64,11 +46,6 @@ _LEN = struct.Struct(">I")
 #: Resting size of an inbound link's receive buffer.
 _RECV_BUFFER = 64 * 1024
 
-#: First byte of a shard-tagged channel unit ('S'); must stay disjoint
-#: from FRAME_VERSION (0x01) and the batch tag (0x42).
-SHARD_TAG = 0x53
-_TAG = struct.Struct(">BH")
-
 #: Outbound reconnect schedule: the first retry after a failed
 #: connection attempt waits RECONNECT_BASE_S, doubling per consecutive
 #: failure up to RECONNECT_MAX_S, each delay stretched by a random factor
@@ -77,18 +54,6 @@ _TAG = struct.Struct(">BH")
 RECONNECT_BASE_S = 0.2
 RECONNECT_MAX_S = 5.0
 RECONNECT_JITTER = 0.1
-
-
-def tag_unit(shard_index: int, unit: bytes) -> bytes:
-    """Wrap shard *shard_index*'s channel unit for the peer's demux."""
-    return _TAG.pack(SHARD_TAG, shard_index) + unit
-
-
-def _shard_of(unit: bytes) -> int:
-    """The shard index a channel unit is tagged with (untagged: 0)."""
-    if len(unit) >= _TAG.size and unit[0] == SHARD_TAG:
-        return _TAG.unpack_from(unit)[1]
-    return 0
 
 
 class _Link(asyncio.BaseProtocol):
@@ -182,7 +147,7 @@ class _InboundLink(_Link, asyncio.BufferedProtocol):
                     self.peer_pid = src
                     offset = end
                     # Looked up per unit: tracing wraps stack.receive after connect().
-                    (node.stack.receive if len(node.stacks) == 1 else node._demux)(src, payload)
+                    node.stack.receive(src, payload)
         except FramingError as exc:
             self._reject(exc)
             return
@@ -220,24 +185,19 @@ class PeerAddress:
 
 
 class RitasNode:
-    """One process on a real network, hosting one stack per group.
+    """One process of one group on a real network, hosting its stack.
 
     The constructor builds the paper's process -- one group, one stack
-    (:attr:`stack`).  :meth:`add_shard` hosts further groups over the
-    same links; ``stacks[0] is stack`` and every consumer of a single
-    stack (gateway attachment, recovery, link gates) keeps working
-    against shard 0.
+    (:attr:`stack`).  A process in several groups runs one node per
+    group.
 
     Args:
-        config: the group description (shard 0's; its transport knobs --
-            send-queue bound, batching, reconnect retry budget -- govern
-            the shared links).
+        config: the group description.
         process_id: this process's id.
         addresses: listen address of every process, indexed by pid.
         keystore: pairwise keys (from a :class:`TrustedDealer` or an
             out-of-band provisioning step, as in the paper).  The link
-            codecs authenticate with these; further shards' protocol
-            MACs are inside the payload.
+            codecs and the stack's MAC vectors authenticate with these.
         factory: protocol registry; override for fault-injection tests.
         seed: when given, every random draw this node makes (reconnect
             jitter, local consensus coins) comes from a ``random.Random``
@@ -246,7 +206,10 @@ class RitasNode:
             group's jitter cannot be predicted by an attacker.  The
             stack's coin draws come from a *derived* stream, so they
             stay replayable even though the jitter draws interleave with
-            network timing.
+            network timing.  Derivations are scoped by
+            ``config.group_tag``, so same-seed groups draw disjoint
+            streams and coin sequences; untagged groups keep the exact
+            pre-sharding strings.
         coin: explicit coin source for binary consensus.  Default: the
             stack derives a local coin from the node RNG; with
             ``config.bc_coin == "shared"`` a seed is required and the
@@ -271,25 +234,43 @@ class RitasNode:
         self.process_id = process_id
         self.addresses = list(addresses)
         self.keystore = keystore
-        self._seed = seed
-        #: One stack per hosted group, in shard-index order.
-        self.stacks: list[Stack] = []
-        #: Shard 0's stack -- the only one on a plain node.
-        self.stack = self._host_stack(config, keystore, factory, coin)
-        #: Reconnect-jitter draws share shard 0's stream.
+        n = config.num_processes
+        rng = (
+            random.Random(config.scoped_seed(f"ritas/{seed}/{n}/{process_id}"))
+            if seed is not None
+            else random.Random()
+        )
+        if coin is None and config.bc_coin == "shared":
+            if seed is None:
+                raise ConfigurationError(
+                    "config.bc_coin='shared' needs either an explicit coin "
+                    "or a seed to derive the group's dealer secret from"
+                )
+            dealer = SharedCoinDealer(
+                secret=config.scoped_seed(f"ritas-coin/{seed}/{n}").encode()
+            )
+            coin = dealer.coin_for(process_id)
+        self.stack = Stack(
+            config,
+            process_id,
+            outbox=self._outbox,
+            keystore=keystore,
+            clock=time.monotonic,
+            factory=factory,
+            rng=rng,
+            coin=coin,
+        )
+        #: Reconnect-jitter draws share the stack's stream.
         self.rng = self.stack.rng
-        self._registry: MetricsRegistry | None = None
-        # One metrics subscriber per stack, once enable_metrics ran.
-        self._stack_metrics: list[StackMetrics] = []
-        #: Inbound units dropped for carrying an unhosted shard index.
-        self.frames_unknown_shard = 0
+        # The stack's metrics subscriber, once enable_metrics ran.
+        self._stack_metrics: StackMetrics | None = None
         self._server: asyncio.base_events.Server | None = None
         #: One outbound link (send queue, codec, connection) per peer.
         self._send_queues: dict[int, _PeerLink] = {}
         #: Peers whose outbound link is held (:meth:`set_link_blocked`).
         self._blocked: set[int] = set()
-        #: This turn's ``(shard index, unit)`` addressed to this process.
-        self._loopback: list[tuple[int, bytes]] = []
+        #: This turn's units addressed to this process.
+        self._loopback: list[bytes] = []
         self._flush_scheduled = False
         self._tasks: list[asyncio.Task] = []
         #: Live connections, both directions.
@@ -307,95 +288,6 @@ class RitasNode:
         self.connect_attempts = 0
         self.frames_dropped_reconnect = 0
         self.reconnect_delays: list[float] = []
-
-    # -- hosted stacks ------------------------------------------------------------
-
-    def _host_stack(
-        self,
-        config: GroupConfig,
-        keystore: KeyStore,
-        factory: ProtocolFactory | None,
-        coin: CoinSource | None,
-    ) -> Stack:
-        """Build the next shard's stack and append it to :attr:`stacks`.
-
-        Seed derivations are scoped by ``config.group_tag`` so same-seed
-        groups (shards) draw disjoint RNG streams and coin sequences;
-        untagged groups keep the exact pre-sharding strings.
-        """
-        seed, n, pid = self._seed, config.num_processes, self.process_id
-        rng = (
-            random.Random(config.scoped_seed(f"ritas/{seed}/{n}/{pid}"))
-            if seed is not None
-            else random.Random()
-        )
-        if coin is None and config.bc_coin == "shared":
-            if seed is None:
-                raise ConfigurationError(
-                    "config.bc_coin='shared' needs either an explicit coin "
-                    "or a seed to derive the group's dealer secret from"
-                )
-            dealer = SharedCoinDealer(
-                secret=config.scoped_seed(f"ritas-coin/{seed}/{n}").encode()
-            )
-            coin = dealer.coin_for(pid)
-        stack = Stack(
-            config,
-            pid,
-            outbox=self._outbox_for(len(self.stacks)),
-            keystore=keystore,
-            clock=time.monotonic,
-            factory=factory,
-            rng=rng,
-            coin=coin,
-        )
-        self.stacks.append(stack)
-        return stack
-
-    def add_shard(
-        self,
-        config: GroupConfig,
-        keystore: KeyStore | None = None,
-        *,
-        factory: ProtocolFactory | None = None,
-        coin: CoinSource | None = None,
-    ) -> Stack:
-        """Host one more group on this node's links; returns its stack.
-
-        The new shard takes the next index (``len(stacks)`` before the
-        call); every process of the deployment must add its shards in
-        the same order.  Call before :meth:`connect` and
-        :meth:`enable_metrics`.
-
-        Args:
-            config: the shard's group -- same size as shard 0, with a
-                ``group_tag`` no hosted shard uses yet (see
-                :func:`repro.shard.sharded_configs`).
-            keystore: the shard's protocol keys; default derives them
-                from the node seed through a trusted dealer scoped by
-                ``config.group_tag`` (mirrors the simulator's dealer).
-            factory, coin: as in the constructor, for this shard only.
-        """
-        if self._send_queues or self._registry is not None:
-            raise RuntimeError("add_shard() must precede connect() and enable_metrics()")
-        if config.num_processes != self.config.num_processes:
-            raise ConfigurationError("every hosted shard must have the same group size")
-        tags = [stack.config.group_tag for stack in self.stacks]
-        if config.group_tag in tags:
-            raise ConfigurationError(
-                f"shard group_tags must be distinct: {[*tags, config.group_tag]!r}"
-            )
-        if keystore is None:
-            if self._seed is None:
-                raise ConfigurationError(
-                    "pass the shard's keystore or build the node with a seed "
-                    "to derive it from"
-                )
-            keystore = TrustedDealer(
-                config.num_processes,
-                seed=config.scoped_seed_bytes(str(self._seed).encode()),
-            ).keystore_for(self.process_id)
-        return self._host_stack(config, keystore, factory, coin)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -500,79 +392,60 @@ class RitasNode:
     def enable_metrics(
         self, sample_interval_s: float | None = None
     ) -> MetricsRegistry:
-        """Subscribe every stack of this node to one
-        :class:`~repro.obs.metrics.MetricsRegistry` (idempotent) and
-        return it.
+        """Subscribe the stack to a :class:`~repro.obs.metrics.MetricsRegistry`
+        (idempotent) and return it.
 
-        A one-stack node records straight into the registry; with more
-        shards each stack records through a ``shard=<group_tag>``-labeled
-        view of it.  Metrics are timed on the same monotonic clock as
-        the stacks.  With *sample_interval_s* set, queue-depth gauges
-        are sampled on an :meth:`add_ticker` timer (requires a running
-        event loop, so call it after :meth:`start` in that case); the
-        default samples only on explicit :meth:`sample_metrics` calls.
+        A tagged group's registry carries a ``group=<group_tag>`` const
+        label, so the registries of a process's groups export side by
+        side.  Metrics are timed on the same monotonic clock as the
+        stack.  With *sample_interval_s* set, queue-depth gauges are
+        sampled on an :meth:`add_ticker` timer (requires a running event
+        loop, so call it after :meth:`start` in that case); the default
+        samples only on explicit :meth:`sample_metrics` calls.
         """
-        if self._registry is None:
+        if self._stack_metrics is None:
             const_labels = {"process": self.process_id, "runtime": "tcp"}
-            sharded = len(self.stacks) > 1
-            if not sharded and self.config.group_tag:
+            if self.config.group_tag:
                 const_labels["group"] = self.config.group_tag
             registry = MetricsRegistry(clock=time.monotonic, const_labels=const_labels)
-            self._registry = registry
-            self._stack_metrics = [
-                StackMetrics.attach(
-                    stack,
-                    registry.labeled(shard=stack.config.group_tag or f"s{index}")
-                    if sharded
-                    else registry,
-                )
-                for index, stack in enumerate(self.stacks)
-            ]
+            self._stack_metrics = StackMetrics.attach(self.stack, registry)
         if sample_interval_s is not None:
             self.add_ticker(sample_interval_s, self.sample_metrics)
-        return self._registry
+        return self._stack_metrics.registry
 
     @property
-    def metrics(self) -> MetricsRegistry | LabeledRegistry:
-        """What :attr:`stack` records into (its shard-labeled view on a
-        sharded node); :data:`NULL_REGISTRY` until :meth:`enable_metrics`."""
-        return self._stack_metrics[0].registry if self._stack_metrics else NULL_REGISTRY
+    def metrics(self) -> MetricsRegistry:
+        """What :attr:`stack` records into; :data:`NULL_REGISTRY` until
+        :meth:`enable_metrics`."""
+        return self._stack_metrics.registry if self._stack_metrics else NULL_REGISTRY
 
     def sample_metrics(self) -> None:
-        """Sample send-queue depth gauges and every stack's gauges, now."""
-        registry = self._registry
-        if registry is None:
+        """Sample send-queue depth gauges and the stack's gauges, now."""
+        if self._stack_metrics is None:
             return
-        for subscriber in self._stack_metrics:
-            subscriber.sample()
+        self._stack_metrics.sample()
+        registry = self._stack_metrics.registry
         for pid, link in self._send_queues.items():
             registry.gauge("ritas_send_queue_frames", peer=pid).set(len(link.queue))
             registry.gauge("ritas_send_queue_bytes", peer=pid).set(link.queue.bytes)
 
     # -- outbound -------------------------------------------------------------------
 
-    def _outbox_for(self, index: int) -> Callable[[int, bytes], None]:
-        """The outbox of shard *index*'s stack: loopback stays in-process,
-        everything else joins the peer's queue (tagged when index > 0)."""
-        tag = tag_unit(index, b"") if index else b""
-
-        def outbox(dest: int, data: bytes) -> None:
-            if self._closed:
-                return
-            if dest == self.process_id:
-                # The flush delivers it: sends stay non-reentrant.
-                self._loopback.append((index, data))
-            else:
-                queue = self._send_queues[dest].queue
-                # Shed priority is read from the stack's own frame (behind
-                # the shard tag all is bulk); unbounded queues never shed.
-                priority = frame_priority(data) if queue.max_frames else None
-                shed = queue.push(tag + data if tag else data, priority)
-                if shed:
-                    self._charge_shed(dest, shed)
-            self._schedule_flush()
-
-        return outbox
+    def _outbox(self, dest: int, data: bytes) -> None:
+        """The stack's outbox: loopback stays in-process, everything else
+        joins the peer's queue."""
+        if self._closed:
+            return
+        if dest == self.process_id:
+            # The flush delivers it: sends stay non-reentrant.
+            self._loopback.append(data)
+        else:
+            queue = self._send_queues[dest].queue
+            # Unbounded queues never shed: no priority to read.
+            shed = queue.push(data, frame_priority(data) if queue.max_frames else None)
+            if shed:
+                self._charge_shed(dest, shed)
+        self._schedule_flush()
 
     def _schedule_flush(self) -> None:
         if not self._flush_scheduled:
@@ -585,9 +458,9 @@ class RitasNode:
         if self._closed:
             return
         loopback, self._loopback = self._loopback, []
-        for index, data in loopback:
+        for data in loopback:
             try:
-                self.stacks[index].receive(self.process_id, data)
+                self.stack.receive(self.process_id, data)
             except Exception:
                 # One failing unit must not strand the rest of the turn.
                 logger.exception("p%d: loopback unit failed", self.process_id)
@@ -613,13 +486,9 @@ class RitasNode:
         link.transport.write(b"".join(out))
 
     def _charge_shed(self, dest: int, shed: list[bytes]) -> None:
-        """Account units the queue toward *dest* dropped, each to the
-        stack that queued it (the per-peer queue is shared by every
-        shard, so the victim need not be the enqueuer's)."""
+        """Account units the queue toward *dest* dropped."""
         self.frames_shed += len(shed)
-        queued = len(self._send_queues[dest].queue)
-        for index, frames in Counter(map(_shard_of, shed)).items():
-            self.stacks[index].stats.record_shed(dest, frames, queued)
+        self.stack.stats.record_shed(dest, len(shed), len(self._send_queues[dest].queue))
 
     def set_link_blocked(self, pid: int, blocked: bool) -> None:
         """Fault injection: hold (or release) the outbound link to *pid*.
@@ -695,37 +564,6 @@ class RitasNode:
 
     # -- inbound --------------------------------------------------------------------
 
-    def _demux(self, src: int, payload: bytes) -> None:
-        """Route one link-authenticated unit on a node hosting several
-        stacks.  Node-level batch containers may interleave units from
-        different shards (the sender merges across stacks), so they are
-        unpacked here; untagged members are shard 0's, whose stack
-        handles any *stack-level* batch nesting itself."""
-        if is_batch(payload):
-            try:
-                units = [bytes(view) for view in decode_batch_views(payload)]
-            except WireFormatError:
-                self.frames_rejected += 1
-                self._charge_link(src)
-                return
-        else:
-            units = [payload]
-        for unit in units:
-            index = _shard_of(unit)
-            if index >= len(self.stacks):
-                # An authenticated peer sent a shard we do not host:
-                # misconfiguration or misbehavior either way.
-                self.frames_unknown_shard += 1
-                self.frames_rejected += 1
-                self._charge_link(src)
-            elif index:
-                self.stacks[index].receive(src, unit[_TAG.size :])
-            else:
-                self.stack.receive(src, unit)
-
     def _charge_link(self, pid: int) -> None:
-        """Charge an authenticated link-level framing/MAC failure.  The
-        link is shared infrastructure: a corrupted or hijacked session
-        threatens every hosted group equally, so each ledger records it."""
-        for stack in self.stacks:
-            stack.report_misbehavior(pid, "mac-failure")
+        """Charge an authenticated link-level framing/MAC failure."""
+        self.stack.report_misbehavior(pid, "mac-failure")

@@ -59,15 +59,23 @@ class TestConservation:
             combined.merge(sim.stacks[pid].stats)
         # Containers come from two coalescing stages: the stacks' flush
         # windows (batches_sent) and the simulated link layer
-        # (link_batches); every one of them is opened exactly once on
-        # the receive side.
-        assert combined.batches_received == combined.batches_sent + sim.link_batches
+        # (link_batches).  A link batch splices in the members of every
+        # stack container it carries (link_containers_spliced), so those
+        # are never opened on their own; every other container is opened
+        # exactly once on the receive side, and each spliced container
+        # stands as one of the link batch's units but is no member.
+        spliced = sim.link_containers_spliced
+        assert (
+            combined.batches_received
+            == combined.batches_sent + sim.link_batches - spliced
+        )
         assert (
             combined.frames_decoalesced
-            == combined.frames_coalesced + sim.link_frames_coalesced
+            == combined.frames_coalesced + sim.link_frames_coalesced - spliced
         )
         if batching:
             assert combined.batches_received > 0
+            assert spliced > 0
         else:
             assert combined.batches_received == 0
 

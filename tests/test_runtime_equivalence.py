@@ -1,8 +1,8 @@
 """The sans-IO guarantee, across runtimes.
 
 The same workload runs on the discrete-event simulator and on real
-asyncio TCP -- there both on a plain host and on shard 1 of a two-stack
-host whose shard 0 is busy ordering its own traffic.  Atomic broadcast
+asyncio TCP -- there both on a plain group and on group 1 of two, while
+group 0's nodes order background traffic of their own on the same loop.  Atomic broadcast
 fixes a total order *per run* -- batching may differ between runs, so
 the orders themselves may differ -- but in every run, on every runtime:
 
@@ -19,8 +19,9 @@ from repro import GroupConfig, LanSimulation, TrustedDealer
 from repro.apps import ReplicatedKvStore
 from repro.apps.kv_store import _apply_kv
 from repro.apps.state_machine import Command
+from repro.shard.sim import sharded_configs
 from repro.transport import PeerAddress, RitasNode
-from tests.util import make_sharded_node, start_tcp_group
+from tests.util import make_group_nodes, start_tcp_group
 
 pytestmark = pytest.mark.filterwarnings(
     "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
@@ -65,25 +66,25 @@ def plain_nodes():
 
 
 def run_tcp(shard=0):
-    """Run the workload on stack *shard* of every host.  With
-    ``shard=1`` the hosts carry two groups, and shard 0 orders a
-    background stream of its own over the same links meanwhile."""
+    """Run the workload on a plain group, or (``shard=1``) on group 1 of
+    two whose group 0 orders a background stream of its own on the same
+    event loop meanwhile."""
 
     async def scenario():
-        nodes = (
-            [make_sharded_node(pid, seed=41) for pid in range(4)]
-            if shard
-            else plain_nodes()
-        )
-        await start_tcp_group(nodes)
+        if shard:
+            background_nodes, nodes = (
+                make_group_nodes(config, seed=41)
+                for config in sharded_configs(GroupConfig(4), ["s0", "s1"])
+            )
+        else:
+            background_nodes, nodes = [], plain_nodes()
+        for group in (background_nodes, nodes):
+            await start_tcp_group(group)
         try:
-            stores = [
-                ReplicatedKvStore(node.stacks[shard].create("ab", ("kv",)))
-                for node in nodes
-            ]
+            stores = [ReplicatedKvStore(node.stack.create("ab", ("kv",))) for node in nodes]
             background = []
             if shard:
-                noise = [node.stack.create("ab", ("noise",)) for node in nodes]
+                noise = [node.stack.create("ab", ("noise",)) for node in background_nodes]
                 noise[0].on_deliver = lambda _i, d: background.append(bytes(d.payload))
                 for pid, ab in enumerate(noise):
                     for j in range(len(WORKLOAD)):
@@ -100,7 +101,7 @@ def run_tcp(shard=0):
                 raise TimeoutError("TCP run did not converge")
             return stores
         finally:
-            for node in nodes:
+            for node in [*background_nodes, *nodes]:
                 await node.close()
 
     return asyncio.run(scenario())

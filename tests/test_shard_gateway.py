@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.core.config import GroupConfig
+from repro.gateway.http import render
 from repro.gateway.protocol import (
     STATUS_OK,
     STATUS_WRONG_SHARD,
@@ -15,8 +16,9 @@ from repro.gateway.protocol import (
 from repro.gateway.server import ClientGateway, attach_router
 from repro.shard.ring import ShardMap
 from repro.shard.router import CrossShardError, ShardRouter, WrongShardError
+from repro.shard.sim import sharded_configs
 from repro.transport.tcp import PeerAddress, RitasNode
-from tests.util import make_sharded_node, start_tcp_group
+from tests.util import make_group_nodes, start_tcp_group
 
 NAMES = ["s0", "s1"]
 
@@ -95,19 +97,24 @@ class TestRouter:
 
 
 async def start_sharded_gateway_group(hosted=None):
-    """4 nodes hosting two shard groups each; services attached on
-    every node (the RSMs apply group-wide), one gateway on node 0
-    fronting *hosted* shards (default: both)."""
+    """Two groups of 4 nodes; every process runs one node per group and
+    attaches the services of both (the RSMs apply group-wide); one
+    gateway on process 0 fronts *hosted* shards (default: both)."""
     shard_map = ShardMap(NAMES)
-    nodes = [make_sharded_node(pid, names=NAMES, seed=37) for pid in range(4)]
-    await start_tcp_group(nodes)
-    routers = [
-        attach_router(node, shard_map, hosted=None if pid else hosted)
-        for pid, node in enumerate(nodes)
+    groups = [
+        make_group_nodes(config, seed=37)
+        for config in sharded_configs(GroupConfig(4), NAMES)
     ]
-    gateway = ClientGateway(nodes[0], routers[0])
+    for group in groups:
+        await start_tcp_group(group)
+    processes = [list(nodes) for nodes in zip(*groups)]
+    routers = [
+        attach_router(nodes, shard_map, hosted=None if pid else hosted)
+        for pid, nodes in enumerate(processes)
+    ]
+    gateway = ClientGateway(processes[0][0], routers[0])
     port = await gateway.listen()
-    return nodes, routers, gateway, port
+    return processes, routers, gateway, port
 
 
 async def close_all(gateway, nodes):
@@ -154,7 +161,7 @@ class TestShardedGatewayE2E:
         shard's RSM (and only there), ordered reads see them."""
 
         async def scenario():
-            nodes, routers, gateway, port = await start_sharded_gateway_group()
+            processes, routers, gateway, port = await start_sharded_gateway_group()
             shard_map = routers[0].map
             try:
                 client = await Client.connect(port)
@@ -177,7 +184,7 @@ class TestShardedGatewayE2E:
                 finally:
                     await client.close()
             finally:
-                await close_all(gateway, nodes)
+                await close_all(gateway, sum(processes, []))
 
         asyncio.run(scenario())
 
@@ -186,7 +193,7 @@ class TestShardedGatewayE2E:
         structured redirect -- forbid-and-measure, not a dead end."""
 
         async def scenario():
-            nodes, routers, gateway, port = await start_sharded_gateway_group(
+            processes, routers, gateway, port = await start_sharded_gateway_group(
                 hosted=[0]
             )
             shard_map = routers[0].map
@@ -211,13 +218,13 @@ class TestShardedGatewayE2E:
                 finally:
                     await client.close()
             finally:
-                await close_all(gateway, nodes)
+                await close_all(gateway, sum(processes, []))
 
         asyncio.run(scenario())
 
     def test_mput_single_shard_ok_cross_shard_forbidden(self):
         async def scenario():
-            nodes, routers, gateway, port = await start_sharded_gateway_group()
+            processes, routers, gateway, port = await start_sharded_gateway_group()
             shard_map = routers[0].map
             try:
                 client = await Client.connect(port)
@@ -249,13 +256,13 @@ class TestShardedGatewayE2E:
                 finally:
                     await client.close()
             finally:
-                await close_all(gateway, nodes)
+                await close_all(gateway, sum(processes, []))
 
         asyncio.run(scenario())
 
     def test_status_reports_shard_block(self):
         async def scenario():
-            nodes, routers, gateway, port = await start_sharded_gateway_group()
+            processes, routers, gateway, port = await start_sharded_gateway_group()
             try:
                 status = gateway.status()
                 shards = status["shards"]
@@ -265,7 +272,41 @@ class TestShardedGatewayE2E:
                     assert "kv" in shards["admission"][name]
                     assert "locks" in shards["admission"][name]
             finally:
-                await close_all(gateway, nodes)
+                await close_all(gateway, sum(processes, []))
+
+        asyncio.run(scenario())
+
+    def test_metrics_carries_every_hosted_groups_series(self):
+        """/metrics on a two-group gateway exports both groups'
+        ``ritas_*`` series, each under its group label, and the
+        ``gateway_*`` family once."""
+
+        async def scenario():
+            processes, routers, gateway, port = await start_sharded_gateway_group()
+            shard_map = routers[0].map
+            for node in processes[0]:
+                node.enable_metrics()
+            try:
+                client = await Client.connect(port)
+                try:
+                    for index in range(2):
+                        key = keys_owned_by(shard_map, index, count=1)[0]
+                        status, _ = await client.request("put", [key, b"v"])
+                        assert status == STATUS_OK
+                finally:
+                    await client.close()
+                text = render(gateway, "/metrics").decode()
+                series = [line for line in text.splitlines() if not line.startswith("#")]
+                for name in NAMES:
+                    assert any(
+                        line.startswith("ritas_") and f'group="{name}"' in line
+                        for line in series
+                    ), name
+                ops = [line for line in series if line.startswith("gateway_ops_total")]
+                assert len(ops) == 1
+                assert text.count("# TYPE gateway_ops_total ") == 1
+            finally:
+                await close_all(gateway, sum(processes, []))
 
         asyncio.run(scenario())
 

@@ -120,19 +120,37 @@ class TestInvariants:
 
 class TestMetrics:
     def test_shard_label_separates_series(self):
+        """Every shard records into registries of its own, one per host
+        position, each series under the shard's ``group`` label."""
         sharded = ShardedLanSimulation(2, n=4, seed=3)
         registries = sharded.enable_metrics()
-        assert len(registries) == 4  # one per host position
+        assert [len(shard) for shard in registries] == [4, 4]
         delivered = seed_burst(sharded, k_per_shard=4)
         reason = sharded.run(
             until=lambda: all(d >= 4 for d in delivered), max_time=60.0
         )
         assert reason == "until"
-        snapshot = registries[0].snapshot()
-        shards_seen = {
-            metric.get("labels", {}).get("shard") for metric in snapshot
-        }
-        assert {"s0", "s1"} <= shards_seen
+        for name, shard in zip(sharded.names, registries):
+            snapshot = shard[0].snapshot()
+            assert snapshot
+            assert {metric["labels"]["group"] for metric in snapshot} == {name}
+
+    def test_restart_restamps_only_its_own_shard(self):
+        """Restarting one shard's process re-stamps that shard's metrics
+        with the new incarnation; a co-hosted shard's stay untouched."""
+        sharded = ShardedLanSimulation(2, n=4, seed=3)
+        sharded.enable_metrics()
+        delivered = seed_burst(sharded, k_per_shard=4)
+        reason = sharded.run(
+            until=lambda: all(d >= 4 for d in delivered), max_time=60.0
+        )
+        assert reason == "until"
+        sharded.shards[0].restart_process(1)
+        restarted = sharded.shards[0].metric_registries()[1].snapshot()
+        sibling = sharded.shards[1].metric_registries()[1].snapshot()
+        assert restarted and sibling
+        assert all(record.get("incarnation") == 1 for record in restarted)
+        assert all("incarnation" not in record for record in sibling)
 
 
 class TestPartitionIsolation:

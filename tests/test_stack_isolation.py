@@ -1,12 +1,12 @@
 """Two stacks in one process must not share any protocol state.
 
-A sharded host (:meth:`repro.transport.tcp.RitasNode.add_shard`, the
-sharded simulation) runs several stacks per OS process.  Everything that used to
-be effectively process-global -- dealer key derivation, shared-coin
-secrets, RNG streams, metrics registries -- must be scoped per stack,
-or co-hosted groups could forge each other's MACs, bias each other's
-coins, or cross-pollinate metrics.  These are the regression tests for
-that audit.
+A process in several groups (one :class:`repro.transport.tcp.RitasNode`
+per group, or the sharded simulation) runs several stacks per OS
+process.  Everything that used to be effectively process-global --
+dealer key derivation, shared-coin secrets, RNG streams, metrics
+registries -- must be scoped per group, or co-hosted groups could forge
+each other's MACs, bias each other's coins, or cross-pollinate metrics.
+These are the regression tests for that audit.
 """
 
 from repro.core.config import GroupConfig
@@ -14,23 +14,18 @@ from repro.crypto.coin import SharedCoinDealer
 from repro.crypto.keys import TrustedDealer
 from repro.net.network import LanSimulation
 from repro.net.simulator import EventLoop
-from repro.obs.metrics import MetricsRegistry
-from repro.shard.sim import sharded_configs
-from repro.transport.tcp import PeerAddress, RitasNode
+from repro.shard.sim import ShardedLanSimulation, sharded_configs
 
 
 def default_keystores(configs, seed, process_id):
-    """The keystores a seeded host derives for *configs* added as
-    shards (behind an unrelated shard 0 that brings its own keys)."""
-    n = configs[0].num_processes
-    node = RitasNode(
-        GroupConfig(n, group_tag="host"),
-        process_id,
-        [PeerAddress("127.0.0.1", 0)] * n,
-        TrustedDealer(n, seed=b"host").keystore_for(process_id),
-        seed=seed,
-    )
-    return [node.add_shard(config).keystore for config in configs]
+    """The keystores process *process_id* is dealt for each group in
+    *configs* from one master *seed*, scoped by the group's tag."""
+    return [
+        TrustedDealer(
+            config.num_processes, seed=config.scoped_seed_bytes(str(seed).encode())
+        ).keystore_for(process_id)
+        for config in configs
+    ]
 
 
 class TestKeyScoping:
@@ -116,24 +111,24 @@ class TestTwoStacksOneProcess:
 
 
 class TestMetricsIsolation:
-    def test_labeled_views_share_store_but_not_series(self):
-        registry = MetricsRegistry(const_labels={"process": 0})
-        view_a = registry.labeled(shard="a")
-        view_b = registry.labeled(shard="b")
-        view_a.counter("ops_total").inc()
-        view_a.counter("ops_total").inc()
-        view_b.counter("ops_total").inc()
-        by_shard = {
-            metric["labels"]["shard"]: metric["value"]
-            for metric in registry.snapshot()
-            if metric["name"] == "ops_total"
-        }
-        assert by_shard == {"a": 2, "b": 1}
-
-    def test_nested_labels_compose(self):
-        registry = MetricsRegistry()
-        view = registry.labeled(shard="a").labeled(service="kv")
-        view.counter("c").inc()
-        (metric,) = [m for m in registry.snapshot() if m["name"] == "c"]
-        assert metric["labels"]["shard"] == "a"
-        assert metric["labels"]["service"] == "kv"
+    def test_two_groups_registries_share_no_series(self):
+        """Two co-hosted groups record into registries of their own: no
+        series appears in both, and each carries its group's label."""
+        sharded = ShardedLanSimulation(2, n=4, seed=5)
+        registries = sharded.enable_metrics()
+        for sim in sharded.shards:
+            for stack in sim.stacks:
+                stack.create("ab", ("t",))
+            sim.stacks[0].instance_at(("t",)).broadcast(b"m")
+        sharded.run(
+            until=lambda: all(
+                sim.stacks[0].instance_at(("t",)).delivered_count for sim in sharded.shards
+            ),
+            max_time=60.0,
+        )
+        a, b = (registries[index][0] for index in range(2))
+        series = [{(m.name, m.labels) for m in registry.metrics()} for registry in (a, b)]
+        assert series[0] and series[1]
+        assert not series[0] & series[1]
+        assert {dict(m.labels)["group"] for m in a.metrics()} == {"s0"}
+        assert {dict(m.labels)["group"] for m in b.metrics()} == {"s1"}

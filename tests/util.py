@@ -152,20 +152,19 @@ def decisions_of(net: _BaseNet, path: tuple, attr: str = "decision") -> list:
     return values
 
 
-def make_sharded_node(pid: int, n: int = 4, names=("s0", "s1"), seed: int = 23, **knobs):
-    """One TCP host of the groups *names* (unbound, on loopback), every
-    shard's keystore derived from *seed* the way the simulator's dealer
-    does; *knobs* are extra :class:`GroupConfig` fields."""
-    from repro.shard.sim import sharded_configs
+def make_group_nodes(config: GroupConfig, seed: int = 23):
+    """One group's TCP nodes (unbound, on loopback), keystores dealt from
+    *seed* scoped by ``config.group_tag`` the way the simulator's dealer
+    does."""
     from repro.transport.tcp import PeerAddress, RitasNode
 
-    first, *rest = sharded_configs(GroupConfig(n, **knobs), names)
-    dealer = TrustedDealer(n, seed=first.scoped_seed_bytes(str(seed).encode()))
+    n = config.num_processes
+    dealer = TrustedDealer(n, seed=config.scoped_seed_bytes(str(seed).encode()))
     blank = [PeerAddress("127.0.0.1", 0) for _ in range(n)]
-    node = RitasNode(first, pid, blank, dealer.keystore_for(pid), seed=seed)
-    for config in rest:
-        node.add_shard(config)
-    return node
+    return [
+        RitasNode(config, pid, blank, dealer.keystore_for(pid), seed=seed)
+        for pid in range(n)
+    ]
 
 
 def reserve_port() -> int:
