@@ -51,7 +51,6 @@ from repro.net import (
     LanSimulation,
     NetworkParameters,
     Partition,
-    SimGroup,
 )
 
 __version__ = "1.0.0"
@@ -75,7 +74,6 @@ __all__ = [
     "ReliableBroadcast",
     "RitasError",
     "SharedCoinDealer",
-    "SimGroup",
     "Stack",
     "StackStats",
     "TrustedDealer",

@@ -12,12 +12,10 @@ consensus.  This package provides:
 """
 
 from repro.apps.kv_store import KvCommand, ReplicatedKvStore
-from repro.apps.lock_service import DistributedLockService
 from repro.apps.state_machine import Command, ReplicatedStateMachine
 
 __all__ = [
     "Command",
-    "DistributedLockService",
     "KvCommand",
     "ReplicatedKvStore",
     "ReplicatedStateMachine",

@@ -140,17 +140,6 @@ class ReplicatedKvStore:
     def try_put(self, key: str, value: bytes) -> bool:
         return self._rsm.try_submit(KvCommand.put(key, value)) is not None
 
-    def try_delete(self, key: str) -> bool:
-        return self._rsm.try_submit(KvCommand.delete(key)) is not None
-
-    def try_cas(self, key: str, expected: bytes | None, value: bytes) -> bool:
-        return self._rsm.try_submit(KvCommand.cas(key, expected, value)) is not None
-
-    def admission(self) -> tuple[int, int]:
-        """``(pending, cap)`` of the write-admission bound -- the context
-        to attach to a retry-after when a ``try_*`` write was refused."""
-        return self._rsm.admission()
-
     def on_result(self, callback: Callable[[Command, Any], None]) -> None:
         """Register a callback for results of locally submitted writes."""
         self._rsm.on_result = callback

@@ -13,8 +13,10 @@ Reliable broadcast digests an INIT's raw region, reads ECHO and READY
 digests straight out of theirs and pushes a held raw region verbatim as
 a PAYLOAD, so most received mbufs are never decoded at all.  Validation
 up front makes the deferred decode infallible -- reading ``.payload``
-cannot raise.  Locally originated mbufs are built eagerly with
-:class:`Mbuf` and carry no raw payload.
+cannot raise.  A process's frames to itself loop back through its
+channel and the same parse, so the stack builds no other kind; the
+plain :class:`Mbuf` constructor (decoded payload, no raw region) serves
+tests and tools that hand a layer a message directly.
 """
 
 from __future__ import annotations

@@ -91,9 +91,6 @@ class OocTable:
         """Entries currently parked on behalf of sender *src*."""
         return len(self._by_sender.get(src, ()))
 
-    def pending_by_sender(self) -> dict[int, int]:
-        return {src: len(entries) for src, entries in self._by_sender.items() if entries}
-
     def snapshot(self) -> dict[str, int]:
         """Point-in-time depth/accounting view for the metrics layer
         (``StackMetrics.sample`` in :mod:`repro.obs.stack_metrics`) and tests."""

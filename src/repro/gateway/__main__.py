@@ -8,9 +8,10 @@ Subcommands::
     python -m repro.gateway load --port 9000 --sessions 200 --rate 500 \\
         --ops 2000 --seed 7 [--snapshot load-metrics.jsonl]
 
-``serve`` starts one replica of the group (like ``ritas-node``) plus the
-client gateway and the HTTP status endpoint on top of it; Ctrl-C shuts
-the sockets down cleanly.  ``load`` runs the open-loop generator against
+``serve`` starts one replica of the group -- the replicated KV store --
+plus the client gateway and the HTTP status endpoint on top of it;
+every replica of a deployment runs it.  Ctrl-C shuts the sockets down
+cleanly.  ``load`` runs the open-loop generator against
 a gateway and prints the goodput/latency report; ``--snapshot`` also
 writes the client-side metric registry as a JSONL snapshot that
 ``python -m repro.obs summary`` can render.

@@ -18,8 +18,7 @@ back, which is what lets a session keep many operations in flight
 Statuses:
 
 - ``ok`` -- the operation completed; *detail* is the op result
-  (``get`` -> value bytes or ``None``, writes -> the apply result,
-  ``acquire``/``release`` -> the lock-table transition).
+  (``get`` -> value bytes or ``None``, writes -> the apply result).
 - ``retry-after`` -- admission refused by the replica's backpressure
   bound (:class:`repro.core.errors.BackpressureError`); *detail* is
   ``[pending, cap, retry_after_ms]``.  The operation was **not**
@@ -70,8 +69,6 @@ OPS = {
     "delete": 1,  # key
     "cas": 3,  # key, expected, value
     "mput": 1,  # [[key, value], ...] -- atomic, must be single-shard
-    "acquire": 2,  # lock name, client tag
-    "release": 2,  # lock name, client tag
     "ping": 0,
 }
 

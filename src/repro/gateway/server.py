@@ -26,8 +26,8 @@ submission returns its ``(sender, rbid)`` and the state machine's
 ``on_applied`` hook reports that id back at apply time, so responses
 are matched exactly -- never by submission order, which asynchrony is
 allowed to permute.  The pending table keys the id together with the
-service name, because the kv and lock RSMs ride independent AB
-instances whose rbid counters overlap.  The id is echoed to the client in
+shard index, because every shard's KV store rides its own AB instance
+and their rbid counters overlap.  The id is echoed to the client in
 every ``ok`` detail, which is what lets a load generator audit "zero
 lost or duplicated acknowledged writes" against the replicated log.
 """
@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.apps.kv_store import KvCommand, ReplicatedKvStore
-from repro.apps.lock_service import DistributedLockService
 from repro.apps.state_machine import Command, ReplicatedStateMachine
 from repro.core.stack import Stack
 from repro.gateway.protocol import (
@@ -74,10 +73,9 @@ METRIC_SEND_QUEUE = "gateway_send_queue_frames"
 METRIC_SESSIONS_DROPPED = "gateway_sessions_dropped_total"
 METRIC_INTERNAL_ERRORS = "gateway_internal_errors_total"
 
-#: Path prefix of the gateway's replicated services on every replica's
-#: stack (all replicas must host the same service instances).
+#: Path of the gateway's replicated KV store on every replica's stack
+#: (all replicas must host the same instance).
 SERVICE_PATH_KV = ("gw", "kv")
-SERVICE_PATH_LOCK = ("gw", "lock")
 
 #: Per-session cap on queued response frames; a client that stops
 #: reading past it is disconnected (the same memory-bounding posture as
@@ -97,26 +95,20 @@ SWEEP_INTERVAL_S = 1.0
 
 @dataclass
 class GatewayServices:
-    """The replicated services a gateway fronts, on the node they were
+    """The replicated KV store a gateway fronts, on the node it was
     attached to.
 
-    Every replica of the group attaches the same services (writes apply
+    Every replica of the group attaches the same store (writes apply
     group-wide); the gateway rides on one -- or several, each with its
     own gateway -- of them.
     """
 
     node: RitasNode
     kv: ReplicatedKvStore
-    locks: DistributedLockService
 
     @classmethod
     def attach(cls, node: RitasNode) -> "GatewayServices":
-        stack = node.stack
-        return cls(
-            node=node,
-            kv=ReplicatedKvStore(stack.create("ab", SERVICE_PATH_KV)),
-            locks=DistributedLockService(stack.create("ab", SERVICE_PATH_LOCK)),
-        )
+        return cls(node=node, kv=ReplicatedKvStore(node.stack.create("ab", SERVICE_PATH_KV)))
 
 
 def attach_router(
@@ -196,9 +188,9 @@ class ClientGateway:
         node: the replica this gateway rides on (must be started by the
             caller; the gateway shares its event loop and records the
             ``gateway_*`` metrics into its registry).
-        services: the replicated services to front -- either one
+        services: the replicated store to front -- either one
             :class:`GatewayServices` (unsharded; attach the same
-            services on every replica) or a
+            store on every replica) or a
             :class:`~repro.shard.router.ShardRouter` (from
             :func:`attach_router`), in which case every client op is
             demultiplexed to the shard owning its key and ops owned by
@@ -223,7 +215,7 @@ class ClientGateway:
         max_sessions: int = 10_000,
     ):
         self.node = node
-        #: The routing tier; a plain service pair is wrapped as a
+        #: The routing tier; a plain GatewayServices is wrapped as a
         #: single-shard router, so there is exactly one request path.
         self.router: ShardRouter = (
             services
@@ -248,14 +240,12 @@ class ClientGateway:
         self._server: asyncio.base_events.Server | None = None
         self._http_server: asyncio.base_events.Server | None = None
         self._sessions: dict[int, _Session] = {}
-        #: Keyed by (shard index, service name, AB msg_id).  The service
-        #: name matters: kv and locks are independent AtomicBroadcast
-        #: instances whose rbid counters both start at 0, so a bare
-        #: (sender, rbid) is NOT unique across them -- a pipelined first
-        #: put and first acquire would collide and settle each other's
-        #: requests.  The shard index matters for the same reason one
-        #: level up: every shard's kv instance also numbers from 0.
-        self._pending: dict[tuple[int, str, tuple[int, int]], _PendingOp] = {}
+        #: Keyed by (shard index, AB msg_id).  The shard index matters:
+        #: every shard's kv store is its own AtomicBroadcast instance
+        #: whose rbid counter starts at 0, so a bare (sender, rbid) is
+        #: NOT unique across shards -- pipelined first puts on two
+        #: shards would collide and settle each other's requests.
+        self._pending: dict[tuple[int, tuple[int, int]], _PendingOp] = {}
         self._next_sid = 0
         self._sweep_task: asyncio.Task | None = None
         self._closed = False
@@ -273,9 +263,7 @@ class ClientGateway:
         self._logged_error_types: set[tuple[str, str]] = set()
         self._clock = time.monotonic
         for shard_index in self.router.hosted:
-            shard_services = self.router.services[shard_index]
-            self._chain_applied(shard_index, "kv", shard_services.kv.rsm)
-            self._chain_applied(shard_index, "locks", shard_services.locks.rsm)
+            self._chain_applied(shard_index, self.router.services[shard_index].kv.rsm)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -497,7 +485,8 @@ class ClientGateway:
             self._respond(session, request_id, STATUS_OK, [None, None, "pong"], op=op, started=now)
             return
         try:
-            shard, command, key, service, rsm = self._build_command(session, op, args)
+            command, keys = self._build_command(op, args)
+            shard, services = self.router.route_many(keys)
         except WrongShardError as exc:
             # Forbid-and-measure: the op was NOT replicated.  The owner
             # hint lets the client redirect (or, for a cross-shard
@@ -508,10 +497,12 @@ class ClientGateway:
         except ClientProtocolError as exc:
             self._respond(session, request_id, STATUS_ERROR, str(exc), op=op, started=now)
             return
+        key = keys[0]
         if op in READ_OPS and self.local_reads:
-            value = self.router.services[shard].kv.get(key)
+            value = services.kv.get(key)
             self._respond(session, request_id, STATUS_OK, [None, None, value], op=op, started=now)
             return
+        rsm = services.kv.rsm
         msg_id = rsm.try_submit(command)
         if msg_id is None:
             # Admission is per shard -- one backed-up shard sheds its
@@ -521,33 +512,21 @@ class ClientGateway:
             self._respond(session, request_id, STATUS_RETRY, detail, op=op, started=now)
             return
         session.inflight += 1
-        self._pending[(shard, service, msg_id)] = _PendingOp(
-            session.sid, request_id, op, key, now
-        )
+        self._pending[(shard, msg_id)] = _PendingOp(session.sid, request_id, op, key, now)
 
-    def _build_command(
-        self, session: _Session, op: str, args: list[Any]
-    ) -> tuple[int, Command, str | None, str, ReplicatedStateMachine]:
-        """Translate one client request into a replicated command on the
-        owning shard.
-
-        Returns ``(shard, command, key, service, rsm)`` -- *shard* and
-        *service* ("kv"/"locks") key the pending table alongside the AB
-        msg_id, which is only unique per AB instance.  Lock names route
-        exactly like KV keys (a lock lives on the shard owning its
-        name), so lock safety stays single-stream per lock.
+    @staticmethod
+    def _build_command(op: str, args: list[Any]) -> tuple[Command, list[str]]:
+        """Translate one client request into a replicated command and
+        the keys it touches (the caller routes it by them).
 
         Type errors are rejected *here*, with a message, rather than
-        ordered and no-opped by the state machine's defensive apply;
-        routing errors raise :class:`WrongShardError` (the caller turns
-        them into ``wrong-shard`` responses, never submissions).
+        ordered and no-opped by the state machine's defensive apply.
         """
         if op == "put":
             key, value = args
             if not isinstance(key, str) or not isinstance(value, bytes):
                 raise ClientProtocolError("put takes (str key, bytes value)")
-            shard, services = self.router.route(key)
-            return shard, KvCommand.put(key, value), key, "kv", services.kv.rsm
+            return KvCommand.put(key, value), [key]
         if op == "get":
             (key,) = args
             if not isinstance(key, str):
@@ -557,14 +536,12 @@ class ClientGateway:
             # its serialization point (total per shard -- exactly the
             # consistency sharding promises: per-key order, no
             # cross-shard order).
-            shard, services = self.router.route(key)
-            return shard, Command("get", [key]), key, "kv", services.kv.rsm
+            return Command("get", [key]), [key]
         if op == "delete":
             (key,) = args
             if not isinstance(key, str):
                 raise ClientProtocolError("delete takes (str key)")
-            shard, services = self.router.route(key)
-            return shard, KvCommand.delete(key), key, "kv", services.kv.rsm
+            return KvCommand.delete(key), [key]
         if op == "cas":
             key, expected, value = args
             if (
@@ -573,8 +550,7 @@ class ClientGateway:
                 or not isinstance(value, bytes)
             ):
                 raise ClientProtocolError("cas takes (str, bytes|None, bytes)")
-            shard, services = self.router.route(key)
-            return shard, KvCommand.cas(key, expected, value), key, "kv", services.kv.rsm
+            return KvCommand.cas(key, expected, value), [key]
         if op == "mput":
             (pairs,) = args
             if (
@@ -591,53 +567,33 @@ class ClientGateway:
                 raise ClientProtocolError(
                     "mput takes a non-empty list of [str key, bytes value] pairs"
                 )
-            keys = [pair[0] for pair in pairs]
-            # All keys must share one hosted owner; spanning shards
-            # raises CrossShardError (a WrongShardError) -- forbidden
-            # and measured, never partially applied.
-            shard, services = self.router.route_many(keys)
-            command = KvCommand.mput([(k, v) for k, v in pairs])
-            return shard, command, keys[0], "kv", services.kv.rsm
-        if op in ("acquire", "release"):
-            name, tag = args
-            if not isinstance(name, str) or not isinstance(tag, str):
-                raise ClientProtocolError(f"{op} takes (str name, str tag)")
-            shard, services = self.router.route(name)
-            locks = services.locks.rsm
-            # Lock identity is (replica, tag); scope the tag to this
-            # session so independent clients sharing the gateway never
-            # alias each other's holdership.
-            scoped = f"s{session.sid}:{tag}"
-            command = Command(op, [name, locks.replica_id, scoped])
-            return shard, command, name, "locks", locks
+            # All keys must share one hosted owner: routing a set that
+            # spans shards raises CrossShardError (a WrongShardError) --
+            # forbidden and measured, never partially applied.
+            return KvCommand.mput([(k, v) for k, v in pairs]), [k for k, _ in pairs]
         raise ClientProtocolError(f"unknown op {op!r}")
 
     # -- completion ------------------------------------------------------------------
 
-    def _chain_applied(
-        self, shard: int, service: str, rsm: ReplicatedStateMachine
-    ) -> None:
-        """Hook *rsm*'s apply stream without displacing existing hooks
-        (the lock service installs its own ``on_applied``).  *shard* and
-        *service* disambiguate the pending table: each RSM's AB instance
-        numbers its rbids independently, so msg_ids alone collide both
-        across services and across shards.
+    def _chain_applied(self, shard: int, rsm: ReplicatedStateMachine) -> None:
+        """Hook *rsm*'s apply stream without displacing an existing hook.
+        *shard* disambiguates the pending table: each shard's AB instance
+        numbers its rbids independently, so msg_ids alone collide across
+        shards.
         """
         previous = rsm.on_applied
 
         def on_applied(delivery, command: Command, result: Any) -> None:
             if previous is not None:
                 previous(delivery, command, result)
-            self._on_applied(shard, service, delivery, command, result)
+            self._on_applied(shard, delivery, command, result)
 
         rsm.on_applied = on_applied
 
-    def _on_applied(
-        self, shard: int, service: str, delivery, command: Command, result: Any
-    ) -> None:
+    def _on_applied(self, shard: int, delivery, command: Command, result: Any) -> None:
         if delivery.sender != self.node.process_id:
             return
-        pending = self._pending.pop((shard, service, delivery.msg_id), None)
+        pending = self._pending.pop((shard, delivery.msg_id), None)
         if pending is None:
             return
         session = self._sessions.get(pending.sid)
@@ -741,18 +697,11 @@ class ClientGateway:
     def status(self) -> dict[str, Any]:
         """JSON-ready snapshot served by the HTTP status endpoint."""
 
-        # Admission is per (shard, service): every shard's kv and locks
-        # ride independent AB instances, each with its own pending count
-        # against the configured cap -- retry-afters come from whichever
-        # refused, and one backed-up shard never throttles its siblings.
-        def _admission(services: GatewayServices) -> dict[str, dict[str, int]]:
-            return {
-                service: dict(zip(("pending", "cap"), rsm.admission()))
-                for service, rsm in (
-                    ("kv", services.kv.rsm),
-                    ("locks", services.locks.rsm),
-                )
-            }
+        # Admission is per shard: every shard's kv store rides its own AB
+        # instance, with its own pending count against the configured
+        # cap -- one backed-up shard never throttles its siblings.
+        def _admission(services: GatewayServices) -> dict[str, int]:
+            return dict(zip(("pending", "cap"), services.kv.rsm.admission()))
 
         status: dict[str, Any] = {
             "process": self.node.process_id,

@@ -16,7 +16,6 @@ See :mod:`repro.net.network` for the calibrated parameter presets.
 """
 
 from repro.net.faults import FaultPlan, Partition
-from repro.net.group import SimGroup
 from repro.net.links import (
     Chain,
     Degrading,
@@ -47,7 +46,6 @@ __all__ = [
     "Lossy",
     "Partition",
     "Reordering",
-    "SimGroup",
     "WAN_EMULATED",
     "LanSimulation",
     "NetworkParameters",

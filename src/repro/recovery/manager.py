@@ -175,10 +175,6 @@ class RecoveryManager:
         """Position of the newest stable checkpoint, 0 if none yet."""
         return self._stable[0].seq if self._stable is not None else 0
 
-    @property
-    def log_length(self) -> int:
-        return len(self._log)
-
     # -- delivery interposition ----------------------------------------------------
 
     def _on_ab_deliver(self, instance, delivery: AbDelivery) -> None:

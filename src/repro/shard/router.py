@@ -140,11 +140,11 @@ class ShardRouter:
         """
         if not keys:
             raise ValueError("route_many needs at least one key")
-        owners = [(self.map.owner(key), None) for key in keys]
-        owners = [(index, self.map.names[index]) for index, _ in owners]
-        if len({index for index, _ in owners}) > 1:
-            self.cross_shard_total += 1
-            raise CrossShardError(keys, owners)
+        if len(keys) > 1:
+            owners = [(index, self.map.names[index]) for index in map(self.map.owner, keys)]
+            if len({index for index, _ in owners}) > 1:
+                self.cross_shard_total += 1
+                raise CrossShardError(keys, owners)
         return self.route(keys[0])
 
     def spread(self, keys: Iterable[str]) -> dict[str, int]:

@@ -9,13 +9,11 @@ streams.  The reliable channel matches the paper's Section 2.1:
   pairwise secret key, with a monotonic sequence number against replay
   (our stand-in for the IPSec AH protocol of the original testbed).
 
-:class:`RitasNode` is the low-level node (sockets + stack);
-:class:`RitasSession` adds awaitable consensus calls and an async
-delivery stream for atomic broadcast.
+:class:`RitasNode` is the node (sockets + stack); protocol instances
+are created on its stack with ``node.stack.create(kind, path)``.
 """
 
 from repro.transport.framing import FrameCodec, FramingError
-from repro.transport.session import RitasSession
 from repro.transport.tcp import PeerAddress, RitasNode
 
 __all__ = [
@@ -23,5 +21,4 @@ __all__ = [
     "FramingError",
     "PeerAddress",
     "RitasNode",
-    "RitasSession",
 ]

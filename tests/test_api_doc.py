@@ -1,11 +1,13 @@
-"""docs/API.md names only live API on the TCP node and the sharded simulation.
+"""The docs name only live API.
 
-Every ``node.<name>`` in the code blocks of its "TCP runtime" and
-"Sharding" sections must resolve on a :class:`RitasNode`, and every
-``sharded.<name>`` on a :class:`ShardedLanSimulation`, so deleting a
-method without editing the reference fails here.
+Every ``node.<name>`` in the code blocks of docs/API.md's "TCP runtime"
+and "Sharding" sections must resolve on a :class:`RitasNode`, and every
+``sharded.<name>`` on a :class:`ShardedLanSimulation`; every dotted
+``repro.<...>`` name in README.md, DESIGN.md and docs/*.md must resolve
+too.  Deleting a module or a method without editing the docs fails here.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -16,7 +18,11 @@ from repro.crypto.keys import TrustedDealer
 from repro.shard.sim import ShardedLanSimulation
 from repro.transport.tcp import PeerAddress, RitasNode
 
-API_DOC = Path(__file__).parent.parent / "docs" / "API.md"
+ROOT = Path(__file__).parent.parent
+API_DOC = ROOT / "docs" / "API.md"
+#: The reference documents; ROADMAP, CHANGES and EXPERIMENTS are
+#: history and generated output, free to name what is gone.
+DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]
 SECTIONS = ("## TCP runtime", "## Sharding (`repro.shard`)")
 
 
@@ -55,3 +61,28 @@ def test_api_doc_names_only_live_attributes(variable, build):
     assert names, f"docs/API.md shows no {variable}.<name>"
     instance = build()
     assert sorted(name for name in names if not hasattr(instance, name)) == []
+
+
+def resolves(dotted: str) -> bool:
+    """Import the longest importable prefix of *dotted*, then walk the
+    rest as attributes."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        break
+    else:
+        return False
+    for attr in parts[split:]:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda path: path.name)
+def test_docs_name_only_live_modules(doc):
+    names = set(re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", doc.read_text()))
+    assert sorted(name for name in names if not resolves(name)) == []

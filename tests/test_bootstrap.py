@@ -1,11 +1,9 @@
-"""Deployment bootstrap: descriptors, key provisioning, node shell."""
+"""Deployment bootstrap: descriptors and key provisioning."""
 
 import json
 
 import pytest
 
-from repro.apps.kv_store import ReplicatedKvStore
-from repro.apps.node_cli import NodeShell
 from repro.transport.bootstrap import (
     load_session_config,
     main as keygen_main,
@@ -15,8 +13,6 @@ from repro.transport.bootstrap import (
     write_group_descriptor,
 )
 from repro.transport.tcp import PeerAddress
-
-from util import InstantNet
 
 
 @pytest.fixture
@@ -108,58 +104,3 @@ class TestProvision:
         a = provision(path, tmp_path / "a")
         b = provision(path, tmp_path / "b")
         assert read_keystore(a[0])[2].key_for(1) != read_keystore(b[0])[2].key_for(1)
-
-
-class TestNodeShell:
-    def make_shell(self):
-        net = InstantNet(4)
-        stores = [
-            ReplicatedKvStore(stack.create("ab", ("kv",))) for stack in net.stacks
-        ]
-        return NodeShell(stores[0]), stores, net
-
-    def test_put_get_cycle(self):
-        shell, stores, net = self.make_shell()
-        assert "replicating" in shell.handle("put name ritas")
-        net.run()
-        assert shell.handle("get name") == "ritas"
-        assert stores[3].get("name") == b"ritas"
-
-    def test_get_missing(self):
-        shell, _, _ = self.make_shell()
-        assert shell.handle("get nope") == "(nil)"
-
-    def test_delete(self):
-        shell, _, net = self.make_shell()
-        shell.handle("put k v")
-        net.run()
-        shell.handle("del k")
-        net.run()
-        assert shell.handle("get k") == "(nil)"
-
-    def test_keys_and_digest(self):
-        shell, stores, net = self.make_shell()
-        shell.handle("put b 2")
-        shell.handle("put a 1")
-        net.run()
-        assert shell.handle("keys") == "a\nb"
-        assert shell.handle("digest") == stores[1].state_digest().hex()
-
-    def test_log(self):
-        shell, _, net = self.make_shell()
-        shell.handle("put x 1")
-        net.run()
-        assert "put" in shell.handle("log")
-
-    def test_quit(self):
-        shell, _, _ = self.make_shell()
-        assert shell.handle("quit") == "bye"
-        assert not shell.running
-
-    def test_help_on_unknown(self):
-        shell, _, _ = self.make_shell()
-        assert "commands:" in shell.handle("frobnicate")
-
-    def test_blank_line_ignored(self):
-        shell, _, _ = self.make_shell()
-        assert shell.handle("   ") is None

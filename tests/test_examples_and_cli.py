@@ -40,11 +40,6 @@ class TestExamples:
         out = run_example("replicated_kv.py")
         assert "correct replicas agree on state: True" in out
 
-    def test_distributed_lock(self):
-        out = run_example("distributed_lock.py")
-        assert "replicas agree on final state: True" in out
-        assert "FIFO order: True" in out
-
     def test_protocol_trace(self):
         out = run_example("protocol_trace.py")
         assert "decided value 1 in round 1" in out

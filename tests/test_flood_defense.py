@@ -20,7 +20,6 @@ from repro.adversary import (
     duplicate_storm_faultload,
 )
 from repro.apps.kv_store import ReplicatedKvStore
-from repro.apps.lock_service import DistributedLockService
 from repro.apps.state_machine import Command, ReplicatedStateMachine
 from repro.core.config import GroupConfig
 from repro.core.errors import BackpressureError, WireFormatError
@@ -256,19 +255,15 @@ class TestBackpressure:
         net.run()
         assert [rsm.state for rsm in rsms] == [4, 4, 4, 4]
 
-    def test_kv_and_lock_try_variants(self):
+    def test_kv_try_put(self):
         net = InstantNet(4, config=self.config(cap=1))
         kvs = [ReplicatedKvStore(stack.create("ab", ("kv",))) for stack in net.stacks]
-        locks = [DistributedLockService(stack.create("ab", ("lk",))) for stack in net.stacks]
         assert kvs[0].try_put("k", b"v") is True
         assert kvs[0].try_put("k2", b"v") is False  # window full
         net.run()
         assert kvs[0].try_put("k2", b"v2") is True
-        assert locks[1].try_acquire("m") is True
-        assert locks[1].try_acquire("m2") is False  # window full
         net.run()
-        assert all(kv.get("k") == b"v" for kv in kvs)
-        assert all(lock.holder("m") is not None for lock in locks)
+        assert all(kv.get("k") == b"v" and kv.get("k2") == b"v2" for kv in kvs)
 
 
 def _count_apply(state, command):

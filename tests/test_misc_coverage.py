@@ -1,12 +1,8 @@
 """Cross-cutting coverage: shared coins in simulation, coin determinism,
-CLI figure paths, node shell cas, OOC eviction accounting."""
-
-import pytest
+CLI figure paths, OOC eviction accounting."""
 
 from repro import GroupConfig, LanSimulation
 from repro.eval.cli import main as cli_main
-
-from util import InstantNet
 
 
 class TestSharedCoinSimulation:
@@ -64,23 +60,6 @@ class TestCliFigures:
         out = capsys.readouterr().out
         assert out.startswith("## Figure 5 — atomic broadcast, fail-stop faultload")
         assert "T_max" in out
-
-
-class TestNodeShellCas:
-    def test_cas_through_shell(self):
-        from repro.apps.kv_store import ReplicatedKvStore
-        from repro.apps.node_cli import NodeShell
-
-        net = InstantNet(4)
-        stores = [
-            ReplicatedKvStore(stack.create("ab", ("kv",))) for stack in net.stacks
-        ]
-        shell = NodeShell(stores[0])
-        shell.handle("put k old")
-        net.run()
-        assert "replicating" in shell.handle("cas k old new")
-        net.run()
-        assert stores[2].get("k") == b"new"
 
 
 class TestOocAccounting:

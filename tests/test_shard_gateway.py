@@ -269,8 +269,45 @@ class TestShardedGatewayE2E:
                 assert shards["names"] == list(NAMES)
                 assert shards["hosted"] == list(NAMES)
                 for name in NAMES:
-                    assert "kv" in shards["admission"][name]
-                    assert "locks" in shards["admission"][name]
+                    assert set(shards["admission"][name]) == {"pending", "cap"}
+            finally:
+                await close_all(gateway, sum(processes, []))
+
+        asyncio.run(scenario())
+
+    def test_pipelined_first_puts_on_two_shards_do_not_collide(self):
+        """Each shard's kv store is its own AB instance whose rbid
+        counter starts at 0: the *first* put on each shard, pipelined
+        into one wakeup, carry equal (sender, rbid) msg_ids.  The
+        pending table must keep them apart (keyed by shard too) so each
+        request settles with its own result."""
+
+        async def scenario():
+            processes, routers, gateway, port = await start_sharded_gateway_group()
+            shard_map = routers[0].map
+            k0 = keys_owned_by(shard_map, 0, count=1)[0]
+            k1 = keys_owned_by(shard_map, 1, count=1)[0]
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(
+                    encode_request(0, "put", [k0, b"zero"])
+                    + encode_request(1, "put", [k1, b"one"])
+                )
+                await writer.drain()
+                got = {}
+                for _ in range(2):
+                    body = await asyncio.wait_for(read_frame(reader), 60.0)
+                    request_id, status, detail = decode_response(body)
+                    assert status == STATUS_OK
+                    got[request_id] = detail
+                # Both answered, each with its own apply result, despite
+                # the equal msg_ids.
+                assert got == {0: [0, 0, True], 1: [0, 0, True]}
+                assert gateway.ops_timeout == 0
+                assert gateway.inflight_ops == 0
+                assert routers[0].services[0].kv.get(k0) == b"zero"
+                assert routers[0].services[1].kv.get(k1) == b"one"
+                writer.close()
             finally:
                 await close_all(gateway, sum(processes, []))
 

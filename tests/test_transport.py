@@ -10,7 +10,6 @@ from repro.crypto.keys import TrustedDealer
 from repro.transport import tcp
 from repro.transport.framing import MAC_LEN, MAX_FRAME, FrameCodec, FramingError, peek_src
 from repro.transport.tcp import PeerAddress, RitasNode
-from repro.transport.session import RitasSession
 
 pytestmark = pytest.mark.filterwarnings(
     "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
@@ -119,20 +118,6 @@ async def start_group(nodes):
     return addresses
 
 
-async def start_sessions(sessions):
-    """Same staged startup for the session facade."""
-    for session in sessions:
-        await session.listen()
-    addresses = [
-        PeerAddress("127.0.0.1", session.bound_port) for session in sessions
-    ]
-    for session in sessions:
-        session.set_peer_addresses(addresses)
-    for session in sessions:
-        await session.connect()
-    return addresses
-
-
 class TestLiveGroup:
     def test_atomic_broadcast_total_order(self, group4):
         config, dealer = group4
@@ -165,50 +150,37 @@ class TestLiveGroup:
 
         asyncio.run(scenario())
 
-    def test_binary_consensus_over_sessions(self, group4):
+    @pytest.mark.parametrize(
+        "kind, proposal", [("bc", 1), ("mvc", b"value"), ("vc", b"value")]
+    )
+    def test_consensus_decides_over_tcp(self, group4, kind, proposal):
+        """Each consensus service, created on every node's stack under
+        one path, decides the same value at all four nodes."""
         config, dealer = group4
 
         async def scenario():
-            addresses = [PeerAddress("127.0.0.1", 0) for _ in range(4)]
-            sessions = [
-                RitasSession(config, pid, addresses, dealer.keystore_for(pid))
-                for pid in range(4)
-            ]
-            await start_sessions(sessions)
+            nodes = make_nodes(config, dealer)
+            await start_group(nodes)
+            loop = asyncio.get_running_loop()
             try:
-                decisions = await asyncio.wait_for(
-                    asyncio.gather(
-                        *[s.binary_consensus("vote", 1) for s in sessions]
-                    ),
-                    timeout=20,
-                )
-                assert decisions == [1, 1, 1, 1]
+                decided = [loop.create_future() for _ in nodes]
+                instances = [node.stack.create(kind, (kind, "vote")) for node in nodes]
+                for instance, future in zip(instances, decided):
+                    instance.on_deliver = (
+                        lambda _i, decision, future=future: future.done()
+                        or future.set_result(decision)
+                    )
+                for instance in instances:
+                    instance.propose(proposal)
+                decisions = await asyncio.wait_for(asyncio.gather(*decided), timeout=20)
+                assert all(d == decisions[0] for d in decisions)
+                if kind == "vc":
+                    assert sum(v == proposal for v in decisions[0]) >= config.n - config.f
+                else:
+                    assert decisions[0] == proposal
             finally:
-                for session in sessions:
-                    await session.close()
-
-        asyncio.run(scenario())
-
-    def test_session_ab_stream(self, group4):
-        config, dealer = group4
-
-        async def scenario():
-            addresses = [PeerAddress("127.0.0.1", 0) for _ in range(4)]
-            sessions = [
-                RitasSession(config, pid, addresses, dealer.keystore_for(pid))
-                for pid in range(4)
-            ]
-            await start_sessions(sessions)
-            try:
-                await sessions[1].ab_broadcast(b"hello")
-                deliveries = await asyncio.wait_for(
-                    asyncio.gather(*[s.ab_recv() for s in sessions]), timeout=20
-                )
-                assert all(d.payload == b"hello" for d in deliveries)
-                assert all(d.sender == 1 for d in deliveries)
-            finally:
-                for session in sessions:
-                    await session.close()
+                for node in nodes:
+                    await node.close()
 
         asyncio.run(scenario())
 
