@@ -157,19 +157,7 @@ class InvariantChecker:
         # A restarted process's stack carries this subscription over.
         for stack in sim.stacks:
             stack.stats.subscribe(self, (KIND_DELIVER,))
-        # Chain rather than overwrite: several simulations (shards) may
-        # share one EventLoop, each with its own checker; every checker
-        # in the chain still runs after every event.
-        previous_on_event = sim.loop.on_event
-        if previous_on_event is None:
-            sim.loop.on_event = self._on_event
-        else:
-
-            def chained() -> None:
-                previous_on_event()
-                self._on_event()
-
-            sim.loop.on_event = chained
+        sim.loop.on_event = self._on_event
 
     # -- hooks ---------------------------------------------------------------------
 

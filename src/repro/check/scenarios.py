@@ -474,8 +474,11 @@ SCENARIOS: dict[str, Scenario] = {
             name="crash",
             n=4,
             description="the paper's fail-stop faultload: one process "
-            "crashes shortly after the burst starts",
-            ops=_ab_burst("a", [0, 1, 3], 2) + _bc_ops("v", {0: 1, 1: 1, 3: 0}),
+            "crashes shortly after the burst starts; the survivors also "
+            "run binary and vector consensus",
+            ops=_ab_burst("a", [0, 1, 3], 2)
+            + _bc_ops("v", {0: 1, 1: 1, 3: 0})
+            + [["vc", "x", pid, f"v{pid}"] for pid in (0, 1, 3)],
             crashed={2: 0.010},
         ),
         _byz_scenario("paper"),
@@ -483,7 +486,7 @@ SCENARIOS: dict[str, Scenario] = {
         _byz_scenario("crash-consensus"),
         _byz_scenario(
             "ooc-flood",
-            config_kwargs={"ooc_capacity": 256, "ooc_peer_quota": 64},
+            config_kwargs={"ooc_capacity": 256},
             max_time=300.0,
         ),
         _byz_scenario("duplicate-storm"),

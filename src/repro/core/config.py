@@ -45,15 +45,9 @@ class GroupConfig:
             dead peer (bounding memory) and keeps probing at the capped
             rate.  0 never drops.
         ooc_capacity: total out-of-context messages a stack may park
-            (Section 3.4's bounded hash table).
-        ooc_peer_quota: most OOC entries parked on behalf of any one
-            peer; storing past it evicts that peer's own oldest entry.
-            0 disables the per-peer quota (the global capacity with
-            fair eviction still applies).
-        quarantine_threshold: misbehavior score at which a peer is
-            quarantined (its frames dropped at demultiplex).  0 -- the
-            default -- disables quarantine; scores are still recorded
-            in the stack's :class:`~repro.core.ledger.MisbehaviorLedger`.
+            (Section 3.4's bounded hash table).  Each of the *n* senders
+            may hold ``ooc_capacity // n`` of them; storing past that
+            evicts the sender's own oldest entry.  At least *n*.
         ab_pending_cap: most locally submitted atomic-broadcast
             messages that may be undelivered at once; past it,
             ``broadcast`` raises
@@ -92,8 +86,6 @@ class GroupConfig:
     checkpoint_interval: int = 64
     reconnect_retry_budget: int = 0
     ooc_capacity: int = 65536
-    ooc_peer_quota: int = 0
-    quarantine_threshold: float = 0.0
     ab_pending_cap: int = 0
     send_queue_max_frames: int = 0
     bc_engine: str = "bracha"
@@ -116,12 +108,10 @@ class GroupConfig:
             raise ConfigurationError("checkpoint_interval must be >= 1")
         if self.reconnect_retry_budget < 0:
             raise ConfigurationError("reconnect_retry_budget must be >= 0")
-        if self.ooc_capacity < 1:
-            raise ConfigurationError("ooc_capacity must be >= 1")
-        if self.ooc_peer_quota < 0:
-            raise ConfigurationError("ooc_peer_quota must be >= 0")
-        if self.quarantine_threshold < 0.0:
-            raise ConfigurationError("quarantine_threshold must be >= 0")
+        if self.ooc_capacity < self.num_processes:
+            raise ConfigurationError(
+                f"ooc_capacity must be >= n={self.num_processes} (one slot per sender)"
+            )
         if self.ab_pending_cap < 0:
             raise ConfigurationError("ab_pending_cap must be >= 0")
         if self.send_queue_max_frames < 0:

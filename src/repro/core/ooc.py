@@ -7,20 +7,15 @@ the instance is created; when an instance is destroyed, its pending OOC
 messages are purged so nothing lingers forever.
 
 The table is bounded (a corrupt process could otherwise exhaust memory
-by flooding frames for instances that will never exist).  The seed
-implementation evicted globally oldest-first, which let one flooding
-peer push *honest* parked messages out and stall correct instances.
-Eviction is now **per-sender fair**:
-
-- each sender may be held to a quota (``peer_quota``); storing past it
-  evicts that sender's own oldest entry, never anyone else's;
-- when the table is full overall, the victim is the oldest entry of the
-  sender currently holding the *most* entries -- under a flood that is
-  the flooder, so honest parked messages survive.
-
-With one sender (or no contention) this degenerates to the seed's plain
-FIFO.  Eviction victims are reported through :attr:`on_evict` so the
-stack can score the offending peer in its misbehavior ledger.
+by flooding frames for instances that will never exist), and the bound
+is **per sender**: each sender may hold ``quota`` entries, and storing
+past that evicts the sender's own oldest entry, never anyone else's.
+The stack sets the quota to ``ooc_capacity // n``, so the quotas sum to
+at most ``ooc_capacity`` and the table itself never overflows: a
+flooder churns only its own entries, and honest parked messages
+survive.  With one sender this is the seed's plain FIFO.  Eviction
+victims are reported through :attr:`on_evict` so the stack can score
+the offending peer in its misbehavior ledger.
 
 Prefix operations (``has_prefix``/``drain_prefix``/``purge_prefix``) are
 O(matching) via a prefix index -- every stored path is registered under
@@ -35,32 +30,21 @@ from typing import Callable
 from repro.core.mbuf import Mbuf
 from repro.core.wire import Path
 
-DEFAULT_CAPACITY = 65536
-
-#: Eviction reasons handed to :attr:`OocTable.on_evict`.
-EVICT_QUOTA = "quota"
-EVICT_CAPACITY = "capacity"
-
 
 class OocTable:
     """Bounded store of messages awaiting their protocol instance.
 
     Args:
-        capacity: total entries across all senders.
-        peer_quota: most entries any one sender may hold (0 = no
-            per-sender quota; only the global capacity bounds it).
+        quota: entries each sender may hold.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, peer_quota: int = 0):
-        if capacity < 1:
-            raise ValueError("OOC table capacity must be positive")
-        if peer_quota < 0:
-            raise ValueError("OOC peer quota must be >= 0")
-        self._capacity = capacity
-        self._peer_quota = peer_quota
+    def __init__(self, quota: int):
+        if quota < 1:
+            raise ValueError("OOC quota must be >= 1")
+        self._quota = quota
         self._seq = 0
         # path -> {seq: mbuf}; dict preserves insertion (FIFO) order and
-        # allows O(1) removal of an arbitrary seq during fair eviction.
+        # allows O(1) removal of an arbitrary seq during eviction.
         self._buckets: dict[Path, dict[int, Mbuf]] = {}
         # Every prefix of every stored path -> the stored paths under it.
         self._prefix_index: dict[Path, set[Path]] = {}
@@ -71,21 +55,12 @@ class OocTable:
         self.peak_size = 0
         self.peak_bytes = 0
         self.evictions = 0
-        self.quota_evictions = 0
         self.evictions_by_src: Counter = Counter()
-        #: Optional hook ``(mbuf, reason)`` called for every eviction.
-        self.on_evict: Callable[[Mbuf, str], None] | None = None
+        #: Optional hook ``(mbuf)`` called for every eviction.
+        self.on_evict: Callable[[Mbuf], None] | None = None
 
     def __len__(self) -> int:
         return self._size
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def peer_quota(self) -> int:
-        return self._peer_quota
 
     def pending_of(self, src: int) -> int:
         """Entries currently parked on behalf of sender *src*."""
@@ -100,19 +75,19 @@ class OocTable:
             "peak_pending": self.peak_size,
             "peak_bytes": self.peak_bytes,
             "evictions": self.evictions,
-            "quota_evictions": self.quota_evictions,
         }
 
     # -- storing / eviction ----------------------------------------------------
 
     def store(self, mbuf: Mbuf) -> None:
-        """Park *mbuf* until an instance for its path appears."""
+        """Park *mbuf* until an instance for its path appears; a sender
+        at its quota loses its own oldest entry first."""
         src = mbuf.src
-        if self._peer_quota:
-            while self.pending_of(src) >= self._peer_quota:
-                self._evict_from(src, EVICT_QUOTA)
-        while self._size >= self._capacity:
-            self._evict_from(self._fattest_sender(), EVICT_CAPACITY)
+        entries = self._by_sender.get(src)
+        if entries is None:
+            entries = self._by_sender[src] = OrderedDict()
+        elif len(entries) >= self._quota:
+            self._evict_oldest(src, entries)
         seq = self._seq
         self._seq += 1
         bucket = self._buckets.get(mbuf.path)
@@ -121,7 +96,7 @@ class OocTable:
             self._buckets[mbuf.path] = bucket
             self._index_add(mbuf.path)
         bucket[seq] = mbuf
-        self._by_sender.setdefault(src, OrderedDict())[seq] = mbuf.path
+        entries[seq] = mbuf.path
         self._size += 1
         self.bytes += mbuf.wire_size
         if self._size > self.peak_size:
@@ -129,26 +104,8 @@ class OocTable:
         if self.bytes > self.peak_bytes:
             self.peak_bytes = self.bytes
 
-    def _fattest_sender(self) -> int:
-        """The sender holding the most entries; ties go to the one whose
-        oldest entry is oldest (so a full table of equals is plain FIFO)."""
-        best_src = -1
-        best_count = -1
-        best_seq = -1
-        for src, entries in self._by_sender.items():
-            if not entries:
-                continue
-            count = len(entries)
-            oldest = next(iter(entries))
-            if count > best_count or (count == best_count and oldest < best_seq):
-                best_src, best_count, best_seq = src, count, oldest
-        return best_src
-
-    def _evict_from(self, src: int, reason: str) -> None:
-        entries = self._by_sender[src]
+    def _evict_oldest(self, src: int, entries: OrderedDict) -> None:
         seq, path = entries.popitem(last=False)
-        if not entries:
-            del self._by_sender[src]
         bucket = self._buckets[path]
         mbuf = bucket.pop(seq)
         if not bucket:
@@ -157,11 +114,9 @@ class OocTable:
         self._size -= 1
         self.bytes -= mbuf.wire_size
         self.evictions += 1
-        if reason == EVICT_QUOTA:
-            self.quota_evictions += 1
         self.evictions_by_src[src] += 1
         if self.on_evict is not None:
-            self.on_evict(mbuf, reason)
+            self.on_evict(mbuf)
 
     # -- prefix index -----------------------------------------------------------
 

@@ -18,8 +18,8 @@ never reorders them.
 
 ``max_frames == 0`` disables the bound (seed behaviour).
 
-Operations are O(1): a seq-numbered :class:`~collections.OrderedDict`
-holds the FIFO, and one deque per priority class tracks shedding
+Operations are O(1): a seq-numbered dict (insertion-ordered) holds
+the FIFO, and one deque per priority class tracks shedding
 candidates.  The head of the lowest-priority non-empty deque is always
 the correct victim because entries enter both structures in the same
 order and leave them together.
@@ -27,7 +27,7 @@ order and leave them together.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict, deque
+from collections import Counter, deque
 
 from repro.core.wire import (
     PRIORITY_AGREEMENT,
@@ -50,7 +50,7 @@ class BoundedSendQueue:
         if max_frames < 0:
             raise ValueError("max_frames must be >= 0")
         self.max_frames = max_frames
-        self._entries: "OrderedDict[int, tuple[int, bytes]]" = OrderedDict()
+        self._entries: dict[int, tuple[int, bytes]] = {}
         self._by_priority: list[deque[int]] = [deque() for _ in range(_NUM_PRIORITIES)]
         self._next_seq = 0
         self._bytes = 0
@@ -71,18 +71,6 @@ class BoundedSendQueue:
     @property
     def bytes(self) -> int:
         return self._bytes
-
-    def snapshot(self) -> dict[str, int]:
-        """Point-in-time depth/shedding view for the metrics layer (the
-        runtimes' queue-gauge samplers) and tests."""
-        return {
-            "frames": len(self._entries),
-            "bytes": self._bytes,
-            "peak_frames": self.peak_frames,
-            "peak_bytes": self.peak_bytes,
-            "frames_shed": self.frames_shed,
-            "bytes_shed": self.bytes_shed,
-        }
 
     # -- operations -----------------------------------------------------------
 
@@ -139,17 +127,6 @@ class BoundedSendQueue:
                 self.shed_by_priority[prio] += 1
                 return data
         return None
-
-    def pop(self) -> bytes | None:
-        """Dequeue the oldest frame (FIFO across all priorities)."""
-        if not self._entries:
-            return None
-        seq, (priority, data) = self._entries.popitem(last=False)
-        # The FIFO head entered first, so it is also the head of its
-        # priority deque -- popping both keeps the structures aligned.
-        self._by_priority[priority].popleft()
-        self._bytes -= len(data)
-        return data
 
     def drain(self) -> list[bytes]:
         """Dequeue everything, in FIFO order."""

@@ -33,7 +33,7 @@ from repro.core.errors import (
 )
 from repro.core.ledger import MisbehaviorLedger
 from repro.core.mbuf import Mbuf
-from repro.core.ooc import EVICT_QUOTA, OocTable
+from repro.core.ooc import OocTable
 from repro.core.stats import PURPOSE_APP, StackStats
 from repro.core.wire import (
     MAX_BATCH_DEPTH,
@@ -391,10 +391,8 @@ class Stack:
         #: order log to its most recent entries (soak runs keep windowed
         #: order agreement checkable at flat memory); 0 = unbounded.
         self.order_log_cap = 0
-        #: Per-peer misbehavior scores and quarantine state.  The clock
-        #: indirects through the attribute so runtimes that swap
-        #: ``stack.clock`` after construction keep probation timing right.
-        self.ledger = MisbehaviorLedger(config, clock=lambda: self.clock())
+        #: Per-peer misbehavior scores.
+        self.ledger = MisbehaviorLedger()
         self._registry: dict[Path, ControlBlock] = {}
         # Demux fast path: raw encoded-path bytes -> control block, so
         # inbound frames for live instances dispatch without decoding
@@ -404,7 +402,7 @@ class Stack:
         # the number of live instances.
         self._by_path_key: dict[bytes, ControlBlock] = {}
         self._path_prefix: dict[Path, bytes] = {}
-        self._ooc = OocTable(config.ooc_capacity, peer_quota=config.ooc_peer_quota)
+        self._ooc = OocTable(config.ooc_capacity // config.num_processes)
         self._ooc.on_evict = self._on_ooc_evict
         # Out-of-context frames drained by a registration are replayed
         # only once the instance tree being built is fully constructed
@@ -525,29 +523,23 @@ class Stack:
 
     # -- flood defense ---------------------------------------------------------------
 
-    def report_misbehavior(self, src: int, offense: str, weight: float | None = None) -> bool:
+    def report_misbehavior(self, src: int, offense: str, weight: float | None = None) -> None:
         """Score one offense by peer *src* in the misbehavior ledger.
 
         Only link-authenticated sources may be scored (never identities
         read out of payloads -- see :mod:`repro.core.ledger`); reports
-        against self or out-of-range ids are ignored.  Returns True if
-        this report moved the peer into quarantine.
+        against self or out-of-range ids are ignored.
         """
         if src == self.process_id or not 0 <= src < self.config.num_processes:
-            return False
+            return
         self.stats.misbehavior_reports += 1
-        entered = self.ledger.report(src, offense, weight)
-        if entered:
-            self.stats.record_quarantine(src, offense, self.ledger.score(src))
-        return entered
+        self.ledger.report(src, offense, weight)
 
-    def _on_ooc_evict(self, mbuf: Mbuf, reason: str) -> None:
-        """OOC eviction hook: record it and -- when the evicted sender
-        exceeds its fair share -- score the offender."""
-        self.stats.record_evict(mbuf.path, mbuf.src, reason)
-        fair_share = max(1, self._ooc.capacity // self.config.num_processes)
-        if reason == EVICT_QUOTA or self._ooc.pending_of(mbuf.src) >= fair_share:
-            self.report_misbehavior(mbuf.src, "ooc-quota")
+    def _on_ooc_evict(self, mbuf: Mbuf) -> None:
+        """OOC eviction hook: the sender was at its quota; record the
+        eviction and score the sender."""
+        self.stats.record_evict(mbuf.path, mbuf.src)
+        self.report_misbehavior(mbuf.src, "ooc-quota")
 
     # -- data plane -----------------------------------------------------------------
 
@@ -683,13 +675,7 @@ class Stack:
         and is decoded defensively.  A malformed batch container is
         dropped whole; a malformed frame inside a well-formed batch
         drops only that frame.
-
-        A quarantined peer's units are dropped here, before any decode
-        or protocol work -- the cheap path is the point of quarantine.
         """
-        if src != self.process_id and self.ledger.quarantined(src):
-            self._drop(src, "quarantined")
-            return
         # Inlined coalesce() window (the contextmanager shows up on
         # profiles at one open/close per received unit).
         self._coalesce_depth += 1
@@ -779,7 +765,7 @@ class Stack:
                     return
             break
         self._ooc.store(mbuf)
-        self.stats.record_ooc(mbuf.path, mbuf.src, self._ooc.evictions)
+        self.stats.record_ooc(mbuf.path, mbuf.src)
 
     def _input_guarded(self, instance: ControlBlock, mbuf: Mbuf) -> None:
         try:

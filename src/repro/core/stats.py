@@ -23,7 +23,6 @@ from dataclasses import InitVar, dataclass, field, fields
 from typing import Any, Callable, Collection
 
 from repro.core import trace
-from repro.core.ooc import EVICT_QUOTA
 from repro.core.wire import Path
 
 #: Called as ``subscriber(process, kind, path, detail)`` (*detail* is
@@ -96,10 +95,8 @@ class StackStats:
     ooc_drained: int = 0
     ooc_evicted: int = 0
     ooc_purged: int = 0
-    # Flood defense (misbehavior ledger, quarantine, quotas, shedding).
-    ooc_quota_evictions: int = 0
+    # Flood defense (misbehavior ledger, shedding, backpressure).
     misbehavior_reports: int = 0
-    quarantine_entries: int = 0
     sends_shed: int = 0
     backpressure_signals: int = 0
 
@@ -179,25 +176,17 @@ class StackStats:
             detail = {"dest": dest, "frames": frames, "queued": queued}
             self._fan(self._on.shed, trace.KIND_SHED, (), detail)
 
-    def record_ooc(self, path: Path, src: int, evictions: int) -> None:
-        """One frame parked out of context; *evictions*: the table's total."""
+    def record_ooc(self, path: Path, src: int) -> None:
+        """One frame parked out of context."""
         self.ooc_stored += 1
-        self.ooc_evicted = evictions
         if self._on.ooc:
             self._fan(self._on.ooc, trace.KIND_OOC, path, {"src": src})
 
-    def record_evict(self, path: Path, src: int, reason: str) -> None:
-        """One parked frame evicted from the out-of-context table."""
-        if reason == EVICT_QUOTA:
-            self.ooc_quota_evictions += 1
+    def record_evict(self, path: Path, src: int) -> None:
+        """One parked frame evicted: its sender *src* was at its quota."""
+        self.ooc_evicted += 1
         if self._on.quota:
-            self._fan(self._on.quota, trace.KIND_QUOTA, path, {"src": src, "reason": reason})
-
-    def record_quarantine(self, src: int, offense: str, score: float) -> None:
-        self.quarantine_entries += 1
-        if self._on.quarantine:
-            detail = {"src": src, "offense": offense, "score": score}
-            self._fan(self._on.quarantine, trace.KIND_QUARANTINE, (), detail)
+            self._fan(self._on.quota, trace.KIND_QUOTA, path, {"src": src})
 
     def record_create(self, path: Path, protocol: str) -> None:
         if self._on.create:

@@ -57,7 +57,6 @@ KIND_OOC = "ooc"
 KIND_CREATE = "create"
 KIND_DESTROY = "destroy"
 KIND_QUOTA = "quota"
-KIND_QUARANTINE = "quarantine"
 KIND_SHED = "shed"
 KIND_BACKPRESSURE = "backpressure"
 KIND_SUBMIT = "submit"

@@ -315,12 +315,15 @@ def _skip_value(data, offset: int) -> int:
     return offset
 
 
-def _validate_value(data, offset: int) -> int:
-    """Validate the encoded value at *offset* without building objects.
+def _validate_from(data, offset: int, depth: int) -> int:
+    """Validate the encoded value at *offset*, nested *depth* deep,
+    without building objects.
 
     Enforces exactly the checks :func:`decode_value` applies: tags,
     length caps, truncation, nesting depth, utf-8 in strings, non-empty
-    ints.  Returns the end offset.
+    ints.  Returns the end offset.  It has the same shape as
+    :func:`_decode_from` (inline leaf handling, recursion only for
+    nested lists) so the two traversals accept exactly the same inputs.
 
     The point of the exact match is the contract the lazy
     :class:`~repro.core.mbuf.Mbuf` payload relies on: once a region
@@ -331,14 +334,6 @@ def _validate_value(data, offset: int) -> int:
     costs about half of decoding, which is why the two walks stay
     separate.
     """
-    return _validate_from(data, offset, 0)
-
-
-def _validate_from(data, offset: int, depth: int) -> int:
-    """Recursive body of :func:`_validate_value` -- the same shape as
-    :func:`_decode_from` (inline leaf handling, recursion only for
-    nested lists) so the two traversals accept exactly the same inputs,
-    just without building any objects."""
     size = len(data)
     if offset >= size:
         raise WireFormatError("truncated value")
@@ -499,7 +494,7 @@ def _parse_frame(frame: bytes) -> tuple[bytes, int, bytes]:
 
     The one frame parser.  The path stays encoded (the interned demux
     key), the mtype is decoded, and the payload region is validated but
-    not decoded (see :func:`_validate_value`), so decoding it later
+    not decoded (see :func:`_validate_from`), so decoding it later
     cannot fail.
 
     Raises:

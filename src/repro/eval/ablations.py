@@ -514,7 +514,7 @@ def recovery(quick: bool) -> Section:
 THROUGHPUT_FLOOR = 0.60
 
 #: The flood defenses' bounds, configured for both runs.
-FLOOD_CONFIG = {"ooc_capacity": 256, "ooc_peer_quota": 64, "send_queue_max_frames": 4096}
+FLOOD_CONFIG = {"ooc_capacity": 256, "send_queue_max_frames": 4096}
 
 
 def run_flood(plan: FaultPlan, commands: int = 150, seed: int = 3) -> dict:

@@ -137,17 +137,6 @@ class LanSimulation:
             duplication, reordering, detectable corruption) and
             per-host CPU slowdown factors.  Bound to *seed* here; the
             default ``None`` keeps the seed-exact symmetric LAN.
-        loop: an existing :class:`~repro.net.simulator.EventLoop` to
-            schedule on instead of building a private one.  Several
-            simulations sharing one loop advance in a single global
-            virtual-time order -- how :class:`repro.shard` runs S
-            independent groups side by side.  Mutually exclusive with
-            ``tie_break_seed`` (the loop owner decides tie-breaking).
-        hosts: existing per-process :class:`_Host` resource bundles to
-            contend on instead of fresh ones.  Passing another
-            simulation's hosts colocates both groups on the same
-            machines: their traffic shares CPU/NIC serialization, the
-            honest model for S shards on one box.
     """
 
     def __init__(
@@ -163,8 +152,6 @@ class LanSimulation:
         tie_break_seed: int | None = None,
         base_factory: ProtocolFactory | None = None,
         link_model: LinkModel | None = None,
-        loop: EventLoop | None = None,
-        hosts: "list[_Host] | None" = None,
     ):
         if config is None:
             if n is None:
@@ -178,20 +165,13 @@ class LanSimulation:
         self.fault_plan.validate(config.num_processes, config.num_faulty)
         self.jitter_s = jitter_s
         self.tie_break_seed = tie_break_seed
-        if loop is not None:
-            if tie_break_seed is not None:
-                raise ValueError(
-                    "tie_break_seed belongs to the loop owner when sharing a loop"
-                )
-            self.loop = loop
-        else:
-            self.loop = EventLoop(
-                tie_break_rng=(
-                    random.Random(f"{seed}/tie/{tie_break_seed}")
-                    if tie_break_seed is not None
-                    else None
-                )
+        self.loop = EventLoop(
+            tie_break_rng=(
+                random.Random(f"{seed}/tie/{tie_break_seed}")
+                if tie_break_seed is not None
+                else None
             )
+        )
         # One jitter RNG per ordered link, derived lazily from the master
         # seed: a shared stream would make each link's delay draws depend
         # on the interleaving of *all* traffic, wrecking replay/shrink
@@ -245,15 +225,7 @@ class LanSimulation:
         self._tickers: dict[int, list[PeriodicHandle]] = {}
         # pid -> metrics subscriber, once enable_metrics ran.
         self._metrics: dict[int, StackMetrics] = {}
-        if hosts is not None:
-            if len(hosts) != config.num_processes:
-                raise ValueError(
-                    f"shared hosts list has {len(hosts)} entries for "
-                    f"n={config.num_processes}"
-                )
-            self.hosts = hosts
-        else:
-            self.hosts = [_Host() for _ in config.process_ids]
+        self.hosts = [_Host() for _ in config.process_ids]
         self.stacks: list[Stack] = []
         for pid in config.process_ids:
             self.stacks.append(self._build_stack(pid))

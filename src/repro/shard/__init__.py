@@ -7,9 +7,6 @@ to exactly one owning group:
 
 - :mod:`repro.shard.ring` -- the deterministic consistent-hash
   :class:`ShardMap` of keys onto shards (stable under ring changes);
-- :mod:`repro.shard.sim` -- :class:`ShardedLanSimulation`: S LAN
-  simulations on one shared event loop (scale-out or colocated hosts),
-  with per-shard fault plans and per-shard invariant checkers;
 - the TCP runtime needs no class of its own here: a process in S
   groups runs one :class:`~repro.transport.tcp.RitasNode` per group,
   each with its own listener, peer mesh and keystore;
@@ -32,7 +29,6 @@ from repro.shard.router import (
     ShardRouter,
     WrongShardError,
 )
-from repro.shard.sim import ShardedLanSimulation, shard_names, sharded_configs
 
 __all__ = [
     "DEFAULT_VNODES",
@@ -40,8 +36,5 @@ __all__ = [
     "CrossShardError",
     "ShardMap",
     "ShardRouter",
-    "ShardedLanSimulation",
     "WrongShardError",
-    "shard_names",
-    "sharded_configs",
 ]

@@ -221,8 +221,7 @@ def test_late_votes_are_not_misbehaviour():
     the stale-frame route: dropped, never parked, never scored.  Holding
     p3's inbound links makes every one of its ECHOs and READYs late."""
     for seed in range(3):
-        config = GroupConfig(4, quarantine_threshold=3.0)
-        net = ShuffleNet(4, seed=seed, config=config)
+        net = ShuffleNet(4, seed=seed)
         orders = setup(net)
         net.held = {3}
         for wave in range(50):
@@ -238,10 +237,8 @@ def test_late_votes_are_not_misbehaviour():
             stack.check_ooc_accounting()
             assert stack.ooc_pending == 0
             assert stack.stats.misbehavior_reports == 0
-            assert stack.stats.quarantine_entries == 0
             for peer in range(4):
                 assert stack.ledger.score(peer) == 0
-                assert not stack.ledger.quarantined(peer)
         for pid in range(3):
             assert net.stacks[pid].stats.dropped["stale-frame"] > 0, f"seed {seed}"
         # The laggard finished every round from frames already queued,

@@ -1,8 +1,7 @@
 """The docs name only live API.
 
 Every ``node.<name>`` in the code blocks of docs/API.md's "TCP runtime"
-and "Sharding" sections must resolve on a :class:`RitasNode`, and every
-``sharded.<name>`` on a :class:`ShardedLanSimulation`; every dotted
+and "Sharding" sections must resolve on a :class:`RitasNode`; every dotted
 ``repro.<...>`` name in README.md, DESIGN.md and docs/*.md must resolve
 too.  Deleting a module or a method without editing the docs fails here.
 """
@@ -15,7 +14,6 @@ import pytest
 
 from repro.core.config import GroupConfig
 from repro.crypto.keys import TrustedDealer
-from repro.shard.sim import ShardedLanSimulation
 from repro.transport.tcp import PeerAddress, RitasNode
 
 ROOT = Path(__file__).parent.parent
@@ -53,7 +51,6 @@ def named(variable: str) -> set[str]:
                 TrustedDealer(4, seed=b"api-doc").keystore_for(0),
             ),
         ),
-        ("sharded", lambda: ShardedLanSimulation(2, n=4)),
     ],
 )
 def test_api_doc_names_only_live_attributes(variable, build):

@@ -109,6 +109,32 @@ class TestInjectedDivergence:
             checker.check_all()
         assert exc.value.invariant in ("mvc-agreement", "mvc-validity")
 
+    def test_vc_runs_in_the_catalog_and_catches_a_flipped_vector(self, monkeypatch):
+        """The ``crash`` scenario runs a top-level vector consensus, so
+        the explorer reaches ``_check_vc``; flipping one slot of one
+        correct process's decided vector must then be caught."""
+        checked = []
+        check_vc = InvariantChecker._check_vc
+
+        def spy(self, path, views, event_index):
+            checked.append(path)
+            check_vc(self, path, views, event_index)
+
+        monkeypatch.setattr(InvariantChecker, "_check_vc", spy)
+        assert run_one("crash", seed=3, tie_break_seed=3)["outcome"] == "ok"
+        assert ("vc", "x") in checked
+        sim, checker = run_checked("crash")
+        vc = sim.stacks[min(checker.correct)].instance_at(("vc", "x"))
+        assert vc.decided
+        decision = list(vc.decision)
+        slot = next(i for i, value in enumerate(decision) if value is not None)
+        decision[slot] = b"forged"
+        vc.decision = decision
+        with pytest.raises(InvariantViolation) as exc:
+            checker.check_all()
+        assert exc.value.invariant == "vc-agreement"
+        assert exc.value.path == ("vc", "x")
+
     def test_ooc_accounting(self):
         sim, checker = run_checked("failure-free")
         sim.stacks[0].stats.ooc_stored += 1
@@ -123,7 +149,7 @@ class TestOocConsistency:
 
     def test_fuzz_random_operations(self):
         rng = random.Random(1234)
-        table = OocTable(capacity=32, peer_quota=6)
+        table = OocTable(6)
         paths = [("ab", i, j) for i in range(3) for j in range(3)]
         for step in range(400):
             roll = rng.random()
@@ -145,14 +171,14 @@ class TestOocConsistency:
         assert table.evictions > 0  # the fuzz actually hit the bounds
 
     def test_detects_stale_prefix_index(self):
-        table = OocTable()
+        table = OocTable(8)
         table.store(Mbuf(src=0, path=("a", 1), mtype=1, payload=b"x"))
         table._index_add(("ghost", 9))  # a path with no stored messages
         with pytest.raises(AssertionError, match="prefix index"):
             table.check_consistency()
 
     def test_detects_counter_drift(self):
-        table = OocTable()
+        table = OocTable(8)
         table.store(Mbuf(src=0, path=("a", 1), mtype=1, payload=b"x", wire_size=8))
         table.bytes += 1
         with pytest.raises(AssertionError, match="byte counter"):

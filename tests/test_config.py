@@ -57,6 +57,13 @@ class TestGroupConfig:
         with pytest.raises(ConfigurationError):
             GroupConfig(0)
 
+    def test_ooc_capacity_below_n_rejected(self):
+        """Each sender's OOC quota is ``ooc_capacity // n``; it must be
+        at least one slot."""
+        assert GroupConfig(7, ooc_capacity=7).ooc_capacity == 7
+        with pytest.raises(ConfigurationError, match="ooc_capacity"):
+            GroupConfig(7, ooc_capacity=6)
+
     def test_process_ids(self):
         assert list(GroupConfig(4).process_ids) == [0, 1, 2, 3]
 

@@ -168,4 +168,4 @@ def test_sustained_ooc_flood_is_bounded():
     net.run()
     assert decisions_of(net, ("bc",))[:3] == [0, 0, 0]
     for pid in range(3):
-        assert net.stacks[pid].ooc_pending <= net.stacks[pid]._ooc._capacity
+        assert net.stacks[pid].ooc_pending <= net.stacks[pid].config.ooc_capacity

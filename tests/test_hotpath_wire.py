@@ -20,7 +20,7 @@ from repro.core.errors import WireFormatError
 from repro.core.mbuf import Mbuf
 from repro.core.stack import ControlBlock, Stack
 from repro.core.wire import (
-    _validate_value,
+    _validate_from,
     decode_batch_views,
     decode_frame_ex,
     decode_value,
@@ -96,14 +96,14 @@ class TestBytesLikeInputs:
 
 
 class TestValidatorParity:
-    """:func:`_validate_value` accepts exactly the encodings
+    """:func:`_validate_from` accepts exactly the encodings
     :func:`decode_value` decodes -- the contract that makes a lazy
     payload's deferred decode infallible."""
 
     @staticmethod
     def _validate_ok(data) -> bool:
         try:
-            return _validate_value(data, 0) == len(data)
+            return _validate_from(data, 0, 0) == len(data)
         except WireFormatError:
             return False
 

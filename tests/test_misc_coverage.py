@@ -67,7 +67,8 @@ class TestOocAccounting:
         from repro.core.stack import Stack
         from repro.core.wire import encode_frame
 
-        stack = Stack(GroupConfig(4, ooc_capacity=5), 0, outbox=lambda d, b: None)
+        # Capacity 20 over n=4 senders: 5 slots for sender 1.
+        stack = Stack(GroupConfig(4, ooc_capacity=20), 0, outbox=lambda d, b: None)
         for i in range(12):
             stack.receive(1, encode_frame(("ghost", i), 0, None))
         assert stack.ooc_pending == 5

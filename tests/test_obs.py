@@ -37,6 +37,7 @@ from repro.core.trace import (
     KIND_DECIDE,
     KIND_DROP,
     KIND_OOC,
+    KIND_QUOTA,
     KIND_RECEIVE,
     KIND_SEND,
     KIND_SHED,
@@ -413,6 +414,7 @@ def _assert_views_agree(stack, tracer):
     for protocol in ("bc", "mvc", "vc"):
         assert decided[protocol] == stats.decisions[protocol], protocol
     assert kinds[KIND_OOC] == stats.ooc_stored
+    assert kinds[KIND_QUOTA] == stats.ooc_evicted
     shed = sum(event.detail["frames"] for event in events if event.kind == KIND_SHED)
     assert shed == stats.sends_shed
 

@@ -8,20 +8,25 @@ from repro.core.mbuf import Mbuf
 from repro.core.ooc import OocTable
 
 
+def roomy():
+    """A table nothing below fills: 4 senders, 64 slots each."""
+    return OocTable(64)
+
+
 def mk(path, src=0):
     return Mbuf(src=src, path=tuple(path), mtype=0, payload=None)
 
 
 class TestStoreDrain:
     def test_exact_path_drain(self):
-        table = OocTable()
+        table = roomy()
         table.store(mk(("a", 1)))
         drained = table.drain_prefix(("a", 1))
         assert len(drained) == 1
         assert len(table) == 0
 
     def test_prefix_drain_catches_descendants(self):
-        table = OocTable()
+        table = roomy()
         table.store(mk(("a", 1, "rb", 0)))
         table.store(mk(("a", 1, "rb", 1)))
         table.store(mk(("a", 2)))
@@ -30,29 +35,29 @@ class TestStoreDrain:
         assert len(table) == 1
 
     def test_prefix_is_componentwise_not_string(self):
-        table = OocTable()
+        table = roomy()
         table.store(mk(("ab",)))
         assert table.drain_prefix(("a",)) == []
 
     def test_fifo_within_path(self):
-        table = OocTable()
+        table = roomy()
         first, second = mk(("x",), src=1), mk(("x",), src=2)
         table.store(first)
         table.store(second)
         assert table.drain_prefix(("x",)) == [first, second]
 
     def test_drain_empty(self):
-        assert OocTable().drain_prefix(("nope",)) == []
+        assert roomy().drain_prefix(("nope",)) == []
 
     def test_has_prefix(self):
-        table = OocTable()
+        table = roomy()
         table.store(mk(("a", 1, "b")))
         assert table.has_prefix(("a",))
         assert table.has_prefix(("a", 1))
         assert not table.has_prefix(("a", 2))
 
     def test_purge_counts(self):
-        table = OocTable()
+        table = roomy()
         table.store(mk(("a",)))
         table.store(mk(("a",)))
         assert table.purge_prefix(("a",)) == 2
@@ -61,7 +66,7 @@ class TestStoreDrain:
 
 class TestBounds:
     def test_capacity_evicts_oldest(self):
-        table = OocTable(capacity=3)
+        table = OocTable(3)
         for i in range(5):
             table.store(mk(("p", i)))
         assert len(table) == 3
@@ -72,19 +77,18 @@ class TestBounds:
         assert table.has_prefix(("p", 4))
 
     def test_eviction_within_shared_path(self):
-        table = OocTable(capacity=2)
-        table.store(mk(("x",), src=1))
-        table.store(mk(("x",), src=2))
-        table.store(mk(("x",), src=3))
-        drained = table.drain_prefix(("x",))
-        assert [m.src for m in drained] == [2, 3]
+        table = OocTable(2)
+        first, second, third = (mk(("x",)) for _ in range(3))
+        for mbuf in (first, second, third):
+            table.store(mbuf)
+        assert table.drain_prefix(("x",)) == [second, third]
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
-            OocTable(capacity=0)
+            OocTable(0)
 
     def test_pending_paths(self):
-        table = OocTable()
+        table = roomy()
         table.store(mk(("a",)))
         table.store(mk(("b",)))
         assert sorted(table.pending_paths()) == [("a",), ("b",)]
@@ -102,7 +106,7 @@ class TestBounds:
 @settings(max_examples=150)
 def test_property_size_accounting(entries):
     """len(table) always equals stored minus drained minus evicted."""
-    table = OocTable(capacity=10)
+    table = OocTable(10)
     stored = 0
     drained = 0
     for path, _ in entries:

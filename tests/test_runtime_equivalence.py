@@ -19,7 +19,6 @@ from repro import GroupConfig, LanSimulation, TrustedDealer
 from repro.apps import ReplicatedKvStore
 from repro.apps.kv_store import _apply_kv
 from repro.apps.state_machine import Command
-from repro.shard.sim import sharded_configs
 from repro.transport import PeerAddress, RitasNode
 from tests.util import make_group_nodes, start_tcp_group
 
@@ -73,8 +72,8 @@ def run_tcp(shard=0):
     async def scenario():
         if shard:
             background_nodes, nodes = (
-                make_group_nodes(config, seed=41)
-                for config in sharded_configs(GroupConfig(4), ["s0", "s1"])
+                make_group_nodes(GroupConfig(4, group_tag=name), seed=41)
+                for name in ("s0", "s1")
             )
         else:
             background_nodes, nodes = [], plain_nodes()

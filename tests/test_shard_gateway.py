@@ -16,7 +16,6 @@ from repro.gateway.protocol import (
 from repro.gateway.server import ClientGateway, attach_router
 from repro.shard.ring import ShardMap
 from repro.shard.router import CrossShardError, ShardRouter, WrongShardError
-from repro.shard.sim import sharded_configs
 from repro.transport.tcp import PeerAddress, RitasNode
 from tests.util import make_group_nodes, start_tcp_group
 
@@ -102,8 +101,7 @@ async def start_sharded_gateway_group(hosted=None):
     gateway on process 0 fronts *hosted* shards (default: both)."""
     shard_map = ShardMap(NAMES)
     groups = [
-        make_group_nodes(config, seed=37)
-        for config in sharded_configs(GroupConfig(4), NAMES)
+        make_group_nodes(GroupConfig(4, group_tag=name), seed=37) for name in NAMES
     ]
     for group in groups:
         await start_tcp_group(group)

@@ -11,7 +11,6 @@ from repro.core.wire import (
     encode_frame,
     frame_priority,
 )
-from repro.shard.sim import sharded_configs
 from tests.util import make_group_nodes, start_tcp_group
 
 pytestmark = pytest.mark.filterwarnings(
@@ -25,8 +24,7 @@ def make_groups(n=4, names=NAMES, seed=23, **knobs):
     """One list of nodes per group, pid-indexed; *knobs* are extra
     :class:`GroupConfig` fields."""
     return [
-        make_group_nodes(config, seed)
-        for config in sharded_configs(GroupConfig(n, **knobs), names)
+        make_group_nodes(GroupConfig(n, group_tag=name, **knobs), seed) for name in names
     ]
 
 

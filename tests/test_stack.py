@@ -140,7 +140,7 @@ class TestRouting:
                 raise ProtocolViolationError("no such child")
 
         stack = Stack(
-            GroupConfig(4, quarantine_threshold=50.0),
+            GroupConfig(4),
             0,
             outbox=lambda dest, data: None,
             factory=ProtocolFactory({"rec": Faulty}),
@@ -162,9 +162,6 @@ class TestRouting:
             encode_frame(("violate", "stale"), 0, None),  # stale-frame
         ):
             stack.receive(1, unit)
-        while not stack.ledger.quarantined(2):
-            stack.report_misbehavior(2, "mac-failure")
-        stack.receive(2, frame)  # quarantined
         traced = Counter(event.detail["reason"] for event in tracer.select(kind=KIND_DROP))
         assert traced == stack.stats.dropped
         assert traced == {
@@ -173,7 +170,6 @@ class TestRouting:
             "batch-too-deep": 1,
             "protocol-violation": 2,
             "stale-frame": 1,
-            "quarantined": 1,
         }
 
 
