@@ -40,10 +40,6 @@ class GroupConfig:
             :mod:`repro.recovery`).  Every replica checkpoints at the
             same global delivery positions, so the interval must be
             identical group-wide.
-        reconnect_retry_budget: consecutive failed connection attempts
-            after which the sender drops the frames queued toward the
-            dead peer (bounding memory) and keeps probing at the capped
-            rate.  0 never drops.
         ooc_capacity: total out-of-context messages a stack may park
             (Section 3.4's bounded hash table).  Each of the *n* senders
             may hold ``ooc_capacity // n`` of them; storing past that
@@ -84,7 +80,6 @@ class GroupConfig:
     num_faulty: int = field(default=-1)
     batching: bool = True
     checkpoint_interval: int = 64
-    reconnect_retry_budget: int = 0
     ooc_capacity: int = 65536
     ab_pending_cap: int = 0
     send_queue_max_frames: int = 0
@@ -106,8 +101,6 @@ class GroupConfig:
             )
         if self.checkpoint_interval < 1:
             raise ConfigurationError("checkpoint_interval must be >= 1")
-        if self.reconnect_retry_budget < 0:
-            raise ConfigurationError("reconnect_retry_budget must be >= 0")
         if self.ooc_capacity < self.num_processes:
             raise ConfigurationError(
                 f"ooc_capacity must be >= n={self.num_processes} (one slot per sender)"

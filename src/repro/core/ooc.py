@@ -62,10 +62,6 @@ class OocTable:
     def __len__(self) -> int:
         return self._size
 
-    def pending_of(self, src: int) -> int:
-        """Entries currently parked on behalf of sender *src*."""
-        return len(self._by_sender.get(src, ()))
-
     def snapshot(self) -> dict[str, int]:
         """Point-in-time depth/accounting view for the metrics layer
         (``StackMetrics.sample`` in :mod:`repro.obs.stack_metrics`) and tests."""
@@ -171,10 +167,6 @@ class OocTable:
         relevant messages are deleted").
         """
         return len(self.drain_prefix(prefix))
-
-    def pending_paths(self) -> list[Path]:
-        """Paths with parked messages (test/diagnostic helper)."""
-        return list(self._buckets)
 
     # -- self-validation ---------------------------------------------------------
 

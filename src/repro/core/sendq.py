@@ -1,11 +1,12 @@
 """Bounded, priority-aware outbound frame queue.
 
 Both runtimes keep one FIFO of encoded channel units per peer (the TCP
-links, the simulator's link buffers).  Unbounded, those queues
-are the easiest resource for a flooded or dead peer to exhaust:
-frames pile up faster than the link drains them and memory grows until
-the process dies -- exactly the denial-of-service the paper's protocols
-cannot prevent on their own.
+links, the simulator's link buffers).  Unbounded, the queue toward a
+slow or flooded peer is the easiest resource to exhaust: frames pile up
+faster than the link drains them and memory grows until the process
+dies -- exactly the denial-of-service the paper's protocols cannot
+prevent on their own.  (A crashed peer costs nothing: the simulator
+drops frames to it, and a TCP link that went down sheds at the outbox.)
 
 :class:`BoundedSendQueue` caps the queue at ``max_frames`` entries.
 When a push would exceed the cap, the queue sheds the *oldest entry of

@@ -7,8 +7,10 @@ are receive-only.  The first frame on an inbound connection identifies
 
 The data path is event-driven: inbound links deliver each complete unit
 of a read as it arrives; one flush per loop turn delivers loopback units
-and writes each peer one flat container.  A down, blocked or paused peer
-keeps its units queued, unencoded; a connector task per peer only connects.
+and writes each peer one flat container.  A blocked or paused peer, or
+one not reached yet, keeps its units queued, unencoded; a peer that was
+up and stopped answering is *down*, and its units are shed at the outbox.
+A connector task per peer only connects.
 
 A node is one process of one group, as in the paper.  A process taking
 part in several groups (shards) runs one node per group, each with its
@@ -54,6 +56,12 @@ _RECV_BUFFER = 64 * 1024
 RECONNECT_BASE_S = 0.2
 RECONNECT_MAX_S = 5.0
 RECONNECT_JITTER = 0.1
+#: Consecutive failed reconnects after which a link that was up is
+#: presumed down (about 0.6 s of refused connects at the schedule above):
+#: its queue is shed, and so is every unit toward it until a connect
+#: succeeds.  A peer that never connected is never down: startup skew is
+#: not a crash.
+DOWN_AFTER_FAILURES = 3
 
 
 class _Link(asyncio.BaseProtocol):
@@ -90,6 +98,9 @@ class _PeerLink(_Link, asyncio.Protocol):
         self.queue = BoundedSendQueue(node.config.send_queue_max_frames)
         #: Set by flow control (the transport's buffer is over its mark).
         self.paused = False
+        #: Set after :data:`DOWN_AFTER_FAILURES` failed reconnects of a
+        #: link that was up; cleared by the next connect.
+        self.down = False
 
     def pause_writing(self) -> None:
         self.paused = True
@@ -277,8 +288,9 @@ class RitasNode:
         self._connections: set[_Link] = set()
         self._closed = False
         self.frames_rejected = 0
-        #: Frames dropped by the per-peer send-queue bound
-        #: (``config.send_queue_max_frames``), dead-peer sheds included.
+        #: Units dropped toward a peer: by the per-peer send-queue bound
+        #: (``config.send_queue_max_frames``), and every unit toward a
+        #: down link.
         self.frames_shed = 0
         #: Outbound channel units merged into batch containers by the
         #: link flush (on top of any coalescing the stack already did).
@@ -286,7 +298,6 @@ class RitasNode:
         self.frames_batched = 0
         #: Reconnect bookkeeping (see :meth:`_reconnect_delay`).
         self.connect_attempts = 0
-        self.frames_dropped_reconnect = 0
         self.reconnect_delays: list[float] = []
 
     # -- lifecycle ----------------------------------------------------------------
@@ -432,19 +443,23 @@ class RitasNode:
     # -- outbound -------------------------------------------------------------------
 
     def _outbox(self, dest: int, data: bytes) -> None:
-        """The stack's outbox: loopback stays in-process, everything else
-        joins the peer's queue."""
+        """The stack's outbox: loopback stays in-process, a unit toward a
+        down link is shed, everything else joins the peer's queue."""
         if self._closed:
             return
         if dest == self.process_id:
             # The flush delivers it: sends stay non-reentrant.
             self._loopback.append(data)
         else:
-            queue = self._send_queues[dest].queue
+            link = self._send_queues[dest]
+            if link.down:
+                self._charge_shed(dest, 1)
+                return
+            queue = link.queue
             # Unbounded queues never shed: no priority to read.
             shed = queue.push(data, frame_priority(data) if queue.max_frames else None)
             if shed:
-                self._charge_shed(dest, shed)
+                self._charge_shed(dest, len(shed))
         self._schedule_flush()
 
     def _schedule_flush(self) -> None:
@@ -485,10 +500,10 @@ class RitasNode:
             out.append(link.codec.encode(splice_batch(chunk) if len(chunk) > 1 else chunk[0]))
         link.transport.write(b"".join(out))
 
-    def _charge_shed(self, dest: int, shed: list[bytes]) -> None:
-        """Account units the queue toward *dest* dropped."""
-        self.frames_shed += len(shed)
-        self.stack.stats.record_shed(dest, len(shed), len(self._send_queues[dest].queue))
+    def _charge_shed(self, dest: int, frames: int) -> None:
+        """Account *frames* units dropped toward *dest*."""
+        self.frames_shed += frames
+        self.stack.stats.record_shed(dest, frames, len(self._send_queues[dest].queue))
 
     def set_link_blocked(self, pid: int, blocked: bool) -> None:
         """Fault injection: hold (or release) the outbound link to *pid*.
@@ -529,18 +544,22 @@ class RitasNode:
     async def _connector(self, link: _PeerLink) -> None:
         """Own the outbound connection to one peer: connect, wait for it to
         drop, reconnect -- after a backoff if the attempt failed or the
-        connection lasted under :data:`RECONNECT_BASE_S`.  No writing."""
+        connection lasted under :data:`RECONNECT_BASE_S`.  After
+        :data:`DOWN_AFTER_FAILURES` such failures a link that was up goes
+        down.  No writing."""
         loop = asyncio.get_running_loop()
         failures = 0
-        budget = self.config.reconnect_retry_budget
+        connected = False
         try:
             while not self._closed:
                 address = self.addresses[link.pid]
                 self.connect_attempts += 1
                 try:
                     await loop.create_connection(lambda: link, address.host, address.port)
+                    connected = True
+                    link.down = False
                     opened = loop.time()
-                    link.resume_writing()  # flush what queued while it was down
+                    link.resume_writing()  # flush what queued meanwhile
                     # Shielded: cancelling this task must not cancel close()'s wait.
                     error = await asyncio.shield(link.closed)
                     if error is not None and not self._closed:
@@ -551,12 +570,13 @@ class RitasNode:
                     failures = 0  # it stayed up: reconnect at once
                     continue
                 failures += 1
-                if budget and failures >= budget:
-                    # Past the budget the peer is presumed down: shed its
-                    # queue (bounded memory); probing goes on, capped.
-                    dropped = link.queue.drain()
+                if connected and failures >= DOWN_AFTER_FAILURES and not link.down:
+                    # The peer was up and stopped answering: presume it
+                    # crashed and hold nothing for it (a restarted replica
+                    # catches up by state transfer); probing goes on, capped.
+                    link.down = True
+                    dropped = len(link.queue.drain())
                     if dropped:
-                        self.frames_dropped_reconnect += len(dropped)
                         self._charge_shed(link.pid, dropped)
                 await asyncio.sleep(self._reconnect_delay(failures))
         except asyncio.CancelledError:

@@ -4,8 +4,11 @@ Every ``node.<name>`` in the code blocks of docs/API.md's "TCP runtime"
 and "Sharding" sections must resolve on a :class:`RitasNode`; every dotted
 ``repro.<...>`` name in README.md, DESIGN.md and docs/*.md must resolve
 too.  Deleting a module or a method without editing the docs fails here.
+Every constant docs/API.md's constants table names must hold the value
+the table gives, in the module it names.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -83,3 +86,45 @@ def resolves(dotted: str) -> bool:
 def test_docs_name_only_live_modules(doc):
     names = set(re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", doc.read_text()))
     assert sorted(name for name in names if not resolves(name)) == []
+
+
+#: Units docs/API.md's constants table may append to a number.
+UNITS = {"KiB": 1 << 10, "MiB": 1 << 20}
+
+
+def documented_constants() -> list[tuple[str, str, str]]:
+    """``(name, module, value)`` for every constant docs/API.md's
+    constants table names; a row naming several lists their values in
+    the same order."""
+    lines = API_DOC.read_text().splitlines()
+    start = lines.index("| constant | module | value | meaning |")
+    found = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        names, module, values = (cell.strip() for cell in line.strip("|").split("|")[:3])
+        names = re.findall(r"`(\w+)`", names)
+        values = [value.strip() for value in values.split(",")]
+        assert len(names) == len(values), line
+        found.extend((name, module.strip("`"), value) for name, value in zip(names, values))
+    return found
+
+
+def parse_value(cell: str):
+    """A table value: a Python literal, optionally followed by a unit."""
+    number, _, unit = cell.partition(" ")
+    return ast.literal_eval(number) * (UNITS[unit] if unit else 1)
+
+
+CONSTANTS = documented_constants()
+
+
+def test_constants_table_is_read():
+    assert len(CONSTANTS) >= 10
+
+
+@pytest.mark.parametrize("name, module, cell", CONSTANTS, ids=str)
+def test_documented_constant_has_its_value(name, module, cell):
+    value = getattr(importlib.import_module(module), name)
+    documented = parse_value(cell)
+    assert value == documented and type(value) is type(documented), (value, cell)

@@ -68,11 +68,14 @@ class TestOocFairness:
         table.store(mb(1, 0))
         table.store(mb(1, 1))
         table.store(mb(1, 2))  # over quota: evicts ghost/0, not anything else
-        assert table.pending_of(1) == 2
         assert not table.has_prefix(("ab", "ghost", 0))
         assert table.has_prefix(("ab", "ghost", 1))
         assert table.evictions == 1
         assert table.evictions_by_src[1] == 1
+        assert [(m.src, m.path) for m in table.drain_prefix(())] == [
+            (1, ("ab", "ghost", 1)),
+            (1, ("ab", "ghost", 2)),
+        ]
 
     def test_single_sender_degenerates_to_fifo(self):
         table = OocTable(3)
@@ -124,7 +127,8 @@ class TestOocFairness:
             assert len(table) <= capacity
         assert all(table.has_prefix(path) for path in honest_paths)
         assert table.evictions_by_src.get(0, 0) == 0
-        assert all(table.pending_of(src) <= capacity // n for src in range(n))
+        parked = Counter(mbuf.src for mbuf in table.drain_prefix(()))
+        assert all(parked[src] <= capacity // n for src in range(n))
 
 
 # -- misbehavior ledger ---------------------------------------------------------

@@ -87,12 +87,6 @@ class TestBounds:
         with pytest.raises(ValueError):
             OocTable(0)
 
-    def test_pending_paths(self):
-        table = roomy()
-        table.store(mk(("a",)))
-        table.store(mk(("b",)))
-        assert sorted(table.pending_paths()) == [("a",), ("b",)]
-
 
 @given(
     st.lists(

@@ -166,70 +166,139 @@ class TestReconnectBackoff:
             assert 0.1 <= delay <= 0.1 * 1.5
 
     def test_retry_budget_sheds_queued_frames(self, monkeypatch):
-        """Past the budget, frames toward a presumed-dead peer are
-        dropped (bounded memory) while probing continues."""
+        """Past DOWN_AFTER_FAILURES failed reconnects, frames queued toward
+        a peer that was up and closed are dropped (bounded memory) while
+        probing continues."""
         set_schedule(monkeypatch, 0.01, 0.02, 0.0)
-        config = GroupConfig(4, reconnect_retry_budget=2)
-        dealer = TrustedDealer(4, seed=b"budget")
+        monkeypatch.setattr(tcp, "DOWN_AFTER_FAILURES", 2)
 
         async def scenario():
-            # Peers get reserved-but-unbound ports: connects fail fast.
-            addresses = [PeerAddress("127.0.0.1", 0)] + [
-                PeerAddress("127.0.0.1", reserve_port()) for _ in range(3)
-            ]
-            node = RitasNode(config, 0, addresses, dealer.keystore_for(0))
-            await node.listen()
-            await node.connect()
+            node, link, kill = await node_with_live_peer(b"budget")
             try:
+                node.set_link_blocked(1, True)  # hold the units in the queue
                 for _ in range(5):
                     node.stack.send_frame(1, ("t",), 0, b"x")
-                for _ in range(300):
-                    if node.frames_dropped_reconnect >= 5:
-                        break
-                    await asyncio.sleep(0.01)
-                assert node.frames_dropped_reconnect >= 5
+                assert node.send_queue_depth(1)[0] == 5
+                await kill()
+                await wait_until(lambda: link.down, "the link to go down")
+                assert node.frames_shed == 5
                 assert node.connect_attempts >= 3
                 # Backoff grew between consecutive failures (the three
-                # sender tasks interleave, so check the range, not
+                # connector tasks interleave, so check the range, not
                 # adjacent entries).
-                for _ in range(300):
-                    if 0.02 in node.reconnect_delays:
-                        break
-                    await asyncio.sleep(0.01)
+                await wait_until(lambda: 0.02 in node.reconnect_delays, "backoff growth")
                 assert node.reconnect_delays[0] == 0.01
-                assert 0.02 in node.reconnect_delays
             finally:
                 await node.close()
 
         asyncio.run(scenario())
 
     def test_dead_peer_shed_releases_queue_memory(self, monkeypatch):
-        """The budget shed must actually release the queued frames: the
+        """Going down must actually release the queued frames: the
         per-peer send queue reads empty (0 frames, 0 bytes) afterwards
         and the shed is visible in the node and stack counters."""
         set_schedule(monkeypatch, 0.01, 0.02, 0.0)
-        config = GroupConfig(4, reconnect_retry_budget=1)
-        dealer = TrustedDealer(4, seed=b"shed")
+        monkeypatch.setattr(tcp, "DOWN_AFTER_FAILURES", 1)
+
+        async def scenario():
+            node, link, kill = await node_with_live_peer(b"shed")
+            try:
+                node.set_link_blocked(1, True)
+                for _ in range(8):
+                    node.stack.send_frame(1, ("t",), 0, b"payload")
+                assert node.send_queue_depth(1)[0] == 8  # parked toward p1
+                await kill()
+                await wait_until(lambda: node.frames_shed >= 8, "the shed")
+                assert link.down
+                assert node.send_queue_depth(1) == (0, 0)
+                assert node.frames_shed == 8
+                assert node.stack.stats.sends_shed == 8
+            finally:
+                await node.close()
+
+        asyncio.run(scenario())
+
+    def test_down_link_sheds_every_send_at_the_outbox(self, monkeypatch):
+        """While a link is down nothing queues toward it: each send is
+        counted shed at once, in the node and the stack."""
+        set_schedule(monkeypatch, 0.01, 0.02, 0.0)
+        monkeypatch.setattr(tcp, "DOWN_AFTER_FAILURES", 1)
+
+        async def scenario():
+            node, link, kill = await node_with_live_peer(b"down-outbox")
+            try:
+                await kill()
+                await wait_until(lambda: link.down, "the link to go down")
+                shed, stack_shed = node.frames_shed, node.stack.stats.sends_shed
+                for _ in range(7):
+                    node.stack.send_frame(1, ("t",), 0, b"payload")
+                    assert node.send_queue_depth(1) == (0, 0)
+                assert node.frames_shed == shed + 7
+                assert node.stack.stats.sends_shed == stack_shed + 7
+            finally:
+                await node.close()
+
+        asyncio.run(scenario())
+
+    def test_replacement_on_the_same_port_clears_down(self, monkeypatch):
+        """A replica restarted on the same address brings the link back:
+        units sent while it was down are gone, units sent after the
+        connect reach it."""
+        set_schedule(monkeypatch, 0.01, 0.02, 0.0)
+        monkeypatch.setattr(tcp, "DOWN_AFTER_FAILURES", 1)
+        config = GroupConfig(4, batching=False)
+
+        async def scenario():
+            node, link, kill = await node_with_live_peer(b"replace", config)
+            replacement = _ReadingPeer()
+            server = None
+            try:
+                await kill()
+                await wait_until(lambda: link.down, "the link to go down")
+                node.stack.send_frame(1, ("t",), 0, b"lost")
+                port = node.addresses[1].port
+                server = await asyncio.get_running_loop().create_server(
+                    lambda: replacement, "127.0.0.1", port
+                )
+                await wait_until(lambda: not link.down, "the reconnect")
+                node.stack.send_frame(1, ("t",), 0, b"after")
+                await wait_until(lambda: replacement.frames(), "the unit")
+                receiver = FrameCodec(node.keystore.key_for(1), 0)  # keys are pairwise
+                payloads = [
+                    decode_frame_ex(receiver.decode(body)[1])[2] for body in replacement.frames()
+                ]
+                assert payloads == [b"after"]
+            finally:
+                await node.close()
+                if server is not None:
+                    replacement.close()
+                    server.close()
+                    await server.wait_closed()
+
+        asyncio.run(scenario())
+
+    def test_never_connected_peer_still_queues(self, monkeypatch):
+        """Startup skew is not a crash: a peer that never accepted a
+        connection is never down, however many connects fail, so a late
+        starter still catches up from its queue."""
+        set_schedule(monkeypatch, 0.01, 0.02, 0.0)
+        monkeypatch.setattr(tcp, "DOWN_AFTER_FAILURES", 1)
+        dealer = TrustedDealer(4, seed=b"never")
 
         async def scenario():
             addresses = [PeerAddress("127.0.0.1", 0)] + [
                 PeerAddress("127.0.0.1", reserve_port()) for _ in range(3)
             ]
-            node = RitasNode(config, 0, addresses, dealer.keystore_for(0))
+            node = RitasNode(GroupConfig(4), 0, addresses, dealer.keystore_for(0))
             await node.listen()
             await node.connect()
             try:
-                for _ in range(8):
-                    node.stack.send_frame(1, ("t",), 0, b"payload")
-                assert node.send_queue_depth(1)[0] > 0  # parked toward p1
-                for _ in range(300):
-                    if node.frames_dropped_reconnect >= 8:
-                        break
-                    await asyncio.sleep(0.01)
-                assert node.frames_dropped_reconnect >= 8
-                assert node.send_queue_depth(1) == (0, 0)
-                assert node.frames_shed >= 8
-                assert node.stack.stats.sends_shed >= 8
+                for _ in range(5):
+                    node.stack.send_frame(1, ("t",), 0, b"x")
+                await wait_until(lambda: node.connect_attempts >= 12, "reconnects")
+                assert not any(link.down for link in node._send_queues.values())
+                assert node.send_queue_depth(1)[0] == 5
+                assert node.frames_shed == 0
             finally:
                 await node.close()
 
@@ -321,16 +390,15 @@ async def wait_until(predicate, what, timeout_s=10.0):
     raise AssertionError(f"timed out waiting for {what}")
 
 
-class _StalledPeer(asyncio.Protocol):
-    """A peer that accepts the connection and stops reading until told."""
+class _ReadingPeer(asyncio.Protocol):
+    """A peer that accepts connections and reads them until closed."""
 
     def __init__(self):
-        self.transport = None
+        self.transports = []
         self.data = bytearray()
 
     def connection_made(self, transport):
-        self.transport = transport
-        transport.pause_reading()
+        self.transports.append(transport)
 
     def data_received(self, data):
         self.data += data
@@ -344,6 +412,46 @@ class _StalledPeer(asyncio.Protocol):
             out.append(bytes(self.data[offset + 4 : offset + 4 + length]))
             offset += 4 + length
         return out
+
+    def close(self):
+        for transport in self.transports:
+            transport.close()
+
+
+class _StalledPeer(_ReadingPeer):
+    """A peer that accepts the connection and stops reading until told."""
+
+    transport = None
+
+    def connection_made(self, transport):
+        super().connection_made(transport)
+        self.transport = transport
+        transport.pause_reading()
+
+
+async def node_with_live_peer(seed, config=None):
+    """Node 0 whose link to p1 is connected to a live peer; p2 and p3
+    never start.  Returns ``(node, link to p1, kill)``: awaiting
+    ``kill()`` closes p1 for good, listener and connections."""
+    peer = _ReadingPeer()
+    server = await asyncio.get_running_loop().create_server(lambda: peer, "127.0.0.1", 0)
+    addresses = [
+        PeerAddress("127.0.0.1", 0),
+        PeerAddress("127.0.0.1", server.sockets[0].getsockname()[1]),
+    ] + [PeerAddress("127.0.0.1", reserve_port()) for _ in range(2)]
+    dealer = TrustedDealer(4, seed=seed)
+    node = RitasNode(config or GroupConfig(4), 0, addresses, dealer.keystore_for(0))
+    await node.listen()
+    await node.connect()
+    link = node._send_queues[1]
+    await wait_until(lambda: link.transport is not None, "the link")
+
+    async def kill():
+        server.close()
+        peer.close()
+        await server.wait_closed()
+
+    return node, link, kill
 
 
 class TestOutboundFlow:
