@@ -224,7 +224,7 @@ class DigestForgerReliableBroadcast(ReliableBroadcast):
             self._send_ready(hash_bytes(mbuf.raw_payload))
         super().input(mbuf)
 
-    def _forged(self, mtype: int, digest: bytes) -> bytes:
+    def _forged(self, mtype: int, digest: bytes, raw: bytes = b"") -> bytes:
         kind = self._next_kind(mtype)
         self.sent[(mtype, kind)] += 1
         if kind == 0:
@@ -234,11 +234,11 @@ class DigestForgerReliableBroadcast(ReliableBroadcast):
         if kind == 2:
             return encode_value(int.from_bytes(digest, "big"))
         if kind == _PAYLOAD_ECHO:
-            return self._raws[digest]  # an ECHO is sent holding the INIT
+            return raw  # an ECHO carrying the INIT it names
         return READY_HEAD + digest
 
-    def _send_echo(self, digest: bytes) -> None:
-        self.send_all_raw(MSG_ECHO, self._forged(MSG_ECHO, digest))
+    def _send_echo(self, digest: bytes, raw: bytes) -> None:
+        self.send_all_raw(MSG_ECHO, self._forged(MSG_ECHO, digest, raw))
 
     def _send_ready(self, digest: bytes) -> None:
         self.send_all_raw(MSG_READY, self._forged(MSG_READY, digest))

@@ -28,9 +28,9 @@ class PaperReliableBroadcast(ReliableBroadcast):
         else:
             super().input(mbuf)
 
-    def _send_echo(self, digest: bytes) -> None:
+    def _send_echo(self, digest: bytes, raw: bytes) -> None:
         # Relay the INIT's canonical encoding verbatim.
-        self.send_all_raw(MSG_ECHO, self._raws[digest])
+        self.send_all_raw(MSG_ECHO, raw)
 
     def _on_payload_echo(self, mbuf: Mbuf) -> None:
         if mbuf.src in self._echo_sources:

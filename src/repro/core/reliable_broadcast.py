@@ -18,6 +18,11 @@ Protocol, for sender *s* and message *m*, with ``d = H(m)``:
 - on delivering, it sends ``(PAYLOAD, m)`` once to every peer whose
   ECHO(d) it has not counted: the only peers that may lack *m*.
 
+Raw payloads are held only until delivery.  Once the push has gone out
+the instance drops every payload encoding it held and keeps none it
+receives later (a late INIT is still digested and echoed), so a
+delivered instance holds *m* once, as the decoded value it delivered.
+
 ECHO and READY name the payload by its digest, so the payload crosses
 the wire once per receiver, in the INIT, plus a push to a peer that
 missed it.  Totality survives: a correct process delivers *d* only
@@ -95,8 +100,8 @@ class ReliableBroadcast(ControlBlock):
         self._init_seen = False
         self._ready_sent = False
         # digest -> canonical payload encoding (from the INIT or a
-        # PAYLOAD), digest computed here.  Delivery decodes the one it
-        # needs; votes never decode.
+        # PAYLOAD), digest computed here; emptied at delivery.  Delivery
+        # decodes the one it needs; votes never decode.
         self._raws: dict[bytes, bytes] = {}
         # digest -> set of source pids, one vote per source per phase.
         self._echoes: dict[bytes, set[int]] = {}
@@ -119,8 +124,9 @@ class ReliableBroadcast(ControlBlock):
         self.stack.stats.record_broadcast(self.protocol, self.purpose, self.path, len(raw))
         self.send_all_raw(MSG_INIT, raw)
 
-    def _send_echo(self, digest: bytes) -> None:
-        """Send ECHO(*digest*) to all (an adversary hook)."""
+    def _send_echo(self, digest: bytes, raw: bytes) -> None:
+        """Send ECHO(*digest*) to all; *raw* is the INIT payload it
+        names (an adversary hook)."""
         self.send_all_raw(MSG_ECHO, READY_HEAD + digest)
 
     def _send_ready(self, digest: bytes) -> None:
@@ -169,8 +175,9 @@ class ReliableBroadcast(ControlBlock):
         if self._init_seen:
             return  # duplicate / equivocating INIT: only the first counts
         self._init_seen = True
-        digest = self._hold(_raw_of(mbuf))
-        self._send_echo(digest)
+        raw = _raw_of(mbuf)
+        digest = self._hold(raw)
+        self._send_echo(digest, raw)
         # The INIT is a payload source too: a READY quorum may already
         # be waiting for it.
         self._check_progress(digest)
@@ -199,10 +206,11 @@ class ReliableBroadcast(ControlBlock):
         self._check_progress(self._hold(_raw_of(mbuf)))
 
     def _hold(self, raw: bytes) -> bytes:
-        """Digest *raw* and keep it as the payload candidate for that
-        digest; returns the digest."""
+        """Digest *raw* and, until delivery, keep it as the payload
+        candidate for that digest; returns the digest."""
         digest = hash_bytes(raw)
-        self._raws.setdefault(digest, raw)
+        if not self.delivered:
+            self._raws.setdefault(digest, raw)
         return digest
 
     def _check_progress(self, digest: bytes) -> None:
@@ -221,6 +229,7 @@ class ReliableBroadcast(ControlBlock):
             return  # the INIT or a PAYLOAD carrying it will call again
         self.delivered = True
         self._push_payload(digest, raw)
+        self._raws.clear()
         # The region was validated by the receive path (or encoded
         # here), so the decode cannot fail.
         self.delivered_value = decode_value(raw)

@@ -701,7 +701,8 @@ class Stack:
                 self._receive_unit(src, frame, depth + 1)
             return
         size = len(data)
-        # One memoized parse (frame_fastpath): the n-1 repeat copies of a
+        # One parse (frame_fastpath), memoized for frames up to
+        # FASTPATH_MEMO_FRAME_MAX: the n-1 repeat copies of such a
         # broadcast skip the walk entirely.  The payload region comes
         # back validated, so every mbuf is lazy -- decoding it later
         # cannot fail -- and its raw payload is owned bytes.

@@ -489,8 +489,11 @@ def frame_path(path_key: bytes) -> Path:
     return tuple(components)
 
 
-def _parse_frame(frame: bytes) -> tuple[bytes, int, bytes]:
+def _parse_frame(frame) -> tuple[bytes, int, bytes]:
     """Parse and validate a plain frame into ``(path_key, mtype, raw_payload)``.
+
+    *frame* is any bytes-like object; the path key and payload are
+    slices of it (views, for a ``memoryview``).
 
     The one frame parser.  The path stays encoded (the interned demux
     key), the mtype is decoded, and the payload region is validated but
@@ -534,24 +537,20 @@ def decode_frame_ex(data) -> tuple[Path, int, Any, bytes]:
 # Keying by the full frame bytes makes the memo trivially sound (equal
 # bytes parse identically) and unpoisonable (the key IS the
 # attacker-controlled input).  Entries are ``_parse_frame`` results, or
-# ``None`` for a frame it rejected.  Oldest entries go first, past either
-# bound: the entry cap, or FASTPATH_MEMO_BYTES of pinned frame and
-# payload bytes.
+# ``None`` for a frame it rejected; past the entry cap the oldest goes.
+# Only frames up to FASTPATH_MEMO_FRAME_MAX are kept, so the memo pins at
+# most _FASTPATH_MEMO_MAX such frames plus their payload regions.
 _FASTPATH_MEMO_MAX = 1024
 _fastpath_memo: "OrderedDict[bytes, tuple[bytes, int, bytes] | None]" = OrderedDict()
-_fastpath_memo_bytes = 0
 _MEMO_MISS = object()
 
-#: Most bytes the receive path's parse memo pins: each entry holds its
-#: frame and a copy of the payload region.  Sized to the entry cap at
-#: 8 KiB payloads, so a few large frames (a batch of many messages) stay
-#: memoized without the memo growing with frame size; a frame larger
-#: than the whole budget is parsed but not kept.
-FASTPATH_MEMO_BYTES = 16 * 1024 * 1024
-
-
-def _memo_cost(frame: bytes, parsed: "tuple[bytes, int, bytes] | None") -> int:
-    return len(frame) + (len(parsed[2]) if parsed is not None else 0)
+#: Largest frame the receive path's parse memo keeps.  A memo probe
+#: copies and hashes the whole frame, while a parse costs per encoded
+#: element, so the memo pays on a batch of small messages (250 x 100 B
+#: is 25.7 KiB) and loses on a few large ones (8 x 8 KiB is 64.1 KiB);
+#: docs/PERF.md has the crossover.  A larger frame is parsed straight
+#: from the received buffer each time and never pinned.
+FASTPATH_MEMO_FRAME_MAX = 32 * 1024
 
 
 def frame_fastpath(data) -> tuple[bytes, int, bytes] | None:
@@ -559,16 +558,23 @@ def frame_fastpath(data) -> tuple[bytes, int, bytes] | None:
 
     Returns ``(path_key, mtype, raw_payload)`` -- the interned demux key
     (:func:`frame_path_key`), the message type, and the *validated*
-    canonical payload encoding (decoding it cannot fail) -- or ``None``
-    when *data* is not a well-formed plain frame (batches, malformed
-    input).
+    canonical payload encoding (decoding it cannot fail), both owned
+    ``bytes`` -- or ``None`` when *data* is not a well-formed plain
+    frame (batches, malformed input).
 
     Repeat frames (the other n-1 copies of a broadcast, re-deliveries
     in multi-stack processes) hit the memo and skip the whole walk; the
-    returned ``raw_payload`` is then the *same* bytes object every time,
-    so a downstream digest cache keyed on it is a cached-hash probe.
+    returned ``raw_payload`` is then the *same* bytes object every time.
+    A frame over :data:`FASTPATH_MEMO_FRAME_MAX` is parsed in place --
+    *data* may be a batch member's ``memoryview`` -- and only its path
+    key and payload region are copied out.
     """
-    global _fastpath_memo_bytes
+    if len(data) > FASTPATH_MEMO_FRAME_MAX:
+        try:
+            path_key, mtype, raw = _parse_frame(data)
+        except WireFormatError:
+            return None
+        return bytes(path_key), mtype, bytes(raw)
     frame = data if type(data) is bytes else bytes(data)
     memo = _fastpath_memo
     hit = memo.get(frame, _MEMO_MISS)
@@ -578,20 +584,15 @@ def frame_fastpath(data) -> tuple[bytes, int, bytes] | None:
         result = _parse_frame(frame)
     except WireFormatError:
         result = None
-    cost = _memo_cost(frame, result)
-    if cost <= FASTPATH_MEMO_BYTES:
-        memo[frame] = result
-        _fastpath_memo_bytes += cost
-        while len(memo) > _FASTPATH_MEMO_MAX or _fastpath_memo_bytes > FASTPATH_MEMO_BYTES:
-            _fastpath_memo_bytes -= _memo_cost(*memo.popitem(last=False))
+    memo[frame] = result
+    if len(memo) > _FASTPATH_MEMO_MAX:
+        memo.popitem(last=False)
     return result
 
 
 def fastpath_memo_clear() -> None:
     """Drop all memoized frame parses (test isolation hook)."""
-    global _fastpath_memo_bytes
     _fastpath_memo.clear()
-    _fastpath_memo_bytes = 0
 
 
 def encode_frame_from_prefix_raw(prefix: bytes, mtype: int, raw) -> bytes:

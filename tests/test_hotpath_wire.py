@@ -20,6 +20,7 @@ from repro.core.errors import WireFormatError
 from repro.core.mbuf import Mbuf
 from repro.core.stack import ControlBlock, Stack
 from repro.core.wire import (
+    FASTPATH_MEMO_FRAME_MAX,
     _validate_from,
     decode_batch_views,
     decode_frame_ex,
@@ -232,10 +233,12 @@ class TestFrameFastpath:
             assert (mtype, decode_value(raw)) == (1, [7, b"pp"])
 
     def test_repeat_frames_share_the_raw_object(self):
-        frame = encode_frame(PATH, 1, [7, b"pp"])
+        # A batch of 250 x 100 B messages: the memo's home ground.
+        frame = encode_frame(PATH, 1, [bytes(100)] * 250)
+        assert len(frame) <= FASTPATH_MEMO_FRAME_MAX
         first = frame_fastpath(frame)[2]
-        second = frame_fastpath(bytes(frame))[2]
-        assert first is second  # downstream digest caches key off this
+        second = frame_fastpath(memoryview(bytes(frame)))[2]
+        assert first is second  # a hit returns the memoized parse, uncopied
 
     def test_rejects_batches_and_malformed(self):
         frame = encode_frame(PATH, 1, None)
@@ -255,21 +258,45 @@ class TestFrameFastpath:
         assert len(_fastpath_memo) <= _FASTPATH_MEMO_MAX
 
     def test_memo_pins_at_most_its_byte_budget(self):
-        """A stream of batch-sized frames (100 x 8 KiB messages) stays
-        within the byte budget, and the newest frame stays memoized."""
+        """A stream of batch-sized frames (100 x 8 KiB messages) pins
+        nothing; frames up to the size cap are kept, the newest stays
+        memoized, and what the memo pins stays within the entry cap
+        times a capped frame plus its payload region."""
         from repro.core import wire
 
         big = [bytes(8192)] * 100
         for i in range(60):
             frame = encode_frame(PATH, i % 3, big)
-            first = frame_fastpath(frame)
-            pinned = sum(
-                len(key) + (len(parsed[2]) if parsed else 0)
-                for key, parsed in wire._fastpath_memo.items()
-            )
-            assert pinned == wire._fastpath_memo_bytes <= wire.FASTPATH_MEMO_BYTES
-        assert frame_fastpath(bytes(frame)) is first
-        assert len(wire._fastpath_memo) < 20
+            key, mtype, raw = frame_fastpath(frame)
+            assert (key, mtype) == (frame_path_key(frame), i % 3)
+            assert decode_value(raw) == big
+            assert not wire._fastpath_memo
+        cap = FASTPATH_MEMO_FRAME_MAX
+        head = len(encode_frame(PATH, 1, b""))
+        for i in range(40):
+            frame_fastpath(encode_frame(PATH, 1, bytes([i]) * (cap - head + 1)))
+            first = frame_fastpath(encode_frame(PATH, 1, bytes([i]) * (cap - head)))
+        assert len(wire._fastpath_memo) == 40
+        assert max(map(len, wire._fastpath_memo)) == cap
+        assert frame_fastpath(encode_frame(PATH, 1, bytes([39]) * (cap - head))) is first
+        pinned = sum(
+            len(key) + (len(parsed[2]) if parsed else 0)
+            for key, parsed in wire._fastpath_memo.items()
+        )
+        assert pinned <= len(wire._fastpath_memo) * 2 * cap
+
+    def test_large_batch_member_parses_in_place_into_owned_bytes(self):
+        from repro.core import wire
+
+        frame = encode_frame(PATH, 2, [bytes(8192)] * 8)
+        assert len(frame) > FASTPATH_MEMO_FRAME_MAX
+        (member,) = decode_batch_views(encode_batch([frame]))
+        key, mtype, raw = frame_fastpath(member)
+        assert type(key) is bytes and type(raw) is bytes
+        assert (key, mtype, raw) == (frame_path_key(frame), 2, encode_value([bytes(8192)] * 8))
+        (truncated,) = decode_batch_views(encode_batch([frame[:-1]]))
+        assert frame_fastpath(truncated) is None
+        assert not wire._fastpath_memo
 
 
 # -- lazy mbufs ----------------------------------------------------------------

@@ -501,3 +501,71 @@ def test_run_burst_runs_the_paper_rb(monkeypatch):
     )
     assert run_burst(4, 10, seed=0).delivered == 4
     assert echoes
+
+
+class TestReleaseAtDelivery:
+    """A delivered instance holds its payload once, as the decoded value:
+    the raw encodings go once the push is out, and late frames neither
+    bring them back nor fail."""
+
+    def deliver_without_init(self, stack, payload):
+        rb = stack.create("rb", ("b",), sender=0)
+        delivered = delivered_values(rb)
+        for src in (0, 2, 3):
+            feed(stack, ("b",), MSG_READY, digest(payload), src=src)
+        feed(stack, ("b",), MSG_PAYLOAD, payload, src=2)
+        assert delivered == [payload] and rb._raws == {}
+        return rb, delivered
+
+    def test_delivered_instance_holds_no_raw_payload(self):
+        stack, _ = lone_stack(pid=1)
+        rb = stack.create("rb", ("b",), sender=0)
+        feed(stack, ("b",), MSG_INIT, b"m" * 100, src=0)
+        feed(stack, ("b",), MSG_PAYLOAD, b"m-prime", src=3)
+        assert len(rb._raws) == 2
+        for src in (0, 2, 3):
+            feed(stack, ("b",), MSG_READY, digest(b"m" * 100), src=src)
+        assert rb.delivered and rb.delivered_value == b"m" * 100
+        assert rb._raws == {}
+
+    def test_late_frames_after_delivery_are_ignored(self):
+        stack, sent = lone_stack(pid=1)
+        rb, delivered = self.deliver_without_init(stack, b"m")
+        sent.clear()
+        feed(stack, ("b",), MSG_INIT, b"m", src=0)
+        feed(stack, ("b",), MSG_PAYLOAD, b"m", src=3)
+        for src in (0, 2, 3):
+            feed(stack, ("b",), MSG_ECHO, digest(b"m"), src=src)
+        feed(stack, ("b",), MSG_READY, digest(b"m"), src=1)
+        # The late INIT is still echoed, and nothing else leaves.
+        assert sent_mtypes(sent) == [MSG_ECHO] * 4
+        assert sent_payloads(sent) == [digest(b"m")] * 4
+        assert delivered == [b"m"] and rb._raws == {}
+        assert sum(stack.stats.dropped.values()) == 0
+
+    def test_paper_rb_echoes_a_late_init_without_holding_it(self):
+        stack, sent = paper_stack()
+        rb, delivered = self.deliver_without_init(stack, b"m" * 100)
+        sent.clear()
+        feed(stack, ("b",), MSG_INIT, b"m" * 100, src=0)
+        feed(stack, ("b",), MSG_ECHO, b"m" * 100, src=3)
+        assert sent_payloads(sent) == [b"m" * 100] * 4
+        assert delivered == [b"m" * 100] and rb._raws == {}
+        assert sum(stack.stats.dropped.values()) == 0
+
+    def test_digest_forger_payload_echo_after_delivery(self):
+        """The forger's payload-carrying ECHO sends the INIT it was handed,
+        so it needs no held payload, even on a delivered instance."""
+        from repro.adversary.strategies import _PAYLOAD_ECHO, digest_forge_faultload
+
+        sent = []
+        factory = digest_forge_faultload(ProtocolFactory.default())
+        stack = Stack(
+            GroupConfig(4), 1, outbox=lambda d, b: sent.append((d, b)), factory=factory
+        )
+        rb, delivered = self.deliver_without_init(stack, b"m")
+        type(rb).sent[(MSG_ECHO, 0)] = _PAYLOAD_ECHO  # the next ECHO carries the payload
+        sent.clear()
+        feed(stack, ("b",), MSG_INIT, b"m", src=0)
+        assert sent_payloads(sent) == [b"m"] * 4
+        assert delivered == [b"m"] and rb._raws == {}
