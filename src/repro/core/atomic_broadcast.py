@@ -24,7 +24,10 @@ Two conceptual tasks:
    ``W_i``, the batches present in ``f + 1`` or more of them (so every
    chosen batch was vouched for by a correct process, and RB totality
    brings its content everywhere), and proposes ``W_i`` to multi-valued
-   consensus.
+   consensus.  A process opens a round once it holds an unordered batch
+   or a peer's vector for the round.  A batch that delivers inside a
+   flush window with ``config.batching`` on opens it as the window
+   closes, so one vector names every batch the window delivered.
 
 A non-⊥ decision is delivered batch by batch in ``(sender, first,
 last)`` order, ids inside a batch in rbid order, each message on its
@@ -53,7 +56,7 @@ from repro.core.errors import BackpressureError, ProtocolViolationError
 from repro.core.mbuf import Mbuf
 from repro.core.stack import ORPHAN_STALE, ControlBlock, Stack
 from repro.core.stats import PURPOSE_AGREEMENT, PURPOSE_PAYLOAD
-from repro.core.wire import Path, encode_value
+from repro.core.wire import Path, encode_payload_item, encode_value, splice_list_payload
 from repro.crypto.hashing import hash_bytes
 
 #: (sender pid, sender-local broadcast id)
@@ -227,9 +230,9 @@ class AtomicBroadcast(ControlBlock):
     ):
         super().__init__(stack, path, parent, purpose)
         self._next_rbid = 0
-        # Payloads broadcast in the open flush window, not yet sent: ids
-        # _next_rbid - len(_batch) .. _next_rbid - 1.
-        self._batch: list[Any] = []
+        # Encoded payloads broadcast in the open flush window, not yet
+        # sent: ids _next_rbid - len(_batch) .. _next_rbid - 1.
+        self._batch: list[bytes] = []
         self._open_msg_instances: dict[int, int] = {}
         # Well-formed RB-delivered batch contents still needed: vouched
         # for, or bound to scheduled ids.  Forgotten when the last id
@@ -307,6 +310,8 @@ class AtomicBroadcast(ControlBlock):
         once, as a batch of one.
 
         Raises:
+            TypeError, ValueError: *payload* cannot be encoded (a type
+                the codec lacks, or nested too deep); no id is taken.
             BackpressureError: ``config.ab_pending_cap`` locally
                 submitted messages are still undelivered -- admitting
                 more would only grow queues everywhere.  Resubmit after
@@ -323,15 +328,18 @@ class AtomicBroadcast(ControlBlock):
         return self._send_msg(payload)
 
     def _send_msg(self, payload: Any) -> MsgId:
+        # Encoded here, once: an unencodable payload is refused before it
+        # takes an id, and never fails the window close that sends it.
+        raw = encode_payload_item(payload)
         rbid = self._next_rbid
         self._next_rbid += 1
         self.stack.stats.record_submit(self.path, rbid)
         if not self._batch and not (
             self.config.batching and self.stack.at_window_close(self._flush_batch)
         ):
-            self._send_batch(rbid, [payload])
+            self._send_batch(rbid, [raw])
             return (self.me, rbid)
-        self._batch.append(payload)
+        self._batch.append(raw)
         if len(self._batch) >= MAX_BATCH_MSGS:
             self._flush_batch()
         return (self.me, rbid)
@@ -342,10 +350,10 @@ class AtomicBroadcast(ControlBlock):
         if batch and not self.destroyed:
             self._send_batch(self._next_rbid - len(batch), batch)
 
-    def _send_batch(self, first: int, payloads: list) -> None:
-        last = first + len(payloads) - 1
+    def _send_batch(self, first: int, raws: list[bytes]) -> None:
+        last = first + len(raws) - 1
         rb = self._open_msg_instance(self.me, first, last)
-        rb.broadcast(payloads)  # type: ignore[attr-defined]
+        rb.broadcast_raw(splice_list_payload(raws))  # type: ignore[attr-defined]
 
     @property
     def delivered_count(self) -> int:
@@ -732,7 +740,12 @@ class AtomicBroadcast(ControlBlock):
         if batch in self._bound or self._unordered(batch):
             self._batches[batch] = content
             self._drain_delivery_queue()
-            self._maybe_start_round()
+            # Inside a flush window the round opens when it closes, so the
+            # vector names every batch the inbound unit delivers.
+            if self._round not in self._vect_sent and not (
+                self.config.batching and self.stack.at_window_close(self._maybe_start_round)
+            ):
+                self._maybe_start_round()
         else:
             # Every id is delivered, or bound to another batch: this one
             # can never be delivered from.
@@ -766,7 +779,7 @@ class AtomicBroadcast(ControlBlock):
         """Send our AB_VECT for the current round once there is a reason to:
         we hold unordered batches, or a peer opened the round."""
         round_number = self._round
-        if round_number in self._vect_sent:
+        if round_number in self._vect_sent or self.destroyed:
             return
         pending = self._pending_batches()
         if not pending and not self._round_vects.get(round_number):

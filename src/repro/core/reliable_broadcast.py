@@ -116,11 +116,16 @@ class ReliableBroadcast(ControlBlock):
 
     def broadcast(self, payload: Any) -> None:
         """Start the broadcast.  Only the designated sender may call this."""
+        self.broadcast_raw(encode_payload(payload))
+
+    def broadcast_raw(self, raw: bytes) -> None:
+        """:meth:`broadcast` for a payload already encoded as a frame
+        payload region (:func:`~repro.core.wire.encode_payload`, or
+        :func:`~repro.core.wire.splice_list_payload`)."""
         if self.me != self.sender:
             raise ProtocolViolationError(
                 f"p{self.me} cannot broadcast on instance owned by p{self.sender}"
             )
-        raw = encode_payload(payload)
         self.stack.stats.record_broadcast(self.protocol, self.purpose, self.path, len(raw))
         self.send_all_raw(MSG_INIT, raw)
 

@@ -94,6 +94,7 @@ _SMALL_INT_ENC = tuple(
     b"\x03" + _pack_u32(len(raw := i.to_bytes((i.bit_length() + 8) // 8 + 1, "big"))) + raw
     for i in range(256)
 )
+_LIST_HEAD = bytes([_T_LIST])
 
 
 def encode_value(value: Any) -> bytes:
@@ -111,6 +112,22 @@ def encode_payload(value: Any) -> bytes:
     out = bytearray()
     _encode_into(out, value, 1)
     return bytes(out)
+
+
+def encode_payload_item(value: Any) -> bytes:
+    """:func:`encode_payload` for one item of a list payload: the region
+    :func:`splice_list_payload` joins, so a sender refuses an
+    unencodable item when it is handed over, not when its list is sent."""
+    out = bytearray()
+    _encode_into(out, value, 2)
+    return bytes(out)
+
+
+def splice_list_payload(items: Sequence[bytes]) -> bytes:
+    """The payload region of a list whose items were each encoded by
+    :func:`encode_payload_item`: byte-identical to :func:`encode_payload`
+    over the decoded list, by canonicality."""
+    return b"".join((_LIST_HEAD, _pack_u32(len(items)), *items))
 
 
 def _encode_into(out: bytearray, value: Any, depth: int) -> None:

@@ -1,13 +1,24 @@
 """Atomic broadcast batches: one reliable broadcast per flush window,
 one id per message, and the receive, skip and reclaim rules."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import atomic_broadcast
 from repro.core.config import GroupConfig
-from repro.core.reliable_broadcast import MSG_INIT
+from repro.core.reliable_broadcast import MSG_ECHO, MSG_INIT, MSG_READY
+from repro.core.wire import (
+    decode_batch_views,
+    decode_frame_ex,
+    encode_batch,
+    encode_frame,
+    encode_payload,
+    is_batch,
+)
+from repro.crypto.hashing import hash_bytes
 
-from util import InstantNet
+from util import InstantNet, ShuffleNet
 
 AB = ("ab",)
 
@@ -182,3 +193,111 @@ def test_footprint_flat_across_batched_windows():
     assert footprint() == after_20
     assert ab_of(net, 0).delivered_count == 60 * 12
     assert all(batches == 0 for _, batches in after_20)
+
+
+def test_unencodable_payload_is_refused_before_it_takes_an_id():
+    """Inside a window the refusal comes at the call, so the window's
+    other messages still go out; outside one it takes no id either."""
+    net = InstantNet(4)
+    orders = setup(net)
+    ab = ab_of(net, 0)
+    with net.stacks[0].coalesce():
+        assert ab.broadcast(b"good") == (0, 0)
+        with pytest.raises(TypeError):
+            ab.broadcast(1.5)
+    with pytest.raises(TypeError):
+        ab.broadcast(1.5)
+    nested = b"deep"
+    for _ in range(20):
+        nested = [nested]
+    with pytest.raises(ValueError):
+        ab.broadcast(nested)
+    assert ab.broadcast(b"next") == (0, 1)
+    net.run()
+    assert all(order == [(0, 0, b"good"), (0, 1, b"next")] for order in orders.values())
+    assert ab.pending_local == 0
+
+
+def _frames(units):
+    """Decoded ``(path, mtype, payload)`` of every frame in *units*."""
+    out = []
+    for data in units:
+        for frame in decode_batch_views(data) if is_batch(data) else [data]:
+            path, mtype, payload, _ = decode_frame_ex(frame)
+            out.append((path, mtype, payload))
+    return out
+
+
+def _vects_sent(net, pid, round_number=0):
+    """Payloads of the AB_VECT INITs *pid* queued for round *round_number*."""
+    path = AB + ("vect", round_number, pid)
+    units = [data for src, _, data in net.queue if src == pid]
+    return [p for f_path, mtype, p in _frames(units) if f_path == path and mtype == MSG_INIT]
+
+
+def _deliver_in_one_unit(net, batches):
+    """Bring each batch in *batches* (a batch of one message from its
+    sender) to p0 up to one READY short of delivery, then hand p0 the
+    last READY of every batch in one channel unit from p3."""
+    p0 = net.stacks[0]
+
+    def frame(batch, mtype, payload):
+        return encode_frame(AB + ("msg",) + batch, mtype, payload)
+
+    votes = {}
+    for batch in batches:
+        content = [b"m%d" % batch[0]]
+        votes[batch] = vote = hash_bytes(encode_payload(content))
+        p0.receive(batch[0], frame(batch, MSG_INIT, content))
+        for src in (1, 2, 3):
+            p0.receive(src, frame(batch, MSG_ECHO, vote))
+        for src in (1, 2):  # p0's own READY goes out, never back
+            p0.receive(src, frame(batch, MSG_READY, vote))
+    assert not ab_of(net, 0)._batches and not _vects_sent(net, 0)
+    net.queue.clear()
+    p0.receive(3, encode_batch([frame(b, MSG_READY, votes[b]) for b in batches]))
+    assert sorted(ab_of(net, 0)._batches) == batches
+
+
+def test_a_unit_that_delivers_several_batches_opens_one_round_naming_them_all():
+    net = InstantNet(4)
+    setup(net)
+    batches = [(1, 0, 0), (2, 0, 0), (3, 0, 0)]
+    _deliver_in_one_unit(net, batches)
+    vect = atomic_broadcast.encode_batches(batches)
+    assert _vects_sent(net, 0) == [vect] * 4  # one INIT per destination
+
+
+def test_without_batching_the_round_opens_at_the_first_delivery():
+    net = InstantNet(config=GroupConfig(4, batching=False))
+    setup(net)
+    _deliver_in_one_unit(net, [(1, 0, 0), (2, 0, 0), (3, 0, 0)])
+    assert _vects_sent(net, 0) == [[[1, 0, 0]]] * 4
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_vect_per_round_per_process(seed):
+    net = ShuffleNet(4, seed=seed)
+    orders = setup(net)
+    sent = Counter()
+    enqueue = net.enqueue
+
+    def counting(src, dest, data):
+        if src == dest:  # a broadcast's own copy: one per send
+            for path, mtype, _ in _frames([data]):
+                if path[1:2] == ("vect",) and path[3] == src and mtype == MSG_INIT:
+                    sent[(src, path[2])] += 1
+        enqueue(src, dest, data)
+
+    net.enqueue = counting
+    for wave in range(5):
+        for pid in range(4):
+            with net.stacks[pid].coalesce():
+                for k in range(3):
+                    ab_of(net, pid).broadcast(b"%d-%d-%d" % (wave, pid, k))
+        net.run()
+    assert sent and set(sent.values()) == {1}
+    for pid in range(4):
+        rounds = sorted(r for src, r in sent if src == pid)
+        assert rounds == list(range(len(rounds)))
+    assert all(order == orders[0] and len(order) == 60 for order in orders.values())

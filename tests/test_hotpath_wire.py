@@ -29,10 +29,13 @@ from repro.core.wire import (
     encode_frame,
     encode_frame_from_prefix_raw,
     encode_frame_prefix,
+    encode_payload,
+    encode_payload_item,
     encode_value,
     fastpath_memo_clear,
     frame_fastpath,
     frame_path_key,
+    splice_list_payload,
 )
 from repro.crypto.hashing import hash_bytes
 
@@ -352,6 +355,25 @@ class TestRawSplice:
             block2.send_all_raw(2, encode_value(payload))
             assert [data for _, data in sent2] == plain
             assert stack2.stats.frames_sent == stack.stats.frames_sent
+
+    def test_spliced_list_payload_is_byte_identical_to_encode_payload(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            items = [_random_value(rng) for _ in range(rng.randrange(4))]
+            spliced = splice_list_payload([encode_payload_item(v) for v in items])
+            assert spliced == encode_payload(items)
+        # An item is refused at exactly the depth its list would be.
+        for depth in range(12, 17):
+            item: list = []
+            for _ in range(depth - 1):
+                item = [item]
+            try:
+                whole = encode_payload([item])
+            except ValueError:
+                with pytest.raises(ValueError):
+                    encode_payload_item(item)
+            else:
+                assert splice_list_payload([encode_payload_item(item)]) == whole
 
     def test_broadcast_raw_without_cached_prefix(self):
         stack, sent = self._stack_and_outbox()
