@@ -33,17 +33,6 @@ class KvCommand:
         *expected* (``None`` = key absent)."""
         return Command("cas", [key, expected, value])
 
-    @staticmethod
-    def mput(pairs: list[tuple[str, bytes]]) -> Command:
-        """Atomic multi-put: all pairs apply at one serialization point.
-
-        In a sharded deployment the gateway only admits an mput whose
-        keys share one owning shard (cross-shard writes are forbidden;
-        see :mod:`repro.shard.router`), so atomicity never needs more
-        than one AB stream.
-        """
-        return Command("mput", [[[key, value] for key, value in pairs]])
-
 
 def _apply_kv(state: dict[str, bytes], command: Command) -> tuple[dict, Any]:
     if command.op == "put" and len(command.args) == 2:
@@ -55,20 +44,6 @@ def _apply_kv(state: dict[str, bytes], command: Command) -> tuple[dict, Any]:
         (key,) = command.args
         if isinstance(key, str):
             return state, state.pop(key, None) is not None
-    elif command.op == "mput" and len(command.args) == 1:
-        (pairs,) = command.args
-        if isinstance(pairs, list) and all(
-            isinstance(pair, list)
-            and len(pair) == 2
-            and isinstance(pair[0], str)
-            and isinstance(pair[1], bytes)
-            for pair in pairs
-        ):
-            # All-or-nothing by construction: validation precedes any
-            # mutation, and one apply is one serialization point.
-            for key, value in pairs:
-                state[key] = value
-            return state, len(pairs)
     elif command.op == "cas" and len(command.args) == 3:
         key, expected, value = command.args
         if (
@@ -129,9 +104,6 @@ class ReplicatedKvStore:
 
     def cas(self, key: str, expected: bytes | None, value: bytes) -> None:
         self._rsm.submit(KvCommand.cas(key, expected, value))
-
-    def mput(self, pairs: list[tuple[str, bytes]]) -> None:
-        self._rsm.submit(KvCommand.mput(pairs))
 
     # Backpressure-aware variants: False means admission was refused
     # (``config.ab_pending_cap`` local writes still undelivered) -- the

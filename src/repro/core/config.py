@@ -65,15 +65,6 @@ class GroupConfig:
             Ben-Or coin); "shared": the runtimes deal a Rabin-style
             shared coin so every correct process sees the same toss per
             (instance, round).  Must be identical group-wide.
-        group_tag: name scoping this group's cryptographic material and
-            seeded RNG streams when several independent groups (shards)
-            coexist in one process or share one seed.  Two groups with
-            the same ``(seed, n)`` but different tags get disjoint MAC
-            keys, coin sequences, and RNG streams.  The empty default
-            leaves every derivation byte-identical to the untagged
-            behaviour, so single-group deployments and deterministic
-            replays are unaffected.  Must be identical group-wide and
-            must not contain ``/`` (the seed-derivation separator).
     """
 
     num_processes: int
@@ -85,7 +76,6 @@ class GroupConfig:
     send_queue_max_frames: int = 0
     bc_engine: str = "bracha"
     bc_coin: str = "local"
-    group_tag: str = ""
 
     def __post_init__(self) -> None:
         if self.num_processes < 1:
@@ -115,12 +105,6 @@ class GroupConfig:
             raise ConfigurationError(
                 f"bc_coin must be 'local' or 'shared', got {self.bc_coin!r}"
             )
-        if not isinstance(self.group_tag, str):
-            raise ConfigurationError("group_tag must be a string")
-        if "/" in self.group_tag:
-            raise ConfigurationError(
-                "group_tag must not contain '/' (seed-derivation separator)"
-            )
         if self.bc_engine == "crain" and self.bc_coin != "shared":
             # The stack also enforces requires_common_coin generically at
             # build time; failing here catches the known-bad combination
@@ -128,24 +112,6 @@ class GroupConfig:
             raise ConfigurationError(
                 "bc_engine='crain' needs a common coin: set bc_coin='shared'"
             )
-
-    def scoped_seed(self, base: str) -> str:
-        """Scope a seed-derivation string to this group.
-
-        Returns ``base`` untouched for an untagged group (preserving
-        byte-identical derivations with pre-sharding deployments) and
-        ``"{base}/g:{group_tag}"`` otherwise, so same-seed groups with
-        different tags draw disjoint keys, coins, and RNG streams.
-        """
-        if not self.group_tag:
-            return base
-        return f"{base}/g:{self.group_tag}"
-
-    def scoped_seed_bytes(self, base: bytes) -> bytes:
-        """Bytes flavour of :meth:`scoped_seed` for key-material seeds."""
-        if not self.group_tag:
-            return base
-        return base + b"/g:" + self.group_tag.encode()
 
     @property
     def n(self) -> int:

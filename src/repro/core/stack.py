@@ -346,12 +346,7 @@ class Stack:
         self.process_id = process_id
         self._outbox = outbox
         if keystore is None:
-            # Scoped by group_tag: two same-n groups hosted in one
-            # process must not share pairwise MAC keys.
-            dealer = TrustedDealer(
-                config.num_processes,
-                seed=config.scoped_seed_bytes(b"repro-default-dealer"),
-            )
+            dealer = TrustedDealer(config.num_processes, seed=b"repro-default-dealer")
             keystore = dealer.keystore_for(process_id)
         self.keystore = keystore
         self.rng = rng if rng is not None else random.Random()

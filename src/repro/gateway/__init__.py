@@ -31,14 +31,13 @@ from repro.gateway.protocol import (
     STATUS_ERROR,
     STATUS_OK,
     STATUS_RETRY,
-    STATUS_WRONG_SHARD,
     ClientProtocolError,
     decode_request,
     decode_response,
     encode_request,
     encode_response,
 )
-from repro.gateway.server import ClientGateway, GatewayServices, attach_router
+from repro.gateway.server import ClientGateway, GatewayServices
 
 __all__ = [
     "ClientGateway",
@@ -60,6 +59,4 @@ __all__ = [
     "STATUS_OK",
     "STATUS_RETRY",
     "STATUS_ERROR",
-    "STATUS_WRONG_SHARD",
-    "attach_router",
 ]

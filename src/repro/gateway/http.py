@@ -7,10 +7,9 @@ a human with ``curl``.
 
 Routes::
 
-    GET /metrics   Prometheus text exposition 0.0.4 of every hosted
-                   group's registry -- protocol metrics, each series
-                   under its group label -- plus the gateway_* family
-                   once (gauges freshly sampled per scrape)
+    GET /metrics   Prometheus text exposition 0.0.4 of the gateway
+                   node's registry: protocol metrics plus the gateway_*
+                   family (gauges freshly sampled per scrape)
     GET /status    JSON gateway snapshot (sessions, in-flight ops,
                    admission state)
     GET /healthz   200 "ok" while the gateway accepts sessions
@@ -53,9 +52,9 @@ def render(gateway, target: str, method: str = "GET") -> bytes:
     path = target.split("?", 1)[0]
     if path == "/metrics":
         gateway.sample_gauges()
-        for node in gateway.nodes:
-            node.sample_metrics()
-        text = to_prometheus(node.metrics for node in gateway.nodes if node.metrics.enabled)
+        node = gateway.node
+        node.sample_metrics()
+        text = to_prometheus([node.metrics] if node.metrics.enabled else [])
         return _response(
             "200 OK", text.encode("utf-8"), "text/plain; version=0.0.4; charset=utf-8"
         )

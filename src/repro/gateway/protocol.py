@@ -10,10 +10,10 @@ byte as untrusted input rather than authenticating it::
     ...  canonically encoded value (repro.core.wire codec)
 
 Requests are ``[request_id, op, args...]``; responses are
-``[request_id, status, detail]``.  Request ids are chosen by the client
-and only need to be unique per connection -- the gateway echoes them
-back, which is what lets a session keep many operations in flight
-(pipelining) over one stream.
+``[request_id, status, detail]``.  Request ids are non-negative ints
+chosen by the client that only need to be unique per connection -- the
+gateway echoes them back, which is what lets a session keep many
+operations in flight (pipelining) over one stream.
 
 Statuses:
 
@@ -23,11 +23,6 @@ Statuses:
   bound (:class:`repro.core.errors.BackpressureError`); *detail* is
   ``[pending, cap, retry_after_ms]``.  The operation was **not**
   replicated; the client should back off and resubmit.
-- ``wrong-shard`` -- the key's owning shard is not hosted by this
-  gateway, or a multi-key op spans shards (forbidden; see
-  :mod:`repro.shard.router`).  *detail* is ``[owner_index, owner_name,
-  message]`` -- the owner hint a client uses to redirect.  The
-  operation was **not** replicated.
 - ``error`` -- the request was malformed or named an unknown op;
   *detail* is a message string.
 
@@ -54,7 +49,6 @@ MAX_CLIENT_FRAME = 4 * 1024 * 1024
 STATUS_OK = "ok"
 STATUS_RETRY = "retry-after"
 STATUS_ERROR = "error"
-STATUS_WRONG_SHARD = "wrong-shard"
 
 #: Request id echoed on ``error`` responses whose originating request id
 #: could not be recovered (undecodable or shapeless body).  Reserved:
@@ -68,7 +62,6 @@ OPS = {
     "get": 1,  # key
     "delete": 1,  # key
     "cas": 3,  # key, expected, value
-    "mput": 1,  # [[key, value], ...] -- atomic, must be single-shard
     "ping": 0,
 }
 
@@ -82,9 +75,10 @@ class ClientProtocolError(Exception):
 
     ``request_id`` carries the originating request's id when the decoder
     got far enough to recover it (wrong arity, unknown op, bad shape
-    with an int leader), letting the server's ``error`` response
-    correlate; it is ``None`` -- answered as :data:`UNCORRELATED_ID` --
-    when nothing trustworthy could be read.
+    with a non-negative int leader), letting the server's ``error``
+    response correlate; it is ``None`` -- answered as
+    :data:`UNCORRELATED_ID` -- when nothing trustworthy could be read,
+    including a negative or ``bool`` id.
     """
 
     request_id: int | None = None
@@ -110,10 +104,11 @@ def decode_request(body: bytes) -> tuple[int, str, list[Any]]:
     """Decode and shape-check one request body.
 
     Raises:
-        ClientProtocolError: undecodable body, wrong shape, unknown op,
-            or wrong argument arity -- the gateway answers ``error``
-            (with the request id when one could be recovered) rather
-            than dropping the connection.
+        ClientProtocolError: undecodable body, wrong shape, a request
+            id that is not a non-negative int, unknown op, or wrong
+            argument arity -- the gateway answers ``error`` (with the
+            request id when one could be recovered) rather than dropping
+            the connection.
     """
     try:
         decoded = decode_value(body)
@@ -121,14 +116,17 @@ def decode_request(body: bytes) -> tuple[int, str, list[Any]]:
         raise ClientProtocolError(f"undecodable request: {exc}") from None
     # Recover the request id whenever the leading element parses as one,
     # even if the rest of the shape is wrong -- an error the client can
-    # correlate beats an UNCORRELATED_ID it can only log.
+    # correlate beats an UNCORRELATED_ID it can only log.  A negative id
+    # (UNCORRELATED_ID among them) or a bool is refused uncorrelated:
+    # echoed, it would pass for the sentinel or for another request.
     recovered: int | None = None
-    if isinstance(decoded, list) and decoded and isinstance(decoded[0], int):
-        recovered = decoded[0]
+    if isinstance(decoded, list) and decoded:
+        leader = decoded[0]
+        if type(leader) is int and leader >= 0:
+            recovered = leader
     if (
-        not isinstance(decoded, list)
+        recovered is None
         or len(decoded) != 3
-        or not isinstance(decoded[0], int)
         or not isinstance(decoded[1], str)
         or not isinstance(decoded[2], list)
     ):

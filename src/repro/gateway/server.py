@@ -1,5 +1,9 @@
 """The client gateway: thousands of sessions multiplexed onto one replica.
 
+A gateway fronts exactly one replicated KV store -- one group, one
+atomic-broadcast stream, as in the paper.  A process that takes part in
+several groups runs one node and one gateway per group.
+
 This is the front door the paper's evaluation never needed (its clients
 were the harness itself) and the ROADMAP's "heavy traffic" story does:
 an asyncio server riding on a :class:`~repro.transport.tcp.RitasNode`
@@ -25,17 +29,14 @@ Write correlation uses the atomic-broadcast message id: every ordered
 submission returns its ``(sender, rbid)`` and the state machine's
 ``on_applied`` hook reports that id back at apply time, so responses
 are matched exactly -- never by submission order, which asynchrony is
-allowed to permute.  The pending table keys the id together with the
-shard index, because every shard's KV store rides its own AB instance
-and their rbid counters overlap.  The id is echoed to the client in
-every ``ok`` detail, which is what lets a load generator audit "zero
-lost or duplicated acknowledged writes" against the replicated log.
+allowed to permute.  The id is echoed to the client in every ``ok``
+detail, which is what lets a load generator audit "zero lost or
+duplicated acknowledged writes" against the replicated log.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import logging
 import time
 from collections import deque
@@ -44,21 +45,17 @@ from typing import Any
 
 from repro.apps.kv_store import KvCommand, ReplicatedKvStore
 from repro.apps.state_machine import Command, ReplicatedStateMachine
-from repro.core.stack import Stack
 from repro.gateway.protocol import (
     READ_OPS,
     STATUS_ERROR,
     STATUS_OK,
     STATUS_RETRY,
-    STATUS_WRONG_SHARD,
     UNCORRELATED_ID,
     ClientProtocolError,
     FrameReader,
     decode_request,
     encode_response,
 )
-from repro.shard.ring import ShardMap
-from repro.shard.router import ShardRouter, WrongShardError
 from repro.transport.tcp import RitasNode
 
 logger = logging.getLogger(__name__)
@@ -95,42 +92,17 @@ SWEEP_INTERVAL_S = 1.0
 
 @dataclass
 class GatewayServices:
-    """The replicated KV store a gateway fronts, on the node it was
-    attached to.
+    """The replicated KV store a gateway fronts.
 
     Every replica of the group attaches the same store (writes apply
-    group-wide); the gateway rides on one -- or several, each with its
-    own gateway -- of them.
+    group-wide); the gateway rides on one of them.
     """
 
-    node: RitasNode
     kv: ReplicatedKvStore
 
     @classmethod
     def attach(cls, node: RitasNode) -> "GatewayServices":
-        return cls(node=node, kv=ReplicatedKvStore(node.stack.create("ab", SERVICE_PATH_KV)))
-
-
-def attach_router(
-    nodes: "list[RitasNode]",
-    shard_map: ShardMap,
-    hosted: "list[int] | None" = None,
-) -> ShardRouter:
-    """Attach gateway services to this process's nodes -- one node per
-    group, in *shard_map*'s name order -- and wrap them in a
-    :class:`~repro.shard.router.ShardRouter`.
-
-    *hosted* restricts which shards this gateway fronts (default: every
-    node given) -- operations owned by unhosted shards are answered
-    ``wrong-shard`` with the owner hint.
-    """
-    if len(nodes) > len(shard_map):
-        raise ValueError(f"{len(nodes)} nodes but the map names {len(shard_map)} shards")
-    if hosted is None:
-        hosted = list(range(len(nodes)))
-    return ShardRouter(
-        shard_map, {index: GatewayServices.attach(nodes[index]) for index in hosted}
-    )
+        return cls(kv=ReplicatedKvStore(node.stack.create("ab", SERVICE_PATH_KV)))
 
 
 class _Session:
@@ -188,17 +160,9 @@ class ClientGateway:
         node: the replica this gateway rides on (must be started by the
             caller; the gateway shares its event loop and records the
             ``gateway_*`` metrics into its registry).
-        services: the replicated store to front -- either one
-            :class:`GatewayServices` (unsharded; attach the same
-            store on every replica) or a
-            :class:`~repro.shard.router.ShardRouter` (from
-            :func:`attach_router`), in which case every client op is
-            demultiplexed to the shard owning its key and ops owned by
-            unhosted shards are answered ``wrong-shard`` with the
-            ``[owner_index, owner_name, message]`` redirect hint.
-            Multi-key ops (``mput``) whose keys span shards are
-            *forbidden* and answered the same way (cross-shard commits
-            are measured, not executed; see ROADMAP).
+        services: the replicated store to front, attached to *node*
+            (:meth:`GatewayServices.attach`; attach the same store on
+            every replica).
         local_reads: serve ``get`` from the local replica's current
             state instead of ordering it -- cheap but stale by up to the
             replica's delivery lag; see docs/GATEWAY.md for the caveats.
@@ -209,43 +173,20 @@ class ClientGateway:
     def __init__(
         self,
         node: RitasNode,
-        services: "GatewayServices | ShardRouter",
+        services: GatewayServices,
         *,
         local_reads: bool = False,
         max_sessions: int = 10_000,
     ):
         self.node = node
-        #: The routing tier; a plain GatewayServices is wrapped as a
-        #: single-shard router, so there is exactly one request path.
-        self.router: ShardRouter = (
-            services
-            if isinstance(services, ShardRouter)
-            else ShardRouter.single(services)
-        )
-        if not self.router.services:
-            raise ValueError("gateway needs at least one hosted shard")
-        #: First hosted shard's services (unsharded callers see their
-        #: original object here).
-        self.services: GatewayServices = self.router.services[self.router.hosted[0]]
-        hosted_nodes = [self.router.services[index].node for index in self.router.hosted]
-        # The stacks whose coalescing windows bracket request handling:
-        # each hosted group contributes its own.
-        self._hosted_stacks: list[Stack] = [each.stack for each in hosted_nodes]
-        #: The nodes whose registries ``/metrics`` exports: this one
-        #: (which also records the ``gateway_*`` family) and every
-        #: hosted group's.
-        self.nodes: list[RitasNode] = list(dict.fromkeys([node, *hosted_nodes]))
+        self.services = services
         self.local_reads = local_reads
         self.max_sessions = max_sessions
         self._server: asyncio.base_events.Server | None = None
         self._http_server: asyncio.base_events.Server | None = None
         self._sessions: dict[int, _Session] = {}
-        #: Keyed by (shard index, AB msg_id).  The shard index matters:
-        #: every shard's kv store is its own AtomicBroadcast instance
-        #: whose rbid counter starts at 0, so a bare (sender, rbid) is
-        #: NOT unique across shards -- pipelined first puts on two
-        #: shards would collide and settle each other's requests.
-        self._pending: dict[tuple[int, tuple[int, int]], _PendingOp] = {}
+        #: Keyed by AB msg_id ``(sender, rbid)``.
+        self._pending: dict[tuple[int, int], _PendingOp] = {}
         self._next_sid = 0
         self._sweep_task: asyncio.Task | None = None
         self._closed = False
@@ -254,7 +195,6 @@ class ClientGateway:
         self.ops_retry_after = 0
         self.ops_error = 0
         self.ops_timeout = 0
-        self.ops_wrong_shard = 0
         self.sessions_total = 0
         self.sessions_dropped = 0
         #: Failures attributed inside gateway plumbing (see
@@ -262,8 +202,7 @@ class ClientGateway:
         self.internal_errors = 0
         self._logged_error_types: set[tuple[str, str]] = set()
         self._clock = time.monotonic
-        for shard_index in self.router.hosted:
-            self._chain_applied(shard_index, self.router.services[shard_index].kv.rsm)
+        self._chain_applied(services.kv.rsm)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -452,19 +391,14 @@ class ClientGateway:
     def _handle_frames(self, session: _Session, frames: list[bytes]) -> None:
         """Process one read-wakeup's worth of pipelined requests.
 
-        All submissions triggered here share one flush window per
-        hosted shard, so one wakeup's ordered ops are one atomic
-        broadcast batch -- one reliable broadcast, ordered by one
-        agreement slot, each op still delivered and answered on its own
-        -- and the replica stack sends the window's frames as batched
-        channel units.  This is where client pipelining turns into
-        atomic-broadcast batching.  With several hosted groups the
-        windows of every hosted stack are opened together: one wakeup's
-        requests batch per group.
+        All submissions triggered here share one flush window, so one
+        wakeup's ordered ops are one atomic broadcast batch -- one
+        reliable broadcast, ordered by one agreement slot, each op still
+        delivered and answered on its own -- and the replica stack sends
+        the window's frames as batched channel units.  This is where
+        client pipelining turns into atomic-broadcast batching.
         """
-        with contextlib.ExitStack() as windows:
-            for stack in self._hosted_stacks:
-                windows.enter_context(stack.coalesce())
+        with self.node.stack.coalesce():
             for body in frames:
                 if session.closed:
                     break  # dropped as a slow reader: nobody to answer
@@ -485,39 +419,28 @@ class ClientGateway:
             self._respond(session, request_id, STATUS_OK, [None, None, "pong"], op=op, started=now)
             return
         try:
-            command, keys = self._build_command(op, args)
-            shard, services = self.router.route_many(keys)
-        except WrongShardError as exc:
-            # Forbid-and-measure: the op was NOT replicated.  The owner
-            # hint lets the client redirect (or, for a cross-shard
-            # multi-key op, split) instead of retrying blindly.
-            detail = [exc.owner_index, exc.owner_name, str(exc)]
-            self._respond(session, request_id, STATUS_WRONG_SHARD, detail, op=op, started=now)
-            return
+            command = self._build_command(op, args)
         except ClientProtocolError as exc:
             self._respond(session, request_id, STATUS_ERROR, str(exc), op=op, started=now)
             return
-        key = keys[0]
+        key = args[0]
         if op in READ_OPS and self.local_reads:
-            value = services.kv.get(key)
+            value = self.services.kv.get(key)
             self._respond(session, request_id, STATUS_OK, [None, None, value], op=op, started=now)
             return
-        rsm = services.kv.rsm
+        rsm = self.services.kv.rsm
         msg_id = rsm.try_submit(command)
         if msg_id is None:
-            # Admission is per shard -- one backed-up shard sheds its
-            # own load while its siblings keep accepting.
             pending, cap = rsm.admission()
             detail = [pending, cap, RETRY_AFTER_MS]
             self._respond(session, request_id, STATUS_RETRY, detail, op=op, started=now)
             return
         session.inflight += 1
-        self._pending[(shard, msg_id)] = _PendingOp(session.sid, request_id, op, key, now)
+        self._pending[msg_id] = _PendingOp(session.sid, request_id, op, key, now)
 
     @staticmethod
-    def _build_command(op: str, args: list[Any]) -> tuple[Command, list[str]]:
-        """Translate one client request into a replicated command and
-        the keys it touches (the caller routes it by them).
+    def _build_command(op: str, args: list[Any]) -> Command:
+        """Translate one client request into a replicated command.
 
         Type errors are rejected *here*, with a message, rather than
         ordered and no-opped by the state machine's defensive apply.
@@ -526,22 +449,20 @@ class ClientGateway:
             key, value = args
             if not isinstance(key, str) or not isinstance(value, bytes):
                 raise ClientProtocolError("put takes (str key, bytes value)")
-            return KvCommand.put(key, value), [key]
+            return KvCommand.put(key, value)
         if op == "get":
             (key,) = args
             if not isinstance(key, str):
                 raise ClientProtocolError("get takes (str key)")
             # Ordered read: an op the KV apply function treats as a
             # deterministic no-op; the gateway answers from the state at
-            # its serialization point (total per shard -- exactly the
-            # consistency sharding promises: per-key order, no
-            # cross-shard order).
-            return Command("get", [key]), [key]
+            # its serialization point in the group's total order.
+            return Command("get", [key])
         if op == "delete":
             (key,) = args
             if not isinstance(key, str):
                 raise ClientProtocolError("delete takes (str key)")
-            return KvCommand.delete(key), [key]
+            return KvCommand.delete(key)
         if op == "cas":
             key, expected, value = args
             if (
@@ -550,50 +471,26 @@ class ClientGateway:
                 or not isinstance(value, bytes)
             ):
                 raise ClientProtocolError("cas takes (str, bytes|None, bytes)")
-            return KvCommand.cas(key, expected, value), [key]
-        if op == "mput":
-            (pairs,) = args
-            if (
-                not isinstance(pairs, list)
-                or not pairs
-                or not all(
-                    isinstance(pair, list)
-                    and len(pair) == 2
-                    and isinstance(pair[0], str)
-                    and isinstance(pair[1], bytes)
-                    for pair in pairs
-                )
-            ):
-                raise ClientProtocolError(
-                    "mput takes a non-empty list of [str key, bytes value] pairs"
-                )
-            # All keys must share one hosted owner: routing a set that
-            # spans shards raises CrossShardError (a WrongShardError) --
-            # forbidden and measured, never partially applied.
-            return KvCommand.mput([(k, v) for k, v in pairs]), [k for k, _ in pairs]
+            return KvCommand.cas(key, expected, value)
         raise ClientProtocolError(f"unknown op {op!r}")
 
     # -- completion ------------------------------------------------------------------
 
-    def _chain_applied(self, shard: int, rsm: ReplicatedStateMachine) -> None:
-        """Hook *rsm*'s apply stream without displacing an existing hook.
-        *shard* disambiguates the pending table: each shard's AB instance
-        numbers its rbids independently, so msg_ids alone collide across
-        shards.
-        """
+    def _chain_applied(self, rsm: ReplicatedStateMachine) -> None:
+        """Hook *rsm*'s apply stream without displacing an existing hook."""
         previous = rsm.on_applied
 
         def on_applied(delivery, command: Command, result: Any) -> None:
             if previous is not None:
                 previous(delivery, command, result)
-            self._on_applied(shard, delivery, command, result)
+            self._on_applied(delivery, command, result)
 
         rsm.on_applied = on_applied
 
-    def _on_applied(self, shard: int, delivery, command: Command, result: Any) -> None:
+    def _on_applied(self, delivery, command: Command, result: Any) -> None:
         if delivery.sender != self.node.process_id:
             return
-        pending = self._pending.pop((shard, delivery.msg_id), None)
+        pending = self._pending.pop(delivery.msg_id, None)
         if pending is None:
             return
         session = self._sessions.get(pending.sid)
@@ -601,10 +498,9 @@ class ClientGateway:
             return
         session.inflight -= 1
         if pending.op == "get":
-            # The read's serialization point is *this* apply: the owning
-            # shard's local state now reflects every write ordered
-            # before it on that shard's stream.
-            result = self.router.services[shard].kv.get(pending.key)
+            # The read's serialization point is *this* apply: the local
+            # state now reflects every write ordered before it.
+            result = self.services.kv.get(pending.key)
         detail = [delivery.sender, delivery.rbid, result]
         self._respond(
             session,
@@ -629,8 +525,6 @@ class ClientGateway:
             self.ops_ok += 1
         elif status == STATUS_RETRY:
             self.ops_retry_after += 1
-        elif status == STATUS_WRONG_SHARD:
-            self.ops_wrong_shard += 1
         else:
             self.ops_error += 1
         metrics = self.node.metrics
@@ -696,14 +590,8 @@ class ClientGateway:
 
     def status(self) -> dict[str, Any]:
         """JSON-ready snapshot served by the HTTP status endpoint."""
-
-        # Admission is per shard: every shard's kv store rides its own AB
-        # instance, with its own pending count against the configured
-        # cap -- one backed-up shard never throttles its siblings.
-        def _admission(services: GatewayServices) -> dict[str, int]:
-            return dict(zip(("pending", "cap"), services.kv.rsm.admission()))
-
-        status: dict[str, Any] = {
+        pending, cap = self.services.kv.rsm.admission()
+        return {
             "process": self.node.process_id,
             "group_size": self.node.config.num_processes,
             "local_reads": self.local_reads,
@@ -716,20 +604,5 @@ class ClientGateway:
             "ops_error": self.ops_error,
             "ops_timeout": self.ops_timeout,
             "internal_errors": self.internal_errors,
-            # The first hosted shard's admission keeps the pre-sharding
-            # shape (unsharded deployments are exactly this).
-            "admission": _admission(self.services),
+            "admission": {"pending": pending, "cap": cap},
         }
-        if not self.router.is_single:
-            status["shards"] = {
-                "names": list(self.router.map.names),
-                "hosted": [self.router.name_of(i) for i in self.router.hosted],
-                "ops_wrong_shard": self.ops_wrong_shard,
-                "wrong_shard_total": self.router.wrong_shard_total,
-                "cross_shard_total": self.router.cross_shard_total,
-                "admission": {
-                    self.router.name_of(index): _admission(services)
-                    for index, services in sorted(self.router.services.items())
-                },
-            }
-        return status

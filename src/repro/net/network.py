@@ -200,15 +200,9 @@ class LanSimulation:
         # with priority-aware shedding (0 = unbounded, seed behaviour).
         self._link_pending: dict[tuple[int, int], BoundedSendQueue] = {}
 
-        # Key and coin material is scoped by config.group_tag: two
-        # same-seed groups (shards) must not share pairwise MACs or see
-        # each other's coin sequence.  An untagged group derives the
-        # exact pre-sharding bytes, keeping same-seed replay identical.
-        self._dealer = TrustedDealer(
-            config.num_processes, seed=config.scoped_seed_bytes(str(seed).encode())
-        )
+        self._dealer = TrustedDealer(config.num_processes, seed=str(seed).encode())
         self._coin_dealer = (
-            SharedCoinDealer(secret=config.scoped_seed(f"coin/{seed}").encode())
+            SharedCoinDealer(secret=f"coin/{seed}".encode())
             if config.bc_coin == "shared"
             else None
         )
@@ -236,9 +230,7 @@ class LanSimulation:
         if transform is not None:
             factory = transform(self._honest_factory)
         incarnation = self._generation[pid]
-        rng_tag = self.config.scoped_seed(f"{self.seed}/{pid}") + (
-            f"/r{incarnation}" if incarnation else ""
-        )
+        rng_tag = f"{self.seed}/{pid}" + (f"/r{incarnation}" if incarnation else "")
         return Stack(
             self.config,
             pid,
@@ -320,17 +312,12 @@ class LanSimulation:
         default (``None``) samples only on explicit
         :meth:`sample_metrics` calls -- a ticker keeps the event loop
         non-empty, which would break drive-until-idle ``run()`` loops.
-
-        A tagged group's registries carry a ``group`` const label so
-        multi-group exports stay distinguishable.
         """
         for pid in self.config.process_ids:
             if pid not in self._metrics:
-                const_labels = {"process": pid, "runtime": "sim"}
-                if self.config.group_tag:
-                    const_labels["group"] = self.config.group_tag
                 registry = MetricsRegistry(
-                    clock=lambda: self.loop.now, const_labels=const_labels
+                    clock=lambda: self.loop.now,
+                    const_labels={"process": pid, "runtime": "sim"},
                 )
                 registry.rebind(incarnation=self._generation[pid])
                 subscriber = StackMetrics(registry, lambda pid=pid: self.stacks[pid])
@@ -394,9 +381,7 @@ class LanSimulation:
     def _link_jitter(self, src: int, dest: int) -> float:
         rng = self._jitter_rngs.get((src, dest))
         if rng is None:
-            rng = random.Random(
-                self.config.scoped_seed(f"{self.seed}/jitter/{src}->{dest}")
-            )
+            rng = random.Random(f"{self.seed}/jitter/{src}->{dest}")
             self._jitter_rngs[(src, dest)] = rng
         return rng.uniform(0.0, self.jitter_s)
 

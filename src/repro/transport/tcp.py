@@ -13,9 +13,8 @@ up and stopped answering is *down*, and its units are shed at the outbox.
 A connector task per peer only connects.
 
 A node is one process of one group, as in the paper.  A process taking
-part in several groups (shards) runs one node per group, each with its
-own listener, peer mesh, keystore and metrics registry; the groups'
-keys, coins and RNG streams are kept apart by ``GroupConfig.group_tag``.
+part in several groups runs one node per group, each with its own
+listener, peer mesh, keystore, seed and metrics registry.
 
 All stack processing happens on the event loop thread; the sans-IO core
 needs no locks.
@@ -217,10 +216,7 @@ class RitasNode:
             group's jitter cannot be predicted by an attacker.  The
             stack's coin draws come from a *derived* stream, so they
             stay replayable even though the jitter draws interleave with
-            network timing.  Derivations are scoped by
-            ``config.group_tag``, so same-seed groups draw disjoint
-            streams and coin sequences; untagged groups keep the exact
-            pre-sharding strings.
+            network timing.
         coin: explicit coin source for binary consensus.  Default: the
             stack derives a local coin from the node RNG; with
             ``config.bc_coin == "shared"`` a seed is required and the
@@ -247,7 +243,7 @@ class RitasNode:
         self.keystore = keystore
         n = config.num_processes
         rng = (
-            random.Random(config.scoped_seed(f"ritas/{seed}/{n}/{process_id}"))
+            random.Random(f"ritas/{seed}/{n}/{process_id}")
             if seed is not None
             else random.Random()
         )
@@ -257,9 +253,7 @@ class RitasNode:
                     "config.bc_coin='shared' needs either an explicit coin "
                     "or a seed to derive the group's dealer secret from"
                 )
-            dealer = SharedCoinDealer(
-                secret=config.scoped_seed(f"ritas-coin/{seed}/{n}").encode()
-            )
+            dealer = SharedCoinDealer(secret=f"ritas-coin/{seed}/{n}".encode())
             coin = dealer.coin_for(process_id)
         self.stack = Stack(
             config,
@@ -406,19 +400,17 @@ class RitasNode:
         """Subscribe the stack to a :class:`~repro.obs.metrics.MetricsRegistry`
         (idempotent) and return it.
 
-        A tagged group's registry carries a ``group=<group_tag>`` const
-        label, so the registries of a process's groups export side by
-        side.  Metrics are timed on the same monotonic clock as the
-        stack.  With *sample_interval_s* set, queue-depth gauges are
-        sampled on an :meth:`add_ticker` timer (requires a running event
-        loop, so call it after :meth:`start` in that case); the default
-        samples only on explicit :meth:`sample_metrics` calls.
+        Metrics are timed on the same monotonic clock as the stack.
+        With *sample_interval_s* set, queue-depth gauges are sampled on
+        an :meth:`add_ticker` timer (requires a running event loop, so
+        call it after :meth:`start` in that case); the default samples
+        only on explicit :meth:`sample_metrics` calls.
         """
         if self._stack_metrics is None:
-            const_labels = {"process": self.process_id, "runtime": "tcp"}
-            if self.config.group_tag:
-                const_labels["group"] = self.config.group_tag
-            registry = MetricsRegistry(clock=time.monotonic, const_labels=const_labels)
+            registry = MetricsRegistry(
+                clock=time.monotonic,
+                const_labels={"process": self.process_id, "runtime": "tcp"},
+            )
             self._stack_metrics = StackMetrics.attach(self.stack, registry)
         if sample_interval_s is not None:
             self.add_ticker(sample_interval_s, self.sample_metrics)

@@ -1,7 +1,7 @@
 """The docs name only live API.
 
 Every ``node.<name>`` in the code blocks of docs/API.md's "TCP runtime"
-and "Sharding" sections must resolve on a :class:`RitasNode`; every dotted
+section must resolve on a :class:`RitasNode`; every dotted
 ``repro.<...>`` name in README.md, DESIGN.md and docs/*.md must resolve
 too.  Deleting a module or a method without editing the docs fails here.
 Every constant docs/API.md's constants table names must hold the value
@@ -24,7 +24,7 @@ API_DOC = ROOT / "docs" / "API.md"
 #: The reference documents; ROADMAP, CHANGES and EXPERIMENTS are
 #: history and generated output, free to name what is gone.
 DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]
-SECTIONS = ("## TCP runtime", "## Sharding (`repro.shard`)")
+SECTION = "## TCP runtime"
 
 
 def code_blocks(heading: str) -> str:
@@ -37,9 +37,10 @@ def code_blocks(heading: str) -> str:
 
 
 def named(variable: str) -> set[str]:
-    """Every attribute docs/API.md's sections read off *variable*."""
+    """Every attribute docs/API.md's TCP runtime section reads off
+    *variable*."""
     pattern = re.compile(rf"\b{variable}\.([A-Za-z_]\w*)")
-    return {name for heading in SECTIONS for name in pattern.findall(code_blocks(heading))}
+    return set(pattern.findall(code_blocks(SECTION)))
 
 
 @pytest.mark.parametrize(

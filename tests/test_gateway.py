@@ -66,8 +66,9 @@ class TestProtocol:
         assert [decode_request(b)[0] for b in collected] == [0, 1, 2, 3, 4]
 
     def test_unknown_op_and_bad_arity_rejected(self):
-        with pytest.raises(ClientProtocolError, match="unknown op"):
-            decode_request(wire.encode_value([1, "explode", []]))
+        for op in ("explode", "mput"):
+            with pytest.raises(ClientProtocolError, match=f"unknown op '{op}'"):
+                decode_request(wire.encode_value([1, op, []]))
         with pytest.raises(ClientProtocolError, match="args"):
             decode_request(wire.encode_value([1, "put", ["only-key"]]))
 
@@ -91,6 +92,14 @@ class TestProtocol:
             with pytest.raises(ClientProtocolError) as excinfo:
                 decode_request(body)
             assert excinfo.value.request_id == expected
+
+    def test_negative_or_bool_request_id_refused_uncorrelated(self):
+        """Negative ids are reserved (UNCORRELATED_ID is -1) and a bool
+        is no id: both are refused, and answered uncorrelated."""
+        for request_id in (UNCORRELATED_ID, -7, True, False):
+            with pytest.raises(ClientProtocolError, match="request must be") as excinfo:
+                decode_request(wire.encode_value([request_id, "ping", []]))
+            assert excinfo.value.request_id is None
 
     def test_oversized_frame_rejected(self):
         reader = FrameReader()

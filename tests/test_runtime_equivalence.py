@@ -72,8 +72,7 @@ def run_tcp(shard=0):
     async def scenario():
         if shard:
             background_nodes, nodes = (
-                make_group_nodes(GroupConfig(4, group_tag=name), seed=41)
-                for name in ("s0", "s1")
+                make_group_nodes(GroupConfig(4), seed=seed) for seed in (41, 42)
             )
         else:
             background_nodes, nodes = [], plain_nodes()

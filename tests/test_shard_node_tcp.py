@@ -1,4 +1,7 @@
-"""Two groups in one process: one RitasNode per group, on one event loop."""
+"""Two groups in one process: one RitasNode per group, on one event loop.
+
+The groups are dealt from different seeds, so they share no keys, coins
+or RNG streams."""
 
 import asyncio
 
@@ -17,15 +20,13 @@ pytestmark = pytest.mark.filterwarnings(
     "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
 )
 
-NAMES = ["s0", "s1"]
+SEEDS = [23, 24]
 
 
-def make_groups(n=4, names=NAMES, seed=23, **knobs):
-    """One list of nodes per group, pid-indexed; *knobs* are extra
-    :class:`GroupConfig` fields."""
-    return [
-        make_group_nodes(GroupConfig(n, group_tag=name, **knobs), seed) for name in names
-    ]
+def make_groups(n=4, seeds=SEEDS, **knobs):
+    """One list of nodes per group, pid-indexed, one seed per group;
+    *knobs* are extra :class:`GroupConfig` fields."""
+    return [make_group_nodes(GroupConfig(n, **knobs), seed) for seed in seeds]
 
 
 async def close_all(groups):
@@ -82,8 +83,8 @@ class TestShardedGroup:
         asyncio.run(scenario())
 
     def test_each_group_records_into_its_own_registry(self):
-        """A process's two nodes keep two registries, each series under
-        its own group's label."""
+        """A process's two nodes keep two registries, each counting only
+        its own group's traffic."""
 
         async def scenario():
             groups = make_groups()
@@ -92,6 +93,7 @@ class TestShardedGroup:
                     await start_tcp_group(nodes)
                 registries = [nodes[0].enable_metrics() for nodes in groups]
                 delivered = [0, 0]
+                broadcasts = [1, 2]
                 for g, nodes in enumerate(groups):
                     for node in nodes:
                         ab = node.stack.create("ab", ("t",))
@@ -99,20 +101,25 @@ class TestShardedGroup:
                             ab.on_deliver = lambda _i, _d, g=g: delivered.__setitem__(
                                 g, delivered[g] + 1
                             )
-                for nodes in groups:
+                for g, nodes in enumerate(groups):
                     for node in nodes:
-                        node.stack.instance_at(("t",)).broadcast(b"m")
+                        for _ in range(broadcasts[g]):
+                            node.stack.instance_at(("t",)).broadcast(b"m")
 
                 async def done():
-                    while min(delivered) < 4:
+                    while delivered != [4 * count for count in broadcasts]:
                         await asyncio.sleep(0.01)
 
                 await asyncio.wait_for(done(), timeout=60.0)
                 for g, nodes in enumerate(groups):
                     nodes[0].sample_metrics()
-                    snapshot = registries[g].snapshot()
-                    assert any(m["name"].startswith("ritas_ab_") for m in snapshot)
-                    assert {m["labels"]["group"] for m in snapshot} == {NAMES[g]}
+                    (latency,) = (
+                        m
+                        for m in registries[g].snapshot()
+                        if m["name"] == "ritas_ab_delivery_latency_seconds"
+                    )
+                    # Node 0 times the deliveries of its own broadcasts.
+                    assert latency["count"] == broadcasts[g]
             finally:
                 await close_all(groups)
 
@@ -138,7 +145,7 @@ class TestSharedSendQueue:
         frame's class."""
 
         async def scenario():
-            (node, *_), = make_groups(names=["s0"], seed=1, send_queue_max_frames=4)
+            (node, *_), = make_groups(seeds=[1], send_queue_max_frames=4)
             await node.connect()
             try:
                 for index in range(4):
@@ -159,7 +166,7 @@ class TestSharedSendQueue:
         other group, with queues of its own, is charged nothing."""
 
         async def scenario():
-            (busy, *_), (idle, *_) = make_groups(seed=1, send_queue_max_frames=3)
+            (busy, *_), (idle, *_) = make_groups(seeds=[1, 2], send_queue_max_frames=3)
             for node in (busy, idle):
                 await node.connect()
             try:

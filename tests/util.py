@@ -154,12 +154,12 @@ def decisions_of(net: _BaseNet, path: tuple, attr: str = "decision") -> list:
 
 def make_group_nodes(config: GroupConfig, seed: int = 23):
     """One group's TCP nodes (unbound, on loopback), keystores dealt from
-    *seed* scoped by ``config.group_tag`` the way the simulator's dealer
-    does."""
+    *seed* the way the simulator's dealer does.  Co-hosted groups built
+    with different seeds share no keys, coins or RNG streams."""
     from repro.transport.tcp import PeerAddress, RitasNode
 
     n = config.num_processes
-    dealer = TrustedDealer(n, seed=config.scoped_seed_bytes(str(seed).encode()))
+    dealer = TrustedDealer(n, seed=str(seed).encode())
     blank = [PeerAddress("127.0.0.1", 0) for _ in range(n)]
     return [
         RitasNode(config, pid, blank, dealer.keystore_for(pid), seed=seed)
