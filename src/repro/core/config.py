@@ -28,13 +28,15 @@ class GroupConfig:
             to the optimal ``floor((n-1)/3)``; a smaller value may be
             configured (a *larger* one violates ``n >= 3f+1`` and is
             rejected).
-        batching: coalesce frames destined for the same peer within a
-            flush window into batch channel units of at most
-            :data:`~repro.core.wire.SEND_BATCH_FRAMES` frames, so the
-            transport pays its fixed per-message costs once per batch.
-            Only frames already queued are merged (no added latency).
-            Off, the stack's outbox traffic is byte-identical to the
-            unbatched (seed) behaviour.
+        batching: each runtime's link flush coalesces the frames queued
+            toward one peer into flat batch channel units of at most
+            :data:`~repro.core.wire.MAX_BATCH_FRAMES` frames, so the
+            transport pays its fixed per-message costs once per
+            container; only frames already queued are merged (no added
+            latency).  Atomic broadcast also orders a flush window's
+            messages as one batch (:meth:`~repro.core.stack.Stack.coalesce`).
+            Off, every frame is its own channel unit and every message
+            its own batch, the paper's per-message stack.
         checkpoint_interval: delivered commands between authenticated
             checkpoints of a replicated state machine (see
             :mod:`repro.recovery`).  Every replica checkpoints at the
@@ -49,11 +51,11 @@ class GroupConfig:
             ``broadcast`` raises
             :class:`~repro.core.errors.BackpressureError` instead of
             admitting more.  0 never refuses.
-        send_queue_max_frames: per-peer outbound queue bound in the
-            runtimes (TCP sender queues, simulator link buffers).  Past
-            it the lowest-priority, oldest queued frame is shed --
-            consensus-critical frames outlive payload and bulk
-            transfers.  0 never sheds.
+        send_queue_max_frames: per-peer outbound queue bound, in
+            frames, in the runtimes (TCP sender queues, simulator link
+            buffers).  Past it the lowest-priority, oldest queued frame
+            is shed -- consensus-critical frames outlive payload and
+            bulk transfers.  0 never sheds.
         bc_engine: binary-consensus algorithm every stack in the group
             runs -- a name registered in :mod:`repro.core.bc_engine`
             ("bracha": the paper's Bracha-style rounds; "crain": the

@@ -6,7 +6,7 @@ malformed frames, bad MACs or out-of-context floods makes every correct
 process pay decode, hashing and parking costs.  The ledger keeps one
 score per peer, fed by the stack's validation paths:
 
-- wire decode failures (malformed frame/batch, over-deep nesting);
+- wire decode failures (malformed frame or batch, a nested batch);
 - protocol validation rejections (``ProtocolViolationError`` at demux);
 - MAC failures (TCP channel HMAC, echo-broadcast matrix columns);
 - resource-quota violations (OOC per-peer quota, AB message window).
@@ -31,7 +31,6 @@ from collections import Counter
 OFFENSE_WEIGHTS: dict[str, float] = {
     "malformed-frame": 1.0,
     "malformed-batch": 1.0,
-    "batch-too-deep": 1.0,
     "protocol-violation": 1.0,
     "mac-failure": 2.0,
     "ooc-quota": 0.25,

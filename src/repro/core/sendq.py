@@ -1,12 +1,13 @@
 """Bounded, priority-aware outbound frame queue.
 
-Both runtimes keep one FIFO of encoded channel units per peer (the TCP
-links, the simulator's link buffers).  Unbounded, the queue toward a
-slow or flooded peer is the easiest resource to exhaust: frames pile up
-faster than the link drains them and memory grows until the process
-dies -- exactly the denial-of-service the paper's protocols cannot
-prevent on their own.  (A crashed peer costs nothing: the simulator
-drops frames to it, and a TCP link that went down sheds at the outbox.)
+Both runtimes keep one FIFO of encoded frames per peer (the TCP links,
+the simulator's link buffers); the link flush turns a drained FIFO into
+channel units.  Unbounded, the queue toward a slow or flooded peer is
+the easiest resource to exhaust: frames pile up faster than the link
+drains them and memory grows until the process dies -- exactly the
+denial-of-service the paper's protocols cannot prevent on their own.
+(A crashed peer costs nothing: the simulator drops frames to it, and a
+TCP link that went down sheds at the outbox.)
 
 :class:`BoundedSendQueue` caps the queue at ``max_frames`` entries.
 When a push would exceed the cap, the queue sheds the *oldest entry of
@@ -20,22 +21,17 @@ never reorders them.
 ``max_frames == 0`` disables the bound (seed behaviour).
 
 Operations are O(1): a seq-numbered dict (insertion-ordered) holds
-the FIFO, and one deque per priority class tracks shedding
-candidates.  The head of the lowest-priority non-empty deque is always
-the correct victim because entries enter both structures in the same
-order and leave them together.
+the FIFO, and, in a bounded queue, one deque per priority class tracks
+shedding candidates.  The head of the lowest-priority non-empty deque
+is always the correct victim because entries enter both structures in
+the same order and leave them together.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 
-from repro.core.wire import (
-    PRIORITY_AGREEMENT,
-    PRIORITY_BULK,
-    PRIORITY_PAYLOAD,
-    frame_priority,
-)
+from repro.core.wire import PRIORITY_AGREEMENT, frame_priority
 
 _NUM_PRIORITIES = PRIORITY_AGREEMENT + 1
 
@@ -51,15 +47,10 @@ class BoundedSendQueue:
         if max_frames < 0:
             raise ValueError("max_frames must be >= 0")
         self.max_frames = max_frames
-        self._entries: dict[int, tuple[int, bytes]] = {}
+        self._entries: dict[int, bytes] = {}
         self._by_priority: list[deque[int]] = [deque() for _ in range(_NUM_PRIORITIES)]
         self._next_seq = 0
         self._bytes = 0
-        self.peak_frames = 0
-        self.peak_bytes = 0
-        self.frames_shed = 0
-        self.bytes_shed = 0
-        self.shed_by_priority: Counter = Counter()
 
     # -- introspection --------------------------------------------------------
 
@@ -75,40 +66,27 @@ class BoundedSendQueue:
 
     # -- operations -----------------------------------------------------------
 
-    def push(self, data: bytes, priority: int | None = None) -> list[bytes]:
+    def push(self, data: bytes) -> list[bytes]:
         """Enqueue *data*; returns the frames shed to make room.
 
-        The shed list may contain *data* itself: when every queued frame
-        outranks the newcomer, the newcomer is the victim (an agreement
-        backlog is worth more than one more bulk chunk).
+        Only a bounded queue reads the frame's priority.  The shed list
+        may contain *data* itself: when every queued frame outranks the
+        newcomer, the newcomer is the victim (an agreement backlog is
+        worth more than one more bulk chunk).
         """
-        if priority is None:
-            if not self.max_frames:
-                # Unbounded queue: classification only matters for
-                # shedding, which can never trigger -- skip the header
-                # peek entirely (it decodes every batch member).
-                priority = PRIORITY_PAYLOAD
-            else:
-                priority = frame_priority(data)
-        priority = min(max(priority, PRIORITY_BULK), PRIORITY_AGREEMENT)
         shed: list[bytes] = []
-        if self.max_frames and len(self._entries) >= self.max_frames:
-            victim = self._shed_for(priority)
-            if victim is None:
-                self.frames_shed += 1
-                self.bytes_shed += len(data)
-                self.shed_by_priority[priority] += 1
-                return [data]
-            shed.append(victim)
         seq = self._next_seq
-        self._next_seq += 1
-        self._entries[seq] = (priority, data)
-        self._by_priority[priority].append(seq)
+        if self.max_frames:
+            priority = frame_priority(data)
+            if len(self._entries) >= self.max_frames:
+                victim = self._shed_for(priority)
+                if victim is None:
+                    return [data]
+                shed.append(victim)
+            self._by_priority[priority].append(seq)
+        self._next_seq = seq + 1
+        self._entries[seq] = data
         self._bytes += len(data)
-        if len(self._entries) > self.peak_frames:
-            self.peak_frames = len(self._entries)
-        if self._bytes > self.peak_bytes:
-            self.peak_bytes = self._bytes
         return shed
 
     def _shed_for(self, incoming_priority: int) -> bytes | None:
@@ -120,18 +98,14 @@ class BoundedSendQueue:
         for prio in range(incoming_priority + 1):
             bucket = self._by_priority[prio]
             if bucket:
-                seq = bucket.popleft()
-                _, data = self._entries.pop(seq)
+                data = self._entries.pop(bucket.popleft())
                 self._bytes -= len(data)
-                self.frames_shed += 1
-                self.bytes_shed += len(data)
-                self.shed_by_priority[prio] += 1
                 return data
         return None
 
     def drain(self) -> list[bytes]:
         """Dequeue everything, in FIFO order."""
-        out = [data for _, data in self._entries.values()]
+        out = list(self._entries.values())
         self._entries.clear()
         for bucket in self._by_priority:
             bucket.clear()

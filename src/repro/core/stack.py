@@ -36,11 +36,8 @@ from repro.core.mbuf import Mbuf
 from repro.core.ooc import OocTable
 from repro.core.stats import PURPOSE_APP, StackStats
 from repro.core.wire import (
-    MAX_BATCH_DEPTH,
-    SEND_BATCH_FRAMES,
     Path,
     decode_batch_views,
-    encode_batch,
     encode_frame,
     encode_frame_from_prefix,
     encode_frame_from_prefix_raw,
@@ -55,13 +52,6 @@ from repro.crypto.keys import KeyStore, TrustedDealer
 Outbox = Callable[[int, bytes], None]
 Clock = Callable[[], float]
 DeliverFn = Callable[["ControlBlock", Any], None]
-
-#: Fixed per-frame channel overhead avoided when a frame rides inside a
-#: batch instead of standing alone: the TCP channel's u32 length prefix,
-#: u64+u32 sequence/source header and 32-byte HMAC-SHA256 trailer.  Used
-#: only for the ``header_bytes_saved`` statistic; the simulator charges
-#: its own (larger) per-frame costs from its calibrated parameters.
-CHANNEL_HEADER_BYTES = 4 + 12 + 32
 
 #: Returned by :meth:`ControlBlock.accept_orphan` instead of ``False``
 #: when the frame's subtree is *retired* -- an already-delivered message
@@ -391,7 +381,7 @@ class Stack:
         self._registry: dict[Path, ControlBlock] = {}
         # Demux fast path: raw encoded-path bytes -> control block, so
         # inbound frames for live instances dispatch without decoding
-        # the path (see _receive_unit); plus the mirror cache on the
+        # the path (see _receive_frame); plus the mirror cache on the
         # send side, instance path -> encoded frame prefix.  Both are
         # maintained by _register/_unregister, so they are bounded by
         # the number of live instances.
@@ -405,10 +395,8 @@ class Stack:
         self._replay: list[Mbuf] = []
         self._construction_depth = 0
         self._replaying = False
-        # Frame coalescing: while a flush window is open, outgoing
-        # frames are parked per destination and flushed as batches.
+        # Flush windows: callbacks to run as the outermost one closes.
         self._coalesce_depth = 0
-        self._pending_frames: dict[int, list[bytes]] = {}
         self._window_close: list[Callable[[], None]] = []
 
     # -- instance management -------------------------------------------------------
@@ -545,7 +533,7 @@ class Stack:
         else:
             data = encode_frame(path, mtype, payload)
         self.stats.record_send(len(data), path, dest, mtype)
-        self._emit(dest, data)
+        self._outbox(dest, data)
 
     def broadcast_frame(self, path: Path, mtype: int, payload: Any) -> None:
         """Send one frame to every process, encoding it exactly once.
@@ -564,8 +552,9 @@ class Stack:
     def _send_all(self, path: Path, mtype: int, data: bytes) -> None:
         dests = self.config.process_ids
         self.stats.record_send_all(len(data), path, dests, mtype)
+        outbox = self._outbox
         for dest in dests:
-            self._emit(dest, data)
+            outbox(dest, data)
 
     def _encode_frame_raw(self, path: Path, mtype: int, raw) -> bytes:
         """Splice the already-encoded payload region *raw* after the
@@ -581,28 +570,26 @@ class Stack:
         the same statistics and trace accounting."""
         data = self._encode_frame_raw(path, mtype, raw)
         self.stats.record_send(len(data), path, dest, mtype)
-        self._emit(dest, data)
+        self._outbox(dest, data)
 
     def broadcast_frame_raw(self, path: Path, mtype: int, raw) -> None:
         """:meth:`broadcast_frame` for an already-encoded payload region,
         with the same statistics and trace accounting."""
         self._send_all(path, mtype, self._encode_frame_raw(path, mtype, raw))
 
-    # -- frame coalescing -----------------------------------------------------------
+    # -- flush windows --------------------------------------------------------------
 
     @contextmanager
     def coalesce(self) -> Iterator[None]:
-        """Open a flush window: frames sent inside it that share a
-        destination leave as one batch channel unit.
+        """Open a flush window: callbacks registered with
+        :meth:`at_window_close` inside it run as the outermost window
+        closes.
 
-        Windows nest; frames flush when the outermost window closes.
-        With ``config.batching`` off this is a no-op and every frame
-        goes to the outbox individually, exactly like the unbatched
-        stack.  :meth:`receive` opens a window around each inbound
-        channel unit, so replies provoked by one arrival coalesce
-        automatically; runtimes and applications wrap bursts of sends
-        the same way.  Callbacks registered with :meth:`at_window_close`
-        run as the outermost window closes, before its frames flush.
+        Windows nest.  :meth:`receive` opens one around each inbound
+        channel unit, so whatever one arrival provokes is gathered
+        there; runtimes and applications wrap bursts of sends the same
+        way.  Frames are never held: each goes to the outbox as it is
+        sent, and the runtime's link flush coalesces them per peer.
         """
         self._coalesce_depth += 1
         try:
@@ -611,10 +598,9 @@ class Stack:
             self._leave_window()
 
     def at_window_close(self, callback: Callable[[], None]) -> bool:
-        """Run *callback* when the outermost flush window closes, before
-        the window's frames flush, so whatever it sends coalesces with
-        them.  Returns ``False`` (and registers nothing) when no window
-        is open.  Atomic broadcast sends its open message batch here."""
+        """Run *callback* when the outermost flush window closes.
+        Returns ``False`` (and registers nothing) when no window is
+        open.  Atomic broadcast sends its open message batch here."""
         if self._coalesce_depth == 0:
             return False
         self._window_close.append(callback)
@@ -628,62 +614,24 @@ class Stack:
                     callback()
         finally:
             self._coalesce_depth -= 1
-            if self._coalesce_depth == 0 and self._pending_frames:
-                self._flush_pending_frames()
-
-    def _emit(self, dest: int, data: bytes) -> None:
-        if self._coalesce_depth > 0 and self.config.batching:
-            pending = self._pending_frames.setdefault(dest, [])
-            pending.append(data)
-            # A full window flushes eagerly: the pending path holds at
-            # most SEND_BATCH_FRAMES frames per destination, so a long
-            # receive cascade cannot balloon it.  The chunking matches
-            # what window close would produce, so the wire is identical.
-            if len(pending) >= SEND_BATCH_FRAMES:
-                del self._pending_frames[dest]
-                self._send_batch(dest, pending)
-        else:
-            self._outbox(dest, data)
-
-    def _send_batch(self, dest: int, frames: list[bytes]) -> None:
-        self.stats.record_batch_sent(len(frames), (len(frames) - 1) * CHANNEL_HEADER_BYTES, dest)
-        self._outbox(dest, encode_batch(frames))
-
-    def _flush_pending_frames(self) -> None:
-        pending, self._pending_frames = self._pending_frames, {}
-        for dest, frames in pending.items():
-            for start in range(0, len(frames), SEND_BATCH_FRAMES):
-                chunk = frames[start : start + SEND_BATCH_FRAMES]
-                if len(chunk) == 1:
-                    # A lone frame travels bare: zero container overhead
-                    # and byte-identical to the unbatched send.
-                    self._outbox(dest, chunk[0])
-                    continue
-                self._send_batch(dest, chunk)
 
     def receive(self, src: int, data: bytes) -> None:
         """Entry point for the runtime: one channel unit arrived from
-        *src* -- a single frame, or a batch of them.
+        *src* -- a single frame, or a flat batch of them.
 
         The reliable channel authenticates the link, so *src* is
         trustworthy; everything else in the frame is attacker-controlled
         and is decoded defensively.  A malformed batch container is
         dropped whole; a malformed frame inside a well-formed batch
-        drops only that frame.
+        drops only that frame, and so does a member that is itself a
+        container (no correct sender nests them).
         """
         # Inlined coalesce() window (the contextmanager shows up on
         # profiles at one open/close per received unit).
         self._coalesce_depth += 1
         try:
-            self._receive_unit(src, data, 0)
-        finally:
-            self._leave_window()
-
-    def _receive_unit(self, src: int, data, depth: int) -> None:
-        if is_batch(data):
-            if depth >= MAX_BATCH_DEPTH:
-                self._drop(src, "batch-too-deep")
-                self.report_misbehavior(src, "batch-too-deep")
+            if not is_batch(data):
+                self._receive_frame(src, data)
                 return
             try:
                 frames = decode_batch_views(data)
@@ -693,8 +641,15 @@ class Stack:
                 return
             self.stats.record_batch_received(len(frames), src)
             for frame in frames:
-                self._receive_unit(src, frame, depth + 1)
-            return
+                if is_batch(frame):
+                    self._drop(src, "malformed-batch")
+                    self.report_misbehavior(src, "malformed-batch")
+                else:
+                    self._receive_frame(src, frame)
+        finally:
+            self._leave_window()
+
+    def _receive_frame(self, src: int, data) -> None:
         size = len(data)
         # One parse (frame_fastpath), memoized for frames up to
         # FASTPATH_MEMO_FRAME_MAX: the n-1 repeat copies of such a

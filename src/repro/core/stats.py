@@ -33,7 +33,7 @@ Subscriber = Callable[[int, str, Path, dict], None]
 
 class _Listeners:
     """The per-kind subscriber table: one tuple per kind (``send``,
-    ``batch_send``, ...), so a record call nobody listens to costs one
+    ``batch_receive``, ...), so a record call nobody listens to costs one
     truth test.  Slots keep it off the counters' attribute dict."""
 
     __slots__ = tuple(kind.replace("-", "_") for kind in trace.KINDS)
@@ -79,14 +79,12 @@ class StackStats:
     frames_received: int = 0
     bytes_sent: int = 0
     bytes_received: int = 0
-    # Frame coalescing (batching fast path).  frames_sent/received keep
-    # counting *logical* protocol frames, so they stay symmetric across
-    # the group whether or not frames ride inside batch containers.
-    batches_sent: int = 0
-    frames_coalesced: int = 0
+    # Batch containers opened on receive (the runtimes' link flushes
+    # build them).  frames_sent/received keep counting *logical* protocol
+    # frames, so they stay symmetric across the group whether or not
+    # frames ride inside containers.
     batches_received: int = 0
     frames_decoalesced: int = 0
-    header_bytes_saved: int = 0
     dropped: Counter = field(default_factory=Counter)
     broadcasts: Counter = field(default_factory=Counter)
     consensus_rounds: Counter = field(default_factory=Counter)
@@ -146,15 +144,6 @@ class StackStats:
         if self._on.receive:
             detail = {"src": src, "mtype": mtype, "size": nbytes}
             self._fan(self._on.receive, trace.KIND_RECEIVE, path, detail)
-
-    def record_batch_sent(self, frames: int, header_bytes_saved: int, dest=None) -> None:
-        """Count one outgoing batch coalescing *frames* frames."""
-        self.batches_sent += 1
-        self.frames_coalesced += frames
-        self.header_bytes_saved += header_bytes_saved
-        if self._on.batch_send:
-            detail = {"dest": dest, "frames": frames}
-            self._fan(self._on.batch_send, trace.KIND_BATCH_SEND, (), detail)
 
     def record_batch_received(self, frames: int, src=None) -> None:
         """Count one incoming batch carrying *frames* frames."""

@@ -44,7 +44,6 @@ def _json_safe(value: Any) -> Any:
 #: see :class:`~repro.core.stats.StackStats`, which records each).
 KIND_SEND = "send"
 KIND_RECEIVE = "receive"
-KIND_BATCH_SEND = "batch-send"
 KIND_BATCH_RECEIVE = "batch-receive"
 KIND_BROADCAST = "broadcast"
 KIND_DELIVER = "deliver"

@@ -14,11 +14,12 @@ bools, ints, bytes, strs, and lists thereof.  It is canonical --
 equal values encode to equal bytes -- which the consensus layers rely on
 to compare "the same value v" across processes.
 
-Besides single frames, the channel may carry *batch* containers
-(:func:`encode_batch`): several frames destined for the same peer,
-coalesced so the transport below pays its fixed per-message costs once
-per batch instead of once per frame (the dominant term in the paper's
-Table 1 cost decomposition).
+Besides single frames, the channel may carry flat *batch* containers:
+a runtime's link flush turns the frames queued toward one peer into
+channel units with :func:`channel_units`, so the transport below pays
+its fixed per-message costs once per container instead of once per
+frame (the dominant term in the paper's Table 1 cost decomposition).
+The stack itself only ever hands its outbox bare frames.
 
 Decoding is defensive: any malformed input raises
 :class:`~repro.core.errors.WireFormatError`, never an arbitrary Python
@@ -72,17 +73,9 @@ _MAX_DEPTH = 16
 _MAX_LEN = 64 * 1024 * 1024  # defensive cap on any single field
 
 #: Frames allowed in one batch container -- a corrupt peer must not be
-#: able to make a receiver allocate unbounded frame lists.
+#: able to make a receiver allocate unbounded frame lists -- and the
+#: most a link flush packs into one (:func:`channel_units`).
 MAX_BATCH_FRAMES = 4096
-#: Frames a sender packs into one batch container; a longer run of
-#: same-peer frames leaves as consecutive batches.  Read by every
-#: coalescing point: the stack's flush window, the TCP link flush (which
-#: counts queued units, each at most a SEND_BATCH_FRAMES container, so a
-#: spliced container stays within SEND_BATCH_FRAMES ** 2 ==
-#: MAX_BATCH_FRAMES members) and the simulator's link buffer.
-SEND_BATCH_FRAMES = 64
-#: Batches nested inside batches beyond this depth are rejected.
-MAX_BATCH_DEPTH = 4
 
 _U32 = struct.Struct(">I")
 _pack_u32 = _U32.pack
@@ -638,10 +631,9 @@ def encode_frame_from_prefix_raw(prefix: bytes, mtype: int, raw) -> bytes:
 #     u32  frame count
 #     (u32 frame length | frame bytes) * count
 #
-# A batch is itself a valid channel unit, so it may (rarely) appear
-# inside another batch -- e.g. the TCP sender merging queue entries that
-# the stack already coalesced.  Receivers bound that nesting with
-# MAX_BATCH_DEPTH.
+# Containers are flat: every member is a plain frame.  Only a runtime's
+# link flush builds them, from the bare frames the stack queued, so a
+# member that is itself a container comes from a faulty sender.
 
 
 def is_batch(data) -> bool:
@@ -650,47 +642,50 @@ def is_batch(data) -> bool:
 
 
 def encode_batch(frames: Sequence[bytes]) -> bytes:
-    """Coalesce several channel units into one batch container."""
+    """Coalesce several frames into one batch container."""
     if not frames:
         raise ValueError("cannot encode an empty batch")
     if len(frames) > MAX_BATCH_FRAMES:
         raise ValueError(f"batch of {len(frames)} exceeds cap {MAX_BATCH_FRAMES}")
-    out = bytearray(b"\x42")
-    out += _pack_u32(len(frames))
+    parts = [b"\x42" + _pack_u32(len(frames))]
+    append = parts.append
     for frame in frames:
         size = len(frame)
         if not size:
             raise ValueError("cannot batch an empty frame")
         if size > _MAX_LEN:
             raise ValueError(f"frame of {size} bytes exceeds cap")
-        out += _pack_u32(size)
-        out += frame
-    return bytes(out)
+        append(_pack_u32(size))
+        append(frame)
+    return b"".join(parts)
 
 
-def splice_batch(units: Sequence[bytes]) -> bytes:
-    """Coalesce channel units into one *flat* batch container.
+def channel_units(
+    frames: Sequence[bytes], max_frames: int = MAX_BATCH_FRAMES, max_bytes: int = _MAX_LEN
+) -> list[bytes]:
+    """The channel units that carry a drained send queue, in order.
 
-    A unit that is itself a batch container contributes its members,
-    spliced in rather than nested; any other unit is one member.  The
-    result is byte-identical to :func:`encode_batch` over the flattened
-    member list.  Containers are trusted to be well formed -- the local
-    stack built them -- so their member region is copied without a walk.
+    A lone frame stays bare: zero container overhead, byte-identical to
+    an uncoalesced send.  Longer runs leave as flat containers of at
+    most *max_frames* members, each cut before its encoding would pass
+    *max_bytes* -- the largest unit the receiving channel accepts (a
+    frame that alone passes it travels bare).  ``max_frames=1`` sends
+    every frame bare.
     """
-    count = 0
-    out = bytearray(b"\x42\x00\x00\x00\x00")
-    for unit in units:
-        if unit[0] == _T_BATCH:
-            count += _unpack_u32_from(unit, 1)[0]
-            out += memoryview(unit)[5:]
-        else:
-            count += 1
-            out += _pack_u32(len(unit))
-            out += unit
-    if count > MAX_BATCH_FRAMES:
-        raise ValueError(f"batch of {count} exceeds cap {MAX_BATCH_FRAMES}")
-    _U32.pack_into(out, 1, count)
-    return bytes(out)
+    units: list[bytes] = []
+    run: list[bytes] = []
+    run_bytes = 5
+    for frame in frames:
+        cost = 4 + len(frame)
+        if run and (len(run) == max_frames or run_bytes + cost > max_bytes):
+            units.append(run[0] if len(run) == 1 else encode_batch(run))
+            run = []
+            run_bytes = 5
+        run.append(frame)
+        run_bytes += cost
+    if run:
+        units.append(run[0] if len(run) == 1 else encode_batch(run))
+    return units
 
 
 def decode_batch_views(data) -> list[memoryview]:
@@ -765,29 +760,9 @@ _AGREEMENT_COMPONENTS = frozenset({"vect", "mvc", "bc", "vc"})
 _BULK_HEADS = frozenset({"rec", "ckpt"})
 
 
-def frame_priority(data, _depth: int = 0) -> int:
-    """Shedding priority of one channel unit (higher survives longer).
-
-    Batches take the highest priority of their members, so coalescing
-    never demotes an agreement vote riding with payload frames.
-    Members are walked as zero-copy views with an early exit once the
-    maximum class is reached.
-    """
-    if is_batch(data):
-        if _depth >= MAX_BATCH_DEPTH:
-            return PRIORITY_BULK
-        try:
-            members = decode_batch_views(data)
-        except WireFormatError:
-            return PRIORITY_BULK
-        best = PRIORITY_BULK
-        for member in members:
-            priority = frame_priority(member, _depth + 1)
-            if priority == PRIORITY_AGREEMENT:
-                return PRIORITY_AGREEMENT
-            if priority > best:
-                best = priority
-        return best
+def frame_priority(data) -> int:
+    """Shedding priority of one queued frame (higher survives longer);
+    anything that is not a well-formed plain frame is bulk."""
     path_key = frame_path_key(data)
     if path_key is None:
         return PRIORITY_BULK

@@ -91,8 +91,8 @@ def run_burst(
     *batching* off (the default) is the paper's stack: every message
     is its own reliable broadcast and every frame its own channel unit.
     On, each sender hands its share of the burst to the stack in one
-    flush window, so atomic broadcast carries it in one batch and
-    frames coalesce all the way down the stack.  Extra
+    flush window, so atomic broadcast carries it in one batch, and
+    the link buffers coalesce frames into containers.  Extra
     :class:`GroupConfig` knobs (e.g. ``bc_engine`` / ``bc_coin`` for
     engine head-to-heads) pass through *config_kwargs*."""
     plan = _fault_plan(faultload, n)

@@ -394,8 +394,8 @@ class ClientGateway:
         All submissions triggered here share one flush window, so one
         wakeup's ordered ops are one atomic broadcast batch -- one
         reliable broadcast, ordered by one agreement slot, each op still
-        delivered and answered on its own -- and the replica stack sends
-        the window's frames as batched channel units.  This is where
+        delivered and answered on its own -- and the node's link flush
+        sends the turn's frames as batched channel units.  This is where
         client pipelining turns into atomic-broadcast batching.
         """
         with self.node.stack.coalesce():

@@ -19,13 +19,14 @@ IPSec AH (when enabled) adds 24 bytes to every frame plus a fixed and a
 per-byte hashing cost at each end, exactly the decomposition the paper
 gives for Table 1's overhead column.
 
-The unit these costs apply to is one *channel unit* -- whatever blob
-the stack hands its outbox.  When batching is on, a batch of coalesced
-frames is one unit, so the fixed costs (``cpu_send_s``,
-``header_bytes``, ``ipsec_cpu_fixed_s``, switch latency) are paid once
-per batch rather than once per frame; only the per-byte terms keep
-scaling with the frames inside.  That is precisely the lever the
-paper's fixed-cost analysis identifies as dominating LAN latency.
+The unit these costs apply to is one *channel unit*: a frame the stack
+handed its outbox, or, with batching on, a flat container the link
+buffer built from the frames queued toward one peer, so the fixed costs
+(``cpu_send_s``, ``header_bytes``, ``ipsec_cpu_fixed_s``, switch
+latency) are paid once per container rather than once per frame; only
+the per-byte terms keep scaling with the frames inside.  That is
+precisely the lever the paper's fixed-cost analysis identifies as
+dominating LAN latency.
 
 Each resource keeps a scalar "busy until" horizon, so scheduling a
 message is O(1) and the whole model is deterministic.
@@ -40,7 +41,7 @@ from typing import Callable
 from repro.core.config import GroupConfig
 from repro.core.sendq import BoundedSendQueue
 from repro.core.stack import ProtocolFactory, Stack
-from repro.core.wire import SEND_BATCH_FRAMES, is_batch, splice_batch
+from repro.core.wire import channel_units, is_batch
 from repro.crypto.coin import SharedCoinDealer
 from repro.crypto.keys import TrustedDealer
 from repro.net.faults import FaultPlan
@@ -184,8 +185,6 @@ class LanSimulation:
         self.batches_on_wire = 0
         self.link_batches = 0
         self.link_frames_coalesced = 0
-        #: Stack containers whose members a link batch spliced in.
-        self.link_containers_spliced = 0
         self.link_frames_shed = 0
         self.link_bytes_shed = 0
         self.peak_link_queue_frames = 0
@@ -195,8 +194,8 @@ class LanSimulation:
         self.link_frames_corrupted = 0
         # Per-link send buffers for frame coalescing: frames handed to a
         # link while the sender's CPU is still busy wait here and leave
-        # merged, mirroring the TCP link flush writing what a loop turn
-        # queued as one container.  Bounded by config.send_queue_max_frames
+        # merged (wire.channel_units), as the TCP link flush writes what
+        # a loop turn queued.  Bounded by config.send_queue_max_frames
         # with priority-aware shedding (0 = unbounded, seed behaviour).
         self._link_pending: dict[tuple[int, int], BoundedSendQueue] = {}
 
@@ -450,17 +449,13 @@ class LanSimulation:
             return
         if self.fault_plan.is_crashed(src, self.loop.now):
             return
-        for start in range(0, len(frames), SEND_BATCH_FRAMES):
-            chunk = frames[start : start + SEND_BATCH_FRAMES]
-            if len(chunk) == 1:
-                self._transmit_unit(src, dest, chunk[0])
-            else:
-                # Flat, as the TCP link writes it: a stack container's
-                # members are spliced in, not nested.
-                self.link_batches += 1
-                self.link_frames_coalesced += len(chunk)
-                self.link_containers_spliced += sum(map(is_batch, chunk))
-                self._transmit_unit(src, dest, splice_batch(chunk))
+        units = channel_units(frames)
+        if len(units) < len(frames):
+            batches = sum(map(is_batch, units))
+            self.link_batches += batches
+            self.link_frames_coalesced += len(frames) - len(units) + batches
+        for unit in units:
+            self._transmit_unit(src, dest, unit)
 
     def _gen(self, src: int, dest: int) -> tuple[int, int]:
         """Incarnation stamp a frame carries through the staged events."""

@@ -32,6 +32,9 @@ MAC_LEN = 32
 _HEADER = struct.Struct(">QI")
 _LEN = struct.Struct(">I")
 MAX_FRAME = 64 * 1024 * 1024
+#: Body bytes around a frame's payload: the sequence/source header and
+#: the HMAC trailer.
+BODY_OVERHEAD = _HEADER.size + MAC_LEN
 
 
 class FramingError(Exception):

@@ -6,10 +6,11 @@ are receive-only.  The first frame on an inbound connection identifies
 -- and cryptographically authenticates -- the sending peer.
 
 The data path is event-driven: inbound links deliver each complete unit
-of a read as it arrives; one flush per loop turn delivers loopback units
-and writes each peer one flat container.  A blocked or paused peer, or
-one not reached yet, keeps its units queued, unencoded; a peer that was
-up and stopped answering is *down*, and its units are shed at the outbox.
+of a read as it arrives; one flush per loop turn delivers loopback frames
+and writes each peer its queued frames in flat containers, the only
+place a node builds one.  A blocked or paused peer, or one not reached
+yet, keeps its frames queued, unencoded; a peer that was up and stopped
+answering is *down*, and its frames are shed at the outbox.
 A connector task per peer only connects.
 
 A node is one process of one group, as in the paper.  A process taking
@@ -34,12 +35,19 @@ from repro.core.config import GroupConfig
 from repro.core.errors import ConfigurationError
 from repro.core.sendq import BoundedSendQueue
 from repro.core.stack import ProtocolFactory, Stack
-from repro.core.wire import SEND_BATCH_FRAMES, frame_priority, splice_batch
+from repro.core.wire import MAX_BATCH_FRAMES, channel_units, is_batch
 from repro.crypto.coin import CoinSource, SharedCoinDealer
 from repro.crypto.keys import KeyStore
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.stack_metrics import StackMetrics
-from repro.transport.framing import MAC_LEN, MAX_FRAME, FrameCodec, FramingError, peek_src
+from repro.transport.framing import (
+    BODY_OVERHEAD,
+    MAC_LEN,
+    MAX_FRAME,
+    FrameCodec,
+    FramingError,
+    peek_src,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +65,7 @@ RECONNECT_MAX_S = 5.0
 RECONNECT_JITTER = 0.1
 #: Consecutive failed reconnects after which a link that was up is
 #: presumed down (about 0.6 s of refused connects at the schedule above):
-#: its queue is shed, and so is every unit toward it until a connect
+#: its queue is shed, and so is every frame toward it until a connect
 #: succeeds.  A peer that never connected is never down: startup skew is
 #: not a crash.
 DOWN_AFTER_FAILURES = 3
@@ -87,7 +95,7 @@ class _Link(asyncio.BaseProtocol):
 
 class _PeerLink(_Link, asyncio.Protocol):
     """One peer's outbound link: bounded send queue, codec and transport.
-    Every connection attempt gets this object, so queued units outlive a
+    Every connection attempt gets this object, so queued frames outlive a
     reconnect; bytes written into a dead transport die with it."""
 
     def __init__(self, node: "RitasNode", pid: int):
@@ -274,7 +282,7 @@ class RitasNode:
         self._send_queues: dict[int, _PeerLink] = {}
         #: Peers whose outbound link is held (:meth:`set_link_blocked`).
         self._blocked: set[int] = set()
-        #: This turn's units addressed to this process.
+        #: This turn's frames addressed to this process.
         self._loopback: list[bytes] = []
         self._flush_scheduled = False
         self._tasks: list[asyncio.Task] = []
@@ -282,12 +290,11 @@ class RitasNode:
         self._connections: set[_Link] = set()
         self._closed = False
         self.frames_rejected = 0
-        #: Units dropped toward a peer: by the per-peer send-queue bound
-        #: (``config.send_queue_max_frames``), and every unit toward a
+        #: Frames dropped toward a peer: by the per-peer send-queue bound
+        #: (``config.send_queue_max_frames``), and every frame toward a
         #: down link.
         self.frames_shed = 0
-        #: Outbound channel units merged into batch containers by the
-        #: link flush (on top of any coalescing the stack already did).
+        #: Batch containers the link flush wrote, and the frames in them.
         self.batches_sent = 0
         self.frames_batched = 0
         #: Reconnect bookkeeping (see :meth:`_reconnect_delay`).
@@ -435,7 +442,7 @@ class RitasNode:
     # -- outbound -------------------------------------------------------------------
 
     def _outbox(self, dest: int, data: bytes) -> None:
-        """The stack's outbox: loopback stays in-process, a unit toward a
+        """The stack's outbox: loopback stays in-process, a frame toward a
         down link is shed, everything else joins the peer's queue."""
         if self._closed:
             return
@@ -447,9 +454,7 @@ class RitasNode:
             if link.down:
                 self._charge_shed(dest, 1)
                 return
-            queue = link.queue
-            # Unbounded queues never shed: no priority to read.
-            shed = queue.push(data, frame_priority(data) if queue.max_frames else None)
+            shed = link.queue.push(data)
             if shed:
                 self._charge_shed(dest, len(shed))
         self._schedule_flush()
@@ -461,16 +466,24 @@ class RitasNode:
 
     def _flush(self) -> None:
         """Once per loop turn that queued anything: deliver the turn's loopback
-        units, then write every writable peer's queue, including what they queued."""
+        frames in one flush window, then write every writable peer's queue,
+        including what they queued."""
         if self._closed:
             return
         loopback, self._loopback = self._loopback, []
-        for data in loopback:
+        if loopback:
+            stack = self.stack
+            # One failing frame, or window-close callback, must not strand
+            # the rest of the turn.
             try:
-                self.stack.receive(self.process_id, data)
+                with stack.coalesce():
+                    for data in loopback:
+                        try:
+                            stack.receive(self.process_id, data)
+                        except Exception:
+                            logger.exception("p%d: loopback frame failed", self.process_id)
             except Exception:
-                # One failing unit must not strand the rest of the turn.
-                logger.exception("p%d: loopback unit failed", self.process_id)
+                logger.exception("p%d: loopback window failed", self.process_id)
         self._flush_scheduled = False
         for pid, link in self._send_queues.items():
             if link.queue and link.transport and not link.paused and pid not in self._blocked:
@@ -479,28 +492,29 @@ class RitasNode:
             self._schedule_flush()
 
     def _write(self, link: _PeerLink) -> None:
-        """Write one peer's queue in one transport write: one flat container
-        per :data:`SEND_BATCH_FRAMES` units with batching on, else per unit."""
-        units = link.queue.drain()
-        step = SEND_BATCH_FRAMES if self.config.batching else 1
-        out = []
-        for start in range(0, len(units), step):
-            chunk = units[start : start + step]
-            if len(chunk) > 1:
-                self.batches_sent += 1
-                self.frames_batched += len(chunk)
-            out.append(link.codec.encode(splice_batch(chunk) if len(chunk) > 1 else chunk[0]))
-        link.transport.write(b"".join(out))
+        """Write one peer's queue in one transport write: flat containers of
+        up to :data:`MAX_BATCH_FRAMES` frames with batching on, each within
+        what a receiver accepts (:data:`MAX_FRAME`), else one unit per frame."""
+        frames = link.queue.drain()
+        units = channel_units(
+            frames, MAX_BATCH_FRAMES if self.config.batching else 1, MAX_FRAME - BODY_OVERHEAD
+        )
+        if len(units) < len(frames):
+            batches = sum(map(is_batch, units))
+            self.batches_sent += batches
+            self.frames_batched += len(frames) - len(units) + batches
+        encode = link.codec.encode
+        link.transport.write(b"".join([encode(unit) for unit in units]))
 
     def _charge_shed(self, dest: int, frames: int) -> None:
-        """Account *frames* units dropped toward *dest*."""
+        """Account *frames* frames dropped toward *dest*."""
         self.frames_shed += frames
         self.stack.stats.record_shed(dest, frames, len(self._send_queues[dest].queue))
 
     def set_link_blocked(self, pid: int, blocked: bool) -> None:
         """Fault injection: hold (or release) the outbound link to *pid*.
 
-        While blocked, units keep queueing (unencoded) toward the peer and
+        While blocked, frames keep queueing (unencoded) toward the peer and
         the link flush skips it; on release everything flushes in order.
         Blocking the cross-island links of every node on both sides is
         how the partition tests build a 2/2 split on the real runtime --

@@ -1,16 +1,19 @@
-"""Frame coalescing: flush windows, batch receive, byte-identity off."""
+"""Frame coalescing: flush windows, link containers, batch receive,
+byte-identity off."""
 
 from repro.core.config import GroupConfig
-from repro.core.stack import CHANNEL_HEADER_BYTES, ControlBlock, Stack
+from repro.core.stack import ControlBlock, Stack
 from repro.core.wire import (
-    MAX_BATCH_DEPTH,
-    SEND_BATCH_FRAMES,
+    MAX_BATCH_FRAMES,
+    channel_units,
     decode_batch_views,
     encode_batch,
     encode_frame,
     is_batch,
 )
 from repro.net.network import LanSimulation
+
+from util import InstantNet
 
 
 def make_stack(config=None, pid=0):
@@ -26,7 +29,7 @@ def make_stack(config=None, pid=0):
 class TestConfigKnobs:
     def test_defaults(self):
         assert GroupConfig(4).batching is True
-        assert SEND_BATCH_FRAMES == 64
+        assert MAX_BATCH_FRAMES == 64 * 64
 
 
 class TestFlushWindow:
@@ -36,48 +39,12 @@ class TestFlushWindow:
         assert len(sent) == 4
         assert not any(is_batch(data) for _, data in sent)
 
-    def test_window_coalesces_per_destination(self):
-        stack, sent = make_stack()
-        with stack.coalesce():
-            stack.broadcast_frame(("t",), 0, b"one")
-            stack.broadcast_frame(("t",), 1, b"two")
-            assert sent == []  # parked until the window closes
-        assert len(sent) == 4
-        for dest, data in sent:
-            frames = [bytes(m) for m in decode_batch_views(data)]
-            assert len(frames) == 2
-            assert b"one" in frames[0] and b"two" in frames[1]
-        assert stack.stats.batches_sent == 4
-        assert stack.stats.frames_coalesced == 8
-        assert stack.stats.header_bytes_saved == 4 * CHANNEL_HEADER_BYTES
-
     def test_lone_frame_travels_bare(self):
-        """One frame in the window: no container, byte-identical."""
+        """A frame sent inside a window reaches the outbox at once, bare."""
         stack, sent = make_stack()
         with stack.coalesce():
             stack.send_frame(1, ("t",), 0, b"solo")
-        assert sent == [(1, encode_frame(("t",), 0, b"solo"))]
-        assert stack.stats.batches_sent == 0
-
-    def test_windows_nest_and_flush_once(self):
-        stack, sent = make_stack()
-        with stack.coalesce():
-            stack.send_frame(1, ("t",), 0, b"a")
-            with stack.coalesce():
-                stack.send_frame(1, ("t",), 0, b"b")
-            assert sent == []  # inner exit does not flush
-        assert len(sent) == 1
-        assert len(decode_batch_views(sent[0][1])) == 2
-
-    def test_cap_splits_long_windows(self):
-        stack, sent = make_stack()
-        with stack.coalesce():
-            for k in range(2 * SEND_BATCH_FRAMES + 1):
-                stack.send_frame(1, ("t",), 0, b"m%d" % k)
-        sizes = [
-            len(decode_batch_views(data)) if is_batch(data) else 1 for _, data in sent
-        ]
-        assert sizes == [SEND_BATCH_FRAMES, SEND_BATCH_FRAMES, 1]
+            assert sent == [(1, encode_frame(("t",), 0, b"solo"))]
 
     def test_batching_off_window_is_noop(self):
         stack, sent = make_stack(GroupConfig(4, batching=False))
@@ -86,7 +53,62 @@ class TestFlushWindow:
             stack.send_frame(1, ("t",), 0, b"b")
             assert len(sent) == 2  # emitted immediately, not parked
         assert not any(is_batch(data) for _, data in sent)
-        assert stack.stats.batches_sent == 0
+
+    def test_windowed_burst_hands_outbox_no_container(self):
+        """Only a runtime's link builds containers: a windowed atomic
+        broadcast burst, and every reply it provokes, reaches the outbox
+        as bare frames."""
+        net = InstantNet(4)
+        sent = []
+        for pid, stack in enumerate(net.stacks):
+            original = stack._outbox
+
+            def recording(dest, data, original=original):
+                sent.append(data)
+                original(dest, data)
+
+            stack._outbox = recording
+        abs_ = [stack.create("ab", ("t",)) for stack in net.stacks]
+        for pid, stack in enumerate(net.stacks):
+            with stack.coalesce():
+                for index in range(8):
+                    abs_[pid].broadcast(b"%d-%d" % (pid, index))
+        net.run()
+        assert all(ab.delivered_count == 32 for ab in abs_)
+        assert sent and not any(is_batch(data) for data in sent)
+
+
+class TestChannelUnits:
+    FRAMES = [encode_frame(("t",), 0, b"m%d" % k) for k in range(5)]
+
+    def test_lone_frame_stays_bare(self):
+        assert channel_units(self.FRAMES[:1]) == self.FRAMES[:1]
+
+    def test_run_leaves_as_one_flat_container(self):
+        (unit,) = channel_units(self.FRAMES)
+        assert [bytes(m) for m in decode_batch_views(unit)] == self.FRAMES
+
+    def test_frame_cap_splits(self):
+        units = channel_units(self.FRAMES, max_frames=2)
+        assert units[:2] == [encode_batch(self.FRAMES[:2]), encode_batch(self.FRAMES[2:4])]
+        assert units[2] == self.FRAMES[4]  # the remainder of one travels bare
+        assert channel_units(self.FRAMES, max_frames=1) == self.FRAMES
+
+    def test_byte_cap_splits_before_passing_it(self):
+        size = len(self.FRAMES[0])
+        # Room for a two-member container (5 + 2 * (4 + size) bytes), not three.
+        units = channel_units(self.FRAMES, max_bytes=5 + 2 * (4 + size) + 4 + size - 1)
+        assert all(len(unit) <= 5 + 2 * (4 + size) for unit in units)
+        assert units == [
+            encode_batch(self.FRAMES[:2]),
+            encode_batch(self.FRAMES[2:4]),
+            self.FRAMES[4],
+        ]
+
+    def test_oversized_frame_travels_bare(self):
+        big = encode_frame(("t",), 0, b"x" * 100)
+        units = channel_units([self.FRAMES[0], big, self.FRAMES[1]], max_bytes=64)
+        assert units == [self.FRAMES[0], big, self.FRAMES[1]]
 
 
 class TestReceiveBatches:
@@ -116,42 +138,16 @@ class TestReceiveBatches:
         assert stack.stats.ooc_stored == 2
 
     def test_nesting_depth_capped(self):
+        """Containers are flat, since no correct sender nests them: a
+        member that is itself a container is dropped as a malformed batch
+        and charged to the sender, and its sibling frames still route."""
         stack, _ = make_stack()
-        unit = encode_frame(("nowhere",), 0, b"x")
-        for _ in range(MAX_BATCH_DEPTH + 1):
-            unit = encode_batch([unit])
-        stack.receive(1, unit)
-        assert stack.stats.dropped.get("batch-too-deep") == 1
-        assert stack.stats.ooc_stored == 0
-
-    def test_nested_within_cap_unwrapped(self):
-        stack, _ = make_stack()
-        unit = encode_frame(("nowhere",), 0, b"x")
-        for _ in range(MAX_BATCH_DEPTH - 1):
-            unit = encode_batch([unit])
-        stack.receive(1, unit)
+        frame = encode_frame(("nowhere",), 0, b"x")
+        stack.receive(1, encode_batch([frame, encode_batch([frame, frame])]))
+        assert stack.stats.dropped.get("malformed-batch") == 1
+        assert stack.ledger.offenses(1) == {"malformed-batch": 1}
+        assert stack.stats.frames_received == 1
         assert stack.stats.ooc_stored == 1
-
-    def test_replies_to_one_arrival_coalesce(self):
-        """The cascade: a batch of two INITs provokes two ECHO broadcasts
-        within one receive window, so each peer gets them as one batch."""
-        # Capture the two INIT frames a sender broadcasts toward pid 0.
-        sender, sender_out = make_stack(pid=1)
-        for tag in ("a", "b"):
-            rb = sender.create("rb", (tag,), sender=1)
-            rb.broadcast(b"payload-" + tag.encode())
-        init_frames = [data for dest, data in sender_out if dest == 0]
-        assert len(init_frames) == 2
-
-        receiver, sent = make_stack(pid=0)
-
-        for tag in ("a", "b"):
-            receiver.create("rb", (tag,), sender=1)
-        receiver.receive(1, encode_batch(init_frames))
-        echo_units = [data for dest, data in sent if dest == 2]
-        assert len(echo_units) == 1
-        assert len(decode_batch_views(echo_units[0])) == 2
-        assert receiver.stats.batches_sent == 4  # one per peer incl. self
 
 
 def run_burst_traffic(seed_style, monkeypatch, *, batching=False):
@@ -190,7 +186,7 @@ def run_burst_traffic(seed_style, monkeypatch, *, batching=False):
         sim.stacks[pid].instance_at(("t",)).broadcast(b"msg-%d" % pid)
     sim.run(until=lambda: len(delivered) == 2, max_time=60)
     assert sorted(delivered) == [b"msg-0", b"msg-2"]
-    return traffic
+    return traffic, sim
 
 
 class TestByteIdentity:
@@ -198,15 +194,17 @@ class TestByteIdentity:
         """With batching off, every channel unit -- content, destination
         and order -- is byte-identical to the seed's per-destination
         encode loop."""
-        seed = run_burst_traffic(True, monkeypatch)
-        current = run_burst_traffic(False, monkeypatch)
+        seed, _ = run_burst_traffic(True, monkeypatch)
+        current, _ = run_burst_traffic(False, monkeypatch)
         assert current == seed
 
     def test_batching_on_coalesces_and_still_delivers(self, monkeypatch):
-        """Batching on: batch containers actually appear on the wire and
-        the burst still delivers (run_burst_traffic asserts delivery).
-        Frame *content* may legitimately differ from the unbatched run --
-        coalescing shifts arrival timing, so agreement rounds see
-        different vectors -- but the delivered messages must not."""
-        traffic = run_burst_traffic(False, monkeypatch, batching=True)
-        assert any(is_batch(data) for _, _, data in traffic)
+        """Batching on: the link buffers put containers on the wire, the
+        stacks still hand their outboxes bare frames, and the burst still
+        delivers (run_burst_traffic asserts delivery).  Frame *content*
+        may legitimately differ from the unbatched run -- coalescing
+        shifts arrival timing, so agreement rounds see different vectors
+        -- but the delivered messages must not."""
+        traffic, sim = run_burst_traffic(False, monkeypatch, batching=True)
+        assert sim.link_batches > 0 and sim.batches_on_wire == sim.link_batches
+        assert not any(is_batch(data) for _, _, data in traffic)

@@ -6,10 +6,15 @@ wire encoding, never the logical frame counts -- and every queue the obs
 layer watches drains back to zero.
 """
 
+import asyncio
+import time
+
 import pytest
 
 from repro import GroupConfig, LanSimulation
 from repro.core.stats import StackStats
+
+from util import make_group_nodes, start_tcp_group
 
 #: Gauges that must read zero once the group has quiesced (levels, not
 #: totals: anything nonzero here is work stuck in flight).
@@ -57,25 +62,12 @@ class TestConservation:
         combined = StackStats()
         for pid in sim.config.process_ids:
             combined.merge(sim.stacks[pid].stats)
-        # Containers come from two coalescing stages: the stacks' flush
-        # windows (batches_sent) and the simulated link layer
-        # (link_batches).  A link batch splices in the members of every
-        # stack container it carries (link_containers_spliced), so those
-        # are never opened on their own; every other container is opened
-        # exactly once on the receive side, and each spliced container
-        # stands as one of the link batch's units but is no member.
-        spliced = sim.link_containers_spliced
-        assert (
-            combined.batches_received
-            == combined.batches_sent + sim.link_batches - spliced
-        )
-        assert (
-            combined.frames_decoalesced
-            == combined.frames_coalesced + sim.link_frames_coalesced - spliced
-        )
+        # The simulated link buffers are the only coalescing stage: every
+        # container they build is opened exactly once on the receive side.
+        assert combined.batches_received == sim.link_batches
+        assert combined.frames_decoalesced == sim.link_frames_coalesced
         if batching:
             assert combined.batches_received > 0
-            assert spliced > 0
         else:
             assert combined.batches_received == 0
 
@@ -89,3 +81,42 @@ class TestConservation:
                         dict(metric.labels),
                         metric.value,
                     )
+
+
+class TestTcpConservation:
+    def test_link_containers_opened_once(self):
+        """On real TCP too, each node's link flush is the only place a
+        container is built: the group opens exactly the containers and
+        frames its links batched."""
+
+        async def scenario():
+            nodes = make_group_nodes(GroupConfig(4))
+            await start_tcp_group(nodes)
+            try:
+                abs_ = [node.stack.create("ab", ("law",)) for node in nodes]
+                for ab, node in zip(abs_, nodes):
+                    with node.stack.coalesce():
+                        for index in range(8):
+                            ab.broadcast(b"conserve-%d" % index)
+                stacks = [node.stack for node in nodes]
+                deadline = time.monotonic() + 20.0
+                # Quiescent once every logical frame sent was received.
+                while not (
+                    all(ab.delivered_count == 32 for ab in abs_)
+                    and sum(s.stats.frames_sent for s in stacks)
+                    == sum(s.stats.frames_received for s in stacks)
+                ):
+                    assert time.monotonic() < deadline, "the group never quiesced"
+                    await asyncio.sleep(0.02)
+                assert sum(s.stats.batches_received for s in stacks) == sum(
+                    node.batches_sent for node in nodes
+                )
+                assert sum(s.stats.frames_decoalesced for s in stacks) == sum(
+                    node.frames_batched for node in nodes
+                )
+                assert sum(node.batches_sent for node in nodes) > 0
+            finally:
+                for node in nodes:
+                    await node.close()
+
+        asyncio.run(scenario())

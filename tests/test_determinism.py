@@ -111,9 +111,11 @@ class TestCoinDeterminism:
     through coin-branch rounds."""
 
     @staticmethod
-    def _traced_coin_run(seed: int) -> tuple[str, int]:
+    def _traced_coin_run(seed: int) -> tuple[str, list[int]]:
+        """The run's rendered traces and each correct process's number of
+        coin tosses."""
         # byz-bc-split: split proposals plus the always-zero attacker,
-        # so correct processes actually reach the step-3 coin branch.
+        # so correct processes can reach the step-3 coin branch.
         scenario = SCENARIOS["byz-bc-split"]
         sim = scenario.build(seed, seed, 1e-4)
         tracers = []
@@ -123,19 +125,24 @@ class TestCoinDeterminism:
             tracers.append(tracer)
         scenario.apply_ops(sim, scenario.ops)
         sim.run(max_time=scenario.max_time)
-        tosses = sum(
+        tosses = [
             len(sim.stacks[pid].instance_at(("bc", "v"))._coin_rounds)
             for pid in range(5)  # pid 5 is the attacker
-        )
+        ]
         return "\n".join(tracer.render() for tracer in tracers), tosses
 
     def test_same_seed_coin_branch_runs_are_byte_identical(self):
-        # At seed 2 every correct process reaches the step-3 coin branch
-        # (asserted below), so the trace equality covers tosses of the
-        # default stack-derived local coin.
-        first, tosses_first = self._traced_coin_run(2)
-        second, tosses_second = self._traced_coin_run(2)
-        assert tosses_first == tosses_second == 5
+        # The trace equality covers tosses of the default stack-derived
+        # local coin only on a run where every correct process reaches
+        # the step-3 coin branch: take the first such seed of a fixed
+        # range, whichever it is at this timing model.
+        seed = next(
+            (seed for seed in range(1, 21) if all(self._traced_coin_run(seed)[1])), None
+        )
+        assert seed is not None, "no seed in 1..20 makes every correct process toss"
+        first, tosses_first = self._traced_coin_run(seed)
+        second, tosses_second = self._traced_coin_run(seed)
+        assert all(tosses_first) and tosses_first == tosses_second
         assert first == second
 
     def test_default_coin_stream_is_isolated_from_stack_rng(self):

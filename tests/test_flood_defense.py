@@ -33,6 +33,8 @@ from repro.core.wire import (
     PRIORITY_AGREEMENT,
     PRIORITY_BULK,
     PRIORITY_PAYLOAD,
+    channel_units,
+    decode_batch_views,
     decode_frame_ex,
     encode_batch,
     encode_frame,
@@ -232,6 +234,19 @@ def _count_apply(state, command):
 # -- bounded send queues -------------------------------------------------------
 
 
+# Frames of each shedding class, told apart by their payloads.
+def _payload(tag: bytes) -> bytes:
+    return encode_frame(("ab", 1, "msg", 0), 0, tag)
+
+
+def _vote(tag: bytes) -> bytes:
+    return encode_frame(("ab", 1, "vect"), 0, tag)
+
+
+def _bulk(tag: bytes) -> bytes:
+    return encode_frame(("rec", "st"), 0, tag)
+
+
 class TestBoundedSendQueue:
     def test_unbounded_is_plain_fifo(self):
         queue = BoundedSendQueue()
@@ -242,40 +257,39 @@ class TestBoundedSendQueue:
 
     def test_overflow_sheds_lowest_priority_first(self):
         queue = BoundedSendQueue(max_frames=2)
-        queue.push(b"payload", priority=PRIORITY_PAYLOAD)
-        queue.push(b"vote1", priority=PRIORITY_AGREEMENT)
-        shed = queue.push(b"vote2", priority=PRIORITY_AGREEMENT)
-        assert shed == [b"payload"]
-        assert queue.frames_shed == 1
-        assert queue.shed_by_priority[PRIORITY_PAYLOAD] == 1
-        assert queue.drain() == [b"vote1", b"vote2"]
+        queue.push(_payload(b"p"))
+        queue.push(_vote(b"v1"))
+        shed = queue.push(_vote(b"v2"))
+        assert shed == [_payload(b"p")]
+        assert queue.drain() == [_vote(b"v1"), _vote(b"v2")]
 
     def test_newcomer_shed_when_outranked(self):
         queue = BoundedSendQueue(max_frames=2)
-        queue.push(b"vote1", priority=PRIORITY_AGREEMENT)
-        queue.push(b"vote2", priority=PRIORITY_AGREEMENT)
-        shed = queue.push(b"bulk", priority=PRIORITY_BULK)
-        assert shed == [b"bulk"]
-        assert queue.drain() == [b"vote1", b"vote2"]
+        queue.push(_vote(b"v1"))
+        queue.push(_vote(b"v2"))
+        shed = queue.push(_bulk(b"b"))
+        assert shed == [_bulk(b"b")]
+        assert queue.drain() == [_vote(b"v1"), _vote(b"v2")]
 
     def test_never_reorders_survivors(self):
         """Shedding removes frames but must preserve the relative order
         of everything that survives (per-pair FIFO is a protocol
         assumption)."""
         queue = BoundedSendQueue(max_frames=3)
-        queue.push(b"p1", priority=PRIORITY_PAYLOAD)
-        queue.push(b"v1", priority=PRIORITY_AGREEMENT)
-        queue.push(b"p2", priority=PRIORITY_PAYLOAD)
-        queue.push(b"v2", priority=PRIORITY_AGREEMENT)  # sheds p1
-        assert queue.drain() == [b"v1", b"p2", b"v2"]
+        queue.push(_payload(b"p1"))
+        queue.push(_vote(b"v1"))
+        queue.push(_payload(b"p2"))
+        assert queue.push(_vote(b"v2")) == [_payload(b"p1")]
+        assert queue.drain() == [_vote(b"v1"), _payload(b"p2"), _vote(b"v2")]
 
     def test_peaks_and_drain(self):
         queue = BoundedSendQueue(max_frames=10)
-        for index in range(5):
-            queue.push(bytes([index]) * 10, priority=PRIORITY_PAYLOAD)
-        assert queue.peak_frames == 5 and queue.peak_bytes == 50
-        assert len(queue.drain()) == 5
-        assert queue.frames_shed == 0  # drain is delivery, not shedding
+        frames = [_payload(bytes([index]) * 10) for index in range(5)]
+        for frame in frames:
+            assert queue.push(frame) == []  # under the bound nothing sheds
+        assert len(queue) == 5 and queue.bytes == sum(map(len, frames))
+        assert queue.drain() == frames
+        assert len(queue) == 0 and queue.bytes == 0
 
 
 class TestFramePriority:
@@ -286,12 +300,19 @@ class TestFramePriority:
         assert frame_priority(encode_frame(("rec", "st"), 0, b"x")) == PRIORITY_BULK
         assert frame_priority(encode_frame(("ckpt", 3), 1, b"x")) == PRIORITY_BULK
         assert frame_priority(b"\xffgarbage") == PRIORITY_BULK
+        # Queues hold bare frames only: a container is not looked into.
+        assert frame_priority(encode_batch([_vote(b"v"), _vote(b"w")])) == PRIORITY_BULK
 
     def test_batch_takes_member_maximum(self):
-        payload = encode_frame(("ab", 1, "msg", 0), 0, b"x")
-        vote = encode_frame(("ab", 0, "bc", 1), 1, 0)
-        assert frame_priority(encode_batch([payload, payload])) == PRIORITY_PAYLOAD
-        assert frame_priority(encode_batch([payload, vote])) == PRIORITY_AGREEMENT
+        """A batch's members are queued bare, each under its own class, so
+        the vote among them outranks payloads on overflow and still leaves
+        in the container the link flush builds from the drained queue."""
+        queue = BoundedSendQueue(max_frames=2)
+        queue.push(_payload(b"p1"))
+        queue.push(_vote(b"v"))
+        assert queue.push(_payload(b"p2")) == [_payload(b"p1")]
+        (unit,) = channel_units(queue.drain())
+        assert [bytes(m) for m in decode_batch_views(unit)] == [_vote(b"v"), _payload(b"p2")]
 
     def test_frame_path_of_plain_frames(self):
         frame = encode_frame(("ab", 7, "msg"), 3, [b"payload", None])

@@ -9,7 +9,7 @@ from repro.core.errors import ConfigurationError, ProtocolViolationError, WireFo
 from repro.core.mbuf import Mbuf
 from repro.core.stack import ORPHAN_STALE, ControlBlock, ProtocolFactory, Stack
 from repro.core.trace import KIND_DROP, Tracer
-from repro.core.wire import MAX_BATCH_DEPTH, encode_batch, encode_frame
+from repro.core.wire import encode_batch, encode_frame
 
 from util import InstantNet
 
@@ -149,13 +149,10 @@ class TestRouting:
         stack.create("rec", ("violate",))
         stack.create("rec", ("garble",))
         frame = encode_frame(("x",), 0, None)
-        too_deep = frame
-        for _ in range(MAX_BATCH_DEPTH + 1):
-            too_deep = encode_batch([too_deep])
         for unit in (
             b"\xff\xfe garbage",  # malformed-frame, at parse
             encode_batch([frame, frame])[:-1],  # malformed-batch
-            too_deep,  # batch-too-deep
+            encode_batch([encode_batch([frame, frame])]),  # malformed-batch, nested
             encode_frame(("violate",), 0, None),  # protocol-violation, at input
             encode_frame(("garble",), 0, None),  # malformed-frame, at input
             encode_frame(("violate", "child"), 0, None),  # protocol-violation, at demux
@@ -166,8 +163,7 @@ class TestRouting:
         assert traced == stack.stats.dropped
         assert traced == {
             "malformed-frame": 2,
-            "malformed-batch": 1,
-            "batch-too-deep": 1,
+            "malformed-batch": 2,
             "protocol-violation": 2,
             "stale-frame": 1,
         }

@@ -539,9 +539,9 @@ class TestOutboundFlow:
 
     def test_burst_leaves_one_flat_container_per_peer_per_turn(self, group4):
         """A coalesced burst: each flush writes each peer once, no member
-        of a received container is itself a container, loopback units
+        of a received container is itself a container, loopback frames
         share the flush instead of one loop callback each, and the link
-        batch counters count queued units per merged container."""
+        batch counters count queued frames per merged container."""
         config, dealer = group4
 
         async def scenario():
@@ -609,5 +609,44 @@ class TestOutboundFlow:
             assert merged, "the burst merged nothing"
             assert sum(node.batches_sent for node in nodes) == len(merged)
             assert sum(node.frames_batched for node in nodes) == sum(merged)
+
+        asyncio.run(scenario())
+
+    def test_released_backlog_stays_within_what_peers_accept(self, group4, monkeypatch):
+        """A held link's backlog outgrows one channel unit: the flush cuts
+        it into containers a receiver accepts (each body within
+        ``MAX_FRAME``), so nothing is rejected, nobody is charged and
+        every frame arrives."""
+        config, dealer = group4
+        monkeypatch.setattr(tcp, "MAX_FRAME", 64 * 1024)
+        frames = 16
+
+        async def scenario():
+            blank = [PeerAddress("127.0.0.1", 0)] * 4
+            nodes = [make_node(config, dealer, blank, pid) for pid in range(4)]
+            await start_staged(nodes)
+            sender, receiver = nodes[0], nodes[1]
+            try:
+                link = sender._send_queues[1]
+                await wait_until(lambda: link.transport is not None, "the link")
+                sender.set_link_blocked(1, True)
+                for index in range(frames):
+                    sender.stack.send_frame(1, ("t", index), 0, bytes(10_000))
+                await asyncio.sleep(0.05)
+                assert sender.send_queue_depth(1)[0] == frames
+                assert sender.send_queue_depth(1)[1] > tcp.MAX_FRAME
+                sender.set_link_blocked(1, False)
+                await wait_until(
+                    lambda: receiver.stack.stats.frames_received == frames
+                    or receiver.frames_rejected,
+                    "the backlog",
+                )
+                assert receiver.frames_rejected == 0
+                assert receiver.stack.ledger.score(0) == 0
+                assert receiver.stack.stats.frames_received == frames
+                assert sender.batches_sent >= 3
+            finally:
+                for node in nodes:
+                    await node.close()
 
         asyncio.run(scenario())
