@@ -17,9 +17,9 @@ happy-path test:
   re-executes deterministically (runs are fully determined by their
   parameters, so the reproducer needs only those).
 - :mod:`repro.check.soak` drives one long-lived group through hours of
-  simulated time under a rotating fault schedule, asserting gauge
-  flatness from :mod:`repro.obs` each time a fault clears (imported on
-  demand -- it pulls in the application and recovery layers).
+  simulated time, rotating through the catalog's hostile environments
+  (every :attr:`Scenario.armable` scenario), asserting gauge
+  flatness from :mod:`repro.obs` each time a fault clears.
 
 CLI: ``python -m repro.check {explore,replay,scenarios,soak}``.
 """

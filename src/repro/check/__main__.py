@@ -13,9 +13,10 @@ writing the shrunken reproducer JSON (``--out``, default
 artifact.  ``replay`` exits 1 while the reproducer still violates
 (the bug is alive) and 0 once it runs clean.
 
-``soak`` runs hours of simulated time under the rotating fault
-schedule (see :mod:`repro.check.soak`), asserting gauge flatness at
-every window boundary; ``--smoke`` is the shortened CI variant and
+``soak`` runs hours of simulated time rotating through the catalog's
+hostile environments (see :mod:`repro.check.soak`), asserting gauge
+flatness at every window boundary; ``--smoke`` is the shortened CI
+variant (the warmup and one rotation) and
 ``--out`` writes the obs JSONL snapshot CI uploads as an artifact.
 
 The default budget honors the ``RITAS_EXPLORE_BUDGET`` environment
@@ -36,7 +37,9 @@ from repro.check.explore import (
     load_reproducer,
     replay,
 )
+from repro.check.invariants import InvariantViolation
 from repro.check.scenarios import SCENARIOS
+from repro.check.soak import SoakError, WindowReport, run_soak
 
 DEFAULT_BUDGET = int(os.environ.get("RITAS_EXPLORE_BUDGET", "100"))
 
@@ -91,11 +94,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
-    # Imported here: the soak harness pulls in the application and
-    # recovery layers, which the explore/replay paths never need.
-    from repro.check.invariants import InvariantViolation
-    from repro.check.soak import SoakError, WindowReport, run_soak
-
     def progress(window: WindowReport) -> None:
         lag = max(s["gc_lag"] for s in window.gauges["process"].values())
         print(

@@ -18,10 +18,16 @@ run -- the shrinker relies on that.
 Beyond ops, a scenario may carry an *environment*: ``partitions``
 (JSON-able split schedules applied through the fault plan), a ``link``
 factory building a :class:`~repro.net.links.LinkModel` (asymmetric WAN
-matrices, lossy/duplicating/reordering links, gray failures), and a
-``driver`` callable that arms time-triggered machinery on the built
-simulation (the churn scenario uses it to crash a replica mid-run and
-rejoin it through the recovery path).
+matrices, lossy/duplicating/reordering links, gray failures) and
+``restarts`` (crash/rejoin cycles through the recovery path).  An
+environment is armed on a :class:`Timeline`: the explorer arms it at
+time zero as written, the soak (:mod:`repro.check.soak`) arms each
+scenario whose environment fits a running simulation
+(:attr:`Scenario.armable`) at the start of a fault window, stretched to
+the window.  A ``driver`` callable arms the workload's own
+time-triggered machinery on the built simulation: load tickers,
+liveness checks, and the application layer (:class:`KvLoad`) that
+restarts rejoin through.
 
 The registry covers the paper's faultloads (failure-free, fail-stop,
 the Section 4.2 Byzantine process), every registered flooding strategy,
@@ -41,6 +47,7 @@ the hostile-network catalog: ``wan-asym``, ``wan-lossy``, ``wan-dup``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -50,13 +57,14 @@ from repro.adversary.strategies import (
     OVERLAP_ROUNDS,
     VOTE_FORGERY_KINDS,
 )
+from repro.apps.kv_store import ReplicatedKvStore
 from repro.check.invariants import InvariantViolation
 from repro.core.atomic_broadcast import RETAINED_ROUNDS
 from repro.core.config import GroupConfig
 from repro.net.faults import FaultPlan, Partition
 from repro.net.links import (
+    TWO_SITES,
     Degrading,
-    Delay,
     Duplicating,
     FlakyMac,
     LinkModel,
@@ -65,11 +73,31 @@ from repro.net.links import (
     zoned_matrix,
 )
 from repro.net.network import LanSimulation
+from repro.recovery import RecoveryManager
 
 Op = list  # ["kind", instance, pid, value]
 
 #: JSON-able partition spec: ``(start, end, islands)``.
 PartitionSpec = tuple
+
+#: Every armable environment plays out within this much scenario time:
+#: the last split heals by 0.6 s, the last replica rejoins at 1.5 s and
+#: the degrading ramp tops out at 0.52 s.  The soak stretches this span
+#: to its fault window.
+ENV_SPAN_S = 2.0
+
+
+@dataclass(frozen=True)
+class Timeline:
+    """Where a scenario's times land on a simulation's clock: scenario
+    time *t* is simulated time ``start + stretch * t``.  The default is
+    the explorer's (as written, from time zero)."""
+
+    start: float = 0.0
+    stretch: float = 1.0
+
+    def __call__(self, t: float) -> float:
+        return self.start + self.stretch * t
 
 
 @dataclass(frozen=True)
@@ -86,24 +114,25 @@ class Scenario:
     max_time: float = 120.0
     #: Temporary splits, as ``(start, end, islands)`` tuples.
     partitions: tuple[PartitionSpec, ...] = ()
-    #: Factory building a fresh :class:`LinkModel` per run (a shared
-    #: instance would leak RNG state between explorer runs).
-    link: Callable[[], LinkModel] | None = None
+    #: Factory building a fresh :class:`LinkModel` on a timeline per
+    #: arming (a shared instance would leak RNG state between runs).
+    link: Callable[[Timeline], LinkModel] | None = None
+    #: Crash/rejoin cycles, as ``(pid, crash_at, rejoin_at)`` tuples.
+    restarts: tuple[tuple[int, float, float], ...] = ()
     #: Callable run once on the built simulation, after :meth:`apply_ops`
-    #: and before the clock starts -- arms timers, churn, application
-    #: machinery.  Drivers must schedule deterministically (simulated
-    #: clock only).
-    driver: Callable[[LanSimulation], None] | None = None
+    #: and before the clock starts -- arms timers, load and application
+    #: machinery, and returns the application restarts rejoin through
+    #: (:class:`KvLoad`).  Drivers must schedule deterministically
+    #: (simulated clock only).
+    driver: Callable[[LanSimulation], Any] | None = None
 
-    def fault_plan(self) -> FaultPlan:
-        plan = FaultPlan(crashed=dict(self.crashed))
-        for pid, strategy in self.byzantine.items():
-            plan.byzantine[pid] = FaultPlan.with_byzantine(pid, strategy).byzantine[pid]
-        for start, end, islands in self.partitions:
-            plan.partitions.append(
-                Partition(start, end, tuple(tuple(island) for island in islands))
-            )
-        return plan
+    @property
+    def armable(self) -> bool:
+        """Whether the environment can be armed on a running simulation:
+        a link model, partitions that heal or replica restarts, and no
+        Byzantine or permanently crashed process."""
+        environment = self.link is not None or self.partitions or self.restarts
+        return bool(environment) and not (self.byzantine or self.crashed)
 
     def config(self) -> GroupConfig:
         return GroupConfig(self.n, **self.config_kwargs)
@@ -111,14 +140,47 @@ class Scenario:
     def build(
         self, seed: int, tie_break_seed: int | None, jitter_s: float
     ) -> LanSimulation:
-        return LanSimulation(
+        plan = FaultPlan(crashed=dict(self.crashed))
+        for pid, strategy in self.byzantine.items():
+            plan.byzantine[pid] = FaultPlan.with_byzantine(pid, strategy).byzantine[pid]
+        sim = LanSimulation(
             config=self.config(),
             seed=seed,
-            fault_plan=self.fault_plan(),
+            fault_plan=plan,
             jitter_s=jitter_s,
             tie_break_seed=tie_break_seed,
-            link_model=self.link() if self.link is not None else None,
         )
+        self.arm(sim)
+        return sim
+
+    def arm(
+        self, sim: LanSimulation, at: Timeline = Timeline(), *, seed: int | str | None = None
+    ) -> list[Partition]:
+        """Install the link model and the partitions on *sim*, their
+        times placed by *at*.  The link model is built fresh and bound to
+        *seed* (default: the simulation's master seed).  Returns the
+        partitions added to the fault plan, for the caller to remove."""
+        if self.link is not None:
+            sim.link_model = self.link(at).bind(sim.seed if seed is None else seed)
+        partitions = [
+            Partition(at(start), at(end), tuple(tuple(island) for island in islands))
+            for start, end, islands in self.partitions
+        ]
+        sim.fault_plan.partitions.extend(partitions)
+        return partitions
+
+    def arm_restarts(
+        self, sim: LanSimulation, rejoin: Callable[[int], None], at: Timeline = Timeline()
+    ) -> None:
+        """Schedule the crash/rejoin cycles, placed by *at*;
+        ``rejoin(pid)`` restarts the crashed replica."""
+
+        def crash(pid: int) -> None:
+            sim.fault_plan.crashed[pid] = sim.now
+
+        for pid, crash_at, rejoin_at in self.restarts:
+            sim.loop.schedule_at(at(crash_at), crash, pid)
+            sim.loop.schedule_at(at(rejoin_at), rejoin, pid)
 
     def apply_ops(self, sim: LanSimulation, ops: list[Op]) -> None:
         """Create the instances ops mention, then execute the ops."""
@@ -139,9 +201,11 @@ class Scenario:
                 raise ValueError(f"unknown op kind {kind!r}")
 
     def start(self, sim: LanSimulation) -> None:
-        """Arm the scenario's driver (if any) on the built simulation."""
-        if self.driver is not None:
-            self.driver(sim)
+        """Run the driver (if any) on the built simulation, then arm the
+        restarts through the application it returned."""
+        app = self.driver(sim) if self.driver is not None else None
+        if self.restarts:
+            self.arm_restarts(sim, app.rejoin)
 
 
 def _bc_ops(instance: str, proposals: dict[int, int]) -> list[Op]:
@@ -173,43 +237,42 @@ def _byz_scenario(strategy: str, n: int = 4, **kwargs: Any) -> Scenario:
 
 # -- hostile-environment catalog (link models, partitions, churn) ------------------
 
-#: The two-site geo-replication split used by the WAN scenarios.
-WAN_ZONES = ((0, 1), (2, 3))
-
 #: The standard mixed workload the environment scenarios run: an AB
 #: burst from everyone plus a split-proposal binary consensus.
 _ENV_OPS = _ab_burst("a", [0, 1, 2, 3], 2) + _bc_ops("v", {0: 1, 1: 0, 2: 1, 3: 0})
 
 
-def _wan_asym_link() -> LinkModel:
-    return zoned_matrix(WAN_ZONES, intra_s=2e-4, inter_s=0.015, jitter_s=2e-3)
+def _wan_asym_link(_at: Timeline) -> LinkModel:
+    return zoned_matrix(TWO_SITES, intra_s=2e-4, inter_s=0.015, jitter_s=2e-3)
 
 
-def _wan_lossy_link() -> LinkModel:
+def _wan_lossy_link(_at: Timeline) -> LinkModel:
     return LinkModel(default=Lossy(p=0.08, rto_s=0.01))
 
 
-def _wan_dup_link() -> LinkModel:
+def _wan_dup_link(_at: Timeline) -> LinkModel:
     return LinkModel(default=Duplicating(p=0.15, echo_delay_s=2e-3))
 
 
-def _wan_reorder_link() -> LinkModel:
+def _wan_reorder_link(_at: Timeline) -> LinkModel:
     return LinkModel(default=Reordering(p=0.5, spread_s=3e-3))
 
 
-def _gray_slow_link() -> LinkModel:
+def _gray_slow_link(_at: Timeline) -> LinkModel:
     return LinkModel(host_slowdowns={3: 100.0})
 
 
-def _gray_flaky_mac_link() -> LinkModel:
+def _gray_flaky_mac_link(_at: Timeline) -> LinkModel:
     # Process 2's NIC corrupts outbound frames intermittently; the
     # clean TCP retransmission follows one RTO later.
     flaky = FlakyMac(p=0.1, rto_s=5e-3)
     return LinkModel(behaviors={(2, dest): flaky for dest in range(4) if dest != 2})
 
 
-def _gray_degrading_link() -> LinkModel:
-    return LinkModel(default=Degrading(start_s=0.02, ramp_s=0.5, max_extra_s=0.01))
+def _gray_degrading_link(at: Timeline) -> LinkModel:
+    return LinkModel(
+        default=Degrading(start_s=at(0.02), ramp_s=at.stretch * 0.5, max_extra_s=0.01)
+    )
 
 
 #: laggard-gc: replica 3 is cut off for this long while the other three
@@ -402,60 +465,59 @@ def _batches_overlapped(sim: LanSimulation, correct: list, forger: int) -> str |
     return None
 
 
-def _churn_driver(sim: LanSimulation) -> None:
-    """Crash replica 3 mid-run and rejoin it through the recovery path,
-    twice, while every live replica keeps submitting commands.
+class KvLoad:
+    """The application layer churn-rejoin and the soak run: a replicated
+    KV store over atomic broadcast on every replica, a recovery manager
+    each (poked every *poke_s* seconds) for checkpoint certificates and
+    rejoin, and a write ticker each (every 50 ms).  A replica writes at
+    most once per *period* seconds and never after *until*; the
+    invariant checker still sees every protocol instance underneath.
 
-    The whole application layer lives in the driver (ops stay empty):
-    replicated KV stores over AB, a recovery manager per replica for
-    checkpoint certificates, and workload tickers that survive the
-    churn.  The invariant checker still sees every protocol instance
-    underneath -- agreement under churn is exactly what it sweeps.
+    Tickers die with a crashed incarnation; :meth:`rejoin` restarts the
+    process and attaches a recovering store and fresh tickers.
     """
-    # Imported here: repro.recovery imports protocol modules that import
-    # repro.core.stack, the hub this package hangs off.
-    from repro.apps.kv_store import ReplicatedKvStore
-    from repro.recovery import RecoveryManager
 
-    stores: list[ReplicatedKvStore] = []
-    writes = {"count": 0}
+    def __init__(
+        self,
+        sim: LanSimulation,
+        *,
+        period: float = 0.0,
+        until: float = math.inf,
+        poke_s: float = 0.01,
+    ):
+        self.sim = sim
+        self.period = period
+        self.until = until
+        self.poke_s = poke_s
+        self.writes = 0
+        self.stores: dict[int, ReplicatedKvStore] = {}
+        self.managers: dict[int, RecoveryManager] = {}
+        self._next_write: dict[int, float] = {}
+        for pid in sim.config.process_ids:
+            self.attach(pid, recovering=False)
 
-    def attach(pid: int, recovering: bool) -> None:
+    def attach(self, pid: int, *, recovering: bool) -> None:
+        sim = self.sim
         stack = sim.stacks[pid]
         store = ReplicatedKvStore(stack.create("ab", ("kv",)))
         manager = RecoveryManager(stack, store.rsm, recovering=recovering)
-        sim.add_ticker(pid, 0.01, manager.poke)
-        if len(stores) > pid:
-            stores[pid] = store
-        else:
-            stores.append(store)
+        self.stores[pid] = store
+        self.managers[pid] = manager
+        self._next_write[pid] = sim.now
+        sim.add_ticker(pid, self.poke_s, manager.poke)
+        sim.add_ticker(pid, 0.05, lambda: self._write(pid))
 
-    def write(pid: int) -> None:
-        if sim.now > 1.8 or sim.fault_plan.is_crashed(pid, sim.now):
+    def rejoin(self, pid: int) -> None:
+        self.sim.restart_process(pid)
+        self.attach(pid, recovering=True)
+
+    def _write(self, pid: int) -> None:
+        now = self.sim.now
+        if now > self.until or now < self._next_write[pid]:
             return
-        writes["count"] += 1
-        stores[pid].try_put(f"c/{pid}/{writes['count']}", bytes([writes["count"] % 251]))
-
-    def add_writer(pid: int) -> None:
-        sim.add_ticker(pid, 0.05, lambda: write(pid))
-
-    for pid in range(4):
-        attach(pid, recovering=False)
-        add_writer(pid)
-
-    def crash() -> None:
-        sim.fault_plan.crashed[3] = sim.now
-
-    def restart() -> None:
-        sim.restart_process(3)
-        attach(3, recovering=True)
-        add_writer(3)  # restart_process cancelled the old incarnation's tickers
-
-    # Two full crash/rejoin cycles under sustained load.
-    sim.loop.schedule_at(0.15, crash)
-    sim.loop.schedule_at(0.45, restart)
-    sim.loop.schedule_at(1.20, crash)
-    sim.loop.schedule_at(1.50, restart)
+        self._next_write[pid] = now + self.period
+        self.writes += 1
+        self.stores[pid].try_put(f"c/{pid}/{self.writes}", bytes([self.writes % 251]))
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -605,7 +667,7 @@ SCENARIOS: dict[str, Scenario] = {
             "2/2 (no quorum anywhere) and heals mid-agreement; every "
             "delivery must land identically after the heal",
             ops=_ab_burst("a", [0, 1, 2, 3], 3),
-            partitions=((0.003, 0.4, ((0, 1), (2, 3))),),
+            partitions=((0.003, 0.4, TWO_SITES),),
         ),
         Scenario(
             name="laggard-gc",
@@ -628,7 +690,8 @@ SCENARIOS: dict[str, Scenario] = {
             "writes (checkpoint transfer under sustained load)",
             ops=[],
             config_kwargs={"checkpoint_interval": 8},
-            driver=_churn_driver,
+            restarts=((3, 0.15, 0.45), (3, 1.20, 1.50)),
+            driver=lambda sim: KvLoad(sim, until=1.8),
             max_time=4.0,
         ),
     ]

@@ -4,17 +4,20 @@ The explorer (:mod:`repro.check.explore`) answers "does a fresh run
 survive environment X?"; the soak harness answers the ops question
 behind intrusion *tolerance*: does one long-lived group, run through
 every hostile environment in sequence, come back to baseline each time
-a fault clears?  It builds a single n-process simulation with a
+a fault clears?  It builds a single 4-process simulation with a
 replicated KV store, a recovery manager per replica and a sustained
-client load, then cycles **fault windows** -- each window arms one
-fault mode from the :mod:`repro.net.links` catalog (or a partition, or
-a crash/rejoin churn cycle), holds it under load, clears it, lets the
-group settle, and asserts **gauge flatness** from :mod:`repro.obs`:
+client load, then cycles **fault windows** -- each window arms the
+environment of one scenario from the explorer's catalog
+(:mod:`repro.check.scenarios`: a link model, a partition that heals or
+crash/rejoin cycles) stretched to the window, holds it under load,
+clears it, lets the group settle, and asserts **gauge flatness** from
+:mod:`repro.obs`:
 
-- out-of-context tables drained (``ritas_ooc_pending`` / ``_bytes`` 0),
+- out-of-context tables drained (``ritas_ooc_pending`` 0),
 - no locally-pending AB payloads (``ritas_ab_pending_local`` 0),
 - the switch fabric idle (no queued frames on any link),
-- live-instance counts back at the post-warmup baseline (bounded GC),
+- reclamation lag and live-instance counts under their structural
+  ceilings (bounded GC),
 - every recovery manager in ``PHASE_LIVE``.
 
 Any residue is a leak that only shows up under sustained operation --
@@ -25,34 +28,22 @@ event that caused them even hours of simulated time in.
 
 Entry points: :func:`run_soak` (library) and
 ``python -m repro.check soak`` (CLI; ``--smoke`` runs the shortened CI
-variant that still covers every gray-failure window).
+variant: the warmup and one rotation).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.apps.kv_store import ReplicatedKvStore
 from repro.check.invariants import InvariantChecker
+from repro.check.scenarios import ENV_SPAN_S, SCENARIOS, KvLoad, Scenario, Timeline
 from repro.core.atomic_broadcast import RETAINED_ROUNDS
 from repro.core.config import GroupConfig
-from repro.net.faults import FaultPlan, Partition
-from repro.net.links import (
-    Degrading,
-    Delay,
-    Duplicating,
-    FlakyMac,
-    LinkModel,
-    Lossy,
-    Reordering,
-)
 from repro.net.network import LanSimulation
 from repro.obs.export import write_jsonl_path
-from repro.recovery import PHASE_LIVE, RecoveryManager
-
-#: Two-site split reused by the WAN and partition windows.
-_ZONES = ((0, 1), (2, 3))
+from repro.recovery import PHASE_LIVE
 
 def _instances_per_round(n: int) -> int:
     """Upper bound on protocol instances one AB agreement round can
@@ -79,25 +70,6 @@ class SoakError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class FaultWindow:
-    """One entry in the rotating schedule.
-
-    *arm* mutates the runner's live machinery (link model, fault plan,
-    churn timers) at window start; *disarm* undoes anything
-    :meth:`LinkModel.reset` does not (default: nothing extra).
-    *load_period* throttles the per-replica write rate while the fault
-    holds -- the slow-replica window must not outrun a 100x-slow CPU.
-    """
-
-    name: str
-    description: str
-    gray: bool = False
-    load_period: float = 0.25
-    arm: Callable[["SoakRunner"], None] | None = None
-    disarm: Callable[["SoakRunner"], None] | None = None
-
-
 @dataclass
 class WindowReport:
     name: str
@@ -117,143 +89,32 @@ class SoakReport:
 
     @property
     def gray_windows(self) -> int:
-        names = {w.name for w in SCHEDULE if w.gray}
-        return sum(1 for w in self.windows if w.name in names)
+        return sum(1 for w in self.windows if w.name.startswith("gray-"))
 
 
-# -- the rotating schedule ---------------------------------------------------------
-
-
-def _arm_slow_replica(runner: "SoakRunner") -> None:
-    runner.model.set_host_slowdown(2, 100.0)
-
-
-def _arm_flaky_mac(runner: "SoakRunner") -> None:
-    flaky = FlakyMac(p=0.1, rto_s=5e-3)
-    for dest in runner.sim.config.process_ids:
-        if dest != 1:
-            runner.model.set_behavior(1, dest, flaky)
-
-
-def _arm_degrading(runner: "SoakRunner") -> None:
-    runner.model.set_default(
-        Degrading(
-            start_s=runner.sim.now,
-            ramp_s=runner.fault_s / 2.0,
-            max_extra_s=0.01,
-        )
-    )
-
-
-def _arm_wan_asym(runner: "SoakRunner") -> None:
-    zone_of = {pid: index for index, zone in enumerate(_ZONES) for pid in zone}
-    cross = Delay(base_s=0.015, jitter_s=2e-3)
-    for src in runner.sim.config.process_ids:
-        for dest in runner.sim.config.process_ids:
-            if src != dest and zone_of.get(src) != zone_of.get(dest):
-                runner.model.set_behavior(src, dest, cross)
-
-
-def _arm_lossy(runner: "SoakRunner") -> None:
-    runner.model.set_default(Lossy(p=0.08, rto_s=0.01))
-
-
-def _arm_duplicating(runner: "SoakRunner") -> None:
-    runner.model.set_default(Duplicating(p=0.15, echo_delay_s=2e-3))
-
-
-def _arm_reordering(runner: "SoakRunner") -> None:
-    runner.model.set_default(Reordering(p=0.5, spread_s=3e-3))
-
-
-def _arm_partition(runner: "SoakRunner") -> None:
-    now = runner.sim.now
-    partition = Partition(now, now + runner.fault_s * 0.6, _ZONES)
-    runner.sim.fault_plan.partitions.append(partition)
-    runner._armed_partition = partition
-
-
-def _disarm_partition(runner: "SoakRunner") -> None:
-    # Expired anyway -- removed so hours of rotation cannot grow the plan.
-    if runner._armed_partition is not None:
-        runner.sim.fault_plan.partitions.remove(runner._armed_partition)
-        runner._armed_partition = None
-
-
-def _arm_churn(runner: "SoakRunner") -> None:
-    sim = runner.sim
-
-    def crash() -> None:
-        sim.fault_plan.crashed[3] = sim.now
-
-    def restart() -> None:
-        sim.restart_process(3)
-        runner.attach_replica(3, recovering=True)
-
-    sim.loop.schedule_at(sim.now + 1.0, crash)
-    sim.loop.schedule_at(sim.now + runner.fault_s * 0.4, restart)
-
-
-#: The rotation.  Gray-failure windows lead so the CI smoke run (which
-#: covers only a prefix of one rotation) always exercises all of them.
-SCHEDULE: tuple[FaultWindow, ...] = (
-    FaultWindow(
-        "gray-slow-replica",
-        "replica 2 alive but 100x slow",
-        gray=True,
-        load_period=2.0,
-        arm=_arm_slow_replica,
-    ),
-    FaultWindow(
-        "gray-flaky-mac",
-        "replica 1's NIC corrupts 10% of outbound frames",
-        gray=True,
-        arm=_arm_flaky_mac,
-    ),
-    FaultWindow(
-        "gray-degrading",
-        "every link's latency ramps to 10 ms",
-        gray=True,
-        arm=_arm_degrading,
-    ),
-    FaultWindow(
-        "wan-asym", "15 ms asymmetric cross-zone latency", arm=_arm_wan_asym
-    ),
-    FaultWindow("wan-lossy", "8% loss as retransmit delay", arm=_arm_lossy),
-    FaultWindow("wan-dup", "15% frame duplication", arm=_arm_duplicating),
-    FaultWindow("wan-reorder", "half of all frames detour", arm=_arm_reordering),
-    FaultWindow(
-        "partition-heal",
-        "2/2 split held mid-agreement, then healed",
-        arm=_arm_partition,
-        disarm=_disarm_partition,
-    ),
-    FaultWindow(
-        "churn-rejoin",
-        "replica 3 crashes and rejoins through recovery",
-        arm=_arm_churn,
-    ),
-)
-
-
-# -- the runner --------------------------------------------------------------------
+def rotation() -> list[Scenario]:
+    """The fault windows, in order: every catalog scenario whose
+    environment can be armed on a running simulation, gray failures
+    first so that a short run still covers all of them."""
+    armable = [scenario for scenario in SCENARIOS.values() if scenario.armable]
+    return sorted(armable, key=lambda scenario: not scenario.name.startswith("gray-"))
 
 
 class SoakRunner:
     """One long-lived simulated group driven through fault windows.
 
-    The group runs a replicated KV store on AB with a recovery manager
-    per replica (so the churn window can rejoin through checkpoint
-    transfer) and a paced open-loop write load.  Windows are executed
-    with :meth:`run_window`; :meth:`run` cycles :data:`SCHEDULE` until
-    the simulated-time budget is spent.
+    The group runs the catalog's application layer
+    (:class:`~repro.check.scenarios.KvLoad`: a replicated KV store on AB
+    with a recovery manager per replica, so restarts rejoin through
+    checkpoint transfer) under a paced open-loop write load.  Windows
+    are executed with :meth:`run_window`; :meth:`run` cycles
+    :func:`rotation`.
     """
 
     def __init__(
         self,
         *,
         seed: int = 0,
-        n: int = 4,
         fault_s: float = 20.0,
         settle_s: float = 10.0,
         load_period: float = 0.25,
@@ -264,13 +125,10 @@ class SoakRunner:
         self.fault_s = fault_s
         self.settle_s = settle_s
         self.default_load_period = load_period
-        self.model = LinkModel()
         self.sim = LanSimulation(
-            config=GroupConfig(n, checkpoint_interval=checkpoint_interval),
+            config=GroupConfig(4, checkpoint_interval=checkpoint_interval),
             seed=seed,
-            fault_plan=FaultPlan(),
             tie_break_seed=seed,
-            link_model=self.model,
         )
         self.checker = InvariantChecker(
             self.sim,
@@ -279,47 +137,7 @@ class SoakRunner:
         )
         self.sim.enable_metrics()
         self.report = SoakReport(seed=seed, simulated_s=0.0, events=0, writes=0)
-        self.stores: dict[int, ReplicatedKvStore] = {}
-        self.managers: dict[int, RecoveryManager] = {}
-        self._writes = 0
-        self._load_period = load_period
-        self._load_paused = False
-        self._next_put: dict[int, float] = {}
-        self._armed_partition: Partition | None = None
-        for pid in self.sim.config.process_ids:
-            self.attach_replica(pid, recovering=False)
-
-    # -- application layer -----------------------------------------------------------
-
-    def attach_replica(self, pid: int, *, recovering: bool) -> None:
-        """(Re)build the application layer on *pid*'s current stack:
-        KV store, recovery manager, poke ticker and load ticker.  Used
-        at construction and again after the churn window's restart
-        (tickers die with the old incarnation)."""
-        stack = self.sim.stacks[pid]
-        store = ReplicatedKvStore(stack.create("ab", ("kv",)))
-        manager = RecoveryManager(stack, store.rsm, recovering=recovering)
-        self.stores[pid] = store
-        self.managers[pid] = manager
-        self._next_put[pid] = self.sim.now
-        self.sim.add_ticker(pid, 0.05, manager.poke)
-        self.sim.add_ticker(pid, 0.05, lambda: self._tick_load(pid))
-
-    def _tick_load(self, pid: int) -> None:
-        sim = self.sim
-        if self._load_paused or sim.fault_plan.is_crashed(pid, sim.now):
-            return
-        if sim.now < self._next_put[pid]:
-            return
-        # Time-based pacing (not ticker-rate): windows throttle by
-        # raising the period, and a paused stretch does not burst when
-        # load resumes.
-        self._next_put[pid] = sim.now + self._load_period
-        self._writes += 1
-        if self.managers[pid].phase == PHASE_LIVE:
-            self.stores[pid].try_put(
-                f"soak/{pid}/{self._writes}", bytes([self._writes % 251])
-            )
+        self.load = KvLoad(self.sim, period=load_period, poke_s=0.05)
 
     # -- flatness --------------------------------------------------------------------
 
@@ -330,7 +148,7 @@ class SoakRunner:
         per: dict[int, dict[str, Any]] = {}
         for pid in sim.config.process_ids:
             registry = sim.metric_registries()[pid]
-            ab = self.stores[pid].rsm.ab
+            ab = self.load.stores[pid].rsm.ab
             per[pid] = {
                 "ooc_pending": registry.gauge("ritas_ooc_pending").value,
                 "ooc_bytes": registry.gauge("ritas_ooc_bytes").value,
@@ -339,7 +157,7 @@ class SoakRunner:
                     "ritas_ab_pending_local", path="kv"
                 ).value,
                 "gc_lag": ab.round - ab.gc_floor,
-                "phase": self.managers[pid].phase,
+                "phase": self.load.managers[pid].phase,
             }
         return {"link_frames": frames, "link_bytes": frame_bytes, "process": per}
 
@@ -380,65 +198,73 @@ class SoakRunner:
 
     # -- window execution ------------------------------------------------------------
 
-    def run_window(self, window: FaultWindow) -> WindowReport:
-        """Arm, hold under load, disarm, settle, assert flatness."""
+    def run_window(self, scenario: Scenario | None) -> WindowReport:
+        """Arm *scenario*'s environment (``None``: a fault-free window)
+        stretched to ``fault_s``, hold it under load, disarm, settle,
+        assert flatness."""
         sim = self.sim
+        load = self.load
         start = sim.now
-        writes_before = self._writes
-        self._load_period = window.load_period
-        if window.arm is not None:
-            window.arm(self)
+        writes_before = load.writes
+        previous_model = sim.link_model
+        partitions = []
+        load.period = self.default_load_period
+        load.until = start + self.fault_s
+        if scenario is not None:
+            at = Timeline(start, self.fault_s / ENV_SPAN_S)
+            # The window index tags the link streams, so a later pass
+            # through the same scenario never replays earlier draws.
+            tag = f"{self.report.seed}/window/{len(self.report.windows)}"
+            partitions = scenario.arm(sim, at, seed=tag)
+            scenario.arm_restarts(sim, load.rejoin, at)
+            if sim.link_model is not None:
+                # A slow host must not be outrun: the load drops by the
+                # square root of the slowest host's factor, tenfold at
+                # 100x (the 100x host falls behind at fourfold).
+                slowest = max(map(sim.link_model.cpu_factor, sim.config.process_ids))
+                load.period *= math.sqrt(slowest)
         sim.run(max_time=start + self.fault_s)
-        self.model.reset()
-        if window.disarm is not None:
-            window.disarm(self)
-        self._load_period = self.default_load_period
-        # Quiesce: pause the load so in-flight agreements finish, then
-        # judge the leftovers.  Flat gauges here mean the fault left no
+        # Disarm: the previous network returns, and the expired splits
+        # leave the plan so hours of rotation cannot grow it.
+        sim.link_model = previous_model
+        for partition in partitions:
+            sim.fault_plan.partitions.remove(partition)
+        # Settle: the load stopped at the window's end, so in-flight
+        # agreements finish; flat gauges then mean the fault left no
         # residue -- the soak's whole point.
-        self._load_paused = True
         sim.run(max_time=sim.now + self.settle_s)
-        self._load_paused = False
         gauges = self._gauges()
-        self._assert_flat(window.name, gauges)
+        name = scenario.name if scenario is not None else "warmup"
+        self._assert_flat(name, gauges)
         report = WindowReport(
-            name=window.name,
+            name=name,
             start_s=start,
             end_s=sim.now,
-            writes=self._writes - writes_before,
+            writes=load.writes - writes_before,
             gauges=gauges,
         )
         self.report.windows.append(report)
         return report
 
-    def _warmup(self) -> WindowReport:
-        """Fault-free shakeout window: the group must pass the same
-        flatness bar *before* any fault runs, so a later failure is
-        attributable to a fault window and not to the harness."""
-        return self.run_window(FaultWindow("warmup", "fault-free shakeout"))
-
     def run(
         self,
-        total_s: float,
+        windows: int,
         *,
         progress: Callable[[WindowReport], None] | None = None,
     ) -> SoakReport:
-        """Cycle :data:`SCHEDULE` until *total_s* simulated seconds have
-        elapsed (the window in flight always completes), then run the
-        checker's final deep sweep."""
-        report = self._warmup()
-        if progress is not None:
-            progress(report)
-        index = 0
-        while self.sim.now < total_s:
-            report = self.run_window(SCHEDULE[index % len(SCHEDULE)])
-            index += 1
+        """Run a fault-free warmup window (the group must pass the same
+        flatness bar before any fault, so a later failure belongs to a
+        fault window), then *windows* fault windows cycling
+        :func:`rotation`, then the checker's final deep sweep."""
+        faults = rotation()
+        for scenario in [None] + [faults[i % len(faults)] for i in range(windows)]:
+            report = self.run_window(scenario)
             if progress is not None:
                 progress(report)
         self.checker.check_all()
         self.report.simulated_s = self.sim.now
         self.report.events = self.sim.loop.events_processed
-        self.report.writes = self._writes
+        self.report.writes = self.load.writes
         return self.report
 
     def export_obs(self, path: str) -> int:
@@ -465,9 +291,8 @@ def run_soak(
 ) -> SoakReport:
     """Run the rotating-fault soak for *hours* of simulated time.
 
-    ``smoke=True`` is the CI variant: shortened windows and a few
-    minutes of simulated time, still covering at least one full
-    rotation (so every gray-failure window runs).  Raises
+    ``smoke=True`` is the CI variant: shortened windows, the warmup and
+    exactly one rotation.  Raises
     :class:`SoakError` on a flatness failure and
     :class:`~repro.check.invariants.InvariantViolation` on a safety
     violation; *out* (optional) receives the obs JSONL snapshot either
@@ -475,12 +300,12 @@ def run_soak(
     """
     if smoke:
         runner = SoakRunner(seed=seed, fault_s=6.0, settle_s=4.0)
-        total_s = (len(SCHEDULE) + 1) * (runner.fault_s + runner.settle_s)
+        windows = len(rotation())
     else:
         runner = SoakRunner(seed=seed)
-        total_s = hours * 3600.0
+        windows = int(hours * 3600.0 // (runner.fault_s + runner.settle_s))
     try:
-        return runner.run(total_s, progress=progress)
+        return runner.run(windows, progress=progress)
     finally:
         if out is not None:
             runner.export_obs(out)

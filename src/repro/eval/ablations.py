@@ -27,7 +27,7 @@ from repro.eval.claims import ClaimResult
 from repro.eval.report import Section, numbered, table, verdict_table
 from repro.eval.stack_analysis import measure_protocol_latency
 from repro.net.faults import FaultPlan
-from repro.net.links import zoned_matrix
+from repro.net.links import TWO_SITES, zoned_matrix
 from repro.net.network import LAN_2006, WAN_EMULATED, LanSimulation, NetworkParameters
 from repro.recovery import PHASE_LIVE, RecoveryManager
 
@@ -351,7 +351,7 @@ def scaling(quick: bool) -> Section:
 def run_zoned(inter_ms: float, params: NetworkParameters = LAN_2006, seed: int = 13) -> dict:
     """One k=32, m=10 AB burst across two zones of two replicas: LAN
     links inside a zone, *inter_ms* one-way (plus 2 ms jitter) across."""
-    link = zoned_matrix(((0, 1), (2, 3)), intra_s=2e-4, inter_s=inter_ms / 1e3, jitter_s=2e-3)
+    link = zoned_matrix(TWO_SITES, intra_s=2e-4, inter_s=inter_ms / 1e3, jitter_s=2e-3)
     sim = LanSimulation(n=4, seed=seed, link_model=link, params=params)
     delivered: list[float] = []
     for pid in range(4):

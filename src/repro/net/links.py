@@ -44,6 +44,10 @@ from typing import Iterable, Sequence
 #: whether the copy arrives corrupted (detectably -- see module doc).
 Delivery = tuple[float, bool]
 
+#: The two-site split the WAN scenarios, the partition scenario and the
+#: ``wan`` evaluation section share.
+TWO_SITES = ((0, 1), (2, 3))
+
 #: Bound on consecutive simulated retransmissions, so a loss
 #: probability of 1.0 cannot loop forever (2**16 RTOs is "down").
 _MAX_RETRANSMITS = 16
@@ -210,19 +214,18 @@ class LinkModel:
     """Per-link behaviors plus per-host slowdown factors for one run.
 
     Built once and handed to :class:`~repro.net.network.LanSimulation`
-    via ``link_model=``; the simulation binds it to the master seed
-    (:meth:`bind`), after which every ordered link draws from its own
-    ``random.Random`` stream.  Behaviors are swappable at runtime
-    (:meth:`set_default`, :meth:`set_behavior`,
-    :meth:`set_host_slowdown`), which is what lets the soak harness
-    rotate fault modes through one long-lived simulation.
+    via ``link_model=`` (or installed as ``sim.link_model``, as
+    :meth:`repro.check.scenarios.Scenario.arm` does); it is bound to a
+    seed (:meth:`bind`), after which every ordered link draws from its
+    own ``random.Random`` stream.  A model is fixed once built: to
+    change a running simulation's network, install another model.
 
     Args:
         default: behavior for links without an override (perfect link).
-        behaviors: initial ``(src, dest) -> behavior`` overrides.
-        host_slowdowns: initial ``pid -> CPU cost multiplier`` map (a
-            factor of 100.0 is the paper-adjacent "alive but 100x slow"
-            gray failure).
+        behaviors: ``(src, dest) -> behavior`` overrides.
+        host_slowdowns: ``pid -> CPU cost multiplier`` map (a factor of
+            100.0 is the paper-adjacent "alive but 100x slow" gray
+            failure).
     """
 
     def __init__(
@@ -231,22 +234,19 @@ class LinkModel:
         behaviors: dict[tuple[int, int], LinkBehavior] | None = None,
         host_slowdowns: dict[int, float] | None = None,
     ):
-        self._initial_default = default if default is not None else LinkBehavior()
-        self._default = self._initial_default
+        self._default = default if default is not None else LinkBehavior()
         self._behaviors: dict[tuple[int, int], LinkBehavior] = dict(behaviors or {})
-        self._initial_behaviors = dict(self._behaviors)
         self._slowdowns: dict[int, float] = dict(host_slowdowns or {})
-        self._initial_slowdowns = dict(self._slowdowns)
-        self._seed: int | None = None
+        self._seed: int | str | None = None
         self._rngs: dict[tuple[int, int], random.Random] = {}
 
     # -- seeding ---------------------------------------------------------------------
 
-    def bind(self, seed: int) -> "LinkModel":
-        """Derive per-link RNG streams from the simulation's *seed*.
+    def bind(self, seed: int | str) -> "LinkModel":
+        """Derive per-link RNG streams from *seed* (the simulation's
+        master seed, or a tag derived from it).
 
-        Called by the simulation's constructor; rebinding resets the
-        streams (a fresh run replays identically).
+        Rebinding resets the streams (a fresh run replays identically).
         """
         self._seed = seed
         self._rngs.clear()
@@ -266,33 +266,8 @@ class LinkModel:
     def behavior_for(self, src: int, dest: int) -> LinkBehavior:
         return self._behaviors.get((src, dest), self._default)
 
-    def set_default(self, behavior: LinkBehavior) -> None:
-        """Swap the behavior of every link without an override."""
-        self._default = behavior
-
-    def set_behavior(self, src: int, dest: int, behavior: LinkBehavior) -> None:
-        """Override one ordered link."""
-        self._behaviors[(src, dest)] = behavior
-
-    def set_host_slowdown(self, pid: int, factor: float) -> None:
-        """Multiply host *pid*'s simulated CPU costs by *factor*
-        (1.0 restores full speed)."""
-        if factor == 1.0:
-            self._slowdowns.pop(pid, None)
-        else:
-            self._slowdowns[pid] = factor
-
     def cpu_factor(self, pid: int) -> float:
         return self._slowdowns.get(pid, 1.0)
-
-    def reset(self) -> None:
-        """Restore the constructor-time behaviors and slowdowns (the
-        soak harness calls this when a fault window clears).  RNG
-        streams are kept -- clearing a fault must not replay past
-        draws."""
-        self._default = self._initial_default
-        self._behaviors = dict(self._initial_behaviors)
-        self._slowdowns = dict(self._initial_slowdowns)
 
     # -- the hook the simulator calls -------------------------------------------------
 
