@@ -29,12 +29,16 @@ Two conceptual tasks:
    flush window with ``config.batching`` on opens it as the window
    closes, so one vector names every batch the window delivered.
 
-A non-⊥ decision is delivered batch by batch in ``(sender, first,
-last)`` order, ids inside a batch in rbid order, each message on its
-own.  An id that is already scheduled or delivered is skipped, so a
-corrupt sender's overlapping batches deliver each id once, from the
-first decided batch that names it -- and RB agreement fixes that
-batch's content, so every correct process delivers the same payload.
+A non-⊥ decision is cut once, batch by batch in ``(sender, first,
+last)`` order, into *runs*: the maximal stretches of a batch's ids that
+are neither delivered nor already queued.  The delivery queue holds
+these runs and hands each over in rbid order, one message at a time; a
+batch is reclaimed when its last run is taken.  Skipping queued and
+delivered ids means a corrupt sender's overlapping batches deliver each
+id once, from the first decided batch that names it -- and RB agreement
+fixes that batch's content, so every correct process delivers the same
+payload.  The cut reads agreed state alone, so every correct process
+cuts alike.
 
 The batching at both levels is what makes the protocol cheap at high
 load: one agreement orders every batch that arrived while the previous
@@ -48,8 +52,10 @@ the merged id-range form (:func:`encode_id_ranges`).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable
 
 from repro.core.errors import BackpressureError, ProtocolViolationError
@@ -68,6 +74,13 @@ IdRange = tuple[int, int, int]
 #: (sender pid, first rbid, last rbid): one sender's batch of messages,
 #: carried by one reliable broadcast instance.
 Batch = tuple[int, int, int]
+
+#: A queued run ``[sender, next, last, batch]``: ids ``next..last`` of
+#: *sender* are decided and undelivered, and deliver from *batch*;
+#: ``next`` is the cursor, advanced as each id is handed over.
+Run = list
+
+_RUN_LAST = itemgetter(2)
 
 #: Defensive cap on identifiers one id set may expand to (per sender,
 #: watermarks excepted, in a frontier): a corrupt process must not be
@@ -235,14 +248,12 @@ class AtomicBroadcast(ControlBlock):
         self._batch: list[bytes] = []
         self._open_msg_instances: dict[int, int] = {}
         # Well-formed RB-delivered batch contents still needed: vouched
-        # for, or bound to scheduled ids.  Forgotten when the last id
-        # bound to the batch delivers.
+        # for, or bound to queued runs.  Forgotten when the last run
+        # bound to the batch is taken.
         self._batches: dict[Batch, list] = {}
-        # Scheduled (decided, undelivered) id -> the batch it delivers
-        # from; and per batch, how many scheduled ids it binds.
-        self._scheduled: dict[MsgId, Batch] = {}
+        # Per batch, how many queued runs deliver from it.
         self._bound: dict[Batch, int] = {}
-        # Payloads fetched out-of-band for scheduled ids (recovery).
+        # Payloads fetched out-of-band for queued ids (recovery).
         self._injected: dict[MsgId, Any] = {}
         # Batches whose RB delivered a malformed value: destroyed, and
         # frames for them are stale from then on (they keep their slot
@@ -256,7 +267,11 @@ class AtomicBroadcast(ControlBlock):
         self._frontier: dict[int, int] = {}
         self._frontier_sparse: set[MsgId] = set()
         self._delivered_count = 0
-        self._delivery_queue: deque[MsgId] = deque()
+        # Decided, undelivered runs in delivery order; the same runs per
+        # sender, sorted (they are disjoint, so by first or last id alike).
+        self._delivery_queue: deque[Run] = deque()
+        self._queued: dict[int, deque[Run]] = {}
+        self._draining = False
         self._round = 0
         self._round_vects: dict[int, dict[int, list[Batch]]] = {}
         self._vect_sent: set[int] = set()
@@ -399,15 +414,45 @@ class AtomicBroadcast(ControlBlock):
         return all(self._is_delivered((sender, r)) for r in range(first, last + 1))
 
     def _unordered(self, batch: Batch) -> bool:
-        """True if some id of *batch* is neither scheduled nor delivered:
+        """True if some id of *batch* is neither queued nor delivered:
         the batch can still bind ids, so it is worth vouching for."""
+        return bool(self._cut(batch))
+
+    def _cut(self, batch: Batch) -> list[tuple[int, int]]:
+        """The maximal ``(first, last)`` stretches of *batch*'s ids that
+        are neither delivered nor queued, in rbid order."""
         sender, first, last = batch
-        scheduled = self._scheduled
-        for rbid in range(first, last + 1):
-            msg_id = (sender, rbid)
-            if msg_id not in scheduled and not self._is_delivered(msg_id):
-                return True
-        return False
+        lo = max(first, self._frontier.get(sender, -1) + 1)
+        if lo > last:
+            return []
+        taken: list = []
+        runs = self._queued.get(sender)
+        if runs and runs[-1][2] >= lo:
+            i = bisect_left(runs, lo, key=_RUN_LAST)
+            while i < len(runs) and runs[i][1] <= last:
+                taken.append((runs[i][1], runs[i][2]))
+                i += 1
+        if self._frontier_sparse:
+            taken += [(r, r) for s, r in self._frontier_sparse if s == sender and lo <= r <= last]
+            taken.sort()
+        out = []
+        for start, end in taken:
+            if start > lo:
+                out.append((lo, start - 1))
+            lo = max(lo, end + 1)
+        if lo <= last:
+            out.append((lo, last))
+        return out
+
+    def _queued_run(self, msg_id: MsgId) -> Run | None:
+        """The queued run holding undelivered *msg_id*, if any."""
+        sender, rbid = msg_id
+        runs = self._queued.get(sender)
+        if runs:
+            i = bisect_left(runs, rbid, key=_RUN_LAST)
+            if i < len(runs) and runs[i][1] <= rbid:
+                return runs[i]
+        return None
 
     def _mark_delivered(self, msg_id: MsgId) -> None:
         sender, rbid = msg_id
@@ -479,7 +524,7 @@ class AtomicBroadcast(ControlBlock):
         arrived early are re-played from the out-of-context table the
         moment the round's instances exist.
         """
-        if self._scheduled or self._delivery_queue or self._delivered_count:
+        if self._delivery_queue or self._delivered_count:
             raise ProtocolViolationError(
                 "fast_forward requires an instance with no scheduled deliveries"
             )
@@ -519,10 +564,10 @@ class AtomicBroadcast(ControlBlock):
         delivery queue here.  Only identifiers that are scheduled,
         undelivered and still missing are accepted.
         """
-        batch = self._scheduled.get(msg_id)
+        run = self._queued_run(msg_id)
         if (
-            batch is None
-            or batch in self._batches
+            run is None
+            or run[3] in self._batches
             or msg_id in self._injected
             or self._is_delivered(msg_id)
         ):
@@ -536,11 +581,14 @@ class AtomicBroadcast(ControlBlock):
         """Scheduled identifiers whose payload has not arrived, in
         delivery order (the head of the list blocks everything else)."""
         out: list[MsgId] = []
-        for msg_id in self._delivery_queue:
-            if self._scheduled[msg_id] not in self._batches and msg_id not in self._injected:
-                out.append(msg_id)
-                if len(out) >= limit:
-                    break
+        for sender, rbid, last, batch in self._delivery_queue:
+            if batch in self._batches:
+                continue
+            for r in range(rbid, last + 1):
+                if (sender, r) not in self._injected:
+                    out.append((sender, r))
+                    if len(out) >= limit:
+                        return out
         return out
 
     def resume_broadcast_ids(self, next_rbid: int) -> None:
@@ -560,10 +608,12 @@ class AtomicBroadcast(ControlBlock):
         """Highest rbid this instance has seen attributed to *sender*
         (delivered, received or scheduled); ``-1`` if none."""
         best = self._frontier.get(sender, -1)
-        for source in (self._frontier_sparse, self._scheduled):
-            for s, r in source:
-                if s == sender and r > best:
-                    best = r
+        runs = self._queued.get(sender)
+        if runs:
+            best = max(best, runs[-1][2])
+        for s, r in self._frontier_sparse:
+            if s == sender and r > best:
+                best = r
         for s, _, last in self._batches:
             if s == sender and last > best:
                 best = last
@@ -586,8 +636,8 @@ class AtomicBroadcast(ControlBlock):
     def note_delivered_external(self, msg_id: MsgId) -> bool:
         """Mark *msg_id* delivered outside this instance (applied from a
         transferred log suffix).  Refused for identifiers this instance
-        has scheduled itself -- those must flow through the queue."""
-        if msg_id in self._scheduled:
+        has queued itself -- those must flow through the queue."""
+        if self._queued_run(msg_id) is not None:
             return False
         self._mark_delivered(msg_id)
         sender, rbid = msg_id
@@ -772,7 +822,7 @@ class AtomicBroadcast(ControlBlock):
         # for genuinely pending batches; f+1 support never needs us).
         if self._position_base is None:
             return []
-        # A bound batch had every id scheduled when it was decided.
+        # A bound batch had every id queued when it was decided.
         return [b for b in self._batches if b not in self._bound and self._unordered(b)]
 
     def _maybe_start_round(self) -> None:
@@ -841,65 +891,99 @@ class AtomicBroadcast(ControlBlock):
         self._maybe_start_round()
 
     def _schedule(self, batch: Batch) -> None:
-        """Queue a decided batch's ids for delivery, bound to it.
+        """Queue a decided batch's undelivered ids as runs bound to it.
 
         Identifiers awaiting delivery *or* already delivered (here, or
         -- on a fast-forwarded instance -- group-wide per the
         transferred frontier) are skipped: peers skip them the same
         way, so re-delivering would diverge.
         """
-        sender, first, last = batch
-        scheduled, queue = self._scheduled, self._delivery_queue
-        bound = 0
-        for rbid in range(first, last + 1):
-            msg_id = (sender, rbid)
-            if msg_id not in scheduled and not self._is_delivered(msg_id):
-                scheduled[msg_id] = batch
-                queue.append(msg_id)
-                bound += 1
-        if bound:
-            self._bound[batch] = self._bound.get(batch, 0) + bound
-            self._sched_total += bound
-        elif batch not in self._bound:
+        cut = self._cut(batch)
+        if not cut:
+            if batch not in self._bound:
+                self._reclaim_batch(batch)
+            return
+        sender = batch[0]
+        runs = self._queued.setdefault(sender, deque())
+        for first, last in cut:
+            run = [sender, first, last, batch]
+            self._delivery_queue.append(run)
+            if runs and runs[-1][2] > last:
+                insort(runs, run, key=_RUN_LAST)
+            else:
+                runs.append(run)
+            self._sched_total += last - first + 1
+        self._bound[batch] = self._bound.get(batch, 0) + len(cut)
+
+    def _take_run(self, run: Run) -> None:
+        """Unqueue the head run and unbind it from its batch."""
+        sender, _, last, batch = run
+        self._delivery_queue.popleft()
+        runs = self._queued[sender]
+        if runs[0] is run:
+            runs.popleft()
+        else:
+            del runs[bisect_left(runs, last, key=_RUN_LAST)]
+        if not runs:
+            del self._queued[sender]
+        left = self._bound[batch] - 1
+        if left:
+            self._bound[batch] = left
+        else:
+            del self._bound[batch]
             self._reclaim_batch(batch)
 
     def _drain_delivery_queue(self) -> None:
-        """Deliver scheduled messages whose payload has arrived, strictly
-        in queue order (total order requires the head to block the rest)."""
-        queue = self._delivery_queue
-        while queue:
-            msg_id = queue[0]
-            batch = self._scheduled[msg_id]
-            content = self._batches.get(batch)
-            if content is not None:
-                payload = content[msg_id[1] - batch[1]]
-                if self._injected:
-                    self._injected.pop(msg_id, None)
-            elif msg_id in self._injected:
-                payload = self._injected.pop(msg_id)
-            else:
-                return
-            queue.popleft()
-            del self._scheduled[msg_id]
-            self._mark_delivered(msg_id)
-            left = self._bound[batch] - 1
-            if left:
-                self._bound[batch] = left
-            else:
-                del self._bound[batch]
-                self._reclaim_batch(batch)
-            delivery = AbDelivery(
-                sender=msg_id[0],
-                rbid=msg_id[1],
-                payload=payload,
-                sequence=self._delivered_count,
-            )
-            self._delivered_count += 1
-            if self.order_log is not None:
-                self.order_log.append(
-                    (msg_id[0], msg_id[1], hash_bytes(encode_value(payload)))
-                )
-            self.deliver(delivery)
+        """Deliver queued runs whose payloads have arrived, strictly in
+        queue order (total order requires the head to block the rest).
+
+        A run whose batch content is missing delivers id by id from
+        injected payloads.  Every callback sees the cursor, frontier and
+        queue exactly as of its own delivery.  A nested call (a
+        callback injecting a payload) returns at once: this loop goes on
+        from the next id and picks up whatever the callback added.
+        """
+        if self._draining:
+            return
+        self._draining = True
+        try:
+            queue, injected = self._delivery_queue, self._injected
+            frontier = self._frontier
+            while queue:
+                run = queue[0]
+                sender, rbid, last, batch = run
+                content = self._batches.get(batch)
+                if content is not None:
+                    base = batch[1]
+                    payloads = content[rbid - base : last - base + 1]
+                    for s, r in [m for m in injected if m[0] == sender]:
+                        if rbid <= r <= last:
+                            del injected[s, r]
+                elif (sender, rbid) in injected:
+                    payloads = [injected.pop((sender, rbid))]
+                else:
+                    return
+                # An absorbed frontier can put sparse ids inside a queued
+                # run; with none about, an in-order run only moves the watermark.
+                in_order = not self._frontier_sparse and rbid == frontier.get(sender, -1) + 1
+                for payload in payloads:
+                    run[1] = rbid + 1
+                    if rbid == last:
+                        self._take_run(run)
+                    # Every callback sees its own id delivered: checkpoints
+                    # taken in one record the frontier.
+                    if in_order and rbid < last:
+                        frontier[sender] = rbid
+                    else:
+                        self._mark_delivered((sender, rbid))
+                    delivery = AbDelivery(sender, rbid, payload, self._delivered_count)
+                    self._delivered_count += 1
+                    if self.order_log is not None:
+                        self.order_log.append((sender, rbid, hash_bytes(encode_value(payload))))
+                    self.deliver(delivery)
+                    rbid += 1
+        finally:
+            self._draining = False
 
     def _collect(self, horizon: int) -> None:
         """Destroy protocol instances for rounds at or before *horizon*."""

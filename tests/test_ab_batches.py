@@ -140,28 +140,30 @@ def test_accept_orphan_checks_batch_paths(monkeypatch):
 
 
 def test_instance_reclaimed_at_its_last_delivery():
+    """The batch is one run: it is taken, and the instance reclaimed,
+    as its last id is handed over -- payloads delivered unchanged."""
     net = InstantNet(4)
     seen = []
     for pid, stack in enumerate(net.stacks):
         stack.create("ab", AB)
     path = AB + ("msg", 0, 0, 2)
     ab_of(net, 2).on_deliver = lambda _i, d: seen.append(
-        (d.rbid, net.stacks[2].instance_at(path) is not None)
+        (d.rbid, d.payload, net.stacks[2].instance_at(path) is not None)
     )
     with net.stacks[0].coalesce():
         for k in range(3):
             ab_of(net, 0).broadcast(b"m%d" % k)
     net.run()
-    assert seen == [(0, True), (1, True), (2, False)]
+    assert seen == [(0, b"m0", True), (1, b"m1", True), (2, b"m2", False)]
     for pid in range(4):
         ab = ab_of(net, pid)
-        assert not (ab._batches or ab._bound or ab._scheduled)
+        assert not (ab._batches or ab._bound or ab._delivery_queue or ab._queued)
         assert ab._open_msg_instances == {0: 0}
 
 
 def test_overlapping_batches_deliver_each_id_once_from_the_first():
     """Decided batches go in (sender, first, last) order; an id already
-    scheduled is skipped, so (3, 1) comes from (3, 0, 1)."""
+    queued is skipped, so (3, 1) comes from (3, 0, 1)."""
     net = InstantNet(4)
     orders = setup(net)
     ab = ab_of(net, 0)
@@ -169,7 +171,7 @@ def test_overlapping_batches_deliver_each_id_once_from_the_first():
     ab._batches[(3, 1, 2)] = [b"B1", b"B2"]
     ab._on_agreement(0, [[3, 0, 1], [3, 1, 2]])
     assert orders[0] == [(3, 0, b"a0"), (3, 1, b"a1"), (3, 2, b"B2")]
-    assert not (ab._batches or ab._bound or ab._scheduled)
+    assert not (ab._batches or ab._bound or ab._delivery_queue or ab._queued)
 
 
 def test_footprint_flat_across_batched_windows():

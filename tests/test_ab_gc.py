@@ -42,7 +42,7 @@ def run_rounds(net, count, sender=0):
 
 def footprint(net):
     return [
-        (stack.live_instances, len(ab_of(net, pid)._batches), len(ab_of(net, pid)._scheduled))
+        (stack.live_instances, len(ab_of(net, pid)._batches), len(ab_of(net, pid)._delivery_queue))
         for pid, stack in enumerate(net.stacks)
     ]
 

@@ -272,7 +272,7 @@ class TestHostileInputs:
         setup_ab(net)
         ab = net.stacks[0].instance_at(("ab",))
         ab._on_agreement(0, [[0, True, 1]])
-        assert ab.agreements_empty == 1 and not ab._scheduled and ab.round == 1
+        assert ab.agreements_empty == 1 and not ab._delivery_queue and ab.round == 1
 
 
 PIDS = range(4)
