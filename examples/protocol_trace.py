@@ -15,11 +15,8 @@ from repro.core.trace import KIND_BROADCAST, KIND_DECIDE, KIND_DELIVER, KIND_ROU
 
 def main() -> None:
     sim = LanSimulation(n=4, seed=9)
-    tracer = Tracer(
-        clock=lambda: sim.now,
-        kinds={KIND_ROUND, KIND_BROADCAST, KIND_DECIDE, KIND_DELIVER},
-    )
-    sim.stacks[0].stats.subscribe(tracer)
+    tracer = Tracer(clock=lambda: sim.now)
+    sim.stacks[0].stats.subscribe(tracer, (KIND_ROUND, KIND_BROADCAST, KIND_DECIDE, KIND_DELIVER))
 
     decisions = [None] * 4
     for pid, stack in enumerate(sim.stacks):

@@ -7,8 +7,10 @@ happy-path test:
 - :mod:`repro.check.invariants` attaches an :class:`InvariantChecker`
   to a :class:`~repro.net.network.LanSimulation`; after every simulator
   event it compares the :meth:`~repro.core.stack.ControlBlock.inspect`
-  snapshots of same-path instances across correct processes and checks
-  each stack's out-of-context accounting conservation law.
+  snapshots of same-path instances across correct processes, compares
+  their atomic-broadcast delivery orders (an :class:`OrderLog`
+  subscribed to the stacks' ``deliver`` events) and checks each
+  stack's out-of-context accounting conservation law.
 - :mod:`repro.check.scenarios` registers named workloads (failure-free,
   crash, every Byzantine strategy, and an n=6 split-vote stress).
 - :mod:`repro.check.explore` sweeps seeds, event-queue tie-break orders
@@ -31,13 +33,14 @@ from repro.check.explore import (
     run_one,
     shrink,
 )
-from repro.check.invariants import InvariantChecker, InvariantViolation
+from repro.check.invariants import InvariantChecker, InvariantViolation, OrderLog
 from repro.check.scenarios import SCENARIOS, Scenario
 
 __all__ = [
     "REPRODUCER_FORMAT",
     "InvariantChecker",
     "InvariantViolation",
+    "OrderLog",
     "SCENARIOS",
     "Scenario",
     "explore",

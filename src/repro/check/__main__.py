@@ -5,7 +5,7 @@ Usage::
     python -m repro.check scenarios
     python -m repro.check explore --scenario byz-ooc-flood --budget 200
     python -m repro.check replay repro-check-byz-ooc-flood.json
-    python -m repro.check soak --hours 1.0 --out soak-obs.jsonl
+    python -m repro.check soak --hours 1.0
 
 ``explore`` exits 0 when every run is clean and 1 on a violation, after
 writing the shrunken reproducer JSON (``--out``, default
@@ -15,9 +15,9 @@ artifact.  ``replay`` exits 1 while the reproducer still violates
 
 ``soak`` runs hours of simulated time rotating through the catalog's
 hostile environments (see :mod:`repro.check.soak`), asserting gauge
-flatness at every window boundary; ``--smoke`` is the shortened CI
-variant (the warmup and one rotation) and
-``--out`` writes the obs JSONL snapshot CI uploads as an artifact.
+flatness at every window boundary and exiting 1 on a flatness or
+invariant failure; ``--smoke`` is the shortened CI variant (the warmup
+and one rotation).
 
 The default budget honors the ``RITAS_EXPLORE_BUDGET`` environment
 variable so CI can tune exploration depth without editing workflows,
@@ -106,7 +106,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             hours=args.hours,
             seed=args.seed,
             smoke=args.smoke,
-            out=args.out,
             progress=progress,
         )
     except SoakError as error:
@@ -123,8 +122,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         f"{len(report.windows)} windows ({report.gray_windows} gray), "
         f"{report.writes} writes, {report.events} events"
     )
-    if args.out:
-        print(f"obs snapshot written to {args.out}")
     return 0
 
 
@@ -182,7 +179,6 @@ def main(argv: list[str] | None = None) -> int:
         help="shortened CI variant: one full rotation with short windows",
     )
     p_soak.add_argument("--seed", type=int, default=0)
-    p_soak.add_argument("--out", help="obs JSONL snapshot path")
     p_soak.set_defaults(func=_cmd_soak)
 
     args = parser.parse_args(argv)

@@ -21,6 +21,7 @@ mvc          agreement on the decision key; a non-⊥ decision was proposed
 vc           agreement on the decided vector; a correct process's slot
              holds its proposal or ⊥
 ab           the totally-ordered delivery logs of correct processes
+             (an :class:`OrderLog` fed by the same ``deliver`` events)
              agree wherever their observation windows overlap (aligned
              on the first shared message id, so rejoined replicas'
              mid-history logs and bounded soak windows compare cleanly)
@@ -39,12 +40,63 @@ minimal reproducer.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any
 
 from repro.core.stack import ControlBlock
-from repro.core.trace import KIND_DELIVER
-from repro.core.wire import Path
+from repro.core.trace import KIND_CREATE, KIND_DELIVER
+from repro.core.wire import Path, encode_value
+from repro.crypto.hashing import hash_bytes
 from repro.net.network import LanSimulation
+
+#: One delivery in an order log: ``(sender, rbid, payload digest)``.
+OrderEntry = tuple[int, int, bytes]
+
+
+class OrderLog:
+    """Stack subscriber recording each process's atomic-broadcast
+    delivery order, per AB instance path, from the ``deliver`` events
+    that name a message.
+
+    A ``create`` of an AB instance starts that path's log afresh, so a
+    restarted process's new instance starts with an empty log.  *cap*
+    keeps only the most recent entries of each log (0 = unbounded).
+    Subscribe it with :attr:`KINDS`::
+
+        order = OrderLog()
+        for stack in sim.stacks:
+            stack.stats.subscribe(order, OrderLog.KINDS)
+    """
+
+    KINDS = (KIND_CREATE, KIND_DELIVER)
+
+    def __init__(self, cap: int = 0):
+        self.cap = cap
+        self._logs: dict[tuple[int, Path], deque[OrderEntry] | list[OrderEntry]] = {}
+
+    def rebind(self, clock: Any = None, incarnation: int | None = None) -> None:
+        """A restart carries the subscription over; the fresh instance's
+        ``create`` resets its log."""
+
+    def __call__(self, process: int, kind: str, path: Path, detail: dict[str, Any]) -> None:
+        if kind == KIND_CREATE:
+            if detail["protocol"] == "ab":
+                self._logs[process, path] = self._new_log()
+            return
+        msg = detail.get("msg")
+        if msg is not None:
+            log = self._logs.get((process, path))
+            if log is None:
+                log = self._logs[process, path] = self._new_log()
+            log.append((msg[0], msg[1], hash_bytes(encode_value(detail["payload"]))))
+
+    def _new_log(self) -> deque[OrderEntry] | list[OrderEntry]:
+        return deque(maxlen=self.cap) if self.cap else []
+
+    def of(self, process: int, path: Path) -> list[OrderEntry] | None:
+        """*process*'s delivery order at *path* (None: never logged)."""
+        log = self._logs.get((process, path))
+        return None if log is None else list(log)
 
 
 def _first_shared(
@@ -123,8 +175,8 @@ class InvariantViolation(AssertionError):
 class InvariantChecker:
     """Asserts cross-process protocol invariants after every event.
 
-    Attach to a simulation **before** creating protocol instances (the
-    atomic-broadcast order log is sized at instance construction)::
+    Attach to a simulation **before** creating protocol instances (an
+    atomic-broadcast instance's order log starts at its ``create``)::
 
         sim = LanSimulation(n=4, seed=7)
         checker = InvariantChecker(sim)
@@ -136,10 +188,11 @@ class InvariantChecker:
         sim: the simulation to watch.
         deep_check_interval: run the O(entries) out-of-context table
             consistency sweep every this many events (0 disables it).
-        order_log_cap: bound each atomic-broadcast order log to its most
-            recent entries (0 = unbounded).  Soak runs set this so hours
-            of simulated history check windowed order agreement at flat
-            memory; :func:`align_order_logs` handles the windows.
+        order_log_cap: bound each atomic-broadcast order log
+            (:attr:`order_log`) to its most recent entries (0 =
+            unbounded).  Soak runs set this so hours of simulated
+            history check windowed order agreement at flat memory;
+            :func:`align_order_logs` handles the windows.
     """
 
     def __init__(
@@ -150,25 +203,22 @@ class InvariantChecker:
     ):
         self.sim = sim
         self.deep_check_interval = deep_check_interval
-        self.order_log_cap = order_log_cap
+        self.order_log = OrderLog(order_log_cap)
         self.checks_run = 0
         self._dirty: set[Path] = set()
         self.rebind()
-        # A restarted process's stack carries this subscription over.
+        # A restarted process's stack carries these subscriptions over.
         for stack in sim.stacks:
+            stack.stats.subscribe(self.order_log, OrderLog.KINDS)
             stack.stats.subscribe(self, (KIND_DELIVER,))
         sim.loop.on_event = self._on_event
 
     # -- hooks ---------------------------------------------------------------------
 
     def rebind(self, clock: Any = None, incarnation: int | None = None) -> None:
-        """Instrument the simulation's current stacks: a restarted
-        process's fresh stack needs the order log, and the restart
-        cleared its crash entry, making it correct again."""
+        """A restart cleared the process's crash entry, making it
+        correct again."""
         self.correct = set(self.sim.correct_ids())
-        for stack in self.sim.stacks:
-            stack.record_delivery_order = True
-            stack.order_log_cap = self.order_log_cap
 
     def __call__(self, process: int, kind: str, path: Path, detail: dict[str, Any]) -> None:
         if process not in self.correct:
@@ -393,12 +443,8 @@ class InvariantChecker:
                     )
 
     def _check_ab(self, path, views, event_index) -> None:
-        logs = {
-            pid: list(view["order_log"])
-            for pid, view in views.items()
-            if "order_log" in view
-        }
-        pids = sorted(logs)
+        logs = {pid: self.order_log.of(pid, path) for pid in views}
+        pids = sorted(pid for pid, log in logs.items() if log is not None)
         for a, b in zip(pids, pids[1:]):
             log_a, log_b = logs[a], logs[b]
             aligned = align_order_logs(log_a, log_b)

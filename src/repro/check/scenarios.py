@@ -427,16 +427,17 @@ def _votes_forged(sim: LanSimulation, correct: list, forger: int) -> str | None:
 
 def _inits_omitted(sim: LanSimulation, correct: list, forger: int) -> str | None:
     """The forger withheld INITs from a correct process, yet every
-    correct process delivered the same sequence, the forger's own
-    broadcasts included, and scored nobody correct."""
+    correct process delivered as many messages, the forger's own
+    broadcasts included, and scored nobody correct (the settle check
+    compares the id sets, the checker's ``ab-order`` the sequences)."""
     omitted = sim.stacks[forger].factory.resolve("rb").omitted
     if not any(omitted[pid] for pid in correct):
         return "the forger withheld no INIT from a correct process"
-    logs = [sim.stacks[pid].instance_at(("ab", "a")).order_log for pid in correct]
-    for pid, log in zip(correct, logs):
-        if list(log) != list(logs[0]):
-            return f"p{pid} delivered another sequence than p{correct[0]}"
-    if not any(sender == forger for sender, _, _ in logs[0]):
+    sessions = [sim.stacks[pid].instance_at(("ab", "a")) for pid in correct]
+    for pid, ab in zip(correct, sessions):
+        if ab.delivered_count != sessions[0].delivered_count:
+            return f"p{pid} delivered another number of messages than p{correct[0]}"
+    if not any(sender == forger for sender, _, _ in sessions[0].delivered_frontier()):
         return "no correct process delivered the forger's broadcasts"
     for pid in correct:
         for peer in correct:
@@ -447,17 +448,17 @@ def _inits_omitted(sim: LanSimulation, correct: list, forger: int) -> str | None
 
 def _batches_overlapped(sim: LanSimulation, correct: list, forger: int) -> str | None:
     """Every overlap round was sent, each correct process delivered each
-    id at most once, held every short batch as malformed, and scored no
-    correct peer."""
+    id at most once (as many deliveries as delivered ids), held every
+    short batch as malformed, and scored no correct peer."""
     for pid in correct:
         ab = sim.stacks[pid].instance_at(("ab", "a"))
-        ids = [(sender, rbid) for sender, rbid, _ in ab.order_log]
-        if len(ids) != len(set(ids)):
+        frontier = ab.delivered_frontier()
+        if ab.delivered_count != sum(last - first + 1 for _, first, last in frontier):
             return f"p{pid} delivered an id twice"
         short = [batch for batch in ab._malformed if batch[0] == forger]
         if len(short) != OVERLAP_ROUNDS:
             return f"p{pid} saw {len(short)} of {OVERLAP_ROUNDS} short batches"
-        if not any(sender == forger for sender, _ in ids):
+        if not any(sender == forger for sender, _, _ in frontier):
             return f"p{pid} delivered none of the forger's overlapping batches"
         for peer in correct:
             if sim.stacks[pid].ledger.offenses(peer):

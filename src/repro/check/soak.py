@@ -22,9 +22,10 @@ clears it, lets the group settle, and asserts **gauge flatness** from
 
 Any residue is a leak that only shows up under sustained operation --
 the failure class unit tests structurally cannot see.  The protocol
-invariant checker rides along the whole run (bounded ``order_log_cap``
-windows keep its memory flat too), so safety violations surface at the
-event that caused them even hours of simulated time in.
+invariant checker rides along the whole run (its order log keeps a
+bounded window, ``order_log_cap``, so its memory stays flat too), and
+safety violations surface at the event that caused them even hours of
+simulated time in.
 
 Entry points: :func:`run_soak` (library) and
 ``python -m repro.check soak`` (CLI; ``--smoke`` runs the shortened CI
@@ -42,7 +43,6 @@ from repro.check.scenarios import ENV_SPAN_S, SCENARIOS, KvLoad, Scenario, Timel
 from repro.core.atomic_broadcast import RETAINED_ROUNDS
 from repro.core.config import GroupConfig
 from repro.net.network import LanSimulation
-from repro.obs.export import write_jsonl_path
 from repro.recovery import PHASE_LIVE
 
 def _instances_per_round(n: int) -> int:
@@ -267,26 +267,12 @@ class SoakRunner:
         self.report.writes = self.load.writes
         return self.report
 
-    def export_obs(self, path: str) -> int:
-        """Write the JSONL metrics snapshot CI uploads as an artifact."""
-        return write_jsonl_path(
-            path,
-            self.sim.metric_registries(),
-            meta={
-                "harness": "soak",
-                "seed": self.report.seed,
-                "simulated_s": self.sim.now,
-                "windows": len(self.report.windows),
-            },
-        )
-
 
 def run_soak(
     *,
     hours: float = 1.0,
     seed: int = 0,
     smoke: bool = False,
-    out: str | None = None,
     progress: Callable[[WindowReport], None] | None = None,
 ) -> SoakReport:
     """Run the rotating-fault soak for *hours* of simulated time.
@@ -295,8 +281,7 @@ def run_soak(
     exactly one rotation.  Raises
     :class:`SoakError` on a flatness failure and
     :class:`~repro.check.invariants.InvariantViolation` on a safety
-    violation; *out* (optional) receives the obs JSONL snapshot either
-    way -- the artifact matters most when the run fails.
+    violation.
     """
     if smoke:
         runner = SoakRunner(seed=seed, fault_s=6.0, settle_s=4.0)
@@ -304,8 +289,4 @@ def run_soak(
     else:
         runner = SoakRunner(seed=seed)
         windows = int(hours * 3600.0 // (runner.fault_s + runner.settle_s))
-    try:
-        return runner.run(windows, progress=progress)
-    finally:
-        if out is not None:
-            runner.export_obs(out)
+    return runner.run(windows, progress=progress)

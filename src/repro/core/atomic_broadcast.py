@@ -62,8 +62,7 @@ from repro.core.errors import BackpressureError, ProtocolViolationError
 from repro.core.mbuf import Mbuf
 from repro.core.stack import ORPHAN_STALE, ControlBlock, Stack
 from repro.core.stats import PURPOSE_AGREEMENT, PURPOSE_PAYLOAD
-from repro.core.wire import Path, encode_payload_item, encode_value, splice_list_payload
-from repro.crypto.hashing import hash_bytes
+from repro.core.wire import Path, encode_payload_item, splice_list_payload
 
 #: (sender pid, sender-local broadcast id)
 MsgId = tuple[int, int]
@@ -297,19 +296,6 @@ class AtomicBroadcast(ControlBlock):
         self.agreements_empty = 0
         self.fast_forwards = 0
         self.payloads_injected = 0
-        #: Per-delivery order log ``(sender, rbid, payload digest)``,
-        #: kept only when the stack opts in (the invariant checker
-        #: compares prefixes across processes); ``None`` otherwise so
-        #: ordinary runs pay nothing.  With ``stack.order_log_cap`` set,
-        #: only the most recent entries are kept (a bounded deque) --
-        #: long soak runs check windowed order agreement at O(cap)
-        #: memory instead of O(history).
-        self.order_log: "deque[tuple[int, int, bytes]] | list[tuple[int, int, bytes]] | None"
-        if stack.record_delivery_order:
-            cap = stack.order_log_cap
-            self.order_log = deque(maxlen=cap) if cap else []
-        else:
-            self.order_log = None
         self._ensure_vect_instances(0)
 
     # -- public API -----------------------------------------------------------------
@@ -380,8 +366,6 @@ class AtomicBroadcast(ControlBlock):
         state = super().inspect()
         state["delivered_count"] = self._delivered_count
         state["round"] = self._round
-        if self.order_log is not None:
-            state["order_log"] = self.order_log
         return state
 
     @property
@@ -978,8 +962,6 @@ class AtomicBroadcast(ControlBlock):
                         self._mark_delivered((sender, rbid))
                     delivery = AbDelivery(sender, rbid, payload, self._delivered_count)
                     self._delivered_count += 1
-                    if self.order_log is not None:
-                        self.order_log.append((sender, rbid, hash_bytes(encode_value(payload))))
                     self.deliver(delivery)
                     rbid += 1
         finally:

@@ -367,15 +367,6 @@ class Stack:
             )
         #: Counters, and the one record point subscribers listen to.
         self.stats = StackStats(process_id)
-        #: When True, atomic-broadcast instances created on this stack
-        #: keep a full per-delivery order log for cross-process
-        #: prefix-agreement checking (memory grows with history -- meant
-        #: for bounded checker/explorer runs, not production sessions).
-        self.record_delivery_order = False
-        #: With ``record_delivery_order`` on, a nonzero cap bounds each
-        #: order log to its most recent entries (soak runs keep windowed
-        #: order agreement checkable at flat memory); 0 = unbounded.
-        self.order_log_cap = 0
         #: Per-peer misbehavior scores.
         self.ledger = MisbehaviorLedger()
         self._registry: dict[Path, ControlBlock] = {}

@@ -187,12 +187,14 @@ class StackStats:
 
     def record_deliver(self, path: Path, protocol: str, event: Any) -> None:
         """An instance delivered *event*; a delivery that names a message
-        (an atomic-broadcast delivery's ``msg_id``) carries it as ``msg``."""
+        (an atomic-broadcast delivery's ``msg_id``) carries it as ``msg``
+        and its payload, by reference, as ``payload``."""
         if self._on.deliver:
             detail = {"protocol": protocol}
             msg_id = getattr(event, "msg_id", None)
             if msg_id is not None:
                 detail["msg"] = msg_id
+                detail["payload"] = event.payload
             self._fan(self._on.deliver, trace.KIND_DELIVER, path, detail)
 
     def record_broadcast(self, kind: str, purpose: str, path: Path = (), size: int = 0) -> None:

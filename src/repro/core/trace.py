@@ -89,20 +89,20 @@ class Tracer:
     Args:
         capacity: ring-buffer size; the oldest events fall off.
         clock: time source (defaults to 0.0; runtimes inject theirs).
-        kinds: when given, only these event kinds are recorded.
+
+    To record only some kinds, subscribe with them:
+    ``stats.subscribe(tracer, kinds)`` builds no other event.
     """
 
     def __init__(
         self,
         capacity: int = 100_000,
         clock: Callable[[], float] | None = None,
-        kinds: set[str] | None = None,
     ):
         if capacity < 1:
             raise ValueError("tracer capacity must be positive")
         self._events: deque[TraceEvent] = deque(maxlen=capacity)
         self._clock = clock if clock is not None else (lambda: 0.0)
-        self._kinds = kinds
         self.emitted = 0
         #: Incarnation of the stack this tracer is attached to; stamped
         #: into every event's detail once nonzero, so post-restart events
@@ -128,8 +128,6 @@ class Tracer:
 
     def __call__(self, process: int, kind: str, path: Path, detail: dict[str, Any]) -> None:
         """Record one event (the stack-subscriber entry point)."""
-        if self._kinds is not None and kind not in self._kinds:
-            return
         self.emitted += 1
         if self.incarnation:
             detail = {**detail, "incarnation": self.incarnation}

@@ -6,15 +6,14 @@ Subcommands::
         --client-port 9000 --http-port 9100 [--local-reads]
 
     python -m repro.gateway load --port 9000 --sessions 200 --rate 500 \\
-        --ops 2000 --seed 7 [--snapshot load-metrics.jsonl]
+        --ops 2000 --seed 7
 
 ``serve`` starts one replica of the group -- the replicated KV store --
 plus the client gateway and the HTTP status endpoint on top of it;
 every replica of a deployment runs it.  Ctrl-C shuts the sockets down
 cleanly.  ``load`` runs the open-loop generator against
-a gateway and prints the goodput/latency report; ``--snapshot`` also
-writes the client-side metric registry as a JSONL snapshot that
-``python -m repro.obs summary`` can render.
+a gateway and prints the client's view: goodput, latency percentiles,
+retry-afters and timeouts.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from pathlib import Path
 
 from repro.gateway.loadgen import LoadProfile, run_load
 from repro.gateway.server import ClientGateway, GatewayServices
-from repro.obs.export import write_jsonl_path
-from repro.obs.metrics import MetricsRegistry
 
 
 async def _serve(args: argparse.Namespace) -> int:
@@ -76,17 +73,10 @@ async def _load(args: argparse.Namespace) -> int:
         value_bytes=args.value_bytes,
         seed=args.seed,
     )
-    registry = MetricsRegistry(const_labels={"component": "loadgen"})
     report = await run_load(
-        args.host, args.port, profile, registry=registry,
-        drain_timeout_s=args.drain_timeout,
+        args.host, args.port, profile, drain_timeout_s=args.drain_timeout
     )
     print(report.summary(), flush=True)
-    if args.snapshot:
-        count = write_jsonl_path(
-            args.snapshot, [registry], meta={"runtime": "loadgen", "seed": profile.seed}
-        )
-        print(f"wrote {count} records to {args.snapshot}", flush=True)
     return 0 if report.timeouts == 0 and report.errors == 0 else 1
 
 
@@ -123,7 +113,6 @@ def main(argv: list[str] | None = None) -> int:
     p_load.add_argument("--value-bytes", type=int, default=32)
     p_load.add_argument("--seed", type=int, default=1)
     p_load.add_argument("--drain-timeout", type=float, default=30.0)
-    p_load.add_argument("--snapshot", help="write loadgen metrics JSONL here")
     p_load.set_defaults(fn=_load)
 
     args = parser.parse_args(argv)

@@ -330,7 +330,7 @@ class LanSimulation:
 
     def metric_registries(self) -> list[MetricsRegistry]:
         """The enabled per-process registries, in pid order (feed these
-        to the exporters in :mod:`repro.obs.export`)."""
+        to :func:`repro.obs.export.to_prometheus`)."""
         return [self._metrics[pid].registry for pid in sorted(self._metrics)]
 
     def sample_metrics(self) -> None:
@@ -343,18 +343,13 @@ class LanSimulation:
         subscriber = self._metrics.get(pid)
         if subscriber is None:
             return
-        subscriber.sample()
-        registry = subscriber.registry
-        for dest in self.config.process_ids:
-            if dest == pid:
-                continue
-            queue = self._link_pending.get((pid, dest))
-            registry.gauge("ritas_send_queue_frames", peer=dest).set(
-                len(queue) if queue is not None else 0
-            )
-            registry.gauge("ritas_send_queue_bytes", peer=dest).set(
-                queue.bytes if queue is not None else 0
-            )
+        subscriber.sample(
+            {
+                dest: self._link_pending.get((pid, dest))
+                for dest in self.config.process_ids
+                if dest != pid
+            }
+        )
 
     # -- wire model -----------------------------------------------------------------
 

@@ -1,5 +1,5 @@
 """Runtime observability: per-layer latency histograms, queue gauges
-and machine-readable exporters.
+and the Prometheus exposition.
 
 The paper's Section 4 is entirely measurement; this package makes the
 same quantities -- and their *distributions* -- visible on a live run:
@@ -8,10 +8,8 @@ same quantities -- and their *distributions* -- visible on a live run:
   the per-stack :class:`MetricsRegistry`;
 - :mod:`repro.obs.stack_metrics` -- :class:`StackMetrics`, the stack
   subscriber that derives every ``ritas_*`` metric from its events;
-- :mod:`repro.obs.export` -- JSONL snapshots and Prometheus text
-  exposition;
-- ``python -m repro.obs`` -- renders histogram summaries (p50/p95/p99)
-  from a snapshot.
+- :mod:`repro.obs.export` -- Prometheus text exposition, the one way
+  metrics leave a process (the gateway serves it on ``/metrics``).
 
 Enable on a runtime, not per stack::
 
@@ -19,18 +17,12 @@ Enable on a runtime, not per stack::
     registries = sim.enable_metrics()
     ... run ...
     sim.sample_metrics()                       # refresh queue gauges
-    write_jsonl_path("run.jsonl", registries)
+    print(to_prometheus(registries))
 
 or, on the TCP runtime, ``node.enable_metrics(sample_interval_s=1.0)``.
 """
 
-from repro.obs.export import (
-    read_jsonl,
-    snapshot_records,
-    to_prometheus,
-    write_jsonl,
-    write_jsonl_path,
-)
+from repro.obs.export import to_prometheus
 from repro.obs.metrics import (
     COUNT_BUCKETS,
     LATENCY_BUCKETS,
@@ -49,9 +41,5 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "read_jsonl",
-    "snapshot_records",
     "to_prometheus",
-    "write_jsonl",
-    "write_jsonl_path",
 ]

@@ -1,90 +1,20 @@
-"""Machine-readable exports of metric registries.
+"""Prometheus text exposition (version 0.0.4) of metric registries,
+for scraping a live process (the gateway's ``/metrics``).
 
-Two formats, both produced from the same snapshots:
-
-- **JSONL** -- one JSON object per line: a ``meta`` record per registry
-  (schema version, clock, incarnation, constant labels) followed by one
-  ``metric`` record per metric.  Snapshots from any number of registries
-  (all processes of a group, or of several runs) concatenate into one
-  file; the per-registry constant labels keep them distinguishable.
-  ``python -m repro.obs summary`` renders these files.
-- **Prometheus text exposition** (version 0.0.4) -- for scraping a live
-  process or pushing through a gateway.  Histograms follow the standard
-  encoding: cumulative ``_bucket{le="..."}`` series plus ``_sum`` and
-  ``_count``.
+Histograms follow the standard encoding: cumulative
+``_bucket{le="..."}`` series plus ``_sum`` and ``_count``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from typing import IO, Any, Iterable
+from typing import Iterable
 
 from repro.obs.metrics import MetricsRegistry
 
-SNAPSHOT_VERSION = "repro.obs/v1"
-
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 _LABEL_NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
-
-
-def snapshot_records(
-    registries: Iterable[MetricsRegistry], meta: dict[str, Any] | None = None
-) -> list[dict[str, Any]]:
-    """All JSONL records for *registries*: one ``meta`` record each,
-    then the metric records.  *meta* adds caller context (runtime name,
-    scenario, seed) to every meta record."""
-    records: list[dict[str, Any]] = []
-    for registry in registries:
-        head: dict[str, Any] = {
-            "record": "meta",
-            "version": SNAPSHOT_VERSION,
-            "time": registry.now(),
-            "incarnation": registry.incarnation,
-            "labels": dict(registry.const_labels),
-        }
-        if meta:
-            head.update(meta)
-        records.append(head)
-        for record in registry.snapshot():
-            record["record"] = "metric"
-            records.append(record)
-    return records
-
-
-def write_jsonl(
-    out: IO[str],
-    registries: Iterable[MetricsRegistry],
-    meta: dict[str, Any] | None = None,
-) -> int:
-    """Write the JSONL snapshot to *out*; returns the record count."""
-    records = snapshot_records(registries, meta)
-    for record in records:
-        out.write(json.dumps(record, sort_keys=True) + "\n")
-    return len(records)
-
-
-def write_jsonl_path(
-    path: str,
-    registries: Iterable[MetricsRegistry],
-    meta: dict[str, Any] | None = None,
-) -> int:
-    with open(path, "w", encoding="utf-8") as out:
-        return write_jsonl(out, registries, meta)
-
-
-def read_jsonl(lines: Iterable[str]) -> list[dict[str, Any]]:
-    """Parse a JSONL snapshot back into records (blank lines skipped)."""
-    records = []
-    for line in lines:
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
-    return records
-
-
-# -- Prometheus text exposition ---------------------------------------------
 
 
 def _metric_name(name: str) -> str:

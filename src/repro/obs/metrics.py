@@ -21,10 +21,10 @@ so a stack nobody enabled metrics on builds no event at all.
 :data:`NULL_REGISTRY` (``enabled`` is ``False``, every handle a shared
 no-op) is what a node's gateway records into while metrics are off.
 
-Registries are **per stack** (one process, one registry); group-wide
-views are produced by the exporters in :mod:`repro.obs.export`, which
-take any number of registries and keep them distinguishable through
-each registry's constant labels (e.g. ``process="2"``).
+Registries are **per stack** (one process, one registry); the
+Prometheus exporter (:mod:`repro.obs.export`) takes any number of them
+and keeps them distinguishable through each registry's constant labels
+(e.g. ``process="2"``).
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ COUNT_BUCKETS: tuple[float, ...] = tuple(
 #: Exact quantiles are computed while a histogram holds at most this
 #: many samples; past it, new samples update only the buckets.
 DEFAULT_SAMPLE_CAP = 4096
-
-#: Quantiles stamped into snapshots and rendered by the CLI.
-SNAPSHOT_QUANTILES = (0.5, 0.95, 0.99)
 
 LabelItems = tuple[tuple[str, str], ...]
 
@@ -249,13 +246,8 @@ class Histogram:
             "sum": self.sum,
         }
         if self.count:
-            record["min"] = self.min
-            record["max"] = self.max
-            record["exact"] = self.exact
-            for q in SNAPSHOT_QUANTILES:
-                record[f"p{int(q * 100)}"] = self.quantile(q)
             # Sparse non-cumulative buckets: [upper_bound, count] pairs,
-            # +inf encoded as null (JSON has no infinity).
+            # +inf encoded as None.
             record["buckets"] = [
                 [self.bounds[i] if i < len(self.bounds) else None, c]
                 for i, c in enumerate(self.bucket_counts)
@@ -268,10 +260,10 @@ class MetricsRegistry:
     """Per-stack metric store (:data:`NULL_REGISTRY` when off).
 
     Args:
-        clock: time source stamped into snapshots (runtimes inject the
-            simulated or monotonic clock; defaults to 0.0).
+        clock: the registry's time source, :meth:`now` (runtimes inject
+            the simulated or monotonic clock; defaults to 0.0).
         const_labels: labels merged into every metric created here --
-            the exporters rely on these to tell processes, runtimes and
+            the exporter relies on these to tell processes, runtimes and
             faultloads apart (e.g. ``process="0", runtime="sim"``).
     """
 
@@ -286,8 +278,7 @@ class MetricsRegistry:
         self.const_labels = {k: str(v) for k, v in (const_labels or {}).items()}
         self._metrics: dict[tuple[str, LabelItems], Counter | Gauge | Histogram] = {}
         #: Incarnation of the stack this registry is attached to (see
-        #: :meth:`rebind`); stamped into snapshot metadata so metrics
-        #: recorded after a restart are distinguishable.
+        #: :meth:`rebind`).
         self.incarnation = 0
 
     def rebind(
@@ -299,8 +290,8 @@ class MetricsRegistry:
 
         Mirrors :meth:`repro.core.trace.Tracer.rebind`: a registry
         created before a process restart keeps the dead incarnation's
-        clock closure; ``restart_process`` calls this so post-restart
-        samples carry the right time and incarnation number.
+        clock closure; ``restart_process`` calls this with the new
+        clock and incarnation number.
         """
         if clock is not None:
             self._clock = clock
@@ -352,19 +343,6 @@ class MetricsRegistry:
         """All registered metrics, in stable (name, labels) order."""
         return [self._metrics[key] for key in sorted(self._metrics)]
 
-    def snapshot(self) -> list[dict[str, Any]]:
-        """One JSON-ready record per metric (see each type's
-        ``snapshot``), stamped with the registry clock and incarnation."""
-        time = self.now()
-        records = []
-        for metric in self.metrics():
-            record = metric.snapshot()
-            record["time"] = time
-            if self.incarnation:
-                record["incarnation"] = self.incarnation
-            records.append(record)
-        return records
-
 
 class _NullMetric:
     """Shared no-op metric handle."""
@@ -405,9 +383,6 @@ class _NullRegistry:
 
     def __len__(self) -> int:
         return 0
-
-    def snapshot(self) -> list:
-        return []
 
 
 #: Shared inert registry: ``RitasNode.metrics`` until metrics are enabled.

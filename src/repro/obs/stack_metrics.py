@@ -12,9 +12,10 @@ steps (Crain) tosses once per round, at its end; ``submit`` to the
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from repro.core import trace
+from repro.core.sendq import BoundedSendQueue
 from repro.core.stack import Stack
 from repro.core.wire import Path
 from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry
@@ -122,11 +123,19 @@ class StackMetrics:
         if started is not None and key in started:
             self.registry.histogram(name, **labels).observe(now - started.pop(key))
 
-    def sample(self) -> None:
-        """Refresh the depth gauges: OOC table, live instances, each root
-        AB instance's ``pending_local`` (the runtimes add send queues)."""
+    def sample(self, send_queues: Mapping[int, BoundedSendQueue | None]) -> None:
+        """Refresh the depth gauges: the runtime's send queue toward each
+        peer in *send_queues* (None: nothing queued), the OOC table, live
+        instances and each root AB instance's ``pending_local``."""
         stack = self._stack_of()
         registry = self.registry
+        for peer, queue in send_queues.items():
+            registry.gauge("ritas_send_queue_frames", peer=peer).set(
+                len(queue) if queue is not None else 0
+            )
+            registry.gauge("ritas_send_queue_bytes", peer=peer).set(
+                queue.bytes if queue is not None else 0
+            )
         ooc = stack.ooc.snapshot()
         registry.gauge("ritas_ooc_pending").set(ooc["pending"])
         registry.gauge("ritas_ooc_bytes").set(ooc["bytes"])

@@ -433,11 +433,7 @@ class RitasNode:
         """Sample send-queue depth gauges and the stack's gauges, now."""
         if self._stack_metrics is None:
             return
-        self._stack_metrics.sample()
-        registry = self._stack_metrics.registry
-        for pid, link in self._send_queues.items():
-            registry.gauge("ritas_send_queue_frames", peer=pid).set(len(link.queue))
-            registry.gauge("ritas_send_queue_bytes", peer=pid).set(link.queue.bytes)
+        self._stack_metrics.sample({pid: link.queue for pid, link in self._send_queues.items()})
 
     # -- outbound -------------------------------------------------------------------
 

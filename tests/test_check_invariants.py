@@ -13,6 +13,7 @@ import pytest
 
 from repro.check import InvariantChecker, InvariantViolation
 from repro.check.explore import run_one
+from repro.check.invariants import OrderLog, align_order_logs
 from repro.check.scenarios import SCENARIOS
 from repro.core.mbuf import Mbuf
 from repro.core.ooc import OocTable
@@ -92,9 +93,9 @@ class TestInjectedDivergence:
     def test_ab_order(self):
         sim, checker = run_checked("failure-free")
         pid = sorted(checker.correct)[0]
-        ab = sim.stacks[pid].instance_at(("ab", "a"))
-        assert ab.order_log is not None and len(ab.order_log) >= 2
-        ab.order_log[0], ab.order_log[1] = ab.order_log[1], ab.order_log[0]
+        log = checker.order_log._logs[pid, ("ab", "a")]
+        assert len(log) >= 2
+        log[0], log[1] = log[1], log[0]
         with pytest.raises(InvariantViolation) as exc:
             checker.check_all()
         assert exc.value.invariant == "ab-order"
@@ -141,6 +142,57 @@ class TestInjectedDivergence:
         with pytest.raises(InvariantViolation) as exc:
             checker.check_all()
         assert exc.value.invariant == "ooc-accounting"
+
+
+def _ab_burst(checker, per_process=3):
+    """Every process A-broadcasts *per_process* messages on ("a",);
+    returns once all of them are delivered everywhere."""
+    sim = checker.sim
+    for stack in sim.stacks:
+        stack.create("ab", ("a",))
+    for pid, stack in enumerate(sim.stacks):
+        for index in range(per_process):
+            stack.instance_at(("a",)).broadcast(b"%d:%d" % (pid, index))
+    total = per_process * sim.config.num_processes
+    sim.run(
+        until=lambda: all(s.instance_at(("a",)).delivered_count == total for s in sim.stacks),
+        max_time=30.0,
+    )
+    return total
+
+
+class TestOrderLog:
+    def test_a_capped_log_keeps_the_trailing_window_and_still_aligns(self):
+        sim = LanSimulation(n=4, seed=2)
+        checker = InvariantChecker(sim, order_log_cap=3)
+        full = OrderLog()
+        for stack in sim.stacks:
+            stack.stats.subscribe(full, OrderLog.KINDS)
+        total = _ab_burst(checker)
+        checker.check_all()
+        whole = full.of(0, ("a",))
+        assert len(whole) == total
+        for pid in range(4):
+            window = checker.order_log.of(pid, ("a",))
+            assert window == whole[-3:]
+            assert align_order_logs(whole, window) == (total - 3, 0, 3, True)
+        # Swapped inside the window: still an order violation.
+        log = checker.order_log._logs[1, ("a",)]
+        log[1], log[2] = log[2], log[1]
+        with pytest.raises(InvariantViolation) as exc:
+            checker.check_all()
+        assert exc.value.invariant == "ab-order"
+
+    def test_a_restarted_process_starts_an_empty_log(self):
+        sim = LanSimulation(n=4, seed=2)
+        checker = InvariantChecker(sim)
+        _ab_burst(checker)
+        assert len(checker.order_log.of(3, ("a",))) == 12
+        stack = sim.restart_process(3)
+        stack.create("ab", ("a",))
+        assert checker.order_log.of(3, ("a",)) == []
+        assert len(checker.order_log.of(0, ("a",))) == 12
+        checker.check_all()  # an empty window compares with nothing
 
 
 class TestOocConsistency:

@@ -1,26 +1,17 @@
-"""The repro.obs metrics subsystem: primitives, registries, exporters,
-runtime integration (simulator and TCP) and the CLI renderer."""
+"""The repro.obs metrics subsystem: primitives, registries, the
+Prometheus exporter and runtime integration (simulator and TCP)."""
 
 import asyncio
 import collections
-import io
-import json
 import math
 import pathlib
 import re
-import subprocess
-import sys
 import time
 
 import pytest
 
 from repro import GroupConfig, LanSimulation, TrustedDealer
-from repro.obs.export import (
-    read_jsonl,
-    snapshot_records,
-    to_prometheus,
-    write_jsonl,
-)
+from repro.obs.export import to_prometheus
 from repro.obs.metrics import (
     COUNT_BUCKETS,
     LATENCY_BUCKETS,
@@ -122,8 +113,7 @@ class TestPrimitives:
         snap = h.snapshot()
         assert snap["type"] == "histogram"
         assert snap["count"] == 1
-        assert snap["p50"] == 0.005
-        assert snap["exact"] is True
+        assert snap["sum"] == 0.005
         # Sparse buckets: only the hit bucket is listed.
         assert len(snap["buckets"]) == 1
         le, count = snap["buckets"][0]
@@ -161,9 +151,7 @@ class TestRegistry:
         assert reg.now() == 1.0
         reg.rebind(clock=lambda: 9.0, incarnation=2)
         assert reg.now() == 9.0
-        reg.counter("a").inc()
-        records = reg.snapshot()
-        assert all(r["time"] == 9.0 and r["incarnation"] == 2 for r in records)
+        assert reg.incarnation == 2
 
     def test_null_registry_is_inert(self):
         assert not NULL_REGISTRY.enabled
@@ -171,7 +159,6 @@ class TestRegistry:
         NULL_REGISTRY.gauge("b").set(5)
         NULL_REGISTRY.histogram("c").observe(0.1)
         assert len(NULL_REGISTRY) == 0
-        assert NULL_REGISTRY.snapshot() == []
 
 
 def _demo_registry():
@@ -185,23 +172,6 @@ def _demo_registry():
 
 
 class TestExporters:
-    def test_jsonl_roundtrip(self):
-        out = io.StringIO()
-        count = write_jsonl(out, [_demo_registry()], meta={"scenario": "t"})
-        records = read_jsonl(io.StringIO(out.getvalue()))
-        assert len(records) == count == 4
-        meta = records[0]
-        assert meta["record"] == "meta"
-        assert meta["version"] == "repro.obs/v1"
-        assert meta["scenario"] == "t"
-        assert meta["labels"] == {"process": "0"}
-        names = {r["name"] for r in records[1:]}
-        assert names == {
-            "ritas_demo_total",
-            "ritas_demo_depth",
-            "ritas_demo_seconds",
-        }
-
     def test_prometheus_exposition_parses(self):
         text = to_prometheus([_demo_registry()])
         lines = text.strip().splitlines()
@@ -260,23 +230,25 @@ def _run_sim_burst(k=8, n=4, seed=3, subscriber=None):
     return sim
 
 
+def _latency_histograms(registries):
+    return [
+        metric
+        for registry in registries
+        for metric in registry.metrics()
+        if metric.name == "ritas_instance_latency_seconds"
+    ]
+
+
 class TestSimulatorIntegration:
     def test_burst_populates_per_protocol_latency(self):
         sim = _run_sim_burst()
-        records = snapshot_records(
-            sim.metric_registries(), meta={"runtime": "sim"}
-        )
-        latency = [
-            r
-            for r in records
-            if r.get("name") == "ritas_instance_latency_seconds"
-        ]
-        protocols = {r["labels"]["protocol"] for r in latency}
+        latency = _latency_histograms(sim.metric_registries())
+        protocols = {dict(h.labels)["protocol"] for h in latency}
         # The AB burst exercises the whole stack beneath it.
         assert {"rb", "eb", "bc", "mvc", "ab"} <= protocols
-        for r in latency:
-            assert r["count"] > 0
-            assert r["p50"] <= r["p95"] <= r["p99"]
+        for h in latency:
+            assert h.count > 0
+            assert h.quantile(0.5) <= h.quantile(0.95) <= h.quantile(0.99)
 
     def test_metrics_disabled_by_default(self):
         sim = LanSimulation(n=4, seed=3)
@@ -381,7 +353,7 @@ def _run_tcp_scenario(tmp_path, subscribe=None):
                 raise TimeoutError("TCP metrics run did not converge")
             for node in nodes:
                 node.sample_metrics()
-            return snapshot_records(registries, meta={"runtime": "tcp"})
+            return registries
         finally:
             for node in nodes:
                 await node.close()
@@ -521,81 +493,25 @@ class TestDocumentedMetrics:
 class TestOneRecordPoint:
     def test_core_has_no_observability_side_channel(self):
         """Protocols record through ``stack.stats`` only: no module of
-        the core reaches for a tracer, a metrics registry or an observer."""
+        the core reaches for a tracer, a metrics registry or an observer,
+        or keeps a delivery order log for the checker (the checker's
+        :class:`~repro.check.invariants.OrderLog` subscribes to
+        ``deliver`` events instead)."""
         offenders = [
             f"{path.name}:{number}"
             for path in sorted((REPO / "src" / "repro" / "core").glob("*.py"))
             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-            if re.search(r"\.(tracer|metrics|observer)\b", line)
+            if re.search(r"\.(tracer|metrics|observer)\b|order_log|record_delivery_order", line)
         ]
         assert offenders == []
 
 
 class TestTcpIntegration:
     def test_tcp_snapshot_has_latency_histograms(self, tmp_path):
-        records = _run_tcp_scenario(tmp_path)
-        latency = [
-            r
-            for r in records
-            if r.get("name") == "ritas_instance_latency_seconds"
-        ]
+        latency = _latency_histograms(_run_tcp_scenario(tmp_path))
         assert latency
-        assert {"rb", "ab"} <= {r["labels"]["protocol"] for r in latency}
-        assert all(r["labels"]["runtime"] == "tcp" for r in latency)
+        assert {"rb", "ab"} <= {dict(h.labels)["protocol"] for h in latency}
+        assert all(dict(h.labels)["runtime"] == "tcp" for h in latency)
         # Wall-clock latencies: positive and sane.
-        assert all(0 < r["p50"] < 60 for r in latency)
+        assert all(0 < h.quantile(0.5) < 60 for h in latency)
 
-
-class TestCli:
-    def _write_snapshot(self, tmp_path):
-        sim = _run_sim_burst()
-        path = tmp_path / "snapshot.jsonl"
-        with open(path, "w", encoding="utf-8") as out:
-            write_jsonl(out, sim.metric_registries(), meta={"runtime": "sim"})
-        return path
-
-    def _cli(self, *args):
-        return subprocess.run(
-            [sys.executable, "-m", "repro.obs", *args],
-            capture_output=True,
-            text=True,
-        )
-
-    def test_summary_renders_histograms(self, tmp_path):
-        path = self._write_snapshot(tmp_path)
-        result = self._cli("summary", str(path))
-        assert result.returncode == 0, result.stderr
-        assert "ritas_instance_latency_seconds" in result.stdout
-        assert "p50" in result.stdout and "p99" in result.stdout
-        assert "protocol=ab" in result.stdout
-
-    def test_summary_from_tcp_snapshot(self, tmp_path):
-        records = _run_tcp_scenario(tmp_path)
-        path = tmp_path / "tcp.jsonl"
-        with open(path, "w", encoding="utf-8") as out:
-            for record in records:
-                out.write(json.dumps(record) + "\n")
-        result = self._cli(
-            "summary", str(path), "--metric", "ritas_instance_latency_seconds"
-        )
-        assert result.returncode == 0, result.stderr
-        assert "ritas_instance_latency_seconds" in result.stdout
-        assert "runtime=tcp" in result.stdout
-
-    def test_prom_rerender_matches_live_exposition(self, tmp_path):
-        path = self._write_snapshot(tmp_path)
-        result = self._cli("prom", str(path))
-        assert result.returncode == 0, result.stderr
-        assert "# TYPE ritas_instance_latency_seconds histogram" in result.stdout
-        assert 'le="+Inf"' in result.stdout
-
-    def test_demo_writes_loadable_snapshot(self, tmp_path):
-        path = tmp_path / "demo.jsonl"
-        result = self._cli("demo", "--out", str(path), "--k", "8")
-        assert result.returncode == 0, result.stderr
-        with open(path, encoding="utf-8") as handle:
-            records = read_jsonl(handle)
-        assert any(r.get("record") == "meta" for r in records)
-        assert any(
-            r.get("name") == "ritas_instance_latency_seconds" for r in records
-        )

@@ -11,6 +11,7 @@ import asyncio
 
 import pytest
 
+from repro.check.invariants import OrderLog
 from repro.core.config import GroupConfig
 from repro.crypto.keys import TrustedDealer
 from repro.transport.tcp import PeerAddress, RitasNode
@@ -59,12 +60,13 @@ def test_tcp_heal_mid_agreement_delivers_identically():
             node.set_peer_addresses(addresses)
         for node in nodes:
             await node.connect()
+        order = OrderLog()
         for node in nodes:
-            node.stack.record_delivery_order = True
+            node.stack.stats.subscribe(order, OrderLog.KINDS)
             node.stack.create("ab", ("a",))
 
         def logs():
-            return [list(node.stack.instance_at(("a",)).order_log) for node in nodes]
+            return [order.of(pid, ("a",)) for pid in range(N)]
 
         try:
             # The whole burst goes in *before* the split...

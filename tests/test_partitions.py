@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.invariants import OrderLog
 from repro.net.faults import FaultPlan, Partition
 from repro.net.network import LanSimulation
 
@@ -98,25 +99,23 @@ class TestProtocolsAcrossPartitions:
         heal_at = 0.5
         plan = FaultPlan(partitions=[Partition(0.003, heal_at, ((0, 1), (2, 3)))])
         sim = LanSimulation(n=4, seed=35, fault_plan=plan)
+        order = OrderLog()
         for stack in sim.stacks:
-            stack.record_delivery_order = True
+            stack.stats.subscribe(order, OrderLog.KINDS)
             stack.create("ab", ("a",))
         for pid in range(4):
             for index in range(3):
                 sim.stacks[pid].instance_at(("a",)).broadcast(b"%d:%d" % (pid, index))
 
         def all_delivered():
-            return all(
-                len(stack.instance_at(("a",)).order_log) == 12
-                for stack in sim.stacks
-            )
+            return all(len(order.of(pid, ("a",))) == 12 for pid in range(4))
 
         reason = sim.run(until=all_delivered, max_time=60)
         assert reason == "until"
         # The burst genuinely straddled the split: with no quorum in
         # either island, part of the order could only form post-heal.
         assert sim.now > heal_at
-        logs = [list(s.instance_at(("a",)).order_log) for s in sim.stacks]
+        logs = [order.of(pid, ("a",)) for pid in range(4)]
         assert logs[0] == logs[1] == logs[2] == logs[3]
 
     def test_no_frames_lost_across_partition(self):

@@ -115,11 +115,11 @@ class TestShardedGroup:
                     nodes[0].sample_metrics()
                     (latency,) = (
                         m
-                        for m in registries[g].snapshot()
-                        if m["name"] == "ritas_ab_delivery_latency_seconds"
+                        for m in registries[g].metrics()
+                        if m.name == "ritas_ab_delivery_latency_seconds"
                     )
                     # Node 0 times the deliveries of its own broadcasts.
-                    assert latency["count"] == broadcasts[g]
+                    assert latency.count == broadcasts[g]
             finally:
                 await close_all(groups)
 

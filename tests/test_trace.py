@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.stats import StackStats
 from repro.core.trace import (
     KIND_BROADCAST,
     KIND_CREATE,
@@ -58,10 +59,15 @@ class TestTracer:
         assert [e.path for e in tracer.events()] == [(7,), (8,), (9,)]
 
     def test_kind_filter_at_emit(self):
-        tracer = Tracer(kinds={KIND_DECIDE})
-        tracer(0, KIND_SEND, (), {})
-        tracer(0, KIND_DECIDE, (), {"value": 1})
-        assert len(tracer) == 1
+        """A subscription's kinds filter at the record point: the
+        unsubscribed kind is never built, let alone handed over."""
+        stats = StackStats(0)
+        tracer = Tracer()
+        stats.subscribe(tracer, {KIND_DECIDE})
+        stats.record_send(10, ("a",), dest=1, mtype=0)
+        stats.record_decision("bc", 1, ("b",), value=1)
+        assert [(e.kind, e.path) for e in tracer.events()] == [(KIND_DECIDE, ("b",))]
+        assert tracer.emitted == 1
 
     def test_render_line(self):
         event = TraceEvent(time=0.001234, process=2, kind=KIND_DECIDE, path=("bc",),
