@@ -44,12 +44,16 @@ class Mbuf:
             transport headers; used by the network model and statistics.
         recv_time: local clock value when the frame was received, or
             ``None`` for locally originated mbufs.
-        raw_payload: the encoded payload of the received frame as owned
-            ``bytes`` (canonically equal to ``encode_value(payload)``),
-            letting receivers digest, MAC, or relay the payload without
-            re-encoding it.  Never a view of a channel buffer, so an
-            mbuf parked out-of-context keeps it.  ``None`` for locally
-            originated mbufs.
+        raw_payload: the encoded payload of the received frame
+            (canonically equal to ``encode_value(payload)``), letting
+            receivers digest, MAC, or relay the payload without
+            re-encoding it: owned ``bytes`` for a small frame, a
+            read-only ``memoryview`` of the received unit for a large
+            one (:func:`~repro.core.wire.frame_fastpath`).  A view
+            aliases only a buffer its runtime handed over and never
+            writes again, so an mbuf parked out-of-context keeps it,
+            and it pins at most twice its own length.  ``None`` for
+            locally originated mbufs.
     """
 
     __slots__ = (
@@ -70,7 +74,7 @@ class Mbuf:
         payload: Any,
         wire_size: int = 0,
         recv_time: float | None = None,
-        raw_payload: bytes | None = None,
+        raw_payload: bytes | memoryview | None = None,
     ) -> None:
         self.src = src
         self.path = path
@@ -86,7 +90,7 @@ class Mbuf:
         src: int,
         path: Path,
         mtype: int,
-        raw_payload: bytes,
+        raw_payload: bytes | memoryview,
         wire_size: int = 0,
         recv_time: float | None = None,
     ) -> "Mbuf":

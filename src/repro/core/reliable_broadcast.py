@@ -22,6 +22,9 @@ Raw payloads are held only until delivery.  Once the push has gone out
 the instance drops every payload encoding it held and keeps none it
 receives later (a late INIT is still digested and echoed), so a
 delivered instance holds *m* once, as the decoded value it delivered.
+A large payload is held as a read-only view of the unit it arrived in
+(:func:`~repro.core.wire.frame_fastpath`), so that unit's buffer is
+freed with it.
 
 ECHO and READY name the payload by its digest, so the payload crosses
 the wire once per receiver, in the INIT, plus a push to a peer that
@@ -60,7 +63,7 @@ READY_HEAD = encode_value(bytes(HASH_LEN))[:-HASH_LEN]
 _VOTE_LEN = len(READY_HEAD) + HASH_LEN
 
 
-def _raw_of(mbuf: Mbuf) -> bytes:
+def _raw_of(mbuf: Mbuf) -> bytes | memoryview:
     """The canonical payload encoding of *mbuf*: straight off the wire
     for received frames, encoded for locally built ones."""
     raw = mbuf.raw_payload
@@ -102,7 +105,7 @@ class ReliableBroadcast(ControlBlock):
         # digest -> canonical payload encoding (from the INIT or a
         # PAYLOAD), digest computed here; emptied at delivery.  Delivery
         # decodes the one it needs; votes never decode.
-        self._raws: dict[bytes, bytes] = {}
+        self._raws: dict[bytes, bytes | memoryview] = {}
         # digest -> set of source pids, one vote per source per phase.
         self._echoes: dict[bytes, set[int]] = {}
         self._readies: dict[bytes, set[int]] = {}
@@ -210,7 +213,7 @@ class ReliableBroadcast(ControlBlock):
         self._payload_sources.add(mbuf.src)
         self._check_progress(self._hold(_raw_of(mbuf)))
 
-    def _hold(self, raw: bytes) -> bytes:
+    def _hold(self, raw: bytes | memoryview) -> bytes:
         """Digest *raw* and, until delivery, keep it as the payload
         candidate for that digest; returns the digest."""
         digest = hash_bytes(raw)

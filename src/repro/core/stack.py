@@ -646,7 +646,8 @@ class Stack:
         # FASTPATH_MEMO_FRAME_MAX: the n-1 repeat copies of such a
         # broadcast skip the walk entirely.  The payload region comes
         # back validated, so every mbuf is lazy -- decoding it later
-        # cannot fail -- and its raw payload is owned bytes.
+        # cannot fail -- and a large frame's raw payload stays a
+        # read-only view of the unit it arrived in.
         parsed = frame_fastpath(data)
         path = None
         if parsed is not None:

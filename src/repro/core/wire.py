@@ -38,10 +38,12 @@ paper's Table 1 decomposition says dominates LAN latency):
 - decoders accept any bytes-like object (``bytes``, ``bytearray``,
   ``memoryview``), and :func:`decode_batch_views` splits a batch into
   zero-copy :class:`memoryview` members;
-- the parse returns the *raw encoded payload* as owned ``bytes``; since
-  the codec is canonical, those bytes are exactly what
-  ``encode_value(payload)`` would produce, so receivers can digest, MAC
-  or relay a payload without decoding or re-encoding it;
+- the parse returns the *raw encoded payload* -- owned ``bytes`` for a
+  small frame, a read-only view of the received buffer for a large one
+  (:func:`frame_fastpath`); since the codec is canonical, those bytes
+  are exactly what ``encode_value(payload)`` would produce, so
+  receivers can digest, MAC or relay a payload without decoding or
+  re-encoding it;
 - the u32 length codec is a pre-compiled :class:`struct.Struct`, small
   non-negative ints encode through a precomputed table, and
   :func:`encode_frame_from_prefix` lets the stack reuse one encoded
@@ -563,28 +565,32 @@ _MEMO_MISS = object()
 FASTPATH_MEMO_FRAME_MAX = 32 * 1024
 
 
-def frame_fastpath(data) -> tuple[bytes, int, bytes] | None:
+def frame_fastpath(data) -> tuple[bytes, int, bytes | memoryview] | None:
     """:func:`_parse_frame`, memoized by the frame bytes.
 
     Returns ``(path_key, mtype, raw_payload)`` -- the interned demux key
-    (:func:`frame_path_key`), the message type, and the *validated*
-    canonical payload encoding (decoding it cannot fail), both owned
-    ``bytes`` -- or ``None`` when *data* is not a well-formed plain
-    frame (batches, malformed input).
+    (:func:`frame_path_key`) as owned ``bytes``, the message type, and
+    the *validated* canonical payload encoding (decoding it cannot
+    fail) -- or ``None`` when *data* is not a well-formed plain frame
+    (batches, malformed input).  *data* must not be written while the
+    payload is alive: the caller hands it over.
 
     Repeat frames (the other n-1 copies of a broadcast, re-deliveries
     in multi-stack processes) hit the memo and skip the whole walk; the
     returned ``raw_payload`` is then the *same* bytes object every time.
     A frame over :data:`FASTPATH_MEMO_FRAME_MAX` is parsed in place --
-    *data* may be a batch member's ``memoryview`` -- and only its path
-    key and payload region are copied out.
+    *data* may be a batch member's ``memoryview`` -- and its payload
+    region stays a read-only view of *data*'s buffer, unless the view
+    would be less than half of what it pins: then it is copied out, so
+    a view keeps at most twice its own length alive.
     """
     if len(data) > FASTPATH_MEMO_FRAME_MAX:
         try:
-            path_key, mtype, raw = _parse_frame(data)
+            path_key, mtype, raw = _parse_frame(memoryview(data))
         except WireFormatError:
             return None
-        return bytes(path_key), mtype, bytes(raw)
+        raw = raw.toreadonly() if 2 * len(raw) >= len(raw.obj) else bytes(raw)
+        return bytes(path_key), mtype, raw
     frame = data if type(data) is bytes else bytes(data)
     memo = _fastpath_memo
     hit = memo.get(frame, _MEMO_MISS)

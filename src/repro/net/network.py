@@ -278,7 +278,8 @@ class LanSimulation:
         fault plan is cleared so the new incarnation sends and receives
         again.  Every subscriber of the old stack (a tracer, the metrics
         subscriber, the invariant checker) is carried over, rebound to
-        the simulation clock and the new incarnation number.  The caller
+        the simulation clock and the new incarnation number (the metrics
+        subscriber reads the new stack's clock and ignores both).  The caller
         re-creates application instances on the returned stack and
         typically attaches a :class:`~repro.recovery.RecoveryManager`
         with ``recovering=True`` to rejoin the group.
@@ -314,11 +315,7 @@ class LanSimulation:
         """
         for pid in self.config.process_ids:
             if pid not in self._metrics:
-                registry = MetricsRegistry(
-                    clock=lambda: self.loop.now,
-                    const_labels={"process": pid, "runtime": "sim"},
-                )
-                registry.rebind(incarnation=self._generation[pid])
+                registry = MetricsRegistry(const_labels={"process": pid, "runtime": "sim"})
                 subscriber = StackMetrics(registry, lambda pid=pid: self.stacks[pid])
                 self.stacks[pid].stats.subscribe(subscriber, StackMetrics.KINDS)
                 self._metrics[pid] = subscriber

@@ -30,7 +30,7 @@ and keeps them distinguishable through each registry's constant labels
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Callable
+from typing import Any
 
 #: Default log-scale bucket boundaries for latency histograms, in
 #: seconds: 5 buckets per decade from 1 microsecond to 1000 seconds.
@@ -260,8 +260,6 @@ class MetricsRegistry:
     """Per-stack metric store (:data:`NULL_REGISTRY` when off).
 
     Args:
-        clock: the registry's time source, :meth:`now` (runtimes inject
-            the simulated or monotonic clock; defaults to 0.0).
         const_labels: labels merged into every metric created here --
             the exporter relies on these to tell processes, runtimes and
             faultloads apart (e.g. ``process="0", runtime="sim"``).
@@ -269,37 +267,9 @@ class MetricsRegistry:
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Callable[[], float] | None = None,
-        const_labels: dict[str, Any] | None = None,
-    ):
-        self._clock = clock if clock is not None else (lambda: 0.0)
+    def __init__(self, const_labels: dict[str, Any] | None = None):
         self.const_labels = {k: str(v) for k, v in (const_labels or {}).items()}
         self._metrics: dict[tuple[str, LabelItems], Counter | Gauge | Histogram] = {}
-        #: Incarnation of the stack this registry is attached to (see
-        #: :meth:`rebind`).
-        self.incarnation = 0
-
-    def rebind(
-        self,
-        clock: Callable[[], float] | None = None,
-        incarnation: int | None = None,
-    ) -> None:
-        """Re-attach this registry to a new runtime context.
-
-        Mirrors :meth:`repro.core.trace.Tracer.rebind`: a registry
-        created before a process restart keeps the dead incarnation's
-        clock closure; ``restart_process`` calls this with the new
-        clock and incarnation number.
-        """
-        if clock is not None:
-            self._clock = clock
-        if incarnation is not None:
-            self.incarnation = incarnation
-
-    def now(self) -> float:
-        return self._clock()
 
     # -- metric factories (get-or-create, keyed on name + labels) -----------
 

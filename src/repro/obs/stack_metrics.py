@@ -53,8 +53,9 @@ class StackMetrics:
         return subscriber
 
     def rebind(self, clock: Callable[[], float] | None = None, incarnation: int | None = None):
-        """A restart rebuilt the stack; the registry outlives the incarnation."""
-        self.registry.rebind(clock, incarnation)
+        """A restart rebuilt the stack: nothing to rebind, since the
+        registry outlives the incarnation and every time is read from
+        the current stack's clock."""
 
     def __call__(self, process: int, kind: str, path: Path, detail: dict[str, Any]) -> None:
         stack = self._stack_of()

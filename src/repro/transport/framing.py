@@ -80,11 +80,14 @@ class FrameCodec:
         out += state.digest()
         return bytes(out)
 
-    def decode(self, body_and_tag) -> tuple[int, bytes]:
+    def decode(self, body_and_tag, in_place: bool = False) -> tuple[int, bytes | memoryview]:
         """Verify one received frame body; returns ``(src, payload)``.
 
         Accepts any bytes-like object; the body is authenticated in
-        place (no copy) and only the payload is materialized.
+        place (no copy).  The payload is materialized as owned ``bytes``,
+        or with *in_place* returned as a read-only view of the body --
+        for a caller that hands over the buffer the body lives in and
+        never writes it again.
 
         Raises:
             FramingError: bad MAC, replayed/reordered sequence number,
@@ -105,4 +108,5 @@ class FrameCodec:
         if src != self._src:
             raise FramingError(f"frame claims src {src}, link authenticated {self._src}")
         self._recv_seq = seq
-        return src, bytes(view[_HEADER.size : body_end])
+        payload = view[_HEADER.size : body_end]
+        return src, payload.toreadonly() if in_place else bytes(payload)

@@ -120,7 +120,12 @@ class _PeerLink(_Link, asyncio.Protocol):
 class _InboundLink(_Link, asyncio.BufferedProtocol):
     """One receive-only connection.  Reads land in one reusable buffer
     (``recv_into``: no allocation per read); any failure closes the link,
-    delivering nothing after the bad unit."""
+    delivering nothing after the bad unit.
+
+    A unit larger than the resting buffer grows it as its bytes arrive
+    and, once complete, is handed to the stack in place: its payload is a
+    read-only view of that buffer, and the link starts again on a fresh
+    one, never writing, resizing or reusing the buffer it handed off."""
 
     def __init__(self, node: "RitasNode"):
         super().__init__(node)
@@ -137,8 +142,6 @@ class _InboundLink(_Link, asyncio.BufferedProtocol):
         if start:
             self.buffer[: end - start] = self.buffer[start:end]
             self.start, self.end = 0, end - start
-        if self.end == 0 and len(self.buffer) > _RECV_BUFFER:
-            self.buffer = bytearray(_RECV_BUFFER)
         if self.end == len(self.buffer):
             # Full with one unit whose length buffer_updated checked: double
             # toward it, so memory grows only with bytes actually received.
@@ -151,6 +154,9 @@ class _InboundLink(_Link, asyncio.BufferedProtocol):
         a length as soon as its header is in, before the buffer grows."""
         self.end += nbytes
         node, offset, size = self.node, self.start, self.end
+        # A grown buffer holds exactly one unit, from offset 0: get_buffer
+        # compacts before it grows and stops at the unit's length.
+        grown = len(self.buffer) > _RECV_BUFFER
         try:
             with memoryview(self.buffer) as view:
                 while size - offset >= _LEN.size and not node._closed:
@@ -161,7 +167,8 @@ class _InboundLink(_Link, asyncio.BufferedProtocol):
                     if end > size:
                         break
                     body = view[offset + _LEN.size : end]
-                    src, payload = (self.codec or self._authenticate(body)).decode(body)
+                    codec = self.codec or self._authenticate(body)
+                    src, payload = codec.decode(body, in_place=grown)
                     self.peer_pid = src
                     offset = end
                     # Looked up per unit: tracing wraps stack.receive after connect().
@@ -169,8 +176,13 @@ class _InboundLink(_Link, asyncio.BufferedProtocol):
         except FramingError as exc:
             self._reject(exc)
             return
-        # A closing node drops the rest unread: no unchecked length stays.
-        self.start = size if node._closed else offset
+        if node._closed:
+            offset = size  # a closing node drops the rest: no unchecked length stays
+        if grown and offset == size:
+            # Handed off (or dropped): the stack may hold views of it.
+            self.buffer = bytearray(_RECV_BUFFER)
+            offset = size = 0
+        self.start, self.end = offset, size
 
     def _authenticate(self, body) -> FrameCodec:
         """Pick the pairwise key by the first unit's claimed src; the same
@@ -414,10 +426,7 @@ class RitasNode:
         only on explicit :meth:`sample_metrics` calls.
         """
         if self._stack_metrics is None:
-            registry = MetricsRegistry(
-                clock=time.monotonic,
-                const_labels={"process": self.process_id, "runtime": "tcp"},
-            )
+            registry = MetricsRegistry(const_labels={"process": self.process_id, "runtime": "tcp"})
             self._stack_metrics = StackMetrics.attach(self.stack, registry)
         if sample_interval_s is not None:
             self.add_ticker(sample_interval_s, self.sample_metrics)

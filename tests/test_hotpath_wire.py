@@ -288,18 +288,30 @@ class TestFrameFastpath:
         )
         assert pinned <= len(wire._fastpath_memo) * 2 * cap
 
-    def test_large_batch_member_parses_in_place_into_owned_bytes(self):
+    def test_large_batch_member_parses_in_place_into_a_read_only_view(self):
         from repro.core import wire
 
         frame = encode_frame(PATH, 2, [bytes(8192)] * 8)
         assert len(frame) > FASTPATH_MEMO_FRAME_MAX
-        (member,) = decode_batch_views(encode_batch([frame]))
+        batch = encode_batch([frame])
+        (member,) = decode_batch_views(batch)
         key, mtype, raw = frame_fastpath(member)
-        assert type(key) is bytes and type(raw) is bytes
+        assert type(key) is bytes and type(raw) is memoryview
+        assert raw.readonly and raw.obj is batch
         assert (key, mtype, raw) == (frame_path_key(frame), 2, encode_value([bytes(8192)] * 8))
         (truncated,) = decode_batch_views(encode_batch([frame[:-1]]))
         assert frame_fastpath(truncated) is None
         assert not wire._fastpath_memo
+
+    def test_a_raw_view_cannot_be_written_through(self):
+        """A writable buffer still yields a read-only payload view."""
+        frame = bytearray(encode_frame(PATH, 2, bytes(FASTPATH_MEMO_FRAME_MAX)))
+        raw = frame_fastpath(memoryview(frame))[2]
+        assert type(raw) is memoryview and raw.obj is frame
+        with pytest.raises(TypeError):
+            raw[-1] = 1
+        with pytest.raises(TypeError):
+            memoryview(raw)[-1] = 1
 
 
 # -- lazy mbufs ----------------------------------------------------------------

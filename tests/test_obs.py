@@ -146,13 +146,6 @@ class TestRegistry:
         with pytest.raises(TypeError):
             reg.histogram("a")
 
-    def test_rebind_clock_and_incarnation(self):
-        reg = MetricsRegistry(clock=lambda: 1.0)
-        assert reg.now() == 1.0
-        reg.rebind(clock=lambda: 9.0, incarnation=2)
-        assert reg.now() == 9.0
-        assert reg.incarnation == 2
-
     def test_null_registry_is_inert(self):
         assert not NULL_REGISTRY.enabled
         NULL_REGISTRY.counter("a", x=1).inc()
@@ -162,7 +155,7 @@ class TestRegistry:
 
 
 def _demo_registry():
-    reg = MetricsRegistry(clock=lambda: 42.0, const_labels={"process": 0})
+    reg = MetricsRegistry(const_labels={"process": 0})
     reg.counter("ritas_demo_total", kind="x").inc(3)
     reg.gauge("ritas_demo_depth").set(7)
     h = reg.histogram("ritas_demo_seconds")
@@ -263,7 +256,6 @@ class TestSimulatorIntegration:
         stack = sim.restart_process(1)
         assert sim.metric_registries()[1] is registry
         assert [type(s).__name__ for s, _ in stack.stats.subscriptions] == ["StackMetrics"]
-        assert registry.incarnation == 1
         assert registry.counter("probe").value == 1
 
     def test_gauges_zero_after_quiescence(self):

@@ -503,6 +503,31 @@ def test_run_burst_runs_the_paper_rb(monkeypatch):
     assert echoes
 
 
+def test_init_as_a_view_delivers_like_bytes():
+    """A large INIT's raw payload arrives as a read-only view of its unit
+    (``frame_fastpath``): it is digested, held, pushed and decoded the
+    same as owned bytes, and let go at delivery."""
+    payload = [bytes(range(256)) * 160, "x", 7]
+    raw = encode_value(payload)
+    runs = []
+    for region in (raw, memoryview(bytearray(raw)).toreadonly()):
+        stack, sent = lone_stack(pid=1)
+        rb = stack.create("rb", ("b",), sender=0)
+        delivered = delivered_values(rb)
+        rb.input(Mbuf.lazy(0, ("b",), MSG_INIT, region))
+        (held,) = rb._raws.values()
+        assert held is region
+        for src in (0, 2, 3):
+            feed(stack, ("b",), MSG_READY, digest(payload), src=src)
+        assert rb._raws == {}
+        runs.append((delivered, sent, rb.inspect()["value_digest"]))
+    assert runs[0] == runs[1]
+    delivered, sent, _ = runs[0]
+    assert delivered == [payload]
+    assert sent_mtypes(sent) == [MSG_ECHO] * 4 + [MSG_READY] * 4 + [MSG_PAYLOAD] * 3
+    assert sent_payloads(sent)[0] == digest(payload)
+
+
 class TestReleaseAtDelivery:
     """A delivered instance holds its payload once, as the decoded value:
     the raw encodings go once the push is out, and late frames neither

@@ -6,6 +6,7 @@ import struct
 import pytest
 
 from repro.core.config import GroupConfig
+from repro.core.wire import encode_batch, encode_frame
 from repro.crypto.keys import TrustedDealer
 from repro.transport import tcp
 from repro.transport.framing import MAC_LEN, MAX_FRAME, FrameCodec, FramingError, peek_src
@@ -345,15 +346,63 @@ class TestInboundParser:
         assert len(self.link.buffer) == tcp._RECV_BUFFER
 
     def test_unit_larger_than_the_buffer_grows_it_then_shrinks(self):
-        big = self.sender.encode(b"\x01" + bytes(3 * tcp._RECV_BUFFER))
+        """The buffer a unit grew is handed to the stack with it: the
+        payload is a read-only view of that buffer, and the link rests at
+        its resting size again right after."""
+        payload = b"\x01" + bytes(3 * tcp._RECV_BUFFER)
+        big = self.sender.encode(payload)
         small = self.sender.encode(b"\x01small")
-        feed(self.link, big)
-        assert [len(data) for _, data in self.got] == [1 + 3 * tcp._RECV_BUFFER]
-        assert len(self.link.buffer) == len(big)
+        feed(self.link, big[:-1])
+        grown = self.link.buffer
+        assert len(grown) == len(big) and self.got == []
+        feed(self.link, big[-1:])
+        ((src, data),) = self.got
+        assert src == 1 and data == payload
+        assert type(data) is memoryview and data.readonly and data.obj is grown
+        assert len(self.link.buffer) == tcp._RECV_BUFFER and self.link.buffer is not grown
+        assert self.link.start == self.link.end == 0
         feed(self.link, small)
-        assert [len(data) for _, data in self.got] == [1 + 3 * tcp._RECV_BUFFER, 6]
+        assert self.got[1] == (1, b"\x01small") and type(self.got[1][1]) is bytes
         assert len(self.link.buffer) == tcp._RECV_BUFFER
 
+    def route_into_list(self):
+        """Run the real stack's receive path, keeping every mbuf it
+        builds instead of dispatching it."""
+        stack = self.node.stack
+        del stack.receive  # the class's receive again, not the recorder
+        routed = []
+        stack.route = routed.append
+        return routed
+
+    def test_a_handed_off_buffer_is_never_written_again(self):
+        routed = self.route_into_list()
+
+        def unit(fill, size):
+            return self.sender.encode(encode_frame(("big",), 0, bytes([fill]) * size))
+
+        feed(self.link, unit(1, 3 * tcp._RECV_BUFFER))
+        raw = routed[0].raw_payload
+        assert type(raw) is memoryview
+        kept = bytes(raw)
+        # Same-sized units: a reused buffer would be overwritten in place.
+        for fill in (2, 3):
+            feed(self.link, unit(fill, 3 * tcp._RECV_BUFFER))
+        feed(self.link, unit(4, 100))
+        assert [mbuf.payload[:1] for mbuf in routed] == [b"\x01", b"\x02", b"\x03", b"\x04"]
+        assert bytes(raw) == kept
+        assert len({id(mbuf.raw_payload.obj) for mbuf in routed[:3]}) == 3
+
+    def test_a_small_frame_in_a_large_unit_is_copied_out(self):
+        """A 33 KiB frame beside 64 KiB of others is under half the unit:
+        its raw payload is owned bytes, so parking it out-of-context
+        cannot keep the whole unit alive."""
+        routed = self.route_into_list()
+        small = encode_frame(("a",), 0, bytes(33 * 1024))
+        large = encode_frame(("b",), 0, bytes(64 * 1024))
+        feed(self.link, self.sender.encode(encode_batch([small, large])))
+        assert [mbuf.path for mbuf in routed] == [("a",), ("b",)]
+        assert type(routed[0].raw_payload) is bytes
+        assert type(routed[1].raw_payload) is memoryview
 
 class TestReceiveSeam:
     def test_patched_receive_sees_inbound_and_loopback_units(self, group4):
